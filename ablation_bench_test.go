@@ -1,6 +1,6 @@
 package mdgan_test
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
+// Ablation benchmarks for the paper's design choices: the
 // discriminator swap (§IV-C1), the batch-diversity parameter k
 // (§IV-B4), the synchronous barrier vs the §VII.1 asynchronous mode,
 // and the §VII.2 feedback-compression extension. Each sub-benchmark
@@ -146,7 +146,7 @@ func BenchmarkAblationByzantine(b *testing.B) {
 }
 
 // BenchmarkAblationWorkers sweeps the cluster size K with everything
-// else pinned, the ablation the work-stealing scheduler exists for:
+// else pinned, the ablation that loads internal/parallel hardest:
 // each worker trains its own discriminator concurrently, and final FID
 // tracks how batch diversity k = ⌊ln K⌋ and shard thinning interact.
 func BenchmarkAblationWorkers(b *testing.B) {

@@ -1,12 +1,12 @@
 package mdgan_test
 
 // One benchmark per table and figure of the paper's evaluation section
-// (DESIGN.md §4 maps each artifact to its modules), plus
+// (experiments.go maps each artifact to its experiment), plus
 // micro-benchmarks of the kernels the system is built on. The
 // experiment benchmarks print their series once, so
 // `go test -bench=. -benchmem` regenerates the same rows the paper
 // reports; absolute values come from the synthetic substitutes, shapes
-// are the reproduction target (EXPERIMENTS.md records both).
+// are the reproduction target.
 
 import (
 	"fmt"
@@ -215,8 +215,8 @@ func BenchmarkMDGANIterationPipelined(b *testing.B) {
 // BenchmarkMDGANIterationK sweeps the synchronous global iteration over
 // cluster sizes K=1..50 (the Fig. 2-style axis): every simulated worker
 // drives its own conv/matmul kernels, so aggregate throughput measures
-// how well worker- and kernel-level parallelism compose on the
-// work-stealing scheduler. worker-steps/sec is the aggregate rate of
+// how well worker- and kernel-level parallelism compose in
+// internal/parallel. worker-steps/sec is the aggregate rate of
 // per-worker discriminator iterations.
 // Each K runs twice: the paper's flat star, and the depth-2 aggregation
 // tree that bounds server ingress by its fan-in — the names match the

@@ -1,5 +1,5 @@
 // Command mdgan-bench regenerates every table and figure of the
-// paper's evaluation section (the per-experiment index is DESIGN.md §4)
+// paper's evaluation section (experiments.go in the repo root is the index)
 // and writes the series to stdout and, optionally, CSV files.
 //
 //	mdgan-bench                       # quick scale, all experiments
@@ -165,7 +165,7 @@ func writeBenchJSON(path, topoSpec string, fanin int) {
 	}
 	// Cluster-size sweep (the Fig. 2-style axis): one synchronous global
 	// iteration at K simulated workers, all driving their kernels
-	// through the work-stealing scheduler concurrently. Row names match
+	// through internal/parallel concurrently. Row names match
 	// the go-test sub-benchmarks (BenchmarkMDGANIterationK/K=…), which
 	// share this body and mdgan.WorkerSweep. Each K is measured under
 	// the flat star AND under the -topology overlay (default tree:2),

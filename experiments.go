@@ -9,7 +9,7 @@ import (
 )
 
 // This file maps every table and figure of the paper's evaluation to a
-// runnable experiment (the per-experiment index lives in DESIGN.md §4).
+// runnable experiment.
 // Experiments accept a Scale so the same code drives both the quick
 // benchmark suite (minutes on a laptop) and fuller runs.
 

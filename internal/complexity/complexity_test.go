@@ -89,7 +89,7 @@ func TestFig2Shape(t *testing.T) {
 			t.Fatalf("%s: FL-GAN must win at b=10000", name)
 		}
 		// The absolute crossover depends on byte conventions the paper
-		// does not state (see EXPERIMENTS.md); what must hold is that it
+		// does not state; what must hold is that it
 		// exists, is positive, and sits between the plotted extremes.
 		cross := CrossoverBatch(p)
 		if cross < 10 || cross > 10000 {

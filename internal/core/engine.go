@@ -8,7 +8,7 @@ package core
 //	            per batch (tensor framing ++ labels, encoded once)
 //	route     — SWAP permutation + the §IV-B1 SPLIT assignment, then
 //	            the per-worker payloads (frame concatenation) fanned
-//	            out on the work-stealing scheduler
+//	            out through internal/parallel
 //	dispatch  — simnet.BroadcastEach; an ErrNodeDown destination is
 //	            suspected (or, without a round deadline, demoted
 //	            fail-stop style) instead of aborting the run

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -492,14 +493,13 @@ func TestMidRoundSendFailureWithSwapsReleasesReceiver(t *testing.T) {
 // must be driven from the dispatch side.)
 type brokenNet struct {
 	simnet.Net
-	after int // fail batches sends once this many succeeded
-	sent  int
+	after int64        // fail batches sends once this many succeeded
+	sent  atomic.Int64 // simnet.BroadcastEach calls Send concurrently
 }
 
 func (b *brokenNet) Send(msg simnet.Message) error {
 	if msg.Type == msgBatches {
-		b.sent++
-		if b.sent > b.after {
+		if b.sent.Add(1) > b.after {
 			return fmt.Errorf("injected transport failure")
 		}
 	}

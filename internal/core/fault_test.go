@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,11 +27,27 @@ import (
 	"mdgan/internal/simnet"
 )
 
-// goroutineBaseline warms the lazily-spawned global parallel pool (its
-// workers are persistent by design, not a leak) and returns the
-// goroutine count to compare against after the run.
+// goroutineBaseline brings internal/parallel's helper goroutines to full
+// strength and returns the goroutine count to compare against after
+// the run. Helpers are persistent by design, not a leak, but they are
+// spawned on demand — one each time a region's submitter finds no idle
+// helper and fewer than GOMAXPROCS-1 alive — so the warm-up holds every
+// range open until all GOMAXPROCS participants are inside the region.
+// A helper already alive but not yet parked misses the offer; then the
+// set is full anyway and the timeout lets the region finish short.
 func goroutineBaseline() int {
-	parallel.ForceFor(1024, func(int, int) {})
+	p := runtime.GOMAXPROCS(0)
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	parallel.ForceFor(p, func(int, int) {
+		if int(arrived.Add(1)) == p {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-time.After(time.Second):
+		}
+	})
 	return runtime.NumGoroutine()
 }
 

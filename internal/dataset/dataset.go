@@ -2,7 +2,7 @@
 // The paper evaluates on MNIST, CIFAR10 and CelebA; those downloads are
 // unavailable to an offline module, so this package generates synthetic
 // datasets with the same tensor formats, class structure and difficulty
-// ordering (documented in DESIGN.md §2):
+// ordering:
 //
 //   - SynthDigits — 28×28×1 procedural seven-segment digits (MNIST stand-in)
 //   - SynthCIFAR  — 32×32×3 class-conditional colour/texture patterns

@@ -11,7 +11,7 @@ import (
 // Faces combine three binary attributes (skin tone, eye colour, mouth
 // expression), yielding 8 attribute classes the scoring classifier can
 // learn; CelebA itself is unlabelled for our purposes, but the Inception
-// substitute needs classes to produce IS/FID (DESIGN.md §2).
+// substitute needs classes to produce IS/FID.
 func SynthFaces(n int, seed int64) *Dataset { return SynthFacesSize(n, seed, 32) }
 
 // SynthFacesSize generates faces at an arbitrary square size.

@@ -111,7 +111,7 @@ func ScaledMLP(h int) Arch {
 // transposed convolutions of 32 and 1 kernels (5×5, stride 2); D = six
 // 3×3 convolutions of 16..512 kernels, a minibatch-discrimination layer
 // and the 11-neuron output. The paper omits strides/padding, so exact
-// parameter counts differ slightly (recorded in EXPERIMENTS.md).
+// parameter counts differ slightly.
 func PaperCNNMNIST() Arch {
 	return Arch{
 		Name: "paper-cnn-mnist", ZDim: 100, Classes: 10, OutShape: []int{1, 28, 28},

@@ -126,9 +126,9 @@ func (a *Adam) Step(params []*nn.Param) {
 			a.update(w, g, m, v, c1, c2, 0, len(g))
 			continue
 		}
-		// Split at half the fan-out threshold so one task still
-		// amortises the hand-off while stealing can balance several
-		// workers' optimiser steps running concurrently.
+		// Split at half the fan-out threshold so one chunk still
+		// amortises the hand-off while an idle helper can take its share
+		// of several workers' optimiser steps running concurrently.
 		parallel.ForGrain(len(g), parGrain/2, func(s, e int) {
 			a.update(w, g, m, v, c1, c2, s, e)
 		})

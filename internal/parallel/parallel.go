@@ -3,34 +3,29 @@
 // goroutines a kernel may use, so the policy (and its test hooks) live
 // here.
 //
-// Work is executed by a work-stealing scheduler. Each participating
-// goroutine — a persistent pool worker, or any goroutine that submits a
-// region — owns a deque of tasks. A task is one contiguous index range
-// (lo, hi, fn) of a parallel region; executing a task first splits it
-// recursively (push the upper half, keep the lower) until it reaches
-// the region's grain, so large ranges become stealable halves while the
-// owner keeps working on cache-adjacent indices. Idle workers steal
-// half of a victim's deque at a time (oldest tasks first — the biggest
-// ranges).
+// A region is a flat fork-join over one shared cursor. The submitting
+// goroutine offers the region to idle helpers — persistent goroutines
+// parked in a receive on an unbuffered channel, so an offer succeeds
+// only when a helper can start at once — and then every participant,
+// the submitter included, pulls grain-sized [lo, hi) ranges off the
+// cursor until it is exhausted. The submitter waits only for the
+// helpers that accepted, never on work nobody started.
 //
-// Regions compose: a For reached from inside another For's loop body
-// submits its subtasks to the same scheduler and then *helps* — the
-// blocked goroutine executes tasks from its own deque first (its
-// freshly pushed subtasks, LIFO), then steals, until its region has
-// completed. Nothing ever parks while it still owes work, which makes
-// arbitrarily nested regions and concurrently submitted regions (one
-// per simulated MD-GAN worker) deadlock-free without the old
-// single-flight guard that serialised them.
+// Regions therefore compose without any notion of which goroutine is
+// calling: a For reached from inside another For's loop body, or from
+// one of many concurrent goroutines (one per simulated MD-GAN worker),
+// takes whatever helpers are idle and does the rest itself. When the
+// callers already fill the cores no helper is idle and the kernel runs
+// inline on its caller, which is the right answer.
 //
-// Loop bodies may spawn nested regions freely but must not block on
-// channels or locks held by *other* regions' bodies: a helping
-// goroutine can execute any region's task while it waits, so such
-// cross-region blocking can extend (though never cycle) a region's
-// lifetime arbitrarily.
+// Loop bodies may submit nested regions freely. A body that blocks
+// holds up only its own region: the goroutine it runs on is not
+// available to other regions while it is blocked, and they complete
+// without it.
 //
-// A panic inside a loop body — even one executing on a stolen task in
-// another goroutine — is recovered, the region is drained, and the
-// panic value is re-raised on the goroutine that submitted the region.
+// A panic inside a loop body — on the submitter or on a helper — is
+// recovered, the rest of the region is abandoned, and the panic value
+// is re-raised on the goroutine that submitted the region.
 package parallel
 
 import (
@@ -40,13 +35,13 @@ import (
 )
 
 // serialGrain is the loop length below which For runs inline; under
-// ~4096 scalar iterations the hand-off to the scheduler costs more than
-// it saves for the kernels in this repo.
+// ~4096 scalar iterations the hand-off to a helper costs more than it
+// saves for the kernels in this repo.
 const serialGrain = 4096
 
-// splitMul is the number of grains per worker a region is split into
-// when no explicit grain is given: enough slack for stealing to balance
-// uneven bodies without drowning in per-task overhead.
+// splitMul is the number of grains per participant a region is cut into
+// when no explicit grain is given: enough slack for the cursor to
+// balance uneven bodies without drowning in per-range overhead.
 const splitMul = 8
 
 // maxProcsOverride pins the degree of parallelism for tests; 0 means
@@ -64,10 +59,8 @@ func procs() int {
 // SetMaxProcs overrides the parallelism target used by For, ForGrain,
 // ForceFor and Do. n <= 0 restores the default (GOMAXPROCS). n == 1
 // forces every region inline on its calling goroutine (serial order).
-// For n > 1 the value tunes how finely regions split (about splitMul·n
-// tasks); the number of bodies actually running concurrently is bounded
-// by the pool (sized to GOMAXPROCS at startup) plus the submitting
-// goroutines, not by n — use the runtime's GOMAXPROCS to cap CPU use.
+// For n > 1 a region runs on its submitter plus at most n-1 helpers,
+// and the default grains cut it into about splitMul·n ranges.
 func SetMaxProcs(n int) {
 	if n <= 0 {
 		maxProcsOverride.Store(0)
@@ -75,11 +68,6 @@ func SetMaxProcs(n int) {
 	}
 	maxProcsOverride.Store(int32(n))
 }
-
-// serialDepth counts open Serial sections. While positive, every region
-// runs inline, process-wide, so already-parallel callers can suppress
-// kernel fan-out for a bounded section.
-var serialDepth atomic.Int32
 
 // Ranger is the loop body of a parallel region in interface form: Range
 // is invoked with disjoint [lo, hi) chunks, concurrently. ForGrainRanger
@@ -98,486 +86,126 @@ type funcRanger func(lo, hi int)
 
 func (f funcRanger) Range(lo, hi int) { f(lo, hi) }
 
-// region is one For/ForceFor/Do invocation: the loop body, the split
-// grain, and the completion state shared by every task split from it.
-// Regions are pooled (steady-state kernels submit thousands per
-// iteration), so completion is a cond broadcast rather than a one-shot
-// channel close: whoever drives pending to zero broadcasts, and the
-// submitting goroutine — the only possible waiter — always re-checks
-// pending, so a stray broadcast delivered to a recycled region is a
-// harmless spurious wake.
+// region is one For/ForceFor/Do invocation. Regions are pooled
+// (steady-state kernels submit thousands per iteration): a helper never
+// touches one after its wg.Done, and the submitter recycles it only
+// after wg.Wait, so no participant can reach a region's next life.
 type region struct {
-	fn      Ranger
-	grain   int
-	pending atomic.Int64 // index units not yet executed
-
-	mu   sync.Mutex
-	cond sync.Cond // signalled when pending reaches zero; L is &mu
-
-	panicMu  sync.Mutex
-	panicked bool
-	panicV   any
+	fn       Ranger
+	n, grain int
+	next     atomic.Int64        // cursor: first index not yet handed out
+	wg       sync.WaitGroup      // helpers that accepted the region
+	panicked atomic.Pointer[any] // first panic value of any participant
 }
 
-var regionPool = sync.Pool{New: func() any {
-	r := &region{}
-	r.cond.L = &r.mu
-	return r
-}}
+var regionPool = sync.Pool{New: func() any { return new(region) }}
 
-func (r *region) recordPanic(p any) {
-	r.panicMu.Lock()
-	if !r.panicked {
-		r.panicked = true
-		r.panicV = p
-	}
-	r.panicMu.Unlock()
-}
-
-// task is one contiguous index range of a region.
-type task struct {
-	r      *region
-	lo, hi int
-}
-
-// deque is a mutex-guarded double-ended task queue. Only its owner
-// pushes and pops (at the tail: LIFO, cache-warm); thieves take from
-// the head — the oldest, therefore largest, ranges.
-type deque struct {
-	mu sync.Mutex
-	t  []task
-}
-
-func (d *deque) push(t task) {
-	d.mu.Lock()
-	d.t = append(d.t, t)
-	d.mu.Unlock()
-	signalWork()
-}
-
-func (d *deque) pop() (task, bool) {
-	d.mu.Lock()
-	n := len(d.t)
-	if n == 0 {
-		d.mu.Unlock()
-		return task{}, false
-	}
-	t := d.t[n-1]
-	d.t[n-1] = task{} // drop the region reference
-	d.t = d.t[:n-1]
-	d.mu.Unlock()
-	return t, true
-}
-
-// stealHalfInto moves the older half of d's queue to the thief: the
-// first stolen task is returned for immediate execution, the rest are
-// appended to dst. scratch is the thief's reusable staging buffer (the
-// two deques are never locked at the same time, so mutual stealing
-// cannot deadlock).
-func (d *deque) stealHalfInto(dst *deque, scratch *[]task) (task, bool) {
-	d.mu.Lock()
-	n := len(d.t)
-	if n == 0 {
-		d.mu.Unlock()
-		return task{}, false
-	}
-	k := (n + 1) / 2
-	buf := append((*scratch)[:0], d.t[:k]...)
-	rest := copy(d.t, d.t[k:])
-	for i := rest; i < n; i++ {
-		d.t[i] = task{}
-	}
-	d.t = d.t[:rest]
-	d.mu.Unlock()
-	t := buf[0]
-	if len(buf) > 1 {
-		dst.mu.Lock()
-		dst.t = append(dst.t, buf[1:]...)
-		dst.mu.Unlock()
-		signalWork()
-	}
-	// Keep the staging buffer's capacity but drop its task references:
-	// a pool worker lives forever, and a stale region pointer here would
-	// pin the region and every buffer its closure captured.
-	for i := range buf {
-		buf[i] = task{}
-	}
-	*scratch = buf[:0]
-	return t, true
-}
-
-// wctx is the scheduling context of one goroutine participating in the
-// scheduler: a pool worker for its whole life, or any submitting
-// goroutine for the duration of its outermost region.
-type wctx struct {
-	dq       deque
-	stealBuf []task
-	rnd      uint64
-}
-
-// nextRand is a xorshift step for victim selection.
-func (w *wctx) nextRand() uint64 {
-	x := w.rnd
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	w.rnd = x
-	return x
-}
-
-var (
-	// ctxs maps goroutine id → *wctx for every participating goroutine.
-	ctxs sync.Map
-	// victims lists every deque a thief may steal from.
-	victims struct {
-		mu   sync.RWMutex
-		list []*wctx
-	}
-	helperSeed atomic.Uint64
-)
-
-func addVictim(w *wctx) {
-	victims.mu.Lock()
-	victims.list = append(victims.list, w)
-	victims.mu.Unlock()
-}
-
-func removeVictim(w *wctx) {
-	victims.mu.Lock()
-	l := victims.list
-	for i, v := range l {
-		if v == w {
-			nl := make([]*wctx, 0, len(l)-1)
-			nl = append(nl, l[:i]...)
-			nl = append(nl, l[i+1:]...)
-			victims.list = nl
-			break
-		}
-	}
-	victims.mu.Unlock()
-}
-
-// steal takes work from a random victim, sweeping all of them once.
-func (w *wctx) steal() (task, bool) {
-	victims.mu.RLock()
-	defer victims.mu.RUnlock()
-	n := len(victims.list)
-	if n == 0 {
-		return task{}, false
-	}
-	off := int(w.nextRand() % uint64(n))
-	for i := 0; i < n; i++ {
-		v := victims.list[(off+i)%n]
-		if v == w {
-			continue
-		}
-		if t, ok := v.dq.stealHalfInto(&w.dq, &w.stealBuf); ok {
-			return t, true
-		}
-	}
-	return task{}, false
-}
-
-// runTask splits t down to its region's grain (pushing upper halves for
-// thieves) and executes the remaining range, recovering any panic into
-// the region.
-func (w *wctx) runTask(t task) {
-	r := t.r
-	lo, hi := t.lo, t.hi
-	for hi-lo > r.grain {
-		mid := lo + (hi-lo)/2
-		w.dq.push(task{r: r, lo: mid, hi: hi})
-		hi = mid
-	}
-	runBody(r, lo, hi)
-	if r.pending.Add(int64(lo-hi)) == 0 {
-		// pending is monotonically decreasing: exactly one broadcaster.
-		// Taking mu orders the broadcast against the waiter's
-		// check-then-Wait, so the wakeup cannot be lost.
-		r.mu.Lock()
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	}
-}
-
-func runBody(r *region, lo, hi int) {
+// work pulls ranges off the cursor until the region is exhausted. A
+// panicking body exhausts it for everyone.
+func (r *region) work() {
 	defer func() {
 		if p := recover(); p != nil {
-			r.recordPanic(p)
+			v := p // escapes; declared here so only a panic allocates
+			r.panicked.CompareAndSwap(nil, &v)
+			r.next.Store(int64(r.n))
 		}
 	}()
-	r.fn.Range(lo, hi)
-}
-
-// Pool workers: persistent goroutines that execute stolen work so a
-// steady-state training iteration never pays goroutine spawn cost. The
-// pool tracks runtime.GOMAXPROCS: every region submission re-checks it
-// (two atomic loads on the fast path), so a GOMAXPROCS change between
-// Train calls grows the pool or retires the excess workers without a
-// restart.
-var (
-	poolMu     sync.Mutex
-	wake       = make(chan struct{}, 128)
-	sleepers   atomic.Int32
-	poolTarget atomic.Int32 // desired pool size (poolWant of the last ensurePool)
-	poolLive   atomic.Int32 // workers currently alive
-	poolSeq    uint64       // seeds worker RNGs distinctly across respawns
-)
-
-// signalWork wakes one parked pool worker, if any.
-func signalWork() {
-	if sleepers.Load() > 0 {
-		select {
-		case wake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// poolWant is the pool size the current GOMAXPROCS calls for (minimum 2
-// so stealing is exercised even on one core). SetMaxProcs only narrows
-// how finely regions split; it does not resize the pool.
-func poolWant() int32 {
-	n := runtime.GOMAXPROCS(0)
-	if n < 2 {
-		n = 2
-	}
-	return int32(n)
-}
-
-// ensurePool starts the pool on first use and resizes it whenever
-// GOMAXPROCS has changed since the last region: new workers are spawned
-// immediately; excess workers retire themselves the next time they go
-// idle (poolExit), so a shrink never interrupts running tasks. A worker
-// that committed to exit just as the target rose back is respawned by
-// the next region's ensurePool — the pool converges within a region
-// submission of any GOMAXPROCS change.
-func ensurePool() {
-	want := poolWant()
-	if poolTarget.Load() == want {
-		return
-	}
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	want = poolWant() // re-read under the lock
-	cur := poolTarget.Load()
-	if cur == want {
-		return
-	}
-	poolTarget.Store(want)
-	for live := poolLive.Load(); live < want; live++ {
-		poolSeq++
-		w := &wctx{rnd: poolSeq*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D}
-		addVictim(w)
-		poolLive.Add(1)
-		go func() {
-			id := goid()
-			ctxs.Store(id, w)
-			w.loop(id)
-		}()
-	}
-	// Shrinking: wake enough parked workers for the excess to notice.
-	for i := want; i < cur; i++ {
-		select {
-		case wake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// poolExit reports whether an idle worker should retire to meet a
-// lowered poolTarget. The excess check and the poolLive decrement
-// happen under poolMu — the same lock ensurePool grows under — so a
-// retirement can never interleave with a concurrent grow: without the
-// lock, a worker could read a stale (lower) target, decrement poolLive
-// after the grow counted it, and leave the pool permanently below
-// target behind ensurePool's fast path. The lock-free load pair keeps
-// the steady-state idle loop cheap.
-func (w *wctx) poolExit(id uint64) bool {
-	if poolLive.Load() <= poolTarget.Load() {
-		return false
-	}
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	if poolLive.Load() <= poolTarget.Load() {
-		return false
-	}
-	poolLive.Add(-1)
-	removeVictim(w)
-	ctxs.Delete(id)
-	return true
-}
-
-// loop is the pool worker body: pop own work, steal, park. A worker's
-// own deque is filled only by itself, so after a failed pop it can only
-// acquire work by stealing. The sleepers increment happens before the
-// final steal sweep, and every push signals after enqueueing, so a task
-// enqueued concurrently with parking is never lost. An idle worker
-// retires when the pool target shrank below the live count; its deque
-// is empty at that point (pop just failed), so no task is stranded.
-func (w *wctx) loop(id uint64) {
 	for {
-		if t, ok := w.dq.pop(); ok {
-			w.runTask(t)
-			continue
-		}
-		if t, ok := w.steal(); ok {
-			w.runTask(t)
-			continue
-		}
-		if w.poolExit(id) {
+		lo := int(r.next.Add(int64(r.grain))) - r.grain
+		if lo >= r.n {
 			return
 		}
-		sleepers.Add(1)
-		if t, ok := w.steal(); ok {
-			sleepers.Add(-1)
-			w.runTask(t)
-			continue
+		r.fn.Range(lo, min(lo+r.grain, r.n))
+	}
+}
+
+var (
+	// offers hands regions to helpers. It is unbuffered on purpose: a
+	// non-blocking send succeeds only when a helper is parked in the
+	// receive, so nothing is ever queued behind a busy goroutine.
+	offers = make(chan *region)
+	// helpers counts the live helper goroutines, at most procs()-1.
+	helpers atomic.Int32
+)
+
+// enlist hands r to one more helper — a parked one, else a new one if
+// fewer than procs()-1 are alive — and reports whether one took it.
+func (r *region) enlist() bool {
+	r.wg.Add(1)
+	select {
+	case offers <- r:
+		return true
+	default:
+	}
+	for h := helpers.Load(); int(h) < procs()-1; h = helpers.Load() {
+		if helpers.CompareAndSwap(h, h+1) {
+			go help(r)
+			return true
 		}
-		<-wake
-		sleepers.Add(-1)
 	}
+	r.wg.Done() // every helper is busy: the callers fill the cores already
+	return false
 }
 
-// ctx returns the calling goroutine's scheduling context, creating and
-// registering a helper context when the goroutine has none. top reports
-// whether the caller owns (and must release) the context.
-func ctx() (w *wctx, id uint64, top bool) {
-	id = goid()
-	if v, ok := ctxs.Load(id); ok {
-		return v.(*wctx), id, false
-	}
-	w = helperPool.Get().(*wctx)
-	ctxs.Store(id, w)
-	addVictim(w)
-	return w, id, true
-}
-
-// helperPool recycles helper contexts across outermost regions: the
-// deque and steal buffers keep their capacity, so a goroutine that
-// repeatedly submits regions (every training iteration does) stops
-// allocating them after warm-up. A pooled wctx is safe to hand to
-// another goroutine: release drained its deque and deregistered it
-// before the Put, so no thief can still reach it.
-var helperPool = sync.Pool{New: func() any {
-	return &wctx{rnd: helperSeed.Add(0x9E3779B97F4A7C15) | 1}
-}}
-
-// release drains any leftover stolen tasks and deregisters a helper
-// context. The deque must be drained before deregistering: it may hold
-// tasks of other regions batched in by this goroutine's own steals.
-func (w *wctx) release(id uint64) {
+// help is the helper body: work on a region, then park for the next.
+// Helpers are persistent so a steady-state training iteration never
+// pays goroutine spawn cost; one retires after a region when the
+// parallelism target has dropped below the live count.
+func help(r *region) {
 	for {
-		t, ok := w.dq.pop()
-		if !ok {
-			break
+		r.work()
+		r.wg.Done()
+		if h := helpers.Load(); int(h) > procs()-1 && helpers.CompareAndSwap(h, h-1) {
+			return
 		}
-		w.runTask(t)
+		r = <-offers
 	}
-	removeVictim(w)
-	ctxs.Delete(id)
-	helperPool.Put(w)
 }
 
-// runRegion executes fn over [0, n) with the given split grain on the
-// work-stealing scheduler, returning when every index has executed.
+// runRegion executes fn over [0, n) in ranges of at most grain indices,
+// returning when every index has executed. Callers guarantee n > grain
+// >= 1 and procs() > 1.
 func runRegion(n, grain int, fn Ranger) {
-	w, id, top := ctx()
 	r := regionPool.Get().(*region)
-	r.fn, r.grain = fn, grain
-	r.pending.Store(int64(n))
-	w.runTask(task{r: r, lo: 0, hi: n})
-	// Help until the region completes: own subtasks first (LIFO), then
-	// steal. With nothing runnable anywhere, park on the region's cond —
-	// the remaining bodies are in flight on other goroutines (possibly
-	// blocked in sends), and polling for them would burn the very core
-	// they need. A goroutine only parks here with an empty deque, so no
-	// task is ever stranded behind a parked owner. The check-then-Wait
-	// under mu pairs with the completion broadcast under the same mu, so
-	// the wakeup cannot be lost; the outer loop absorbs spurious wakes
-	// (including stray broadcasts from a previous life of the pooled
-	// region).
-	for r.pending.Load() > 0 {
-		if t, ok := w.dq.pop(); ok {
-			w.runTask(t)
-			continue
-		}
-		if t, ok := w.steal(); ok {
-			w.runTask(t)
-			continue
-		}
-		// One yield before parking: a splitting task may be just about
-		// to publish stealable halves.
-		runtime.Gosched()
-		if t, ok := w.steal(); ok {
-			w.runTask(t)
-			continue
-		}
-		r.mu.Lock()
-		if r.pending.Load() > 0 {
-			r.cond.Wait()
-		}
-		r.mu.Unlock()
+	r.fn, r.n, r.grain = fn, n, grain
+	r.next.Store(0)
+	// One participant per range at most, the submitter being one.
+	invite := min(procs(), (n+grain-1)/grain) - 1
+	for ; invite > 0 && r.enlist(); invite-- {
 	}
-	if top {
-		w.release(id)
-	}
-	// The final pending decrement happened-before the loop exit, so the
-	// panic record (written before that decrement) is visible here.
-	panicked, pv := r.panicked, r.panicV
-	r.fn, r.panicked, r.panicV = nil, false, nil
+	r.work()
+	r.wg.Wait()
+	p := r.panicked.Swap(nil)
+	r.fn = nil
 	regionPool.Put(r)
-	if panicked {
-		panic(pv)
+	if p != nil {
+		panic(*p)
 	}
-}
-
-// inline reports whether a region must run on the calling goroutine:
-// single-proc configurations and open Serial sections. Every region
-// submission passes through here, so this is also where the pool tracks
-// GOMAXPROCS — a change resizes the pool even when the new setting
-// forces regions inline (the stale workers still retire).
-func inline() bool {
-	ensurePool()
-	return procs() == 1 || serialDepth.Load() > 0
 }
 
 // For runs fn over the half-open index ranges that partition [0, n).
 // Each invocation receives a disjoint [start, end) chunk; fn must be
 // safe to call concurrently on disjoint chunks. Small loops run inline;
-// large ones split across the work-stealing scheduler, composing freely
-// with enclosing or concurrent parallel regions.
+// large ones are shared with idle helpers, composing freely with
+// enclosing or concurrent parallel regions.
 func For(n int, fn func(start, end int)) {
 	if n <= 0 {
 		return
 	}
-	if n < serialGrain || inline() {
+	p := procs()
+	if n < serialGrain || p == 1 {
 		fn(0, n)
 		return
 	}
-	grain := n / (splitMul * procs())
-	if grain < serialGrain/4 {
-		grain = serialGrain / 4
-	}
-	runRegion(n, grain, funcRanger(fn))
+	runRegion(n, max(n/(splitMul*p), serialGrain/4), funcRanger(fn))
 }
 
-// ForGrain behaves like For with an explicit split grain: ranges stop
-// splitting at or below grain indices. Use it when the caller knows the
-// per-index cost (kernels size their grain so one task amortises the
-// scheduling overhead). n <= grain runs inline.
+// ForGrain behaves like For with an explicit grain: no chunk exceeds
+// grain indices. Use it when the caller knows the per-index cost
+// (kernels size their grain so one chunk amortises the scheduling
+// overhead). n <= grain runs inline.
 func ForGrain(n, grain int, fn func(start, end int)) {
-	if n <= 0 {
-		return
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	if n <= grain || inline() {
-		fn(0, n)
-		return
-	}
-	runRegion(n, grain, funcRanger(fn))
+	ForGrainRanger(n, grain, funcRanger(fn))
 }
 
 // ForGrainRanger is ForGrain for pre-built Ranger loop bodies: kernels
@@ -588,10 +216,8 @@ func ForGrainRanger(n, grain int, r Ranger) {
 	if n <= 0 {
 		return
 	}
-	if grain < 1 {
-		grain = 1
-	}
-	if n <= grain || inline() {
+	grain = max(grain, 1)
+	if n <= grain || procs() == 1 {
 		r.Range(0, n)
 		return
 	}
@@ -605,63 +231,19 @@ func ForceFor(n int, fn func(start, end int)) {
 	if n <= 0 {
 		return
 	}
-	if n == 1 || inline() {
+	p := procs()
+	if n == 1 || p == 1 {
 		fn(0, n)
 		return
 	}
-	grain := n / (splitMul * procs())
-	if grain < 1 {
-		grain = 1
-	}
-	runRegion(n, grain, funcRanger(fn))
+	runRegion(n, max(n/(splitMul*p), 1), funcRanger(fn))
 }
 
-// Do runs the given tasks concurrently on the scheduler and waits for
-// all of them.
+// Do runs the given tasks concurrently and waits for all of them.
 func Do(tasks ...func()) {
-	if len(tasks) == 0 {
-		return
-	}
-	if len(tasks) == 1 || inline() {
-		for _, t := range tasks {
-			t()
-		}
-		return
-	}
-	runRegion(len(tasks), 1, funcRanger(func(start, end int) {
+	ForGrain(len(tasks), 1, func(start, end int) {
 		for i := start; i < end; i++ {
 			tasks[i]()
 		}
-	}))
-}
-
-// Serial runs fn with kernel fan-out suppressed: any For, ForGrain,
-// ForceFor or Do reached from fn executes inline on the calling
-// goroutine, for the whole duration of fn (the suppression is
-// process-wide, so concurrent goroutines also stay inline while a
-// Serial section is open).
-func Serial(fn func()) {
-	serialDepth.Add(1)
-	defer serialDepth.Add(-1)
-	fn()
-}
-
-// goid returns the runtime id of the calling goroutine, parsed from the
-// stack header ("goroutine 123 [running]:"). It is the only
-// goroutine-identity primitive the runtime exposes without unsafe; the
-// cost (~1µs) is paid once per fanned-out region, never on inline
-// paths.
-func goid() uint64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	const prefix = len("goroutine ")
-	var id uint64
-	for i := prefix; i < n; i++ {
-		c := buf[i]
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
+	})
 }

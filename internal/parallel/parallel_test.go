@@ -115,10 +115,9 @@ func TestDoRunsAll(t *testing.T) {
 	}
 }
 
-// TestNestedParallelismComposes replaces the PR-1 regression test that
-// pinned nested regions to inline execution: with the work-stealing
-// scheduler a nested kernel fans out too, and the requirement is exact
-// coverage, not serialisation.
+// TestNestedParallelismComposes: a region submitted from inside another
+// region's body shares the same cursor mechanism, and the requirement
+// is exact coverage, not serialisation.
 func TestNestedParallelismComposes(t *testing.T) {
 	SetMaxProcs(4)
 	defer SetMaxProcs(0)
@@ -137,30 +136,13 @@ func TestNestedParallelismComposes(t *testing.T) {
 	}
 }
 
-// TestSerialSuppressesFanOut: inside Serial, even a large For must run
-// as one inline invocation.
-func TestSerialSuppressesFanOut(t *testing.T) {
-	calls := 0
-	Serial(func() {
-		For(100000, func(s, e int) {
-			calls++
-			if s != 0 || e != 100000 {
-				t.Errorf("chunk [%d,%d), want inline [0,100000)", s, e)
-			}
-		})
-	})
-	if calls != 1 {
-		t.Fatalf("For inside Serial ran %d chunks, want 1", calls)
-	}
-}
-
 // TestPoolGoroutinesAreReused: repeated fan-outs must not leak
-// goroutines (workers are persistent; submitters help inline rather
-// than spawning).
+// goroutines (helpers are persistent and capped at procs()-1; a
+// submitter that finds none idle works alone rather than spawning).
 func TestPoolGoroutinesAreReused(t *testing.T) {
 	SetMaxProcs(4)
 	defer SetMaxProcs(0)
-	// Warm the pool.
+	// Warm the helpers.
 	ForceFor(64, func(s, e int) {})
 	before := runtime.NumGoroutine()
 	for i := 0; i < 200; i++ {
@@ -173,8 +155,8 @@ func TestPoolGoroutinesAreReused(t *testing.T) {
 	}
 }
 
-// TestConcurrentRegionsDoNotDeadlock: many goroutines hammering the
-// scheduler at once (the MD-GAN worker topology) must all complete.
+// TestConcurrentRegionsDoNotDeadlock: many goroutines submitting
+// regions at once (the MD-GAN worker topology) must all complete.
 func TestConcurrentRegionsDoNotDeadlock(t *testing.T) {
 	SetMaxProcs(4)
 	defer SetMaxProcs(0)

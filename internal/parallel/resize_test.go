@@ -7,8 +7,9 @@ import (
 	"time"
 )
 
-// triggerRegion submits a region large enough to reach runRegion (and
-// therefore ensurePool) regardless of the grain.
+// triggerRegion submits a region with far more ranges than any
+// parallelism target, so it invites (and if need be spawns) procs()-1
+// helpers.
 func triggerRegion() {
 	var sink atomic.Int64
 	ForGrain(1<<12, 8, func(s, e int) {
@@ -16,27 +17,29 @@ func triggerRegion() {
 	})
 }
 
-// waitPoolSize polls until the live worker count reaches want (shrinks
-// complete asynchronously: excess workers retire when they go idle).
-func waitPoolSize(t *testing.T, want int32) {
+// waitHelpers submits regions until the live helper count reaches
+// want. Neither direction is instantaneous: a missing helper is spawned
+// only when a submitter finds none idle (a quick helper can take the
+// same region's next offer too), and an excess one retires after the
+// next region it takes part in.
+func waitHelpers(t *testing.T, want int32) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		triggerRegion() // wake idle workers so retirees notice the target
-		if got := poolLive.Load(); got == want {
+		triggerRegion()
+		if helpers.Load() == want {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("pool size = %d, want %d", poolLive.Load(), want)
+			t.Fatalf("helpers = %d, want %d", helpers.Load(), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestPoolResizesWithGOMAXPROCS pins the PR 2 leftover: the worker pool
-// was sized to GOMAXPROCS once at startup, so raising it between Train
-// calls left cores idle and lowering it left stale workers. ensurePool
-// must now track GOMAXPROCS on every region submission, both ways.
+// TestPoolResizesWithGOMAXPROCS: the helper set tracks GOMAXPROCS both
+// ways between regions — raising it must not leave cores idle, lowering
+// it must not leave stale helpers.
 func TestPoolResizesWithGOMAXPROCS(t *testing.T) {
 	old := runtime.GOMAXPROCS(0)
 	defer func() {
@@ -45,30 +48,19 @@ func TestPoolResizesWithGOMAXPROCS(t *testing.T) {
 	}()
 
 	runtime.GOMAXPROCS(4)
-	triggerRegion()
-	if got := poolLive.Load(); got != 4 {
-		t.Fatalf("after GOMAXPROCS(4): pool size = %d, want 4", got)
-	}
+	waitHelpers(t, 3)
 
-	// Shrink: the two excess workers must retire once idle.
+	// Shrink: the two excess helpers retire as regions pass through them.
 	runtime.GOMAXPROCS(2)
-	waitPoolSize(t, 2)
+	waitHelpers(t, 1)
 
-	// Grow again: fresh workers are spawned immediately.
+	// Grow again, on demand.
 	runtime.GOMAXPROCS(6)
-	triggerRegion()
-	if got := poolLive.Load(); got != 6 {
-		t.Fatalf("after GOMAXPROCS(6): pool size = %d, want 6", got)
-	}
-
-	// The floor of two workers holds even at GOMAXPROCS(1), so stealing
-	// stays exercised on one core.
-	runtime.GOMAXPROCS(1)
-	waitPoolSize(t, 2)
+	waitHelpers(t, 5)
 }
 
 // TestPoolResizeUnderLoad exercises a shrink while regions are being
-// submitted: no region may deadlock or lose indices while workers
+// submitted: no region may deadlock or lose indices while helpers
 // retire.
 func TestPoolResizeUnderLoad(t *testing.T) {
 	old := runtime.GOMAXPROCS(0)
@@ -94,5 +86,5 @@ func TestPoolResizeUnderLoad(t *testing.T) {
 			t.Fatalf("round %d: region lost indices: sum %d, want %d", round, sum.Load(), want)
 		}
 	}
-	waitPoolSize(t, 2)
+	waitHelpers(t, 1)
 }

@@ -1,7 +1,7 @@
 package parallel
 
-// Stress, race and liveness tests for the work-stealing scheduler: the
-// behaviors PR 1's single-flight pool could not provide. Run with
+// Stress, race and liveness tests for the fork-join regions: nesting,
+// concurrent submitters, blocked bodies, panics. Run with
 // `go test -race` (scripts/verify.sh does) — most of the value of these
 // tests is what the race detector sees while they run.
 
@@ -37,11 +37,10 @@ func TestNestedThreeLevels(t *testing.T) {
 	}
 }
 
-// TestConcurrentRegionsCompose proves the single-flight behavior is
-// gone: while one region is held open mid-execution, a second region
-// submitted from another goroutine must still fan out into multiple
-// chunks (under the PR-1 guard it degraded to exactly one inline
-// invocation) — two regions making progress simultaneously.
+// TestConcurrentRegionsCompose: while one region is held open
+// mid-execution, a second region submitted from another goroutine must
+// still be cut into multiple chunks and complete — regions never
+// serialise behind one another.
 func TestConcurrentRegionsCompose(t *testing.T) {
 	SetMaxProcs(4)
 	defer SetMaxProcs(0)
@@ -68,7 +67,7 @@ func TestConcurrentRegionsCompose(t *testing.T) {
 	ForceFor(8, func(s, e int) { bChunks.Add(1) })
 
 	if got := bChunks.Load(); got < 2 {
-		t.Errorf("concurrent region ran in %d chunk(s): single-flight serialization is back", got)
+		t.Errorf("concurrent region ran in %d chunk(s), want it cut into several", got)
 	}
 	select {
 	case <-aDone:
@@ -79,7 +78,7 @@ func TestConcurrentRegionsCompose(t *testing.T) {
 	select {
 	case <-aDone:
 	case <-time.After(30 * time.Second):
-		t.Fatal("region A did not complete after release: scheduler lost its tasks")
+		t.Fatal("region A did not complete after release: ranges were lost")
 	}
 	if got := aChunks.Load(); got != 8 {
 		t.Errorf("region A ran %d chunks, want 8", got)
@@ -136,9 +135,9 @@ func TestTwoGoroutinesLaunchConcurrently(t *testing.T) {
 }
 
 // TestPanicPropagatesFromTasks: a panic in any loop body — including
-// bodies executed by pool workers on stolen tasks — must surface as a
-// panic on the goroutine that submitted the region, with the original
-// value, and leave the scheduler healthy.
+// bodies executed by helpers — must surface as a panic on the goroutine
+// that submitted the region, with the original value, and leave the
+// helpers healthy.
 func TestPanicPropagatesFromTasks(t *testing.T) {
 	SetMaxProcs(4)
 	defer SetMaxProcs(0)
@@ -163,7 +162,7 @@ func TestPanicPropagatesFromTasks(t *testing.T) {
 			})
 		}()
 	}
-	// The scheduler must remain fully usable after panics.
+	// Regions must remain fully usable after panics.
 	var n int64
 	ForceFor(64, func(s, e int) { atomic.AddInt64(&n, int64(e-s)) })
 	if n != 64 {
@@ -231,9 +230,95 @@ func TestSchedulerStress(t *testing.T) {
 	select {
 	case <-donech:
 	case <-time.After(120 * time.Second):
-		t.Fatal("scheduler stress did not complete: likely deadlock")
+		t.Fatal("stress did not complete: likely deadlock")
 	}
 	if total == 0 {
 		t.Fatal("stress loop did no work")
+	}
+}
+
+// TestRegionCompletesWhileHelpersBlocked: a region submitted while the
+// submitter and every helper of another region are blocked inside that
+// region's bodies must complete on its own submitter alone — nobody
+// waits on work nobody started.
+func TestRegionCompletesWhileHelpersBlocked(t *testing.T) {
+	SetMaxProcs(4)
+	defer SetMaxProcs(0)
+
+	for attempt := 1; ; attempt++ {
+		// Region A: four ranges whose bodies all block, so once four have
+		// started, A's submitter and all three helpers are held inside it.
+		var started atomic.Int32
+		release := make(chan struct{})
+		aDone := make(chan struct{})
+		go func() {
+			defer close(aDone)
+			ForceFor(4, func(s, e int) {
+				started.Add(1)
+				<-release
+			})
+		}()
+		// A helper that had not yet parked after its previous region
+		// misses A's offer; then only a retry can hold all three.
+		deadline := time.Now().Add(time.Second)
+		for started.Load() < 4 && time.Now().Before(deadline) {
+			time.Sleep(100 * time.Microsecond)
+		}
+		held := started.Load() == 4
+		if held {
+			// The unsynchronised append is the assertion: any second
+			// participant is a data race under -race, and breaks the
+			// ascending order without it.
+			var order []int
+			ForceFor(16, func(s, e int) { order = append(order, s) })
+			if len(order) != 16 {
+				t.Errorf("region B ran %d ranges, want 16", len(order))
+			}
+			for i, s := range order {
+				if s != i {
+					t.Errorf("region B range %d started at %d: not run by the submitter alone", i, s)
+				}
+			}
+		}
+		close(release)
+		<-aDone
+		if held {
+			return
+		}
+		if attempt == 20 {
+			t.Fatal("could not hold every helper inside region A in 20 attempts")
+		}
+	}
+}
+
+// countRanger is a pointer-backed loop body, the shape allocation-free
+// kernels pass to ForGrainRanger.
+type countRanger struct{ chunks, indices atomic.Int64 }
+
+func (c *countRanger) Range(lo, hi int) {
+	c.chunks.Add(1)
+	c.indices.Add(int64(hi - lo))
+}
+
+// TestFannedOutRangerRegionDoesNotAllocate: submitting a region with a
+// pointer Ranger, handing it to helpers and joining them performs no
+// heap allocation in steady state.
+func TestFannedOutRangerRegionDoesNotAllocate(t *testing.T) {
+	SetMaxProcs(4)
+	defer SetMaxProcs(0)
+
+	c := new(countRanger)
+	region := func() { ForGrainRanger(64, 1, c) }
+	region() // spawn the helpers, fill the region pool
+	const runs = 200
+	allocs := testing.AllocsPerRun(runs, region)
+	if got, want := c.chunks.Load(), int64(64*(runs+2)); got != want {
+		t.Fatalf("ran %d chunks, want %d: the regions were not cut at the grain", got, want)
+	}
+	if got, want := c.indices.Load(), int64(64*(runs+2)); got != want {
+		t.Fatalf("covered %d indices, want %d", got, want)
+	}
+	if allocs != 0 {
+		t.Fatalf("a fanned-out ForGrainRanger allocates %v times per region, want 0", allocs)
 	}
 }

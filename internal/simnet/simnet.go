@@ -96,8 +96,8 @@ type Net interface {
 	Close() error
 }
 
-// BroadcastEach delivers every message, fanning the sends out across
-// the work-stealing scheduler: the per-destination work of a send (gob
+// BroadcastEach delivers every message, fanning the sends out through
+// internal/parallel: the per-destination work of a send (gob
 // framing and socket writes on TCPNet, channel hand-off on ChannelNet)
 // overlaps across destinations, which is where a server's per-worker
 // distribution loop spends its time on real transports. All sends are
@@ -188,10 +188,29 @@ func (a *accounting) snapshot() Traffic {
 // ChannelNet is the in-process transport: one buffered channel per node.
 type ChannelNet struct {
 	mu      sync.Mutex
-	inboxes map[string]chan Message
+	inboxes map[string]*inbox
 	down    map[string]bool
 	acct    *accounting
 	buf     int
+}
+
+// inbox is one node's receive channel plus what a fail-stop needs to
+// close it while senders may be parked on it: a send cannot hold the
+// net lock (a full inbox would block Register/Crash/Snapshot), so shut
+// first closes done, which every parked sender selects on, and closes
+// ch only once no sender is inside.
+type inbox struct {
+	ch      chan Message
+	done    chan struct{}
+	senders sync.WaitGroup // sends past the liveness check
+}
+
+// shut closes the inbox. The caller has marked the node down under the
+// net lock, so no new sender can enter.
+func (in *inbox) shut() {
+	close(in.done)
+	in.senders.Wait()
+	close(in.ch)
 }
 
 // NewChannelNet creates an in-process network. buf is the inbox buffer
@@ -202,7 +221,7 @@ func NewChannelNet(buf int) *ChannelNet {
 		buf = 1024
 	}
 	return &ChannelNet{
-		inboxes: make(map[string]chan Message),
+		inboxes: make(map[string]*inbox),
 		down:    make(map[string]bool),
 		acct:    newAccounting(),
 		buf:     buf,
@@ -216,33 +235,28 @@ func (n *ChannelNet) Register(node string) error {
 	if _, ok := n.inboxes[node]; ok {
 		return fmt.Errorf("simnet: node %q already registered", node)
 	}
-	n.inboxes[node] = make(chan Message, n.buf)
+	n.inboxes[node] = &inbox{ch: make(chan Message, n.buf), done: make(chan struct{})}
 	return nil
-}
-
-// trySend delivers msg to ch, reporting false when the channel was
-// closed underneath it: a fail-stop Crash may close an inbox between
-// Send's liveness check and the send itself (the send cannot hold the
-// net lock — a full inbox would block Register/Crash/Snapshot). The
-// recover is scoped to exactly this one send so no other panic can be
-// misread as a crashed node.
-func trySend(ch chan Message, msg Message) (delivered bool) {
-	defer func() {
-		if recover() != nil {
-			delivered = false
-		}
-	}()
-	ch <- msg
-	return true
 }
 
 // Send implements Net.
 func (n *ChannelNet) Send(msg Message) error {
 	n.mu.Lock()
-	ch, ok := n.inboxes[msg.To]
-	dead := n.down[msg.To]
+	in, ok := n.inboxes[msg.To]
+	ok = ok && !n.down[msg.To]
+	if ok {
+		in.senders.Add(1)
+	}
 	n.mu.Unlock()
-	if !ok || dead || !trySend(ch, msg) {
+	if ok {
+		select {
+		case in.ch <- msg:
+		case <-in.done:
+			ok = false
+		}
+		in.senders.Done()
+	}
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrNodeDown, msg.To)
 	}
 	n.acct.record(&msg)
@@ -253,19 +267,23 @@ func (n *ChannelNet) Send(msg Message) error {
 func (n *ChannelNet) Inbox(node string) <-chan Message {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.inboxes[node]
+	if in := n.inboxes[node]; in != nil {
+		return in.ch
+	}
+	return nil
 }
 
 // Crash implements Net.
 func (n *ChannelNet) Crash(node string) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	in := n.inboxes[node]
 	if n.down[node] {
-		return
+		in = nil
 	}
 	n.down[node] = true
-	if ch, ok := n.inboxes[node]; ok {
-		close(ch)
+	n.mu.Unlock()
+	if in != nil {
+		in.shut()
 	}
 }
 
@@ -282,12 +300,16 @@ func (n *ChannelNet) Snapshot() Traffic { return n.acct.snapshot() }
 // Close implements Net.
 func (n *ChannelNet) Close() error {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	for name, ch := range n.inboxes {
+	var live []*inbox
+	for name, in := range n.inboxes {
 		if !n.down[name] {
 			n.down[name] = true
-			close(ch)
+			live = append(live, in)
 		}
+	}
+	n.mu.Unlock()
+	for _, in := range live {
+		in.shut()
 	}
 	return nil
 }

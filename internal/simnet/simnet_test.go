@@ -3,6 +3,7 @@ package simnet
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -187,6 +188,65 @@ func TestConcurrentSendersAccounting(t *testing.T) {
 	}
 	if tr.Msgs[WtoC] != workers*msgs {
 		t.Fatalf("W→C msgs = %d", tr.Msgs[WtoC])
+	}
+}
+
+// TestChannelSendRacesCrash hammers Send against Crash: senders parked on
+// a full inbox (and senders between the liveness check and the channel
+// send) while the node fail-stops. Every send must return — delivered,
+// or ErrNodeDown — without panicking, the receiver's range over the
+// inbox must end, and -race must see no close-vs-send on the channel.
+func TestChannelSendRacesCrash(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		n := NewChannelNet(1) // one slot: most senders park
+		if err := n.Register("w"); err != nil {
+			t.Fatal(err)
+		}
+		// The receiver crashes its own node after round%8 messages, so
+		// the crash lands at a different depth of the senders' queue
+		// each round; then it drains, as a worker's inbox loop does.
+		received := make(chan int64, 1)
+		go func() {
+			var got int64
+			if round%8 == 0 {
+				n.Crash("w")
+			}
+			for range n.Inbox("w") {
+				if got++; got == int64(round%8) {
+					n.Crash("w")
+				}
+			}
+			received <- got
+		}()
+		var wg sync.WaitGroup
+		var delivered atomic.Int64
+		for s := 0; s < 4; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					err := n.Send(Message{From: "C", To: "w", Kind: CtoW, Payload: []byte("x")})
+					if err == nil {
+						delivered.Add(1)
+						continue
+					}
+					if !errors.Is(err, ErrNodeDown) {
+						t.Errorf("send racing a crash: err = %v, want ErrNodeDown", err)
+					}
+					return
+				}
+			}()
+		}
+		wg.Wait()
+		select {
+		case got := <-received:
+			if got != delivered.Load() {
+				t.Fatalf("round %d: receiver drained %d messages, senders delivered %d", round, got, delivered.Load())
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: crashed inbox did not close", round)
+		}
+		n.Close()
 	}
 }
 

@@ -46,12 +46,11 @@ package tensor
 //
 // # Parallel split
 //
-// A single GEMM call fans out across the worker pool on
-// parallel.ForGrainRanger in units of MR-row packed panels — the
-// natural stealing boundary, since a task packs exactly the A panels it
-// owns into its own pool buffer. The grain is sized so one task carries
-// at least matMulGrain multiply-adds (cf. mmRowGrain for the legacy
-// kernels).
+// A single GEMM call fans out on parallel.ForGrainRanger in units of
+// MR-row packed panels — the natural chunk boundary, since a task packs
+// exactly the A panels it owns into its own pool buffer. The grain is
+// sized so one task carries at least matMulGrain multiply-adds (cf.
+// mmRowGrain for the legacy kernels).
 //
 // B panels are packed cooperatively inside the same region: each panel
 // carries an atomic state (empty → packing → ready) and the first row

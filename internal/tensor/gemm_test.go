@@ -347,11 +347,10 @@ func TestGemmSteadyStateAllocs(t *testing.T) {
 
 // TestGemmParallelSteadyStateAllocs pins the fanned-out run-state: with
 // GOMAXPROCS>1 a packed matmul submits real parallel regions, and the
-// pooled gemmRun, the pooled scheduler regions and helper contexts, and
-// the pooled pack buffers must keep the steady state at a small
-// constant (goroutine-id registration in the scheduler's sync.Map is
-// the only remaining per-region cost; zero run-state allocations per
-// se). ×2 under -race per the established convention.
+// pooled gemmRun, the pooled regions of internal/parallel and the
+// pooled pack buffers must keep the steady state at a small constant
+// (a region submission itself allocates nothing). ×2 under -race per
+// the established convention.
 func TestGemmParallelSteadyStateAllocs(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(4)
 	parallel.SetMaxProcs(4)
@@ -371,8 +370,8 @@ func TestGemmParallelSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		// The race-mode sync.Pool fakes misses at random, and a fanned-
 		// out matmul cycles several pooled objects per region (gemmRun,
-		// pack buffers, scheduler regions and helper contexts), so the
-		// flat ×2 convention undercounts here.
+		// pack buffers, regions), so the flat ×2 convention undercounts
+		// here.
 		budget = 80
 	}
 	if allocs > budget {

@@ -137,9 +137,9 @@ func matMulInto(out, a, b *Tensor, m, k, n int, accumulate bool) {
 }
 
 // mmRowGrain sizes the row ranges a matmul splits into so one task
-// carries at least matMulGrain multiply-adds: fine enough for stealing
-// to balance K concurrent workers' kernels, coarse enough to amortise
-// the hand-off.
+// carries at least matMulGrain multiply-adds: fine enough for the
+// region's cursor to balance its participants, coarse enough to
+// amortise the hand-off.
 func mmRowGrain(k, n int) int {
 	g := matMulGrain / (k*n + 1)
 	if g < mmRowGrainMin {

@@ -134,8 +134,8 @@ const (
 	MDGAN      Algorithm = "md-gan"
 )
 
-// Dataset constructors (synthetic stand-ins for the paper's datasets —
-// see DESIGN.md §2 for the substitution rationale).
+// Dataset constructors (synthetic stand-ins for the paper's datasets;
+// package internal/dataset documents the substitution).
 
 // SynthDigits generates an MNIST-like dataset: n 28×28 grayscale digit
 // images in 10 classes.

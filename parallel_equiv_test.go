@@ -2,7 +2,7 @@ package mdgan_test
 
 // Scheduler-under-load equivalence: a BenchmarkMDGANIteration-shaped
 // training run with K=10 simulated workers must produce the same model
-// whether the kernels fan out across the work-stealing scheduler or run
+// whether the kernels fan out through internal/parallel or run
 // serially. Range splits write disjoint outputs and every element's
 // accumulation order is fixed by the kernels (not by which goroutine
 // runs a chunk), so the schedule must be bit-invisible; the 1e-9 bound
@@ -11,6 +11,7 @@ package mdgan_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"mdgan"
@@ -34,8 +35,8 @@ func trainK10(t *testing.T) *mdgan.RunResult {
 
 func TestSchedulerEquivalentToSerialSchedule(t *testing.T) {
 	// Parallel schedule: force fan-out (grain sized for 8 ways) even on
-	// a single-core host — the scheduler still splits and the chunks
-	// interleave across the pool and the 10 worker goroutines.
+	// a single-core host — regions are still cut at the grain and the
+	// chunks interleave across the helpers and the 10 worker goroutines.
 	parallel.SetMaxProcs(8)
 	par := trainK10(t)
 	// Serial schedule: every region inline on its calling goroutine.
@@ -72,5 +73,46 @@ func TestSchedulerEquivalentToSerialSchedule(t *testing.T) {
 	}
 	if !bitwise {
 		t.Logf("within %g but not bitwise equal (max |Δw| = %g): split order changed", tol, maxDiff)
+	}
+}
+
+// TestIterationAllocsEqualAcrossGOMAXPROCS is ROADMAP 2a's acceptance
+// "allocs/op equal across the two": one strict MD-GAN iteration of the
+// BenchmarkMDGANIteration shape, whose 784-wide layers cross the GEMM
+// fan-out grain, must allocate no more with its kernels fanning out on
+// two cores than inline on one. Submitting a region allocates nothing,
+// so what is left is the fan-out closures, which both schedules build.
+func TestIterationAllocsEqualAcrossGOMAXPROCS(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pool misses under the race detector scale with the pooled objects a fan-out cycles")
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	defer parallel.SetMaxProcs(0)
+	train := mdgan.SynthDigits(800, 1)
+	mallocs := func(iters int) float64 {
+		o := mdgan.Options{
+			Algorithm: mdgan.MDGAN, Workers: 8, Batch: 10, Iters: iters, Seed: 2, K: 2,
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := mdgan.Run(train, mdgan.MLPArch(48), o, nil); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs - before.Mallocs)
+	}
+	// Two run lengths, so set-up and first-touch pool growth cancel.
+	perIter := func(procs int) float64 {
+		parallel.SetMaxProcs(procs)
+		return (mallocs(45) - mallocs(5)) / 40
+	}
+	serial, fanned := perIter(1), perIter(2)
+	t.Logf("allocs per iteration: %.0f inline, %.0f fanned out", serial, fanned)
+	// 5%: sync.Pool refills after a GC land on whichever run the
+	// collector interrupts, and more goroutines touch the pools.
+	if fanned > serial*1.05 {
+		t.Fatalf("an iteration allocates %.0f times fanned out vs %.0f inline", fanned, serial)
 	}
 }

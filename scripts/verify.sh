@@ -41,6 +41,11 @@
 #                                  # additionally (re)generate the perf
 #                                  # trajectory file via cmd/mdgan-bench,
 #                                  # one set of rows per dtype
+#
+# The benchmark a performance change is judged by is not run here: it is
+# `go run ./bench` (BENCHMARK.json, bench/README.md). The float64 suite
+# only smokes it with
+# `go run ./bench -workload ring-tiny-n8 -trace 1 -seconds 3`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -90,7 +95,7 @@ run_suite() { # $1 = dtype name, $2 = go build tags ("" for none)
     go test ${tagargs[@]+"${tagargs[@]}"} ./...
 
     echo "== [$name] go test -race =="
-    # The race gate: the work-stealing scheduler, the buffer-reuse
+    # The race gate: the fork-join regions, the buffer-reuse
     # paths and the simnet transports all run under the detector, at
     # both element widths.
     go test -race ${tagargs[@]+"${tagargs[@]}"} ./...
@@ -105,8 +110,8 @@ run_suite() { # $1 = dtype name, $2 = go build tags ("" for none)
     for kern in $(go run ${tagargs[@]+"${tagargs[@]}"} ./cmd/mdgan-bench -list-kernels); do
         MDGAN_GEMM_KERNEL=$kern engine_gates "$name/kernel=$kern" ${tagargs[@]+"${tagargs[@]}"}
     done
-    # And once with GOMAXPROCS=4: one GEMM call then fans out across
-    # the worker pool (the macro-loop split), and the strict replay
+    # And once with GOMAXPROCS=4: one GEMM call then fans out to the
+    # idle helpers (the macro-loop split), and the strict replay
     # must stay bitwise despite the parallel packing.
     GOMAXPROCS=4 engine_gates "$name/gomaxprocs=4" ${tagargs[@]+"${tagargs[@]}"}
 
@@ -120,6 +125,15 @@ run_suite() { # $1 = dtype name, $2 = go build tags ("" for none)
 
     echo "== [$name] bench smoke (1 iteration) =="
     go test ${tagargs[@]+"${tagargs[@]}"} -run=NONE -bench='BenchmarkMDGANIteration$|BenchmarkGeneratorForward$|BenchmarkTableII$' -benchtime=1x -benchmem .
+
+    if [ -z "$tags" ]; then
+        # The repo benchmark (BENCHMARK.json) is `go run ./bench`; its
+        # quickest traced run doubles as the fan-out smoke, printing what
+        # one internal/parallel region costs (untagged build only: the
+        # benchmark builds its own children).
+        echo "== [$name] go run ./bench fan-out smoke (~4 s) =="
+        go run ./bench -workload ring-tiny-n8 -trace 1 -seconds 3 | grep -E '^ +parallel\.region_(us|allocs) '
+    fi
 
     if [ -n "${BENCH_JSON:-}" ]; then
         echo "== [$name] writing ${BENCH_JSON} rows =="
