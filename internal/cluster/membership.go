@@ -74,9 +74,12 @@
 //   - The suspect/demote/rejoin lifecycle above composes unchanged: a
 //     child stranded by a dead aggregator is suspected at the round
 //     deadline like any straggler and reinstated by its next pong.
-//   - The flat star (Flat, the default) must keep the engines on
-//     their pre-topology code paths bitwise — enabling the topology
-//     layer may not shift any pinned RNG stream or wire byte the
+//   - The flat star (Flat, the default) is the depth-0 plan, which the
+//     engines represent as no Plan at all: every active worker is a
+//     direct child of the server and nobody aggregates. It runs through
+//     the same collect/apply as a tree; what it must keep bitwise is
+//     its wire frames (bare feedback frames, no plan fields filled in)
+//     and its arithmetic and RNG draw order — everything the
 //     serial-reference equivalence test observes.
 //
 // To add a topology: implement Topology (Name + a deterministic Plan),

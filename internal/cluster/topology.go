@@ -63,8 +63,9 @@ func (p *Plan) Subtree(name string) []string {
 }
 
 // Flat is the paper's star topology: every worker reports its feedback
-// directly to the server. It is the default and the layout whose
-// engine paths the bitwise serial-reference pin replays.
+// directly to the server. It is the default — the depth-0 plan — and
+// the layout whose wire frames and arithmetic the bitwise
+// serial-reference pin replays.
 type Flat struct{}
 
 // Name implements Topology.
@@ -157,8 +158,8 @@ func attach(p *Plan, parent string, nodes []string, depth, fanin int) {
 
 // ParseTopology resolves a topology spec: "" or "flat" is the star,
 // "tree:<depth>" is an aggregation tree (depth ≥ 2) with the given
-// fan-in (0 = auto). It is the single parser behind the facade, CLI
-// flags and test env knobs.
+// fan-in (0 = auto). It is the single parser behind the facade and the
+// CLI flags.
 func ParseTopology(spec string, fanin int) (Topology, error) {
 	switch {
 	case spec == "" || spec == "flat":

@@ -14,12 +14,15 @@ import (
 // topology's W→W / W→C frames). An aggregate frame carries the SUM of
 // its contributors' feedbacks per generated-batch index, plus the
 // contributor names, so the server can (a) account every worker the
-// frame covers for round completion and suspect bookkeeping and (b)
-// recover the paper's mean by scaling the global per-batch sum with
-// 1/received — summing is associative, so a tree of partial sums
-// reduces to the same merged update as the flat star up to
+// frame covers for round completion and suspect bookkeeping — after
+// checking the names against the sender's planned subtree — and (b)
+// recover the paper's mean: its apply scales each group's mean by
+// groupSize/received, which for partial sums is the global per-batch
+// sum over the contributor count. Summing is associative, so workers'
+// partial sums reduce to the same update as the flat star up to
 // floating-point reassociation (pinned within tensor.Tol by
-// TestTreeAggregationMatchesFlat).
+// TestTreeAggregationMatchesFlat); the server's own merge adds none
+// (TestDepthOneTreeMatchesFlatBitwise).
 //
 // Frame layout (little-endian):
 //
@@ -57,10 +60,11 @@ type aggEntry struct {
 	Sum      *tensor.Tensor
 }
 
-// aggAccum accumulates feedback sums per generated-batch index. The
-// sum tensors come from the workspace pool and are recycled by
-// reset(), so a steady-state aggregation round reuses its buffers —
-// the AllocsPerRun budget in aggwire_test.go pins that.
+// aggAccum is an aggregator worker's reduction state: feedback sums per
+// generated-batch index (the server keeps none — it groups the decoded
+// entries directly). The sum tensors come from the workspace pool and
+// are recycled by reset(), so a steady-state aggregation round reuses
+// its buffers — the AllocsPerRun budget in aggwire_test.go pins that.
 type aggAccum struct {
 	entries []aggEntry
 	byIdx   map[int]int
@@ -104,15 +108,6 @@ func (a *aggAccum) add(gIdx int, names []string, f *tensor.Tensor) {
 	e := &a.entries[i]
 	e.Sum.AxpyInPlace(1, f)
 	e.Contribs = append(e.Contribs, names...)
-}
-
-// count returns the number of contributors accumulated so far.
-func (a *aggAccum) count() int {
-	n := 0
-	for i := range a.entries {
-		n += len(a.entries[i].Contribs)
-	}
-	return n
 }
 
 // encode frames the accumulated entries for round, sorted by batch
@@ -252,36 +247,6 @@ func decodeAggInto(p []byte, want []int, merge func(gIdx int, contribs []string,
 		}
 	}
 	return round, nil
-}
-
-// aggContribNames scans an aggregate frame for its round tag and the
-// full contributor list without decoding any tensor — the cheap
-// arrival-time pass the server's collect uses for round accounting
-// before the deterministic merge.
-func aggContribNames(p []byte, names []string) (round int, _ []string, err error) {
-	r := bytes.NewReader(p)
-	round, entries, err := readAggHeader(r)
-	if err != nil {
-		return 0, nil, err
-	}
-	var tmp [4]byte
-	for i := 0; i < entries; i++ {
-		if _, err := io.ReadFull(r, tmp[:]); err != nil {
-			return round, nil, fmt.Errorf("core: read aggregate batch index: %w", err)
-		}
-		if names, err = readAggContribs(r, names); err != nil {
-			return round, nil, err
-		}
-		if _, err := io.ReadFull(r, tmp[:]); err != nil {
-			return round, nil, fmt.Errorf("core: read aggregate frame length: %w", err)
-		}
-		frameLen := int(binary.LittleEndian.Uint32(tmp[:]))
-		if frameLen > r.Len() {
-			return round, nil, fmt.Errorf("core: aggregate frame length %d exceeds remaining payload", frameLen)
-		}
-		r.Seek(int64(frameLen), io.SeekCurrent)
-	}
-	return round, names, nil
 }
 
 // encodeAggSkip frames the server's "stop waiting for this child"

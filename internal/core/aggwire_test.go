@@ -1,18 +1,18 @@
 package core
 
 // Tests for the hierarchical-aggregation wire path: round-trip
-// fidelity, hostile-frame bounds, the clone-or-corrupt contract on
-// aggAccum inputs, and the steady-state allocation budget the pool
-// reuse buys.
+// fidelity, hostile-frame bounds, the server's contributor validation,
+// the clone-or-corrupt contract on aggAccum inputs, and the
+// steady-state allocation budget the pool reuse buys.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
 	"runtime"
-	"sort"
 	"testing"
 
+	"mdgan/internal/cluster"
 	"mdgan/internal/tensor"
 )
 
@@ -73,17 +73,80 @@ func TestDecodeAggregateRoundTrip(t *testing.T) {
 			t.Fatalf("entry 1 sum[%d] = %v, want %v", i, v, wantV)
 		}
 	}
-	// The tensor-free scan sees the same round and the full roster.
-	r, names, err := aggContribNames(p, nil)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// forgedAggPayload hand-builds a wire-valid aggregate frame for round
+// that lists exactly the given names per batch index over zero sums —
+// whether or not any aggregator could legally have produced it.
+func forgedAggPayload(round int, shape []int, contribs map[int][]string) []byte {
+	zero := tensor.New(shape...)
+	var a aggAccum
+	a.reset()
+	for gIdx, names := range contribs {
+		a.add(gIdx, names, zero)
 	}
-	if r != 7 {
-		t.Fatalf("aggContribNames round = %d", r)
+	out := a.encode(round, CompressNone)
+	a.reset()
+	return out
+}
+
+// treeRound is a dispatched round 7 over nine workers under a depth-2
+// tree (aggregators worker0/3/6 with two leaves each), k = 2, for
+// driving the server's frame validation directly.
+func treeRound(shape []int) *round {
+	r := &round{}
+	r.reset(7)
+	r.k = 2
+	r.shape = shape
+	for i := 0; i < 9; i++ {
+		name := workerName(i)
+		r.active = append(r.active, name)
+		r.gIdx[name] = i % r.k
+		r.sent[name] = true
 	}
-	sort.Strings(names)
-	if !reflect.DeepEqual(names, []string{"worker3", "worker4", "worker5", "worker6"}) {
-		t.Fatalf("aggContribNames = %v", names)
+	r.plan = cluster.Tree{Depth: 2}.Plan(serverName, r.active)
+	return r
+}
+
+// forgedAggFrames are wire-valid frames worker3 — which speaks for
+// {worker3 (batch 1), worker4 (batch 0), worker5 (batch 1)} in
+// treeRound — must not get accounted: each breaks one clause of
+// "every contributor is a distinct member of the sender's subtree,
+// listed under the batch index it was routed to".
+func forgedAggFrames(round int, shape []int) map[string][]byte {
+	return map[string][]byte{
+		"foreign contributor":   forgedAggPayload(round, shape, map[int][]string{1: {"worker3", "worker7"}}),
+		"duplicate contributor": forgedAggPayload(round, shape, map[int][]string{0: {"worker4"}, 1: {"worker3", "worker5", "worker5"}}),
+		"wrong batch index":     forgedAggPayload(round, shape, map[int][]string{1: {"worker3", "worker4"}}),
+		"nameless sum":          forgedAggPayload(round, shape, map[int][]string{0: nil, 1: {"worker3"}}),
+		"sender absent":         forgedAggPayload(round, shape, map[int][]string{0: {"worker4"}}),
+	}
+}
+
+// TestDecodeAggValidatesContributors: the server accounts a frame's
+// contributor names only when the sender's planned subtree can have
+// produced them.
+func TestDecodeAggValidatesContributors(t *testing.T) {
+	shape := []int{2, 3}
+	r := treeRound(shape)
+	legal := forgedAggPayload(r.it, shape, map[int][]string{0: {"worker4"}, 1: {"worker3", "worker5"}})
+	ents, err := r.decodeAgg(legal, "worker3")
+	if err != nil || len(ents) != 2 {
+		t.Fatalf("legal frame: %d entries, err %v", len(ents), err)
+	}
+	// A leaf whose dispatch failed cannot have contributed.
+	delete(r.sent, "worker5")
+	if _, err := r.decodeAgg(legal, "worker3"); err == nil {
+		t.Fatal("frame naming a worker that was never dispatched to accepted")
+	}
+	r.sent["worker5"] = true
+	for name, p := range forgedAggFrames(r.it, shape) {
+		if _, err := decodeAggInto(p, shape, func(int, []string, *tensor.Tensor) error { return nil }); err != nil {
+			t.Fatalf("%s: the forged frame must be wire-valid to test the validator: %v", name, err)
+		}
+		if _, err := r.decodeAgg(p, "worker3"); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
 	}
 }
 
@@ -163,6 +226,13 @@ func FuzzDecodeAggregate(f *testing.F) {
 	f.Add(bomb)
 	skip := encodeAggSkip(5, "worker2") // the sibling frame shares the tag
 	f.Add(skip)
+	// Wire-valid frames whose contributor lists the sender cannot speak
+	// for, and one it can.
+	for _, p := range forgedAggFrames(7, []int{2, 3}) {
+		f.Add(p)
+	}
+	f.Add(forgedAggPayload(7, []int{2, 3}, map[int][]string{0: {"worker4"}, 1: {"worker3", "worker5"}}))
+	r := treeRound([]int{2, 3})
 	f.Fuzz(func(t *testing.T, p []byte) {
 		want := []int{2, 3}
 		// Neither decoder may panic, and any sum that survives decoding
@@ -173,8 +243,19 @@ func FuzzDecodeAggregate(f *testing.F) {
 			}
 			return nil
 		})
-		_, _, _ = aggContribNames(p, nil)
 		_, _, _ = decodeAggSkip(p)
+		// Whatever the server's validator lets through names each of
+		// worker3's subtree at most once, under its routed batch index.
+		ents, err := r.decodeAgg(p, "worker3")
+		seen := map[string]bool{}
+		for _, e := range ents {
+			for _, name := range e.Contribs {
+				if err == nil && (seen[name] || r.parent(name) != "worker3" && name != "worker3" || r.gIdx[name] != e.GIdx) {
+					t.Fatalf("validator accepted %q under batch %d (entries %+v)", name, e.GIdx, ents)
+				}
+				seen[name] = true
+			}
+		}
 	})
 }
 

@@ -147,13 +147,15 @@ type Config struct {
 	// < 0 = never escalate). Also the corrupt-feedback strike budget.
 	SuspectAfter int
 	// Topology selects the feedback-aggregation topology (see the
-	// cluster package's topology contract). nil or cluster.Flat keeps
-	// the paper's flat star — every worker feeds the server directly,
-	// byte-for-byte the pre-topology engine. cluster.Tree routes
+	// cluster package's topology contract). nil or cluster.Flat is the
+	// paper's flat star — the depth-0 plan: every worker feeds the
+	// server directly with a bare feedback frame, the wire bytes and
+	// arithmetic the serial-reference pin protects. cluster.Tree routes
 	// feedbacks through worker-hosted aggregators, bounding the server's
-	// per-round ingress by its fan-in instead of N. Synchronous engines
-	// only, and AggMean only (partial sums commute with the mean, not
-	// with median-style rules).
+	// per-round ingress by its fan-in instead of N; the server runs the
+	// same collect/apply over fewer, pre-summed frames. Trees are for the
+	// synchronous engines only, and AggMean only (partial sums commute
+	// with the mean, not with median-style rules).
 	Topology cluster.Topology
 	// SwapSched selects the SWAP pairing (nil = RingSwap, the paper's
 	// cyclic permutation). Non-ring schedules are synchronous-only: the
@@ -326,8 +328,9 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 	if cfg.Async && cfg.Pipeline {
 		return nil, fmt.Errorf("core: Pipeline applies to the synchronous engine only")
 	}
-	// A Flat topology is identity — drop it to nil so the engine stays
-	// on the pre-topology code paths (the bitwise pin's configuration).
+	// A Flat topology is the engine's nil plan (every worker a direct
+	// child of the server): drop it so no plan is built or put on the
+	// wire, and so the tree-only restrictions below do not apply.
 	topo := cfg.Topology
 	if topo != nil && topo.Name() == "flat" {
 		topo = nil
@@ -408,7 +411,7 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 		aggregate:    cfg.Aggregate,
 		joinAt:       cfg.JoinAt,
 		roundTimeout: cfg.RoundTimeout,
-		quorum:       cfg.Quorum,
+		quorum:       max(cfg.Quorum, 1),
 		topo:         topo,
 		swapSched:    cfg.SwapSched,
 		probes:       make(map[string]bool),

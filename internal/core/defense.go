@@ -32,9 +32,9 @@ package core
 // Determinism: the defense reads the round's feedbacks and performs
 // pure float arithmetic — no RNG draws, no mutation of the feedbacks.
 // While no worker crosses the down-weight threshold it returns a nil
-// weight map and the engine takes the byte-identical legacy
-// aggregation path, so a defense-on attack-free run stays on the
-// strict bitwise pin.
+// weight map and apply takes its unweighted branch — the arithmetic the
+// serial reference replays — so a defense-on attack-free run stays on
+// the strict bitwise pin.
 
 import (
 	"math"
@@ -153,9 +153,11 @@ func (d *defense) worker(name string) *defWorker {
 }
 
 // observe scores this round's grouped feedbacks (r.groupNames /
-// r.groupFeeds, as built by apply) and returns the per-worker
-// aggregation weights — or nil when every weight is exactly 1, which
-// keeps the engine on the legacy arithmetic path. Demotions fire
+// r.groupFeeds, as built by apply: one item per direct child of the
+// server, which on the star — the only plan Train allows the defense —
+// is one worker's own feedback) and returns the per-worker aggregation
+// weights, or nil when every weight is exactly 1, which keeps apply on
+// its unweighted branch. Demotions fire
 // inside (Membership.Fail + NoteFreeRiderDemotion) once a worker
 // exhausts its strike budget.
 func (d *defense) observe(r *round) map[string]float64 {

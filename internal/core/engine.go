@@ -12,10 +12,19 @@ package core
 //	dispatch  — simnet.BroadcastEach; an ErrNodeDown destination is
 //	            suspected (or, without a round deadline, demoted
 //	            fail-stop style) instead of aborting the run
-//	collect   — one feedback per successfully-dispatched worker,
-//	            bounded by RoundTimeout with quorum degradation
+//	collect   — one contribution frame per direct child of the server,
+//	            accounting every dispatched worker, bounded by
+//	            RoundTimeout with quorum degradation
 //	apply     — aggregate per generated batch, backprop through G,
 //	            Adam step, eval hook
+//
+// There is one collect and one apply. The paper's flat star is the
+// depth-0 aggregation plan: r.plan == nil, every active worker is a
+// direct child of the server, nobody aggregates, and each worker's bare
+// msgFeedback frame is ingested as a single-contributor entry. A tree
+// only changes who the direct children are and how many contributors
+// one frame carries. What the bitwise pin protects is therefore the
+// star's wire frames and arithmetic, not a separate code path.
 //
 // Two drivers compose the stages. runSync is the paper's strict
 // barrier loop — stage order within one round, bitwise-identical
@@ -71,12 +80,13 @@ type server struct {
 	// roundTimeout bounds collect's wait for feedbacks (0 = wait
 	// forever, the strict fail-stop-only mode the bitwise pin replays).
 	roundTimeout time.Duration
-	// quorum is the minimum feedback count needed to apply a round when
-	// the deadline expires (≤ 0 = 1).
+	// quorum is the minimum contributor count needed to apply a round
+	// when the deadline expires (Train normalises it to ≥ 1).
 	quorum int
-	// topo computes the per-round aggregation plan. nil = the flat star,
-	// which keeps the pre-topology dispatch/collect/apply paths
-	// byte-for-byte (the bitwise pin's configuration).
+	// topo computes the per-round aggregation plan. nil = the flat star:
+	// no plan is built, nothing about it goes on the wire (workers see an
+	// empty parent and answer with a bare msgFeedback), and collect/apply
+	// treat every active worker as a direct child of the server.
 	topo cluster.Topology
 	// swapSched plans the SWAP step over the active workers (RingSwap —
 	// the paper's cyclic permutation — when nil).
@@ -125,34 +135,33 @@ type round struct {
 	// the old per-worker re-encoding of the same tensors is gone.
 	frames [][]byte
 
-	feedbacks map[string]*tensor.Tensor
+	// Collect-stage state. plan is this round's aggregation plan; nil is
+	// the star (every active worker feeds the server directly).
+	plan *cluster.Plan
+	// ents holds the decoded frame of each direct child that reported:
+	// one single-contributor entry for a msgFeedback, the entries it
+	// carries for a msgAgg. apply merges them in plan order.
+	ents map[string][]aggEntry
+	// got is the contributor set: every worker whose feedback reached the
+	// server this round, on its own or inside an aggregate.
+	got map[string]bool
+	// failed marks the dispatched workers this round stopped waiting for
+	// (unreachable route, corrupt sender, demotion, quorum cut-off). It
+	// stays inside sent and disjoint from got, so the round is complete
+	// at len(got)+len(failed) == len(sent). Lazily allocated, like
+	// reparented: a fault-free round touches neither.
+	failed map[string]bool
+	// reparented dedups the per-round reparent charge per aggregator.
+	reparented map[string]bool
 
-	// Apply-stage reusable buffers (flat path): member names and
-	// feedback tensors grouped per generated batch, the per-group
+	// Apply-stage reusable buffers: per generated batch, the direct
+	// children that reported on it and the tensors they reported (a
+	// worker's feedback, or an aggregator's partial sum), the per-group
 	// pooled gradients, and — on weighted rounds — the group weights.
 	groupNames [][]string
 	groupFeeds [][]*tensor.Tensor
 	outGrads   []*tensor.Tensor
 	groupWs    []float64
-
-	// Tree-collect state, all nil/empty on the flat path (lazily
-	// allocated so a flat round's reset stays allocation-identical to
-	// the pre-topology engine).
-	plan *cluster.Plan // this round's aggregation plan (nil = flat)
-	// acctGot is the contributor set: every worker whose feedback
-	// arrived inside some aggregate frame this round.
-	acctGot map[string]bool
-	// aggEnts holds the decoded entries of each direct child's
-	// aggregate frame; apply merges them in plan order.
-	aggEnts map[string][]aggEntry
-	// preFailed marks the planned subtrees of workers whose dispatch
-	// failed — their contributions are unreachable this round.
-	preFailed map[string]bool
-	// reparented dedups the per-round reparent charge per aggregator.
-	reparented map[string]bool
-	// agg is the apply-stage merge accumulator; its sum tensors come
-	// from the workspace pool and are recycled every round.
-	agg aggAccum
 }
 
 // reset prepares the round slot for iteration it, reusing backing
@@ -178,24 +187,60 @@ func (r *round) reset(it int) {
 	} else {
 		clear(r.gIdx)
 	}
-	if r.feedbacks == nil {
-		r.feedbacks = make(map[string]*tensor.Tensor)
+	if r.ents == nil {
+		r.ents = make(map[string][]aggEntry)
+		r.got = make(map[string]bool)
 	} else {
-		clear(r.feedbacks)
+		clear(r.ents)
+		clear(r.got)
 	}
 	r.plan = nil
-	if r.acctGot != nil {
-		clear(r.acctGot)
+	clear(r.failed)
+	clear(r.reparented)
+}
+
+// parent, children and subtree read the round's aggregation plan. With
+// no plan (the star) every worker's parent is the server, the server's
+// children are the active workers in dispatch order, and nothing is
+// routed through anyone else.
+func (r *round) parent(name string) string {
+	if r.plan == nil {
+		return serverName
 	}
-	if r.aggEnts != nil {
-		clear(r.aggEnts)
+	return r.plan.Parent[name]
+}
+
+func (r *round) children(name string) []string {
+	switch {
+	case r.plan != nil:
+		return r.plan.Children[name]
+	case name == serverName:
+		return r.active
 	}
-	if r.preFailed != nil {
-		clear(r.preFailed)
+	return nil
+}
+
+func (r *round) subtree(name string) []string {
+	if r.plan == nil {
+		return []string{name}
 	}
-	if r.reparented != nil {
-		clear(r.reparented)
+	return r.plan.Subtree(name)
+}
+
+// waiting reports whether collect still expects name's contribution.
+func (r *round) waiting(name string) bool {
+	return r.sent[name] && !r.got[name] && !r.failed[name]
+}
+
+// fail stops the round waiting for name (a no-op unless it is).
+func (r *round) fail(name string) {
+	if !r.waiting(name) {
+		return
 	}
+	if r.failed == nil {
+		r.failed = make(map[string]bool)
+	}
+	r.failed[name] = true
 }
 
 // prepare runs the membership stage for iteration it: scheduled
@@ -303,6 +348,8 @@ func (s *server) route(r *round) {
 			gi := i % r.k
 			di := (i + 1) % r.k
 			swap := r.swapTo[name]
+			// On the star both stay empty: the worker answers with a bare
+			// msgFeedback, the frame the wire-byte pins count.
 			var parent string
 			var kids []string
 			if r.plan != nil {
@@ -343,11 +390,17 @@ func (s *server) route(r *round) {
 // transport error stays fatal.
 func (s *server) dispatch(r *round) error {
 	errs := simnet.BroadcastEach(s.net, r.msgs)
+	// sent is complete before any failure is processed: failing a subtree
+	// below marks only workers that were actually dispatched to.
+	for i, err := range errs {
+		if err == nil {
+			r.sent[r.active[i]] = true
+		}
+	}
 	for i, err := range errs {
 		name := r.active[i]
 		switch {
 		case err == nil:
-			r.sent[name] = true
 		case errors.Is(err, simnet.ErrNodeDown):
 			if s.roundTimeout > 0 {
 				s.m.Suspect(name)
@@ -355,9 +408,7 @@ func (s *server) dispatch(r *round) error {
 				s.m.Fail(name)
 			}
 			s.cancelSwap(r, name)
-			if r.plan != nil {
-				s.preFailSubtree(r, name)
-			}
+			s.failSubtree(r, name)
 		default:
 			return fmt.Errorf("core: send batches: %w", err)
 		}
@@ -365,28 +416,24 @@ func (s *server) dispatch(r *round) error {
 	return nil
 }
 
-// preFailSubtree gives up on everything routed through name this round:
-// a worker whose dispatch failed never aggregates, so the contributions
-// of its whole planned subtree can never reach the server (the children
-// address their frames to a parent that has no round to collect them
-// into — those frames die in its future-round stash). The subtree is
-// marked failed for collect's accounting in BOTH timeout modes, name's
-// own parent gets a skip release so it stops waiting for the slot, and
-// name's direct children are charged a reparent (the next round's plan
-// rehomes them).
+// failSubtree gives up on everything routed through name this round —
+// just name on the star. A worker whose dispatch failed, or whose frame
+// was corrupt, delivers nothing its planned subtree sent it (after a
+// failed dispatch the children address a parent that has no round to
+// collect them into; those frames die in its future-round stash), so
+// the whole subtree stops being waited for, name's direct children are
+// charged a reparent (the next round's plan rehomes them), and a worker
+// parent gets a skip release so it stops waiting for name's slot.
 //
 // BroadcastEach completes every send before dispatch examines the
 // errors, so on a FIFO per-pair transport the skip can never overtake
 // the parent's own batches frame.
-func (s *server) preFailSubtree(r *round, name string) {
-	if r.preFailed == nil {
-		r.preFailed = make(map[string]bool)
-	}
-	for _, n := range r.plan.Subtree(name) {
-		r.preFailed[n] = true
+func (s *server) failSubtree(r *round, name string) {
+	for _, n := range r.subtree(name) {
+		r.fail(n)
 	}
 	s.noteReparented(r, name)
-	if parent := r.plan.Parent[name]; parent != "" && parent != serverName && !r.preFailed[parent] {
+	if parent := r.parent(name); parent != serverName {
 		_ = s.net.Send(simnet.Message{
 			From: serverName, To: parent, Type: msgAggSkip, Kind: simnet.CtoW,
 			Payload: encodeAggSkip(r.it, name),
@@ -398,7 +445,7 @@ func (s *server) preFailSubtree(r *round, name string) {
 // suspect aggregator, at most once per round per aggregator (a deadline
 // can expire several times while the same aggregator stays missing).
 func (s *server) noteReparented(r *round, aggName string) {
-	kids := r.plan.Children[aggName]
+	kids := r.children(aggName)
 	if len(kids) == 0 || r.reparented[aggName] {
 		return
 	}
@@ -439,36 +486,34 @@ func (s *server) cancelSwap(r *round, name string) {
 	})
 }
 
-// collect gathers one feedback per successfully-dispatched worker,
-// bounded by the round deadline. Without a deadline (RoundTimeout 0 —
-// the strict fail-stop-only mode the bitwise pin replays) it blocks
-// until every feedback is in. With one, a deadline expiry marks every
-// missing worker suspect (releasing its swap receiver) and, once at
-// least quorum feedbacks are in, applies the round with what it has
-// instead of deadlocking the run on a hung worker; below quorum the
-// timer re-arms and the wait continues — bounded, because each expiry
-// ticks the missing workers' escalation counters until they demote and
-// stop being waited for.
+// collect ingests one contribution frame per direct child of the server
+// — every dispatched worker on the star, the root-level aggregators
+// under a tree (fan-in-bounded ingress, the scaling win of the tree) —
+// and accounts every contributor the frames cover, until each
+// dispatched worker has either contributed or been given up on.
+//
+// Without a deadline (RoundTimeout 0 — the strict fail-stop-only mode
+// the bitwise pin replays) it blocks until that holds. With one, an
+// expiry marks every missing worker suspect (releasing its swap
+// receiver and, for an aggregator, charging its children a reparent)
+// and, once at least quorum contributions are in, applies the round
+// with what it has instead of deadlocking the run on a hung worker;
+// below quorum the timer re-arms and the wait continues — bounded,
+// because each expiry ticks the missing workers' escalation counters
+// until they demote and stop being waited for.
 //
 // Stale or unexpected messages are skipped, but any message from a
-// suspect — a pong, a late feedback — is evidence of life and
-// reinstates it. A corrupt feedback frame strikes its sender (suspect,
-// or demote past the threshold) and the round continues; this used to
-// abort the entire training run. A closed server inbox (the transport
-// died under the engine) is fatal.
+// suspect — a pong, a late frame — is evidence of life and reinstates
+// it. A corrupt frame strikes its sender (suspect, or demote past the
+// threshold), fails everything routed through it, and the round
+// continues. A closed server inbox (the transport died under the
+// engine) is fatal.
 func (s *server) collect(r *round) error {
-	if r.plan != nil {
-		return s.collectTree(r)
-	}
 	if len(r.sent) == 0 {
 		return nil
 	}
 	inbox := s.net.Inbox(serverName)
-	// failed counts dispatched workers that will never answer this round
-	// (corrupt senders, suspects given up on, demotions); the round is
-	// complete when feedbacks + failed covers everyone dispatched to.
-	failed := 0
-	var failedSet, canceled map[string]bool
+	var canceled map[string]bool
 	var timer *time.Timer
 	var deadline <-chan time.Time
 	if s.roundTimeout > 0 {
@@ -476,7 +521,7 @@ func (s *server) collect(r *round) error {
 		defer timer.Stop()
 		deadline = timer.C
 	}
-	for len(r.feedbacks)+failed < len(r.sent) {
+	for len(r.got)+len(r.failed) < len(r.sent) {
 		var msg simnet.Message
 		var ok bool
 		if deadline == nil {
@@ -485,19 +530,17 @@ func (s *server) collect(r *round) error {
 			select {
 			case msg, ok = <-inbox:
 			case <-deadline:
-				if failedSet == nil {
-					failedSet = make(map[string]bool)
+				if canceled == nil {
 					canceled = make(map[string]bool)
 				}
 				// Every missing worker takes a miss (r.active iteration
 				// keeps the order deterministic). Its swap receiver is
 				// released exactly once — the suspect, having never seen
-				// its batches, will never send the swap it owes.
+				// its batches, will never send the swap it owes — and a
+				// missing aggregator strands its children's only route to
+				// the server, so they are charged a reparent.
 				for _, name := range r.active {
-					if !r.sent[name] || failedSet[name] {
-						continue
-					}
-					if _, got := r.feedbacks[name]; got {
+					if !r.waiting(name) {
 						continue
 					}
 					s.m.NoteTimeout(name)
@@ -506,26 +549,16 @@ func (s *server) collect(r *round) error {
 						canceled[name] = true
 						s.cancelSwap(r, name)
 					}
+					s.noteReparented(r, name)
 					if demoted {
-						failedSet[name] = true
-						failed++
+						r.fail(name)
 					}
 				}
-				quorum := s.quorum
-				if quorum < 1 {
-					quorum = 1
-				}
-				if len(r.feedbacks) >= quorum {
+				if len(r.got) >= s.quorum {
 					// Quorum reached: apply the round without the
 					// missing (they stay suspect until probed back in).
 					for _, name := range r.active {
-						if !r.sent[name] || failedSet[name] {
-							continue
-						}
-						if _, got := r.feedbacks[name]; !got {
-							failedSet[name] = true
-							failed++
-						}
+						r.fail(name)
 					}
 				} else {
 					timer.Reset(s.roundTimeout)
@@ -536,241 +569,115 @@ func (s *server) collect(r *round) error {
 		if !ok {
 			return fmt.Errorf("core: server inbox closed")
 		}
+		from := msg.From
 		switch msg.Type {
+		case msgFeedback, msgAgg:
 		case msgPong:
-			if s.m.Reinstate(msg.From) {
-				delete(s.probes, msg.From)
-			}
+			s.noteAlive(from)
 			continue
-		case msgFeedback:
 		default:
 			continue
 		}
-		from := msg.From
-		if !r.sent[from] || failedSet[from] {
-			// Not usable this round (stale, or already given up on) —
-			// but a feedback from a suspect is evidence of life.
-			if s.m.Reinstate(from) {
-				delete(s.probes, from)
-			}
+		rt, tagged := aggRound(msg.Payload)
+		if !r.waiting(from) || r.parent(from) != serverName || msg.Type == msgAgg && tagged && rt != r.it {
+			// Not usable this round (a duplicate, already given up on, not
+			// a direct child, or an aggregate quorum moved on without) —
+			// but still evidence of life.
+			s.noteAlive(from)
 			continue
 		}
-		if _, dup := r.feedbacks[from]; dup {
-			continue
+		var ents []aggEntry
+		var err error
+		if msg.Type == msgAgg {
+			ents, err = r.decodeAgg(msg.Payload, from)
+		} else {
+			ents, err = r.decodeFeedback(msg.Payload, from)
 		}
-		// A feedback must have the shape of the generated batch it
-		// answers; the expected shape also bounds the decode so a
-		// corrupt frame cannot over-allocate.
-		f, err := decodeFeedbackAny(msg.Payload, r.shape)
 		if err != nil {
 			// Corrupt frame: strike the sender and continue the round.
 			// Its swap receiver needs no release — workers ship their
-			// swap before their feedback, so it is already in flight.
+			// swap before their contribution, so it is already in flight.
 			strikes := s.m.NoteCorrupt(from)
 			if s.roundTimeout <= 0 || strikes >= s.m.SuspectThreshold() {
 				s.m.Fail(from)
 			} else {
 				s.m.Suspect(from)
 			}
-			if failedSet == nil {
-				failedSet = make(map[string]bool)
-				canceled = make(map[string]bool)
-			}
-			failedSet[from] = true
-			failed++
+			s.failSubtree(r, from)
 			continue
 		}
-		if s.m.Reinstate(from) {
-			// Suspected at an earlier expiry this round, answered after
-			// all — the feedback still counts.
-			delete(s.probes, from)
+		r.ents[from] = ents
+		for _, e := range ents {
+			for _, name := range e.Contribs {
+				// A contributor computed a feedback this round: evidence
+				// of life, even if an earlier expiry suspected it — or
+				// demoted it while its parent still held the sum, which
+				// carries its term all the same, so it counts.
+				delete(r.failed, name)
+				r.got[name] = true
+				s.noteAlive(name)
+			}
 		}
-		r.feedbacks[from] = f
 	}
 	return nil
 }
 
-// collectTree is collect for a round with an aggregation plan: instead
-// of one feedback frame per worker, the server ingests one aggregate
-// frame per DIRECT child — fan-in-bounded ingress, the scaling win of
-// the tree — and accounts every contributor named inside. Completion
-// still covers every dispatched worker: contributors arrive, or their
-// subtree fails, or the deadline machinery gives up on them exactly
-// like the flat path (timeout strikes, suspect escalation, quorum on
-// the contributor count). A corrupt aggregate strikes its sender and
-// fails everything routed through it; a suspect or corrupt aggregator
-// additionally charges its direct children a reparent.
-func (s *server) collectTree(r *round) error {
-	if len(r.sent) == 0 {
+// decodeFeedback decodes from's bare feedback frame into the single
+// entry it stands for. The expected shape bounds the decode, so a
+// corrupt frame cannot over-allocate.
+func (r *round) decodeFeedback(p []byte, from string) ([]aggEntry, error) {
+	f, err := decodeFeedbackAny(p, r.shape)
+	if err != nil {
+		return nil, err
+	}
+	return []aggEntry{{GIdx: r.gIdx[from], Contribs: []string{from}, Sum: f}}, nil
+}
+
+// decodeAgg decodes the aggregate frame direct child from sent and
+// checks it against the plan: every entry must name at least one
+// contributor, every contributor must be a distinct dispatched member
+// of from's planned subtree, listed under the batch index it was routed
+// to, and from itself must be among them. Anything else is a corrupt
+// frame. The names are outside input — accounting one the sender does
+// not speak for would mark an absent worker contributed (and alive) and
+// divide the round by the wrong count.
+func (r *round) decodeAgg(p []byte, from string) ([]aggEntry, error) {
+	// open[n]: n may still be named — in the subtree, dispatched to, and
+	// not listed yet.
+	open := make(map[string]bool)
+	for _, n := range r.subtree(from) {
+		open[n] = r.sent[n]
+	}
+	var ents []aggEntry
+	_, err := decodeAggInto(p, r.shape, func(gIdx int, contribs []string, sum *tensor.Tensor) error {
+		if len(contribs) == 0 {
+			return fmt.Errorf("core: aggregate entry for batch %d names no contributor", gIdx)
+		}
+		for _, name := range contribs {
+			if !open[name] || r.gIdx[name] != gIdx {
+				return fmt.Errorf("core: aggregate from %s lists %q under batch %d: not a distinct member of its subtree routed to that batch", from, name, gIdx)
+			}
+			open[name] = false
+		}
+		ents = append(ents, aggEntry{GIdx: gIdx, Contribs: append([]string(nil), contribs...), Sum: sum})
 		return nil
+	})
+	if err == nil && open[from] {
+		// A sender always folds in its own feedback; accepting a frame
+		// without it would leave the round waiting for from forever.
+		err = fmt.Errorf("core: aggregate from %s lacks its own contribution", from)
 	}
-	if r.acctGot == nil {
-		r.acctGot = make(map[string]bool)
+	return ents, err
+}
+
+// noteAlive records evidence of life from name: a suspect is reinstated
+// and its outstanding probe forgotten. It reports whether name was one.
+func (s *server) noteAlive(name string) bool {
+	if !s.m.Reinstate(name) {
+		return false
 	}
-	if r.aggEnts == nil {
-		r.aggEnts = make(map[string][]aggEntry)
-	}
-	// Workers whose planned route died at dispatch are failed from the
-	// start (preFailSubtree); collect never waits for them.
-	failed := 0
-	var failedSet, canceled map[string]bool
-	if len(r.preFailed) > 0 {
-		failedSet = make(map[string]bool, len(r.preFailed))
-		for name := range r.preFailed {
-			if r.sent[name] {
-				failedSet[name] = true
-				failed++
-			}
-		}
-	}
-	inbox := s.net.Inbox(serverName)
-	var timer *time.Timer
-	var deadline <-chan time.Time
-	if s.roundTimeout > 0 {
-		timer = time.NewTimer(s.roundTimeout)
-		defer timer.Stop()
-		deadline = timer.C
-	}
-	for len(r.acctGot)+failed < len(r.sent) {
-		var msg simnet.Message
-		var ok bool
-		if deadline == nil {
-			msg, ok = <-inbox
-		} else {
-			select {
-			case msg, ok = <-inbox:
-			case <-deadline:
-				if failedSet == nil {
-					failedSet = make(map[string]bool)
-				}
-				if canceled == nil {
-					canceled = make(map[string]bool)
-				}
-				for _, name := range r.active {
-					if !r.sent[name] || failedSet[name] || r.acctGot[name] {
-						continue
-					}
-					s.m.NoteTimeout(name)
-					demoted := s.m.Suspect(name)
-					if !canceled[name] {
-						canceled[name] = true
-						s.cancelSwap(r, name)
-					}
-					// A missing aggregator strands its direct children's
-					// only route to the server; the next plan rehomes
-					// them.
-					if r.plan.IsAggregator(name) {
-						s.noteReparented(r, name)
-					}
-					if demoted {
-						failedSet[name] = true
-						failed++
-					}
-				}
-				quorum := s.quorum
-				if quorum < 1 {
-					quorum = 1
-				}
-				if len(r.acctGot) >= quorum {
-					for _, name := range r.active {
-						if !r.sent[name] || failedSet[name] || r.acctGot[name] {
-							continue
-						}
-						failedSet[name] = true
-						failed++
-					}
-				} else {
-					timer.Reset(s.roundTimeout)
-				}
-				continue
-			}
-		}
-		if !ok {
-			return fmt.Errorf("core: server inbox closed")
-		}
-		switch msg.Type {
-		case msgPong, msgFeedback:
-			// A pong — or a stray flat-style feedback — is evidence of
-			// life, never a tree contribution.
-			if s.m.Reinstate(msg.From) {
-				delete(s.probes, msg.From)
-			}
-			continue
-		case msgAgg:
-		default:
-			continue
-		}
-		from := msg.From
-		// Only this round's direct children feed the server.
-		if r.plan.Parent[from] != serverName || !r.sent[from] || failedSet[from] {
-			if s.m.Reinstate(from) {
-				delete(s.probes, from)
-			}
-			continue
-		}
-		if _, dup := r.aggEnts[from]; dup {
-			continue
-		}
-		if rt, tagged := aggRound(msg.Payload); tagged && rt != r.it {
-			// A straggler from an earlier round (quorum moved on without
-			// it): evidence of life, not a contribution.
-			if s.m.Reinstate(from) {
-				delete(s.probes, from)
-			}
-			continue
-		}
-		var ents []aggEntry
-		_, err := decodeAggInto(msg.Payload, r.shape, func(gIdx int, contribs []string, sum *tensor.Tensor) error {
-			if gIdx >= r.k {
-				return fmt.Errorf("core: aggregate batch index %d out of range", gIdx)
-			}
-			ents = append(ents, aggEntry{
-				GIdx:     gIdx,
-				Contribs: append([]string(nil), contribs...),
-				Sum:      sum,
-			})
-			return nil
-		})
-		if err != nil {
-			// Corrupt aggregate: strike the sender like a corrupt flat
-			// feedback, and give up on everything routed through it this
-			// round.
-			strikes := s.m.NoteCorrupt(from)
-			if s.roundTimeout <= 0 || strikes >= s.m.SuspectThreshold() {
-				s.m.Fail(from)
-			} else {
-				s.m.Suspect(from)
-			}
-			if r.plan.IsAggregator(from) {
-				s.noteReparented(r, from)
-			}
-			if failedSet == nil {
-				failedSet = make(map[string]bool)
-			}
-			for _, n := range r.plan.Subtree(from) {
-				if r.sent[n] && !failedSet[n] && !r.acctGot[n] {
-					failedSet[n] = true
-					failed++
-				}
-			}
-			continue
-		}
-		r.aggEnts[from] = ents
-		for _, e := range ents {
-			for _, name := range e.Contribs {
-				if !r.sent[name] || failedSet[name] || r.acctGot[name] {
-					continue
-				}
-				r.acctGot[name] = true
-				// A named contributor computed a feedback this round —
-				// evidence of life for a suspect.
-				if s.m.Reinstate(name) {
-					delete(s.probes, name)
-				}
-			}
-		}
-	}
-	return nil
+	delete(s.probes, name)
+	return true
 }
 
 // tickProbes advances the suspect probe cycle at a round boundary: a
@@ -788,7 +695,9 @@ func (s *server) tickProbes() {
 	// mid-Send). Consume that evidence of life before ticking, so a
 	// prompt answer is never counted as a miss. No round is in flight
 	// at a prepare boundary, so anything queued here is a pong or a
-	// stale feedback frame.
+	// stale contribution frame. Only its sender is believed: with no
+	// plan in force there is nothing to check an aggregate's contributor
+	// names against, and each of them answers its own probe anyway.
 	inbox := s.net.Inbox(serverName)
 drain:
 	for {
@@ -798,20 +707,7 @@ drain:
 				break drain
 			}
 			if msg.Type == msgPong || msg.Type == msgFeedback || msg.Type == msgAgg {
-				if s.m.Reinstate(msg.From) {
-					delete(s.probes, msg.From)
-				}
-				if msg.Type == msgAgg {
-					// A stale aggregate carries evidence of life for
-					// every contributor it names, not just its sender.
-					if _, names, err := aggContribNames(msg.Payload, nil); err == nil {
-						for _, n := range names {
-							if s.m.Reinstate(n) {
-								delete(s.probes, n)
-							}
-						}
-					}
-				}
+				s.noteAlive(msg.From)
 			}
 		default:
 			break drain
@@ -851,8 +747,7 @@ func (s *server) awaitRejoin() bool {
 				return false
 			}
 			if (msg.Type == msgPong || msg.Type == msgFeedback || msg.Type == msgAgg) &&
-				s.m.Reinstate(msg.From) {
-				delete(s.probes, msg.From)
+				s.noteAlive(msg.From) {
 				return true
 			}
 		case <-timer.C:
@@ -861,30 +756,34 @@ func (s *server) awaitRejoin() bool {
 	}
 }
 
-// apply merges the feedbacks per generated batch and backpropagates
-// through G. Grouping follows worker index order so the result is
-// independent of message arrival order. The per-group merge applies the
-// configured aggregation rule (mean = the paper's §IV-B2 averaging;
-// median/trimmed = §VII.3 robustness); the group result is weighted by
-// groupSize/received to keep the global 1/N scaling. A round with no
-// feedbacks (every dispatch failed) applies no update.
+// apply merges the contributions per generated batch and backpropagates
+// through G. Grouping walks the server's direct children in plan order
+// (dispatch order on the star), so the result is independent of message
+// arrival order. The per-group merge applies the configured aggregation
+// rule (mean = the paper's §IV-B2 averaging; median/trimmed = §VII.3
+// robustness, star only); the group result is weighted by
+// groupSize/received to keep the global 1/N scaling. The same formula
+// serves partial sums: mean(items)·len(items) is their sum whatever each
+// item pre-reduced, so a tree round's gradient is the global per-batch
+// sum over the contributor count — bitwise the star's when every item
+// is one worker's feedback (TestDepthOneTreeMatchesFlatBitwise), within
+// reassociation when workers pre-summed (TestTreeAggregationMatchesFlat).
+// A round with no contribution (every dispatch failed) applies no
+// update.
 //
 // When the defense or the joiner warm-up assigns non-unit weights
-// (roundWeights != nil), the head-count scaling generalises to weight
-// mass: each group aggregates as a weighted mean and contributes its
-// share of the total included weight. The nil-weights branch is the
-// byte-identical legacy path the bitwise pin replays.
+// (roundWeights != nil; star only, Train rejects both under a tree), the
+// head-count scaling generalises to weight mass: each group aggregates
+// as a weighted mean and contributes its share of the total included
+// weight. The nil-weights branch is the arithmetic the bitwise pin
+// replays.
 //
 // The grouping slices, group gradients and aggregation scratch are all
 // reused round over round, and the pooled per-group aggregates return
 // to the workspace pool right after their backward pass — a
 // steady-state apply allocates nothing.
 func (s *server) apply(r *round) {
-	if r.plan != nil {
-		s.applyTree(r)
-		return
-	}
-	if len(r.feedbacks) == 0 {
+	if len(r.got) == 0 {
 		return
 	}
 	if cap(r.groupNames) < r.k {
@@ -897,14 +796,11 @@ func (s *server) apply(r *round) {
 		r.groupNames[j] = r.groupNames[j][:0]
 		r.groupFeeds[j] = r.groupFeeds[j][:0]
 	}
-	for _, name := range r.active {
-		f, ok := r.feedbacks[name]
-		if !ok {
-			continue // demoted mid-round
+	for _, c := range r.children(serverName) {
+		for _, e := range r.ents[c] { // none: demoted or missing this round
+			r.groupNames[e.GIdx] = append(r.groupNames[e.GIdx], c)
+			r.groupFeeds[e.GIdx] = append(r.groupFeeds[e.GIdx], e.Sum)
 		}
-		j := r.gIdx[name]
-		r.groupNames[j] = append(r.groupNames[j], name)
-		r.groupFeeds[j] = append(r.groupFeeds[j], f)
 	}
 	weights := s.roundWeights(r)
 	if cap(r.outGrads) < r.k {
@@ -912,7 +808,7 @@ func (s *server) apply(r *round) {
 	}
 	r.outGrads = r.outGrads[:r.k]
 	if weights == nil {
-		total := len(r.feedbacks)
+		total := len(r.got)
 		for j, fs := range r.groupFeeds {
 			r.outGrads[j] = nil
 			if len(fs) == 0 {
@@ -977,8 +873,8 @@ func (s *server) apply(r *round) {
 // roundWeights computes the per-worker aggregation weights for this
 // round: the defense's suspicion down-weights composed with the joiner
 // warm-up ramp. It returns nil when every weight is exactly 1, keeping
-// a defense-on fault-free round on the byte-identical legacy
-// arithmetic path (the strict bitwise pin).
+// a defense-on fault-free round on the unweighted arithmetic the strict
+// bitwise pin replays.
 func (s *server) roundWeights(r *round) map[string]float64 {
 	var weights map[string]float64
 	if s.defense != nil {
@@ -986,7 +882,7 @@ func (s *server) roundWeights(r *round) map[string]float64 {
 	}
 	if s.joinWarmup > 0 && len(s.joinedRound) > 0 {
 		for name, joined := range s.joinedRound {
-			if _, ok := r.feedbacks[name]; !ok {
+			if !r.got[name] {
 				continue
 			}
 			// Qu et al.'s generator-stability rule: a fresh
@@ -1039,50 +935,6 @@ func (s *server) processRetirements(it int) {
 		})
 		s.m.Retire(name)
 		delete(s.joinedRound, name)
-	}
-}
-
-// applyTree merges the direct children's aggregate entries and
-// backpropagates through G. The per-batch gradient is the global
-// contribution SUM scaled by 1/received — exactly the flat path's
-// groupMean · groupSize/received decomposed (summing is associative),
-// so a tree round's update matches the flat round's within
-// floating-point reassociation (TestTreeAggregationMatchesFlat pins the
-// tolerance). Merge order is the plan's child order, never arrival
-// order, so the result is scheduling-independent; the running sums come
-// from the workspace pool and are recycled via the round accumulator.
-// Tree mode is restricted to AggMean (Train validates): a median over
-// pre-summed subtrees would not be the median over workers.
-func (s *server) applyTree(r *round) {
-	if len(r.acctGot) == 0 {
-		return
-	}
-	a := &r.agg
-	a.reset()
-	for _, c := range r.plan.Children[serverName] {
-		for _, e := range r.aggEnts[c] {
-			a.add(e.GIdx, e.Contribs, e.Sum)
-		}
-	}
-	total := float64(len(r.acctGot))
-	s.g.ZeroGrads()
-	for j := 0; j < r.k; j++ {
-		i, ok := a.byIdx[j]
-		if !ok {
-			continue
-		}
-		g := a.entries[i].Sum.ScaleInPlace(1 / total)
-		// Re-forward to restore layer caches for batch j (they were
-		// clobbered when batch j+1.. were generated).
-		s.g.Forward(r.zs[j], r.labs[j], true)
-		s.g.Backward(g)
-	}
-	s.optG.Step(s.g.Params())
-	s.updates++
-	a.reset()
-
-	if s.eval != nil && s.evalEvery > 0 && r.it%s.evalEvery == 0 {
-		s.eval(r.it, s.g)
 	}
 }
 

@@ -7,7 +7,10 @@ package core
 // bitwise-identical generator parameters to a serial, message-free
 // replay of Algorithm 1 — the semantics of the pre-engine monolithic
 // runSync. If a stage reorders an RNG draw, changes the merge order or
-// accidentally makes pipelining the default, this fails.
+// accidentally makes pipelining the default, this fails. Every case
+// also runs under a depth-2 aggregation tree, compared against the star
+// within tolerance (the serial reference models the star; workers'
+// partial sums are reassociation-equivalent to its mean, not bitwise).
 //
 // The pipelined tests pin the documented one-iteration staleness
 // contract: identical to strict at Iters=1 (no round to overlap with),
@@ -17,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -168,29 +170,7 @@ func sortStrings(s []string) {
 	}
 }
 
-// strictTopologyOverride reads the MDGAN_TOPOLOGY gate (set by
-// scripts/verify.sh, e.g. "tree:2"): when it names a non-flat topology
-// the strict test re-runs every case as a topology-vs-flat equivalence
-// check instead of the serial-reference bitwise pin — the serial
-// reference models the flat star, and tree aggregation is only
-// reassociation-equivalent, not bitwise.
-func strictTopologyOverride(t *testing.T) cluster.Topology {
-	spec := os.Getenv("MDGAN_TOPOLOGY")
-	if spec == "" {
-		return nil
-	}
-	topo, err := cluster.ParseTopology(spec, 0)
-	if err != nil {
-		t.Fatalf("MDGAN_TOPOLOGY=%q: %v", spec, err)
-	}
-	if topo.Name() == "flat" {
-		return nil
-	}
-	return topo
-}
-
 func TestStrictEngineMatchesSerialReference(t *testing.T) {
-	topo := strictTopologyOverride(t)
 	cases := []struct {
 		name string
 		mut  func(*Config)
@@ -217,51 +197,54 @@ func TestStrictEngineMatchesSerialReference(t *testing.T) {
 				tc.mut(&cfg)
 				return shards, cfg
 			}
-			if topo != nil {
-				// Topology gate: same config, hierarchical vs flat
-				// aggregation, over a short horizon (reassociation
-				// drift compounds chaotically through Adam beyond a
-				// couple of updates). Crash schedules land past iter 2
-				// and so reduce to fault-free runs here, which is the
-				// point — the gate pins the fault-free reduce path.
-				run := func(top cluster.Topology) []float64 {
+			// The star: bitwise against the serial replay.
+			t.Run("flat", func(t *testing.T) {
+				shards, cfg := mk()
+				res, err := Train(shards, gan.RingMLP(), cfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				refShards, refCfg := mk()
+				want := serialReference(refShards, gan.RingMLP(), refCfg)
+				got := res.G.Net.ParamVector()
+				if len(got) != len(want) {
+					t.Fatalf("parameter count %d vs %d", len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("strict engine diverged from serial Algorithm 1 at param %d: %g vs %g",
+							i, got[i], want[i])
+					}
+				}
+			})
+			// A depth-2 tree over the same config against the star, over
+			// a short horizon: worker-side partial sums reassociate the
+			// mean, and that drift compounds chaotically through Adam
+			// beyond a couple of updates. Crash schedules land past iter
+			// 2 and so reduce to fault-free runs here, which is the point
+			// — this axis pins the fault-free reduce path under every
+			// routing variant (sampling, swaps, native swaps).
+			t.Run("tree:2", func(t *testing.T) {
+				run := func(topo cluster.Topology) []float64 {
 					shards, cfg := mk()
 					cfg.Iters = 2
-					cfg.Topology = top
+					cfg.Topology = topo
 					res, err := Train(shards, gan.RingMLP(), cfg, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					return res.G.Net.ParamVector()
 				}
-				got, want := run(topo), run(nil)
+				got, want := run(cluster.Tree{Depth: 2}), run(nil)
 				tol := tensor.Tol(1e-9, 2e-3)
 				for i := range want {
 					scale := math.Max(1, math.Abs(want[i]))
 					if d := math.Abs(got[i] - want[i]); d > tol*scale {
-						t.Fatalf("topology %s diverged from flat at param %d: %g vs %g (Δ=%g)",
-							topo.Name(), i, got[i], want[i], d)
+						t.Fatalf("tree:2 diverged from flat at param %d: %g vs %g (Δ=%g)",
+							i, got[i], want[i], d)
 					}
 				}
-				return
-			}
-			shards, cfg := mk()
-			res, err := Train(shards, gan.RingMLP(), cfg, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refShards, refCfg := mk()
-			want := serialReference(refShards, gan.RingMLP(), refCfg)
-			got := res.G.Net.ParamVector()
-			if len(got) != len(want) {
-				t.Fatalf("parameter count %d vs %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("strict engine diverged from serial Algorithm 1 at param %d: %g vs %g",
-						i, got[i], want[i])
-				}
-			}
+			})
 		})
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"mdgan/internal/cluster"
 	"mdgan/internal/gan"
 	"mdgan/internal/parallel"
 	"mdgan/internal/simnet"
@@ -70,9 +71,28 @@ func assertNoGoroutineLeak(t *testing.T, before int) {
 	}
 }
 
-// muteNet silently swallows the victim's first `mute` feedback frames
-// (a transient straggler: alive, computing, but its results never reach
-// the server), then lets everything through.
+// framings are the two ways a worker's contribution reaches the server
+// directly: a bare feedback frame on the star, and a single-contributor
+// aggregate under the star's plan spelled out as a depth-1 tree. The
+// deadline, escalation and corrupt-strike regressions run over both
+// with the same expectations — there is one collect behind them.
+var framings = []struct {
+	name string
+	topo cluster.Topology
+}{
+	{"feedback", nil},
+	{"aggregate", cluster.Tree{Depth: 1}},
+}
+
+// isContribution reports whether msg carries a worker's round
+// contribution in either framing.
+func isContribution(msg simnet.Message) bool {
+	return msg.Type == msgFeedback || msg.Type == msgAgg
+}
+
+// muteNet silently swallows the victim's first `mute` contribution
+// frames (a transient straggler: alive, computing, but its results never
+// reach the server), then lets everything through.
 type muteNet struct {
 	simnet.Net
 	victim string
@@ -83,7 +103,7 @@ type muteNet struct {
 }
 
 func (n *muteNet) Send(msg simnet.Message) error {
-	if msg.From == n.victim && msg.Type == msgFeedback {
+	if msg.From == n.victim && isContribution(msg) {
 		n.mu.Lock()
 		if n.mute > 0 {
 			n.mute--
@@ -97,7 +117,7 @@ func (n *muteNet) Send(msg simnet.Message) error {
 	return n.Net.Send(msg)
 }
 
-// blackholeNet swallows the victim's feedbacks AND pongs forever — a
+// blackholeNet swallows the victim's contributions AND pongs forever — a
 // worker that accepts work but never answers, the shape that must
 // escalate from suspect to demotion.
 type blackholeNet struct {
@@ -106,13 +126,13 @@ type blackholeNet struct {
 }
 
 func (n *blackholeNet) Send(msg simnet.Message) error {
-	if msg.From == n.victim && (msg.Type == msgFeedback || msg.Type == msgPong) {
+	if msg.From == n.victim && (isContribution(msg) || msg.Type == msgPong) {
 		return nil
 	}
 	return n.Net.Send(msg)
 }
 
-// garbleNet truncates the victim's feedback payloads so they cannot
+// garbleNet truncates the victim's contribution payloads so they cannot
 // decode (a corrupt frame, not merely wrong values).
 type garbleNet struct {
 	simnet.Net
@@ -122,7 +142,7 @@ type garbleNet struct {
 }
 
 func (n *garbleNet) Send(msg simnet.Message) error {
-	if msg.From == n.victim && msg.Type == msgFeedback {
+	if msg.From == n.victim && isContribution(msg) {
 		n.mu.Lock()
 		n.garbled++
 		n.mu.Unlock()
@@ -154,39 +174,44 @@ func TestRoundDeadlineSuspectsStragglerAndRejoins(t *testing.T) {
 			name = "pipelined"
 		}
 		t.Run(name, func(t *testing.T) {
-			before := goroutineBaseline()
-			inner := simnet.NewChannelNet(0)
-			net := &muteNet{Net: inner, victim: workerName(0), mute: 2}
-			shards := ringShards(4, 64, 401)
-			cfg := baseConfig()
-			cfg.Iters = 8
-			cfg.Pipeline = pipeline
-			cfg.Net = net
-			cfg.RoundTimeout = 150 * time.Millisecond
-			res, err := Train(shards, gan.RingMLP(), cfg, nil)
-			if err != nil {
-				t.Fatal(err)
+			for _, fr := range framings {
+				t.Run(fr.name, func(t *testing.T) {
+					before := goroutineBaseline()
+					inner := simnet.NewChannelNet(0)
+					net := &muteNet{Net: inner, victim: workerName(0), mute: 2}
+					shards := ringShards(4, 64, 401)
+					cfg := baseConfig()
+					cfg.Iters = 8
+					cfg.Pipeline = pipeline
+					cfg.Topology = fr.topo
+					cfg.Net = net
+					cfg.RoundTimeout = 150 * time.Millisecond
+					res, err := Train(shards, gan.RingMLP(), cfg, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Iters != cfg.Iters {
+						t.Fatalf("applied %d updates, want %d — the deadline must not stall the round loop", res.Iters, cfg.Iters)
+					}
+					if res.Faults.Timeouts < 2 || res.Faults.Suspects < 2 {
+						t.Fatalf("faults = %+v, want >=2 timeouts and suspects for 2 muted feedbacks", res.Faults)
+					}
+					if res.Faults.Rejoins < 1 {
+						t.Fatalf("faults = %+v, want at least one rejoin after the mute window", res.Faults)
+					}
+					if !contains(res.Live, net.victim) {
+						t.Fatalf("live = %v: the healed straggler must be re-admitted, not demoted", res.Live)
+					}
+					net.mu.Lock()
+					passed := net.passed
+					net.mu.Unlock()
+					if passed < 1 {
+						t.Fatal("the rejoined worker never contributed a feedback after healing")
+					}
+					inner.Close()
+					assertNoGoroutineLeak(t, before)
+				})
 			}
-			if res.Iters != cfg.Iters {
-				t.Fatalf("applied %d updates, want %d — the deadline must not stall the round loop", res.Iters, cfg.Iters)
-			}
-			if res.Faults.Timeouts < 2 || res.Faults.Suspects < 2 {
-				t.Fatalf("faults = %+v, want >=2 timeouts and suspects for 2 muted feedbacks", res.Faults)
-			}
-			if res.Faults.Rejoins < 1 {
-				t.Fatalf("faults = %+v, want at least one rejoin after the mute window", res.Faults)
-			}
-			if !contains(res.Live, net.victim) {
-				t.Fatalf("live = %v: the healed straggler must be re-admitted, not demoted", res.Live)
-			}
-			net.mu.Lock()
-			passed := net.passed
-			net.mu.Unlock()
-			if passed < 1 {
-				t.Fatal("the rejoined worker never contributed a feedback after healing")
-			}
-			inner.Close()
-			assertNoGoroutineLeak(t, before)
 		})
 	}
 }
@@ -196,33 +221,38 @@ func TestRoundDeadlineSuspectsStragglerAndRejoins(t *testing.T) {
 // consecutive misses demote it fail-stop style and the run completes
 // with the survivors.
 func TestRoundDeadlineEscalatesToDemotion(t *testing.T) {
-	before := goroutineBaseline()
-	inner := simnet.NewChannelNet(0)
-	net := &blackholeNet{Net: inner, victim: workerName(0)}
-	shards := ringShards(3, 64, 409)
-	cfg := baseConfig()
-	cfg.Iters = 6
-	cfg.Net = net
-	cfg.RoundTimeout = 60 * time.Millisecond
-	cfg.SuspectAfter = 2
-	res, err := Train(shards, gan.RingMLP(), cfg, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, fr := range framings {
+		t.Run(fr.name, func(t *testing.T) {
+			before := goroutineBaseline()
+			inner := simnet.NewChannelNet(0)
+			net := &blackholeNet{Net: inner, victim: workerName(0)}
+			shards := ringShards(3, 64, 409)
+			cfg := baseConfig()
+			cfg.Iters = 6
+			cfg.Topology = fr.topo
+			cfg.Net = net
+			cfg.RoundTimeout = 60 * time.Millisecond
+			cfg.SuspectAfter = 2
+			res, err := Train(shards, gan.RingMLP(), cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iters != cfg.Iters {
+				t.Fatalf("applied %d updates, want %d", res.Iters, cfg.Iters)
+			}
+			if res.Faults.Demotions != 1 {
+				t.Fatalf("faults = %+v, want exactly one demotion", res.Faults)
+			}
+			if contains(res.Live, net.victim) {
+				t.Fatalf("live = %v: a never-answering worker must be demoted", res.Live)
+			}
+			if res.Faults.Timeouts < cfg.SuspectAfter {
+				t.Fatalf("faults = %+v, want >=%d timeout ticks before demotion", res.Faults, cfg.SuspectAfter)
+			}
+			inner.Close()
+			assertNoGoroutineLeak(t, before)
+		})
 	}
-	if res.Iters != cfg.Iters {
-		t.Fatalf("applied %d updates, want %d", res.Iters, cfg.Iters)
-	}
-	if res.Faults.Demotions != 1 {
-		t.Fatalf("faults = %+v, want exactly one demotion", res.Faults)
-	}
-	if contains(res.Live, net.victim) {
-		t.Fatalf("live = %v: a never-answering worker must be demoted", res.Live)
-	}
-	if res.Faults.Timeouts < cfg.SuspectAfter {
-		t.Fatalf("faults = %+v, want >=%d timeout ticks before demotion", res.Faults, cfg.SuspectAfter)
-	}
-	inner.Close()
-	assertNoGoroutineLeak(t, before)
 }
 
 // TestCorruptFeedbackKeepsTraining is the fails-on-pre-fix regression
@@ -233,66 +263,76 @@ func TestRoundDeadlineEscalatesToDemotion(t *testing.T) {
 // while the other workers keep training.
 func TestCorruptFeedbackKeepsTraining(t *testing.T) {
 	t.Run("legacy-demotes-immediately", func(t *testing.T) {
-		before := goroutineBaseline()
-		inner := simnet.NewChannelNet(0)
-		net := &garbleNet{Net: inner, victim: workerName(1)}
-		shards := ringShards(3, 64, 419)
-		cfg := baseConfig()
-		cfg.Iters = 5
-		cfg.Net = net
-		res, err := Train(shards, gan.RingMLP(), cfg, nil)
-		if err != nil {
-			t.Fatalf("a corrupt feedback frame aborted the run: %v", err)
+		for _, fr := range framings {
+			t.Run(fr.name, func(t *testing.T) {
+				before := goroutineBaseline()
+				inner := simnet.NewChannelNet(0)
+				net := &garbleNet{Net: inner, victim: workerName(1)}
+				shards := ringShards(3, 64, 419)
+				cfg := baseConfig()
+				cfg.Iters = 5
+				cfg.Topology = fr.topo
+				cfg.Net = net
+				res, err := Train(shards, gan.RingMLP(), cfg, nil)
+				if err != nil {
+					t.Fatalf("a corrupt feedback frame aborted the run: %v", err)
+				}
+				if res.Iters != cfg.Iters {
+					t.Fatalf("applied %d updates, want %d", res.Iters, cfg.Iters)
+				}
+				if res.Faults.CorruptFrames < 1 {
+					t.Fatalf("faults = %+v, want a counted corrupt frame", res.Faults)
+				}
+				if contains(res.Live, net.victim) {
+					t.Fatalf("live = %v: without a deadline a corrupt sender is failed outright", res.Live)
+				}
+				inner.Close()
+				assertNoGoroutineLeak(t, before)
+			})
 		}
-		if res.Iters != cfg.Iters {
-			t.Fatalf("applied %d updates, want %d", res.Iters, cfg.Iters)
-		}
-		if res.Faults.CorruptFrames < 1 {
-			t.Fatalf("faults = %+v, want a counted corrupt frame", res.Faults)
-		}
-		if contains(res.Live, net.victim) {
-			t.Fatalf("live = %v: without a deadline a corrupt sender is failed outright", res.Live)
-		}
-		inner.Close()
-		assertNoGoroutineLeak(t, before)
 	})
 	t.Run("deadline-strikes-then-demotes", func(t *testing.T) {
-		before := goroutineBaseline()
-		inner := simnet.NewChannelNet(0)
-		net := &garbleNet{Net: inner, victim: workerName(1)}
-		shards := ringShards(3, 64, 421)
-		cfg := baseConfig()
-		cfg.Iters = 8
-		cfg.Net = net
-		// The victim garbles frames but still answers every round, so
-		// the deadline should never fire — it is armed only to select
-		// the suspect-then-demote strike path (generous, so it really
-		// never expires). Strikes are asserted as corrupt + timeout
-		// misses, not corrupt frames alone: after the first corrupt
-		// strike the victim is probed, and on a loaded 1-CPU host its
-		// pong can legitimately lose the scheduling race against the
-		// next round's probe sweep, ticking a timeout miss that
-		// consumes part of the budget. Demotion still must not come
-		// before SuspectAfter total misses, and at least one of them
-		// must be the corrupt-strike path this regression test exists
-		// for.
-		cfg.RoundTimeout = 2 * time.Second
-		cfg.SuspectAfter = 2
-		res, err := Train(shards, gan.RingMLP(), cfg, nil)
-		if err != nil {
-			t.Fatal(err)
+		for _, fr := range framings {
+			t.Run(fr.name, func(t *testing.T) {
+				before := goroutineBaseline()
+				inner := simnet.NewChannelNet(0)
+				net := &garbleNet{Net: inner, victim: workerName(1)}
+				shards := ringShards(3, 64, 421)
+				cfg := baseConfig()
+				cfg.Iters = 8
+				cfg.Topology = fr.topo
+				cfg.Net = net
+				// The victim garbles frames but still answers every round, so
+				// the deadline should never fire — it is armed only to select
+				// the suspect-then-demote strike path (generous, so it really
+				// never expires). Strikes are asserted as corrupt + timeout
+				// misses, not corrupt frames alone: after the first corrupt
+				// strike the victim is probed, and on a loaded 1-CPU host its
+				// pong can legitimately lose the scheduling race against the
+				// next round's probe sweep, ticking a timeout miss that
+				// consumes part of the budget. Demotion still must not come
+				// before SuspectAfter total misses, and at least one of them
+				// must be the corrupt-strike path this regression test exists
+				// for.
+				cfg.RoundTimeout = 2 * time.Second
+				cfg.SuspectAfter = 2
+				res, err := Train(shards, gan.RingMLP(), cfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Iters != cfg.Iters {
+					t.Fatalf("applied %d updates, want %d", res.Iters, cfg.Iters)
+				}
+				if res.Faults.CorruptFrames < 1 || res.Faults.CorruptFrames+res.Faults.Timeouts < cfg.SuspectAfter {
+					t.Fatalf("faults = %+v, want a corrupt strike and >=%d total misses before demotion", res.Faults, cfg.SuspectAfter)
+				}
+				if res.Faults.Demotions != 1 || contains(res.Live, net.victim) {
+					t.Fatalf("faults = %+v live = %v: the striker must be demoted at the budget", res.Faults, res.Live)
+				}
+				inner.Close()
+				assertNoGoroutineLeak(t, before)
+			})
 		}
-		if res.Iters != cfg.Iters {
-			t.Fatalf("applied %d updates, want %d", res.Iters, cfg.Iters)
-		}
-		if res.Faults.CorruptFrames < 1 || res.Faults.CorruptFrames+res.Faults.Timeouts < cfg.SuspectAfter {
-			t.Fatalf("faults = %+v, want a corrupt strike and >=%d total misses before demotion", res.Faults, cfg.SuspectAfter)
-		}
-		if res.Faults.Demotions != 1 || contains(res.Live, net.victim) {
-			t.Fatalf("faults = %+v live = %v: the striker must be demoted at the budget", res.Faults, res.Live)
-		}
-		inner.Close()
-		assertNoGoroutineLeak(t, before)
 	})
 }
 
@@ -368,7 +408,11 @@ func TestAsyncCorruptFeedbackKeepsTraining(t *testing.T) {
 	net := &garbleNet{Net: inner, victim: workerName(2)}
 	shards := ringShards(3, 64, 439)
 	cfg := baseConfig()
-	cfg.Iters = 12
+	// Long enough that the victim's first frame is consumed before the
+	// two clean workers finish the run on their own: at 12 iterations a
+	// loaded 2-CPU host starved the victim's goroutine past the end in
+	// ~2 % of runs, and the strike this test asserts never happened.
+	cfg.Iters = 96
 	cfg.Async = true
 	cfg.Net = net
 	res, err := Train(shards, gan.RingMLP(), cfg, nil)

@@ -76,9 +76,7 @@ func (s *server) processJoins(it int, spawn func(shard *dataset.Dataset) (*worke
 			} else if msg.Type == msgPong || msg.Type == msgFeedback {
 				// Evidence of life from a probed suspect must not be
 				// silently discarded while we wait for the clone reply.
-				if s.m.Reinstate(msg.From) {
-					delete(s.probes, msg.From)
-				}
+				s.noteAlive(msg.From)
 			}
 		}
 		// Hand the pre-trained discriminator to the joiner before it

@@ -22,11 +22,15 @@ func treeConfig() Config {
 
 // TestTreeAggregationMatchesFlat: a fault-free depth-2 tree must
 // produce the same generator update as the flat star up to
-// floating-point reassociation — the tree's per-batch gradient is
-// sum/received, exactly the flat groupMean·groupSize/received
-// decomposed. Compared over a couple of iterations (reassociation
-// drift compounds chaotically through Adam beyond that) within
-// tensor.Tol.
+// floating-point reassociation. What is still only tolerance-equal is
+// the WORKER side: an aggregator forwards f₀+f₁+f₂ where the star's
+// server would fold the same three terms into a longer mean, and the
+// server then sees one pre-summed item per group instead of three. The
+// server's own merge is no longer a source of drift — it is the star's
+// formula over whatever items arrive, pinned bitwise by
+// TestDepthOneTreeMatchesFlatBitwise. Compared over a couple of
+// iterations (reassociation drift compounds chaotically through Adam
+// beyond that) within tensor.Tol.
 func TestTreeAggregationMatchesFlat(t *testing.T) {
 	run := func(topo cluster.Topology, iters int) []float64 {
 		shards := ringShards(9, 96, 419)
@@ -52,6 +56,91 @@ func TestTreeAggregationMatchesFlat(t *testing.T) {
 					iters, i, tree[i], flat[i], d, tol*scale)
 			}
 		}
+	}
+}
+
+// TestDepthOneTreeMatchesFlatBitwise: cluster.Tree{Depth: 1} is the
+// star's plan spelled out — every worker a direct child of the server,
+// nobody aggregating — but in aggregate framing (msgAgg frames carrying
+// one single-contributor entry each). The server runs one collect and
+// one apply over either framing, so the generator must come out
+// bit-for-bit the same. Group size 3 makes the 1/3 mean scaling
+// inexact, which is what told the two former server-side arithmetics
+// (mean·size/received vs sum/received) apart in the last ulp.
+func TestDepthOneTreeMatchesFlatBitwise(t *testing.T) {
+	run := func(topo cluster.Topology) []float64 {
+		shards := ringShards(9, 96, 419)
+		cfg := baseConfig()
+		cfg.Iters = 12
+		cfg.K = 3
+		cfg.SwapEvery = 1
+		cfg.Topology = topo
+		res, err := Train(shards, gan.RingMLP(), cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.G.Net.ParamVector()
+	}
+	flat, tree := run(nil), run(cluster.Tree{Depth: 1})
+	for i := range flat {
+		if flat[i] != tree[i] {
+			t.Fatalf("param %d: depth-1 tree %v vs flat %v — the star in aggregate framing must be the star",
+				i, tree[i], flat[i])
+		}
+	}
+}
+
+// forgeNet replaces the victim's aggregate frames to the server with a
+// hand-built, wire-valid frame that lists contribs (batch index →
+// names) over zero sums.
+type forgeNet struct {
+	simnet.Net
+	victim   string
+	contribs map[int][]string
+	shape    []int
+}
+
+func (n *forgeNet) Send(msg simnet.Message) error {
+	if msg.From == n.victim && msg.To == serverName && msg.Type == msgAgg {
+		round, _ := aggRound(msg.Payload)
+		msg.Payload = forgedAggPayload(round, n.shape, n.contribs)
+	}
+	return n.Net.Send(msg)
+}
+
+// TestForgedAggregateContributorsStrikeSender is the regression for the
+// unvalidated-ingest defect: the server used to account every name an
+// aggregate frame listed. worker3 (which speaks for worker3..5) naming
+// worker7 marked worker7 contributed — and alive — on worker3's word;
+// worker7's real sum then arrived inside worker6's frame and was merged
+// anyway, so the round divided by the wrong count and nothing was
+// recorded. Such a frame is corrupt: its sender takes the strike (a
+// demotion, without a round deadline), its subtree sits the round out,
+// and the other two subtrees carry the run.
+func TestForgedAggregateContributorsStrikeSender(t *testing.T) {
+	inner := simnet.NewChannelNet(0)
+	defer inner.Close()
+	shards := ringShards(9, 96, 463)
+	cfg := treeConfig()
+	cfg.Iters = 6
+	cfg.SwapEvery = -1
+	// worker3's honest roster plus worker7. k = 2, so worker7 answers
+	// batch 1 like worker3 and worker5: only the subtree check stands
+	// between the forged name and the count.
+	cfg.Net = &forgeNet{Net: inner, victim: workerName(3), shape: []int{cfg.Batch, 2},
+		contribs: map[int][]string{0: {workerName(4)}, 1: {workerName(3), workerName(5), workerName(7)}}}
+	res, err := Train(shards, gan.RingMLP(), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iters != cfg.Iters {
+		t.Fatalf("iters = %d, want %d", res.Iters, cfg.Iters)
+	}
+	if got := res.Faults.Workers[workerName(3)].CorruptFrames; got != 1 {
+		t.Fatalf("worker3 corrupt frames = %d, want 1 (then demoted); faults: %+v", got, res.Faults)
+	}
+	if contains(res.Live, workerName(3)) || len(res.Live) != 8 {
+		t.Fatalf("live = %v, want everyone but the forger", res.Live)
 	}
 }
 

@@ -35,13 +35,14 @@ const (
 // adjacent round can never resolve the wrong rendezvous.
 // The topology fields route the W→C feedback through the round's
 // aggregation plan. Parent names where this worker sends its round
-// contribution: empty = directly to the server as a legacy msgFeedback
-// (the flat star), anything else = fold it into an msgAgg frame
-// addressed to Parent. Children lists the workers whose msgAgg/
-// msgFeedback frames this worker must reduce before forwarding (so a
+// contribution: empty = no plan, the flat star, answer the server with
+// a bare msgFeedback (the frame the wire-byte pins count; the server
+// ingests it as a single-contributor entry); anything else = fold it
+// into an msgAgg frame addressed to Parent. Children lists the workers
+// whose msgAgg frames this worker must reduce before forwarding (so a
 // non-empty Children makes the worker an aggregator this round), GIdx
-// is the generated-batch index the worker's own feedback answers (the
-// flat path keeps that mapping server-side), and AggWait bounds in
+// is the generated-batch index the worker's own feedback answers (on
+// the star the server fills that in itself), and AggWait bounds in
 // milliseconds how long an aggregator waits for its children before
 // forwarding a partial reduction (0 = wait until every child reports or
 // is skipped — strict fail-stop).

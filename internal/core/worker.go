@@ -258,7 +258,7 @@ func (w *worker) handleBatches(msg simnet.Message) bool {
 			return false
 		}
 	} else if bm.Parent == "" {
-		// Flat star: the legacy direct feedback frame to the server.
+		// Flat star (no plan): the bare feedback frame to the server.
 		if err := w.net.Send(simnet.Message{
 			From: w.name, To: serverName, Type: msgFeedback,
 			Kind: simnet.WtoC, Payload: encodeFeedbackCompressed(fn, w.compress),
@@ -296,7 +296,7 @@ func (w *worker) fabricateFeedback(xg *tensor.Tensor) *tensor.Tensor {
 // collect the children's contributions (none for a leaf), fold in our
 // own feedback, and forward the reduced frame to bm.Parent. Returns
 // false when the worker must stop (crashed inbox, or the parent IS the
-// server and it is gone — the same death the legacy feedback path
+// server and it is gone — the same death the bare feedback send
 // takes).
 func (w *worker) sendAggregate(fn *tensor.Tensor) bool {
 	bm := &w.bm

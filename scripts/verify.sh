@@ -23,9 +23,8 @@
 #                                  # still run inside the plain test suites)
 #   MDGAN_TOPO=off scripts/verify.sh
 #                                  # skip the topology gates (tree-vs-flat
-#                                  # engine equivalence under
-#                                  # MDGAN_TOPOLOGY=tree:2 and the depth-2
-#                                  # tree chaos soak)
+#                                  # equivalence, tree fault paths and the
+#                                  # depth-2 tree chaos soak)
 #   MDGAN_DEFENSE=off scripts/verify.sh
 #                                  # skip the defense/robustness gates
 #                                  # (free-rider demotion soaks, the
@@ -147,18 +146,19 @@ topology_gates() { # $1 = label, $2.. = go test args
     local name=$1
     shift
     [ "$topo" = off ] && return 0
-    # Named topology gates: the engine-equivalence suite re-run under a
-    # depth-2 aggregation tree (MDGAN_TOPOLOGY flips the strict test
-    # into a tree-vs-flat tolerance comparison — hierarchical partial
-    # sums are reassociation-equivalent to the flat mean, not bitwise),
-    # plus the tree-specific fault paths: ingress reduction, aggregator
-    # failure → leaf reparenting, goroutine reaping on every tree exit
-    # path, and the seeded chaos soak with a partitioned aggregator.
+    # Named topology gates: the star in aggregate framing must be the
+    # star bitwise (one server-side collect/apply), a depth-2 tree must
+    # match it within reassociation tolerance, plus the tree-specific
+    # fault paths: ingress reduction, aggregator failure → leaf
+    # reparenting, forged contributor lists, goroutine reaping on every
+    # tree exit path, and the seeded chaos soak with a partitioned
+    # aggregator. The tree:2 re-run of the strict engine cases is no
+    # longer here: it is an always-on axis of
+    # TestStrictEngineMatchesSerialReference (<case>/tree:2), so the
+    # plain suite and every engine_gates call above already cover it.
     echo "== [$name] topology gates (tree:2) =="
-    MDGAN_TOPOLOGY=tree:2 go test "$@" -count=1 \
-        -run 'TestStrictEngineMatchesSerialReference' ./internal/core
     go test -race "$@" -count=1 \
-        -run 'TestTreeAggregationMatchesFlat|TestTreeServerIngressReduction|TestAggregatorFailureReparentsChildren|TestTreeTrainExitPathsReapWorkers|TestChaosSoakTree' \
+        -run 'TestDepthOneTreeMatchesFlatBitwise|TestTreeAggregationMatchesFlat|TestTreeServerIngressReduction|TestAggregatorFailureReparentsChildren|TestForgedAggregateContributorsStrikeSender|TestTreeTrainExitPathsReapWorkers|TestChaosSoakTree' \
         ./internal/core
     go test "$@" -count=1 -run 'TestTreePlan|TestSubtree|TestParseTopology' ./internal/cluster
 }
