@@ -31,8 +31,8 @@ var benchScale = mdgan.Scale{
 	MLPHidden:    48,
 }
 
-// workerSweep aliases the canonical cluster-size axis so every
-// benchmark here stays in lockstep with the BENCH_<n>.json rows.
+// workerSweep aliases the canonical cluster-size axis shared with
+// mdgan-bench's Figure 4 sweep.
 var workerSweep = mdgan.WorkerSweep
 
 // figScale returns benchScale with the worker count overridden by the
@@ -219,9 +219,8 @@ func BenchmarkMDGANIterationPipelined(b *testing.B) {
 // internal/parallel. worker-steps/sec is the aggregate rate of
 // per-worker discriminator iterations.
 // Each K runs twice: the paper's flat star, and the depth-2 aggregation
-// tree that bounds server ingress by its fan-in — the names match the
-// BENCH_<n>.json rows, so the flat-vs-tree crossover is measurable on
-// the same axis.
+// tree that bounds server ingress by its fan-in, so the flat-vs-tree
+// crossover is measurable on the same axis.
 func BenchmarkMDGANIterationK(b *testing.B) {
 	for _, k := range workerSweep {
 		for _, topo := range []string{"", "tree:2"} {

@@ -128,10 +128,9 @@ func with(o Options, f func(*Options)) Options {
 	return o
 }
 
-// WorkerSweep is the canonical cluster-size axis of the per-K
-// throughput benchmarks and the BENCH_<n>.json trajectory rows
-// (BenchmarkMDGANIterationK and cmd/mdgan-bench share it, so the two
-// can never drift apart). The tail (100–500) is where the flat star's
+// WorkerSweep is the canonical cluster-size axis: the per-K throughput
+// benchmark (BenchmarkMDGANIterationK) and mdgan-bench's Figure 4
+// sweep share it. The tail (100–500) is where the flat star's
 // server ingress saturates and the tree topology starts paying off;
 // the training-backed Figure 4 sweep caps itself at 50 workers in
 // quick scale because it trains to convergence at every point.

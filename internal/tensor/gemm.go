@@ -194,9 +194,8 @@ func bestGemmTier() gemmTierID {
 // "avx2", "avx512", or ""/"best" for the widest available. It reports
 // whether the request was honoured; asking for a tier the CPU or build
 // lacks leaves the dispatch unchanged and returns false, so callers
-// (tests, verify.sh via MDGAN_GEMM_KERNEL, mdgan-bench's per-kernel
-// rows) skip gracefully. Not safe to call concurrently with running
-// GEMMs.
+// (tests, verify.sh via MDGAN_GEMM_KERNEL) skip gracefully. Not safe
+// to call concurrently with running GEMMs.
 func ForceGemmKernel(name string) bool {
 	switch name {
 	case "", "best":
@@ -250,19 +249,6 @@ func GemmKernels() []string {
 		ks = append(ks, "avx512")
 	}
 	return ks
-}
-
-// GemmLanes is the vector width, in elements of the compiled dtype, of
-// the current micro-kernel tier (1 for the scalar generic kernel).
-func GemmLanes() int {
-	switch gemmTier {
-	case tierAVX512:
-		return 64 / ElemBytes
-	case tierAVX2:
-		return 32 / ElemBytes
-	default:
-		return 1
-	}
 }
 
 // BPanelPacker fills one packed B panel for MatMulPacked: dst holds

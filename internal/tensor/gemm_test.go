@@ -379,9 +379,8 @@ func TestGemmParallelSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkGEMM measures the packed kernels at MD-GAN layer shapes;
-// the b.ReportMetric GFLOP/s figure is what mdgan-bench records into
-// the BENCH trajectory.
+// BenchmarkGEMM measures the packed kernels at MD-GAN layer shapes and
+// reports GFLOP/s via b.ReportMetric.
 func BenchmarkGEMM(b *testing.B) {
 	shapes := [][3]int{
 		{64, 800, 6272}, // conv2 forward: (OutC, C·KH·KW)·(ckk, N·oHW)

@@ -598,38 +598,3 @@ func runMDGAN(shards []*Dataset, arch Arch, o Options, curve *Curve, hook func(i
 	}
 	return out, nil
 }
-
-// RunOnShards is Run for pre-split shards (scalability experiments that
-// control data-vs-worker scaling explicitly). Standalone is not
-// supported here.
-func RunOnShards(shards []*Dataset, arch Arch, o Options, ev *Evaluator) (*RunResult, error) {
-	o = o.defaults()
-	curve := Curve{Name: string(o.Algorithm)}
-	hook := func(it int, g *Generator) {
-		if ev == nil {
-			return
-		}
-		s, f := ev.Eval(g, it)
-		curve.Iters = append(curve.Iters, it)
-		curve.Score = append(curve.Score, s)
-		curve.FID = append(curve.FID, f)
-	}
-	switch o.Algorithm {
-	case FLGAN:
-		cfg := flgan.Config{
-			TrainConfig:    o.trainConfig(),
-			Epochs:         o.Epochs,
-			CrashAt:        o.CrashAt,
-			ActivePerRound: o.ActivePerRound,
-		}
-		res, err := flgan.Train(shards, arch, cfg, flgan.EvalFunc(hook))
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Curve: curve, Traffic: res.Traffic, Live: res.Live, G: res.Model.G, Iters: res.Iters}, nil
-	case MDGAN:
-		return runMDGAN(shards, arch, o, &curve, hook)
-	default:
-		return nil, fmt.Errorf("mdgan: RunOnShards supports fl-gan and md-gan, not %q", o.Algorithm)
-	}
-}

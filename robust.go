@@ -1,9 +1,8 @@
 package mdgan
 
 // Robustness helpers for the facade: merging the free-rider schedule
-// into the Byzantine map, and the CLI spec parsers for the
-// -free-riders and -lifetimes flags shared by mdgan-train and
-// mdgan-bench.
+// into the Byzantine map, and the CLI spec parsers for mdgan-train's
+// -free-riders and -lifetimes flags.
 
 import (
 	"fmt"
