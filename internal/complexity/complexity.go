@@ -107,7 +107,12 @@ func ComputeTableII(p Params) TableII {
 
 // WorkerReduction returns the Table II headline: the factor by which
 // MD-GAN reduces per-worker computation relative to FL-GAN
-// ((|w|+|θ|)/|θ|, ≈ 2 when G and D are similar).
+// ((|w|+|θ|)/|θ|, ≈ 2 when G and D are similar). The model charges a
+// worker O(Ib|θ|) for each pass through D and nothing for gradients
+// nobody reads; gan.Feedback matches that charge — a forward plus an
+// input-only backward, no parameter gradient formed — and gan.DiscStep
+// forms no ∂L/∂x of its batches. The measured counterpart of this ratio
+// is gan.worker_cost_ratio_vs_flgan of go run ./bench.
 func WorkerReduction(p Params) float64 {
 	return float64(p.W+p.Theta) / float64(p.Theta)
 }

@@ -100,17 +100,21 @@ func (g *Generator) Generate(b int, rng *rand.Rand, train bool) (*tensor.Tensor,
 
 // Backward accumulates parameter gradients given ∂L/∂output — this is
 // exactly what the MD-GAN server does with the merged worker feedbacks.
+// The gradient with respect to the latent input is computed only when a
+// conditioning embedding sits behind it.
 func (g *Generator) Backward(grad *tensor.Tensor) {
+	if g.Embed == nil {
+		g.Net.BackwardWant(grad, nn.WantParams)
+		return
+	}
 	din := g.Net.Backward(grad)
-	if g.Embed != nil {
-		din = din.Reshape(din.Dim(0), din.Size()/din.Dim(0))
-		for i, lab := range g.labCache {
-			zi := g.zCache.Data[i*g.ZDim : (i+1)*g.ZDim]
-			gi := din.Data[i*g.ZDim : (i+1)*g.ZDim]
-			eg := g.Embed.Grad.Data[lab*g.ZDim : (lab+1)*g.ZDim]
-			for j := range zi {
-				eg[j] += gi[j] * zi[j]
-			}
+	din = din.Reshape(din.Dim(0), din.Size()/din.Dim(0))
+	for i, lab := range g.labCache {
+		zi := g.zCache.Data[i*g.ZDim : (i+1)*g.ZDim]
+		gi := din.Data[i*g.ZDim : (i+1)*g.ZDim]
+		eg := g.Embed.Grad.Data[lab*g.ZDim : (lab+1)*g.ZDim]
+		for j := range zi {
+			eg[j] += gi[j] * zi[j]
 		}
 	}
 }
@@ -219,10 +223,20 @@ func (d *Discriminator) Forward(x *tensor.Tensor, train bool) (src, cls *tensor.
 	return src, cls
 }
 
-// Backward merges head gradients into the trunk and returns ∂L/∂input —
-// the error-feedback path of MD-GAN. clsGrad may be nil.
+// Backward merges head gradients into the trunk, accumulates every
+// parameter gradient and returns ∂L/∂input. clsGrad may be nil.
 func (d *Discriminator) Backward(srcGrad, clsGrad *tensor.Tensor) *tensor.Tensor {
-	featGrad := d.Src.Backward(srcGrad)
+	return d.BackwardWant(srcGrad, clsGrad, nn.WantParams|nn.WantInput)
+}
+
+// BackwardWant is Backward restricted to the gradients the caller will
+// read (nn's want-set rule): nn.WantParams alone is a discriminator
+// update, which never reads ∂L/∂input and gets nil; nn.WantInput alone
+// is the error-feedback path of MD-GAN, which leaves every parameter
+// gradient untouched. The heads always produce their input gradient —
+// the trunk consumes it.
+func (d *Discriminator) BackwardWant(srcGrad, clsGrad *tensor.Tensor, want nn.Want) *tensor.Tensor {
+	featGrad := d.Src.BackwardWant(srcGrad, want|nn.WantInput)
 	if clsGrad != nil {
 		if d.Cls == nil {
 			panic("gan: class gradient without class head")
@@ -230,9 +244,9 @@ func (d *Discriminator) Backward(srcGrad, clsGrad *tensor.Tensor) *tensor.Tensor
 		// featGrad is the Src head's gradient buffer; merging in place
 		// is safe because it is consumed by the trunk before the head's
 		// next Backward.
-		featGrad.AddInPlace(d.Cls.Backward(clsGrad))
+		featGrad.AddInPlace(d.Cls.BackwardWant(clsGrad, want|nn.WantInput))
 	}
-	return d.Trunk.Backward(featGrad)
+	return d.Trunk.BackwardWant(featGrad, want)
 }
 
 // Params returns all learnable parameters. The slice is cached (it is
@@ -377,7 +391,9 @@ type GAN struct {
 
 // DiscStep performs one discriminator learning step (§II.1): gradient
 // of Jdisc on a real batch (xr, lr) and a generated batch (xg, lg),
-// followed by one optimiser update. Returns the discriminator loss.
+// followed by one optimiser update. Only parameter gradients are
+// back-propagated; ∂L/∂x of either batch is never formed. Returns the
+// discriminator loss.
 func DiscStep(d *Discriminator, lc LossConfig, optD opt.Optimizer, xr *tensor.Tensor, lr []int, xg *tensor.Tensor, lg []int) float64 {
 	d.ZeroGrads()
 	loss := 0.0
@@ -391,7 +407,7 @@ func DiscStep(d *Discriminator, lc LossConfig, optD opt.Optimizer, xr *tensor.Te
 		loss += lc.ClsWeight * lCls
 		gCls = gc.ScaleInPlace(lc.ClsWeight)
 	}
-	d.Backward(gSrc, gCls)
+	d.BackwardWant(gSrc, gCls, nn.WantParams)
 	// Generated batch, target 0; the class head also trains on the
 	// intended labels of the generated samples (ACGAN).
 	src, cls = d.Forward(xg, true)
@@ -403,7 +419,7 @@ func DiscStep(d *Discriminator, lc LossConfig, optD opt.Optimizer, xr *tensor.Te
 		loss += lc.ClsWeight * lCls
 		gCls = gc.ScaleInPlace(lc.ClsWeight)
 	}
-	d.Backward(gSrc, gCls)
+	d.BackwardWant(gSrc, gCls, nn.WantParams)
 	optD.Step(d.Params())
 	return loss
 }
@@ -411,10 +427,12 @@ func DiscStep(d *Discriminator, lc LossConfig, optD opt.Optimizer, xr *tensor.Te
 // Feedback computes the MD-GAN error feedback F_n (§IV-B2): the
 // gradient of the generator objective with respect to the generated
 // batch xg, obtained by backpropagating through the discriminator to
-// its input. The discriminator's parameter gradients are zeroed
-// afterwards (no D update happens here). Returns (F_n, generator loss).
-// F_n aliases the discriminator's input-gradient buffer and is valid
-// until the discriminator's next Backward call.
+// its input. Only that input gradient is computed: the discriminator's
+// parameter gradients are left untouched (no D update happens here), so
+// the call costs a forward plus an input-backward — the O(Ib|θ|) Table
+// II charges a worker for it. Returns (F_n, generator loss). F_n
+// aliases the discriminator's input-gradient buffer and is valid until
+// the discriminator's next Backward call.
 func Feedback(d *Discriminator, lc LossConfig, xg *tensor.Tensor, lg []int) (*tensor.Tensor, float64) {
 	src, cls := d.Forward(xg, true)
 	loss, gSrc := nn.GeneratorLoss(src, lc.GenLoss)
@@ -424,9 +442,7 @@ func Feedback(d *Discriminator, lc LossConfig, xg *tensor.Tensor, lg []int) (*te
 		loss += lc.ClsWeight * lCls
 		gCls = gc.ScaleInPlace(lc.ClsWeight)
 	}
-	fn := d.Backward(gSrc, gCls)
-	d.ZeroGrads()
-	return fn, loss
+	return d.BackwardWant(gSrc, gCls, nn.WantInput), loss
 }
 
 // GenStepLocal performs one local generator learning step (§II.2) as a

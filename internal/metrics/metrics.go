@@ -86,7 +86,7 @@ func TrainScorer(ds *dataset.Dataset, cfg ScorerConfig) *Scorer {
 		_, grad := nn.SoftmaxCrossEntropy(logits, labels)
 		trunk.ZeroGrads()
 		head.ZeroGrads()
-		trunk.Backward(head.Backward(grad))
+		trunk.BackwardWant(head.Backward(grad), nn.WantParams)
 		optim.Step(params)
 	}
 	return s

@@ -292,6 +292,14 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // The weight gradient re-reads the retained input through the fused
 // transposed im2col packer, so no workspace survives the pass.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return c.BackwardWant(grad, WantParams|WantInput)
+}
+
+// BackwardWant is Backward restricted to want: the gather of grad is
+// shared, the fused dW product and bias reduction run only with
+// WantParams, and Wᵀ·gy with its col2im scatter only with WantInput
+// (nil otherwise).
+func (c *Conv2D) BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor {
 	g := c.geom
 	n := c.x.Dim(0)
 	oHW := g.outH * g.outW
@@ -318,14 +326,21 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	// dW += gy·col(x)ᵀ and dB += per-channel sums: one fused matmul (the
 	// transposed im2col packed straight from x), one contiguous
 	// reduction.
-	tensor.MatMulPackedAdd(c.W.Grad, gy, ckk, g.packIm2colT(c.x.Data, inVol, ckk))
-	db := c.B.Grad.Data
-	for oc := 0; oc < c.OutC; oc++ {
-		sum := 0.0
-		for _, v := range gyd[oc*n*oHW : (oc+1)*n*oHW] {
-			sum += float64(v)
+	if want&WantParams != 0 {
+		tensor.MatMulPackedAdd(c.W.Grad, gy, ckk, g.packIm2colT(c.x.Data, inVol, ckk))
+		db := c.B.Grad.Data
+		for oc := 0; oc < c.OutC; oc++ {
+			sum := 0.0
+			for _, v := range gyd[oc*n*oHW : (oc+1)*n*oHW] {
+				sum += float64(v)
+			}
+			db[oc] += tensor.Elem(sum)
 		}
-		db[oc] += tensor.Elem(sum)
+	}
+	c.trained = false
+	if want&WantInput == 0 {
+		tensor.Put(gy)
+		return nil
 	}
 
 	// dcol = Wᵀ·gy, scattered back per image into dx.
@@ -341,7 +356,6 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 	})
 	tensor.Put(dcol)
-	c.trained = false
 	return c.dx
 }
 
@@ -456,6 +470,13 @@ func (c *ConvTranspose2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // materialised: both products consume it through the fused
 // packIm2col/packIm2colT packers shared with Conv2D.
 func (c *ConvTranspose2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return c.BackwardWant(grad, WantParams|WantInput)
+}
+
+// BackwardWant is Backward restricted to want: the dx̂ product and its
+// unpack run only with WantInput (nil otherwise), the x̂ repack, the
+// fused dW product and the bias reduction only with WantParams.
+func (c *ConvTranspose2D) BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor {
 	g := c.geom
 	n := c.x.Dim(0)
 	hw := c.inH * c.inW
@@ -468,52 +489,58 @@ func (c *ConvTranspose2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	gd := grad.Data
 
-	// dx̂ = W·im2col(grad) (InC, n·hw), the gradient unrolled straight
-	// into the GEMM's packed B panels, then unpacked to (n, InC, hw).
-	dxhat := tensor.Get(c.InC, n*hw)
-	tensor.MatMulPacked(dxhat, c.W.W, n*hw, g.packIm2col(gd, outVol, n*hw))
-	c.dx = tensor.Ensure(c.dx, c.x.Shape()...)
-	dxd, dh := c.dx.Data, dxhat.Data
 	inC := c.InC
-	forImages(n, inVol, func(s, e int) {
-		for i := s; i < e; i++ {
-			for ic := 0; ic < inC; ic++ {
-				copy(dxd[i*inVol+ic*hw:i*inVol+(ic+1)*hw], dh[ic*n*hw+i*hw:ic*n*hw+(i+1)*hw])
+	var dx *tensor.Tensor
+	if want&WantInput != 0 {
+		// dx̂ = W·im2col(grad) (InC, n·hw), the gradient unrolled straight
+		// into the GEMM's packed B panels, then unpacked to (n, InC, hw).
+		dxhat := tensor.Get(c.InC, n*hw)
+		tensor.MatMulPacked(dxhat, c.W.W, n*hw, g.packIm2col(gd, outVol, n*hw))
+		c.dx = tensor.Ensure(c.dx, c.x.Shape()...)
+		dx = c.dx
+		dxd, dh := dx.Data, dxhat.Data
+		forImages(n, inVol, func(s, e int) {
+			for i := s; i < e; i++ {
+				for ic := 0; ic < inC; ic++ {
+					copy(dxd[i*inVol+ic*hw:i*inVol+(ic+1)*hw], dh[ic*n*hw+i*hw:ic*n*hw+(i+1)*hw])
+				}
 			}
-		}
-	})
-	tensor.Put(dxhat)
+		})
+		tensor.Put(dxhat)
+	}
 
-	// dW += x̂·im2col(grad)ᵀ: the left operand is the channel-major
-	// repack of x (a cheap transient, InC·n·hw — released before
-	// returning), and the transposed im2col of the gradient is packed
-	// straight into B panels.
-	xhat := tensor.Get(c.InC, n*hw)
-	xd, xh := c.x.Data, xhat.Data
-	forImages(n, inVol, func(s, e int) {
-		for i := s; i < e; i++ {
-			for ic := 0; ic < inC; ic++ {
-				copy(xh[ic*n*hw+i*hw:ic*n*hw+(i+1)*hw], xd[i*inVol+ic*hw:i*inVol+(ic+1)*hw])
+	if want&WantParams != 0 {
+		// dW += x̂·im2col(grad)ᵀ: the left operand is the channel-major
+		// repack of x (a cheap transient, InC·n·hw — released before
+		// returning), and the transposed im2col of the gradient is packed
+		// straight into B panels.
+		xhat := tensor.Get(c.InC, n*hw)
+		xd, xh := c.x.Data, xhat.Data
+		forImages(n, inVol, func(s, e int) {
+			for i := s; i < e; i++ {
+				for ic := 0; ic < inC; ic++ {
+					copy(xh[ic*n*hw+i*hw:ic*n*hw+(i+1)*hw], xd[i*inVol+ic*hw:i*inVol+(ic+1)*hw])
+				}
 			}
-		}
-	})
-	tensor.MatMulPackedAdd(c.W.Grad, xhat, ckk, g.packIm2colT(gd, outVol, ckk))
-	tensor.Put(xhat)
+		})
+		tensor.MatMulPackedAdd(c.W.Grad, xhat, ckk, g.packIm2colT(gd, outVol, ckk))
+		tensor.Put(xhat)
 
-	// dB sums the gradient per output channel.
-	db := c.B.Grad.Data
-	for i := 0; i < n; i++ {
-		gi := gd[i*outVol : (i+1)*outVol]
-		for oc := 0; oc < c.OutC; oc++ {
-			sum := 0.0
-			for _, v := range gi[oc*oPlane : (oc+1)*oPlane] {
-				sum += float64(v)
+		// dB sums the gradient per output channel.
+		db := c.B.Grad.Data
+		for i := 0; i < n; i++ {
+			gi := gd[i*outVol : (i+1)*outVol]
+			for oc := 0; oc < c.OutC; oc++ {
+				sum := 0.0
+				for _, v := range gi[oc*oPlane : (oc+1)*oPlane] {
+					sum += float64(v)
+				}
+				db[oc] += tensor.Elem(sum)
 			}
-			db[oc] += tensor.Elem(sum)
 		}
 	}
 	c.trained = false
-	return c.dx
+	return dx
 }
 
 // Params returns the kernel and bias.

@@ -55,11 +55,23 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward accumulates dW += xᵀ·g, db += Σ_rows g directly into the
 // parameter gradients and returns g·Wᵀ in a layer-owned buffer.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return d.BackwardWant(grad, WantParams|WantInput)
+}
+
+// BackwardWant is Backward restricted to want: the weight-gradient
+// product and bias reduction run only with WantParams, the g·Wᵀ product
+// only with WantInput (nil otherwise).
+func (d *Dense) BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor {
 	if grad.Rank() != 2 {
 		grad = grad.Reshape(grad.Dim(0), grad.Size()/grad.Dim(0))
 	}
-	tensor.MatMulT1Add(d.W.Grad, d.x, grad)
-	grad.SumRowsAdd(d.B.Grad)
+	if want&WantParams != 0 {
+		tensor.MatMulT1Add(d.W.Grad, d.x, grad)
+		grad.SumRowsAdd(d.B.Grad)
+	}
+	if want&WantInput == 0 {
+		return nil
+	}
 	d.dx = tensor.Ensure(d.dx, grad.Dim(0), d.In)
 	tensor.MatMulT2Into(d.dx, grad, d.W.W)
 	return d.dx

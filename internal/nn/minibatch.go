@@ -80,17 +80,17 @@ func (l *MinibatchDiscrimination) Forward(x *tensor.Tensor, train bool) *tensor.
 // Backward propagates through both the concatenated pass-through part
 // and the similarity features.
 func (l *MinibatchDiscrimination) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return l.BackwardWant(grad, WantParams|WantInput)
+}
+
+// BackwardWant is Backward restricted to want: dM is shared, dT += xᵀ·dM
+// runs only with WantParams, the pass-through copy and dM·Tᵀ only with
+// WantInput (nil otherwise).
+func (l *MinibatchDiscrimination) BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor {
 	n := l.x.Dim(0)
 	l.dm = tensor.Ensure(l.dm, n, l.B*l.C)
 	l.dm.Zero()
 	dm := l.dm
-	l.dx = tensor.Ensure(l.dx, n, l.A)
-	l.dx.Zero()
-	dx := l.dx
-	// Pass-through component.
-	for i := 0; i < n; i++ {
-		copy(dx.Data[i*l.A:(i+1)*l.A], grad.Data[i*(l.A+l.B):i*(l.A+l.B)+l.A])
-	}
 	// Similarity component: for every pair (i, j) and kernel b,
 	// dM_{i,b,c} += −(go_{i,b} + go_{j,b})·c_{ijb}·sign(M_{i,b,c} − M_{j,b,c}).
 	for i := 0; i < n; i++ {
@@ -117,8 +117,18 @@ func (l *MinibatchDiscrimination) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	// dT += xᵀ·dM; dx += dM·Tᵀ.
-	tensor.MatMulT1Add(l.T.Grad, l.x, dm)
+	if want&WantParams != 0 {
+		tensor.MatMulT1Add(l.T.Grad, l.x, dm) // dT += xᵀ·dM
+	}
+	if want&WantInput == 0 {
+		return nil
+	}
+	// dx = pass-through component + dM·Tᵀ.
+	l.dx = tensor.Ensure(l.dx, n, l.A)
+	dx := l.dx
+	for i := 0; i < n; i++ {
+		copy(dx.Data[i*l.A:(i+1)*l.A], grad.Data[i*(l.A+l.B):i*(l.A+l.B)+l.A])
+	}
 	tensor.MatMulT2Add(dx, dm, l.T.W)
 	return dx
 }

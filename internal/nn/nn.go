@@ -27,6 +27,23 @@
 // contract_test.go pins the serve-side retention sites (responses,
 // the /preview cache) the way core's pins the engine's.
 //
+// Want-sets: a training step rarely reads everything a backward pass
+// can produce — a discriminator update reads parameter gradients and
+// never ∂L/∂x of the data, the MD-GAN feedback reads ∂L/∂x and never a
+// parameter gradient. BackwardWant takes the set of gradients the
+// caller will read (WantParams, WantInput) as an argument of the call;
+// nothing is stored on a layer, and Backward(grad) keeps meaning
+// "both". Parameter layers skip the product, reduction and buffer of
+// what was not asked for: without WantParams no Param.Grad is touched
+// (not accumulated into, not zeroed), and without WantInput the result
+// is nil — never the buffer a previous call returned. Inside a
+// Sequential only the first parameter layer can drop its input
+// gradient (every later one feeds the layer below it) and the
+// parameter-free layers in front of it are not run at all. Whatever is
+// computed is computed by the same operations in the same order as
+// under Backward, so it is bitwise the same. A Layer that does not
+// implement BackwardWant gets a plain Backward.
+//
 // The discipline extends DOWN the stack too, into the packed GEMM's
 // pack-panel pool: Conv2D's im2col operand is never materialised —
 // tensor.MatMulPacked fills pool-backed B panels through a fused packer
@@ -93,6 +110,22 @@ type Layer interface {
 	Clone() Layer
 }
 
+// Want is the set of gradients the caller of a backward pass will read.
+type Want uint8
+
+const (
+	// WantParams asks for ∂L/∂θ accumulated into every Param.Grad.
+	WantParams Want = 1 << iota
+	// WantInput asks for ∂L/∂x as the pass's result.
+	WantInput
+)
+
+// wantBackwarder is a Layer whose backward pass can leave out what the
+// want-set does not name. It returns nil without WantInput.
+type wantBackwarder interface {
+	BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor
+}
+
 // Sequential chains layers. Layers must not be modified after the
 // first Params call (the flattened parameter list is cached — it is
 // consulted several times per training step by ZeroGrads and the
@@ -101,6 +134,7 @@ type Sequential struct {
 	Layers []Layer
 
 	params      []*Param
+	firstParam  int // index of the first layer with parameters, len(Layers) if none
 	paramsBuilt bool
 }
 
@@ -115,11 +149,36 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// Backward runs the layers in reverse, returning the gradient with
-// respect to the network input.
+// Backward runs the layers in reverse, accumulating every parameter
+// gradient and returning the gradient with respect to the network
+// input.
 func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = s.Layers[i].Backward(grad)
+	return s.BackwardWant(grad, WantParams|WantInput)
+}
+
+// BackwardWant is Backward restricted to the gradients in want (see the
+// package doc). Without WantInput it returns nil, stops at the first
+// parameter layer and lets that layer drop its input gradient; every
+// layer above still produces one, because the layer below consumes it.
+func (s *Sequential) BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor {
+	first := 0
+	if want&WantInput == 0 {
+		s.Params() // fills firstParam on first use
+		first = s.firstParam
+	}
+	for i := len(s.Layers) - 1; i >= first; i-- {
+		lw := want | WantInput
+		if i == first {
+			lw = want
+		}
+		if l, ok := s.Layers[i].(wantBackwarder); ok {
+			grad = l.BackwardWant(grad, lw)
+		} else {
+			grad = s.Layers[i].Backward(grad)
+		}
+	}
+	if want&WantInput == 0 {
+		return nil
 	}
 	return grad
 }
@@ -129,8 +188,13 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // it in place (copy first, as Discriminator.Params does).
 func (s *Sequential) Params() []*Param {
 	if !s.paramsBuilt {
-		for _, l := range s.Layers {
-			s.params = append(s.params, l.Params()...)
+		s.firstParam = len(s.Layers)
+		for i, l := range s.Layers {
+			ps := l.Params()
+			if len(ps) > 0 && s.firstParam == len(s.Layers) {
+				s.firstParam = i
+			}
+			s.params = append(s.params, ps...)
 		}
 		s.paramsBuilt = true
 	}

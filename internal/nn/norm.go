@@ -116,11 +116,21 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements the standard batch-norm gradient (training-mode
 // statistics).
 func (bn *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return bn.BackwardWant(grad, WantParams|WantInput)
+}
+
+// BackwardWant is Backward restricted to want: the per-channel sums
+// serve both gradients, dγ and dβ are accumulated only with WantParams
+// and the dx sweep runs only with WantInput (nil otherwise).
+func (bn *BatchNorm) BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor {
 	n := bn.shape[0]
 	s := bn.spatial
 	cnt := float64(n * s)
-	bn.dx = tensor.Ensure(bn.dx, bn.shape...)
-	dx := bn.dx
+	var dx *tensor.Tensor
+	if want&WantInput != 0 {
+		bn.dx = tensor.Ensure(bn.dx, bn.shape...)
+		dx = bn.dx
+	}
 	for c := 0; c < bn.C; c++ {
 		g := float64(bn.Gamma.W.Data[c])
 		inv := bn.std[c]
@@ -133,8 +143,13 @@ func (bn *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				sumDyXhat += dy * float64(bn.xhat.Data[base+j])
 			}
 		}
-		bn.Beta.Grad.Data[c] += tensor.Elem(sumDy)
-		bn.Gamma.Grad.Data[c] += tensor.Elem(sumDyXhat)
+		if want&WantParams != 0 {
+			bn.Beta.Grad.Data[c] += tensor.Elem(sumDy)
+			bn.Gamma.Grad.Data[c] += tensor.Elem(sumDyXhat)
+		}
+		if dx == nil {
+			continue
+		}
 		scale := tensor.Elem(g * inv)
 		mDy, mDyXh := tensor.Elem(sumDy/cnt), tensor.Elem(sumDyXhat/cnt)
 		for i := 0; i < n; i++ {

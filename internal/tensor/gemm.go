@@ -39,6 +39,20 @@ package tensor
 // itself masks the ragged C store, on the other tiers the edge tile is
 // computed into an on-stack buffer and only the valid region merged.
 //
+// At the paper's batch size (b = 10) a layer's weight matrix is packed
+// once per call and multiplied by ten rows, so the packers run at the
+// speed of the copy or they are the GEMM. A full-width panel of either
+// operand is one of two shapes, shared by packAPanels and packBStrided:
+// w-wide contiguous source rows stacked k-deep (row-major B, stored-
+// transpose A — packRows) or w contiguous source runs interleaved by k
+// (stored-transpose B, i.e. every MatMulT2* and so every Dense input
+// gradient, and row-major A — packCols). Both are specialised at the
+// live tile widths 4, 8 and 16: packRows moves a 32- or 64-byte row
+// without a call into runtime.memmove, packCols reads its runs side by
+// side in one pass over the panel instead of one strided pass per run.
+// Ragged edge panels and general-stride views keep the element loops;
+// every path writes the same bytes (TestPackersMatchReference).
+//
 // The k dimension is never split across tasks: block pc accumulates
 // into C before block pc+1 starts, so every C element is produced by a
 // deterministic addition chain and results do not depend on the
@@ -222,8 +236,8 @@ func ForceGemmKernel(name string) bool {
 
 // GemmKernel names the micro-kernel the packed GEMM currently
 // dispatches to: "avx512", "avx2+fma", or "generic", with "(noasm)"
-// marking builds that compiled the assembly out. Benchmarks record it
-// so BENCH rows are attributable to a kernel variant.
+// marking builds that compiled the assembly out. It is a diagnostic:
+// tests print it when they skip for want of a tier.
 func GemmKernel() string {
 	switch gemmTier {
 	case tierAVX512:
@@ -292,12 +306,113 @@ func mustRank2(a *Tensor, op string) (d0, d1 int) {
 	return a.shape[0], a.shape[1]
 }
 
+// packRows fills a full-width packed panel from w-wide contiguous
+// source rows: dst[kk*w+r] = src[kk*stride+r] for kk < kc, r < w. It is
+// the full-panel body of row-major B and of a stored-transpose A. A row
+// is 32 or 64 bytes at the live tile widths, where a copy call spends
+// more in runtime.memmove's prologue than on the bytes, so widths 4 and
+// 8 move element by element and width 16 (f32 on AVX-512) through a
+// local array, which the compiler turns into four vector moves; a plain
+// array-to-array assignment would still call memmove, since dst and src
+// may alias as far as it can tell.
+func packRows(dst, src []Elem, stride, kc, w int) {
+	o := 0
+	switch w {
+	case 4:
+		for kk := 0; kk < kc; kk++ {
+			s := src[kk*stride : kk*stride+4 : kk*stride+4]
+			d := dst[o : o+4 : o+4]
+			d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
+			o += 4
+		}
+	case 8:
+		for kk := 0; kk < kc; kk++ {
+			s := src[kk*stride : kk*stride+8 : kk*stride+8]
+			d := dst[o : o+8 : o+8]
+			d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
+			d[4], d[5], d[6], d[7] = s[4], s[5], s[6], s[7]
+			o += 8
+		}
+	case 16:
+		for kk := 0; kk < kc; kk++ {
+			row := *(*[16]Elem)(src[kk*stride:])
+			*(*[16]Elem)(dst[o:]) = row
+			o += 16
+		}
+	default:
+		for kk := 0; kk < kc; kk++ {
+			copy(dst[o:o+w], src[kk*stride:kk*stride+w])
+			o += w
+		}
+	}
+}
+
+// packCols fills a full-width packed panel by interleaving w contiguous
+// source runs of length kc: dst[kk*w+r] = src[r*stride+kk]. It is the
+// full-panel body of row-major A and of a stored-transpose B (every
+// MatMulT2*, i.e. every Dense input gradient). The live tile widths
+// read their runs side by side in one pass over dst, four or eight at a
+// time; any other width falls back to one strided pass per run.
+func packCols(dst, src []Elem, stride, kc, w int) {
+	switch w {
+	case 4:
+		r0 := src[:kc]
+		r1 := src[stride:][:kc]
+		r2 := src[2*stride:][:kc]
+		r3 := src[3*stride:][:kc]
+		o := 0
+		for kk, v := range r0 {
+			d := dst[o : o+4 : o+4]
+			d[0], d[1], d[2], d[3] = v, r1[kk], r2[kk], r3[kk]
+			o += 4
+		}
+	case 8, 16:
+		for off := 0; off < w; off += 8 {
+			s := src[off*stride:]
+			r0 := s[:kc]
+			r1 := s[stride:][:kc]
+			r2 := s[2*stride:][:kc]
+			r3 := s[3*stride:][:kc]
+			r4 := s[4*stride:][:kc]
+			r5 := s[5*stride:][:kc]
+			r6 := s[6*stride:][:kc]
+			r7 := s[7*stride:][:kc]
+			o := off
+			for kk, v := range r0 {
+				d := dst[o : o+8 : o+8]
+				d[0], d[1], d[2], d[3] = v, r1[kk], r2[kk], r3[kk]
+				d[4], d[5], d[6], d[7] = r4[kk], r5[kk], r6[kk], r7[kk]
+				o += w
+			}
+		}
+	default:
+		for r := 0; r < w; r++ {
+			o := r
+			for _, v := range src[r*stride:][:kc] {
+				dst[o] = v
+				o += w
+			}
+		}
+	}
+}
+
 // packBStrided fills one packed panel of a stored B operand viewed as
 // B[kk][j] = b[kk*rs + j*cs] with n logical columns (the default packer
-// behind the nine MatMul entry points).
+// behind the nine MatMul entry points). Full panels of a row-major or
+// stored-transpose operand take packRows / packCols; ragged edge panels
+// and the general-stride view keep the element loops below. Either way
+// the panel's bytes are the same.
 func packBStrided(dst []Elem, b []Elem, rs, cs, n, k0, k1, j0, nr int) {
 	jn := n - j0 // valid columns in this panel
-	if jn > nr {
+	if jn >= nr {
+		if cs == 1 {
+			packRows(dst, b[k0*rs+j0:], rs, k1-k0, nr)
+			return
+		}
+		if rs == 1 {
+			packCols(dst, b[j0*cs+k0:], cs, k1-k0, nr)
+			return
+		}
 		jn = nr
 	}
 	if cs == 1 {
@@ -350,53 +465,16 @@ func packAPanels(dst []Elem, a []Elem, rs, cs, m, p0, p1, k0, k1 int) {
 		i0 := p * mr
 		pan := dst[(p-p0)*mr*kc : (p-p0+1)*mr*kc]
 		rows := m - i0
-		if rows >= mr && cs == 1 && mr == 4 {
-			// Full panel of row-major A: interleave the 4 contiguous
-			// source rows of the base tile.
-			r0 := a[(i0+0)*rs+k0 : (i0+0)*rs+k1]
-			r1 := a[(i0+1)*rs+k0 : (i0+1)*rs+k1][:kc]
-			r2 := a[(i0+2)*rs+k0 : (i0+2)*rs+k1][:kc]
-			r3 := a[(i0+3)*rs+k0 : (i0+3)*rs+k1][:kc]
-			o := 0
-			for kk, v := range r0 {
-				pan[o] = v
-				pan[o+1] = r1[kk]
-				pan[o+2] = r2[kk]
-				pan[o+3] = r3[kk]
-				o += 4
-			}
-			continue
-		}
-		if rows >= mr && cs == 1 && mr == 8 {
-			// Full panel of row-major A at the AVX-512 tile height.
-			r0 := a[(i0+0)*rs+k0 : (i0+0)*rs+k1]
-			r1 := a[(i0+1)*rs+k0 : (i0+1)*rs+k1][:kc]
-			r2 := a[(i0+2)*rs+k0 : (i0+2)*rs+k1][:kc]
-			r3 := a[(i0+3)*rs+k0 : (i0+3)*rs+k1][:kc]
-			r4 := a[(i0+4)*rs+k0 : (i0+4)*rs+k1][:kc]
-			r5 := a[(i0+5)*rs+k0 : (i0+5)*rs+k1][:kc]
-			r6 := a[(i0+6)*rs+k0 : (i0+6)*rs+k1][:kc]
-			r7 := a[(i0+7)*rs+k0 : (i0+7)*rs+k1][:kc]
-			o := 0
-			for kk, v := range r0 {
-				pan[o] = v
-				pan[o+1] = r1[kk]
-				pan[o+2] = r2[kk]
-				pan[o+3] = r3[kk]
-				pan[o+4] = r4[kk]
-				pan[o+5] = r5[kk]
-				pan[o+6] = r6[kk]
-				pan[o+7] = r7[kk]
-				o += 8
-			}
+		if rows >= mr && cs == 1 {
+			// Full panel of row-major A: interleave its mr contiguous
+			// source rows.
+			packCols(pan, a[i0*rs+k0:], rs, kc, mr)
 			continue
 		}
 		if rows >= mr && rs == 1 {
 			// Full panel of a stored transpose (aᵀ·b): the mr panel
 			// rows are contiguous in the source at each k.
-			for kk := k0; kk < k1; kk++ {
-				copy(pan[(kk-k0)*mr:(kk-k0)*mr+mr], a[kk*cs+i0:kk*cs+i0+mr])
-			}
+			packRows(pan, a[k0*cs+i0:], cs, kc, mr)
 			continue
 		}
 		if rows > mr {

@@ -379,26 +379,132 @@ func TestGemmParallelSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkGEMM measures the packed kernels at MD-GAN layer shapes and
-// reports GFLOP/s via b.ReportMetric.
-func BenchmarkGEMM(b *testing.B) {
-	shapes := [][3]int{
-		{64, 800, 6272}, // conv2 forward: (OutC, C·KH·KW)·(ckk, N·oHW)
-		{32, 128, 784},  // MLP generator output layer at batch 32
-		{256, 256, 256}, // square reference point
-		{512, 512, 512}, // square reference point
+// refPackB is the straightforward definition of a packed B panel:
+// dst[(kk-k0)*nr+j] = B[kk][j0+j], zero past column n.
+func refPackB(dst, b []Elem, rs, cs, n, k0, k1, j0, nr int) {
+	for kk := k0; kk < k1; kk++ {
+		for j := 0; j < nr; j++ {
+			var v Elem
+			if j0+j < n {
+				v = b[kk*rs+(j0+j)*cs]
+			}
+			dst[(kk-k0)*nr+j] = v
+		}
 	}
+}
+
+// refPackA is the same for A row panels of height mr:
+// dst[(p-p0)*mr*kc + (kk-k0)*mr + r] = A[p*mr+r][kk], zero past row m.
+func refPackA(dst, a []Elem, rs, cs, m, p0, p1, k0, k1, mr int) {
+	kc := k1 - k0
+	for p := p0; p < p1; p++ {
+		for kk := k0; kk < k1; kk++ {
+			for r := 0; r < mr; r++ {
+				var v Elem
+				if i := p*mr + r; i < m {
+					v = a[i*rs+kk*cs]
+				}
+				dst[(p-p0)*mr*kc+(kk-k0)*mr+r] = v
+			}
+		}
+	}
+}
+
+// TestPackersMatchReference pins the packers' full-panel fast paths to
+// the panel definition element for element: for B every tile width a
+// tier can select plus one none does (12, the unspecialised fallback),
+// for A the live tier's height (hence kernelVariants — each build and
+// tier covers the geometry it dispatches with); the
+// row-major, stored-transpose and general-stride views; an extent that
+// leaves a ragged last panel; a k range that starts past zero; and
+// panel depths of one, an odd handful and a full KC block.
+func TestPackersMatchReference(t *testing.T) {
+	type view struct {
+		name         string
+		rs, cs, size int
+	}
+	const k, k0 = 300, 5
+	check := func(t *testing.T, what string, got, want []Elem) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: packed[%d] = %v, want %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	stale := func(got, want []Elem) {
+		for i := range got {
+			got[i], want[i] = -1, -2 // every element must be overwritten
+		}
+	}
+	kernelVariants(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(23))
+		for _, kc := range []int{1, 7, 256} {
+			for _, nr := range []int{4, 8, 12, 16} {
+				n := 3*nr + nr/2 + 1 // three full panels and a ragged one
+				got, want := make([]Elem, kc*nr), make([]Elem, kc*nr)
+				for _, v := range []view{
+					{"row-major", n, 1, k * n},
+					{"transpose", 1, k, n * k},
+					{"general", 2 * n, 2, 2 * k * n},
+				} {
+					b := randTensor(rng, v.size).Data
+					for j0 := 0; j0 < n; j0 += nr {
+						stale(got, want)
+						packBStrided(got, b, v.rs, v.cs, n, k0, k0+kc, j0, nr)
+						refPackB(want, b, v.rs, v.cs, n, k0, k0+kc, j0, nr)
+						check(t, fmt.Sprintf("B nr=%d %s kc=%d j0=%d", nr, v.name, kc, j0), got, want)
+					}
+				}
+			}
+			mr := gemmMR
+			m, panels := 3*mr+mr/2+1, 4
+			got, want := make([]Elem, panels*mr*kc), make([]Elem, panels*mr*kc)
+			for _, v := range []view{
+				{"row-major", k, 1, m * k},
+				{"transpose", 1, m, k * m},
+				{"general", 2 * k, 2, 2 * m * k},
+			} {
+				a := randTensor(rng, v.size).Data
+				stale(got, want)
+				packAPanels(got, a, v.rs, v.cs, m, 0, panels, k0, k0+kc)
+				refPackA(want, a, v.rs, v.cs, m, 0, panels, k0, k0+kc, mr)
+				check(t, fmt.Sprintf("A mr=%d %s kc=%d", mr, v.name, kc), got, want)
+			}
+		}
+	})
+}
+
+// BenchmarkGEMM measures the packed kernels at MD-GAN layer shapes and
+// reports GFLOP/s via b.ReportMetric. The last three rows are the
+// paper-batch (b=10) Dense products of the MNIST MLP discriminator's
+// input layer, where packing the 784×512 weight dominates: forward
+// x·W, input gradient g·Wᵀ (the stored-transpose packer) and weight
+// gradient xᵀ·g.
+func BenchmarkGEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	for _, sh := range shapes {
-		m, k, n := sh[0], sh[1], sh[2]
-		x, y := randTensor(rng, m, k), randTensor(rng, k, n)
-		out := New(m, n)
-		b.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		m, k, n int
+		run     func(out, x, y *Tensor)
+		xs, ys  [2]int // operand shapes as stored
+	}{
+		{"", 64, 800, 6272, MatMulInto, [2]int{64, 800}, [2]int{800, 6272}}, // conv2 forward: (OutC, C·KH·KW)·(ckk, N·oHW)
+		{"", 32, 128, 784, MatMulInto, [2]int{32, 128}, [2]int{128, 784}},   // MLP generator output layer at batch 32
+		{"", 256, 256, 256, MatMulInto, [2]int{256, 256}, [2]int{256, 256}}, // square reference point
+		{"", 512, 512, 512, MatMulInto, [2]int{512, 512}, [2]int{512, 512}}, // square reference point
+		{"", 10, 784, 512, MatMulInto, [2]int{10, 784}, [2]int{784, 512}},
+		{"T2/", 10, 512, 784, MatMulT2Into, [2]int{10, 512}, [2]int{784, 512}},
+		{"T1Add/", 784, 10, 512, MatMulT1Add, [2]int{10, 784}, [2]int{10, 512}},
+	} {
+		x, y := randTensor(rng, c.xs[0], c.xs[1]), randTensor(rng, c.ys[0], c.ys[1])
+		out := New(c.m, c.n)
+		b.Run(fmt.Sprintf("%s%dx%dx%d", c.name, c.m, c.k, c.n), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MatMulInto(out, x, y)
+				c.run(out, x, y)
 			}
-			flops := 2 * float64(m) * float64(k) * float64(n)
+			flops := 2 * float64(c.m) * float64(c.k) * float64(c.n)
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 	}

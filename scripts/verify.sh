@@ -25,8 +25,14 @@
 #                               from mdgan-bench -list-kernels, so a
 #                               host without AVX2/AVX-512 narrows the
 #                               axis): the plain run only exercises the
-#                               tier the CPU probe picked. No recorded
-#                               catch.
+#                               tier the CPU probe picked. The axis also
+#                               covers the want-set backward passes
+#                               (internal/gan: DiscStep and Feedback
+#                               against a full Backward, bitwise) and
+#                               the GEMM packers' full-panel fast paths
+#                               (internal/tensor, against the panel
+#                               definition), whose tile width follows
+#                               the tier. No recorded catch.
 #   GOMAXPROCS=4                the same gates with intra-GEMM fan-out
 #                               forced on, whatever the host's CPU
 #                               count: the strict replay must stay
@@ -82,6 +88,11 @@ engine_gates() { # $1 = label, $2.. = go test args
     go test "$@" -count=1 \
         -run 'TestStrictEngineMatchesSerialReference|TestPipelinedOneIterationMatchesStrict|TestPipelinedConvergesLikeStrict' \
         ./internal/core
+    # The paths a non-default tier or fan-out reaches nowhere else: the
+    # restricted backward passes and the packers' tile-width fast paths.
+    go test "$@" -count=1 \
+        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestPackersMatchReference' \
+        ./internal/gan ./internal/tensor
 }
 
 run_suite() { # $1 = dtype name, $2 = go build tags ("" for none)
