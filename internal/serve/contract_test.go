@@ -112,9 +112,20 @@ func TestPreviewCacheDoesNotAliasGeneratorBuffer(t *testing.T) {
 	}
 	s.Release(x)
 
-	s.previewMu.Lock()
-	snap := s.preview.Clone()
-	s.previewMu.Unlock()
+	// The replica fills the cache after it has answered, so the answer
+	// can get here first: wait for the cache rather than clone a nil one
+	// (which panicked with previewMu held and hung Close in the cleanup).
+	var snap *tensor.Tensor
+	for deadline := time.Now().Add(10 * time.Second); snap == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("/preview cache never filled")
+		}
+		s.previewMu.Lock()
+		if s.preview != nil {
+			snap = s.preview.Clone()
+		}
+		s.previewMu.Unlock()
+	}
 
 	// Stop the replica goroutine so the generator may be driven from
 	// here, then clobber its forward buffer directly.

@@ -89,13 +89,28 @@ package tensor
 //     (ReLU activations are ~half zeros; skipping beats packing)
 //  2. small products (m·k·n < gemmMinWork) → legacy column-tiled
 //     kernels (packing overhead dominates)
-//  3. everything else → this file, with the widest micro-kernel the CPU
+//  3. at most gemmSkinnyM (12) left-operand rows, MatMul* and MatMulT2*
+//     on the avx512 tier → the pack-free skinny kernels (gemm_skinny.go)
+//  4. everything else → this file, with the widest micro-kernel the CPU
 //     and build allow:
 //
 //	tier      tile (f64)  tile (f32)  requires
 //	avx512    8×8         8×16        avx512 f+vl+dq+bw, XCR0 opmask+ZMM
 //	avx2      4×4         4×8         AVX2 + FMA, XCR0 YMM
 //	generic   4×4         4×8         nothing (pure Go)
+//
+// Why step 3: at the paper's batch size a Dense layer multiplies ten
+// rows by its whole weight matrix, so each weight meets ten FMAs and the
+// product runs at the speed the weights arrive. Packing first reads
+// every weight, writes it to a panel and reads it again, and the 8-row
+// tile then computes ten rows as sixteen; ten rows cannot pay for that.
+// The skinny kernels hold all m rows of a C block in registers and read
+// each weight once, from where it is stored. Their results differ from
+// the packed path's in the last bits, which is why the choice must be —
+// and is — a pure function of (tier, dtype, m, k, n): the a·bᵀ kernel
+// sums each element as one partial sum per vector lane folded at the
+// end, and both kernels start an accumulating product from C instead
+// of adding C last.
 //
 // MDGAN_GEMM_KERNEL={generic,avx2,avx512} forces a tier at startup
 // (ignored, falling back to the best available, when the CPU or build

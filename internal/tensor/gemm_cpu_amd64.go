@@ -32,6 +32,19 @@ func gemmKernelAsm(c *Elem, ldc int, a, b *Elem, kc int, add bool)
 //go:noescape
 func gemmKernelAsm512(c *Elem, ldc int, a, b *Elem, kc int, add bool, mr, nr int)
 
+// gemmSkinnyAsm512 and gemmDotAsm512 are the pack-free AVX-512 kernels
+// of the skinny-M path (gemm_skinny.go; gemm_skinny_amd64.h instantiated
+// per dtype): one column strip of c (+)= a·b with b row-major and read
+// in place, and one column pair of c (+)= a·bᵀ with b a stored
+// transpose. mr ≤ gemmSkinnyM rows; nr ≤ gemmSkinnyStrip and ≤ 2
+// columns respectively. Only reachable on the tierAVX512 dispatch.
+//
+//go:noescape
+func gemmSkinnyAsm512(c *Elem, ldc int, a, b *Elem, ldb, kc int, add bool, mr, nr int)
+
+//go:noescape
+func gemmDotAsm512(c *Elem, ldc int, a *Elem, lda int, b *Elem, ldb, k int, add bool, mr, nr int)
+
 // cpuidRaw executes CPUID for the given leaf/subleaf
 // (gemm_cpu_amd64.s).
 func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

@@ -26,3 +26,14 @@ func gemmKernelAsm(c *Elem, ldc int, a, b *Elem, kc int, add bool) {
 func gemmKernelAsm512(c *Elem, ldc int, a, b *Elem, kc int, add bool, mr, nr int) {
 	panic("tensor: AVX-512 micro-kernel called on a noasm build")
 }
+
+// gemmSkinnyAsm512 and gemmDotAsm512 exist so the skinny-M dispatch
+// links; it is taken on tierAVX512 only, so both are unreachable on
+// this build.
+func gemmSkinnyAsm512(c *Elem, ldc int, a, b *Elem, ldb, kc int, add bool, mr, nr int) {
+	panic("tensor: AVX-512 skinny kernel called on a noasm build")
+}
+
+func gemmDotAsm512(c *Elem, ldc int, a *Elem, lda int, b *Elem, ldb, k int, add bool, mr, nr int) {
+	panic("tensor: AVX-512 dot kernel called on a noasm build")
+}

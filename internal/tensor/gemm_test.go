@@ -13,31 +13,26 @@ import (
 // checked against, with float64 accumulation so the reference is at
 // least as accurate as any kernel.
 func refMatMul(a, b *Tensor, tA, tB bool) *Tensor {
-	var m, k, n int
-	var av func(i, kk int) float64
-	var bv func(kk, j int) float64
+	// Element (i, kk) of the left operand is a.Data[i*ars+kk*acs], and
+	// likewise for the right: a transposed operand swaps its strides.
+	// Plain indexing keeps the reference affordable under -race at the
+	// PaperMLP shapes.
+	m, k, ars, acs := a.Dim(0), a.Dim(1), a.Dim(1), 1
 	if tA {
-		k, m = a.Dim(0), a.Dim(1)
-		av = func(i, kk int) float64 { return a.At(kk, i) }
-	} else {
-		m, k = a.Dim(0), a.Dim(1)
-		av = func(i, kk int) float64 { return a.At(i, kk) }
+		m, k, ars, acs = k, m, 1, ars
 	}
+	n, brs, bcs := b.Dim(1), b.Dim(1), 1
 	if tB {
-		n = b.Dim(0)
-		bv = func(kk, j int) float64 { return b.At(j, kk) }
-	} else {
-		n = b.Dim(1)
-		bv = func(kk, j int) float64 { return b.At(kk, j) }
+		n, brs, bcs = b.Dim(0), 1, brs
 	}
 	out := New(m, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			s := 0.0
 			for kk := 0; kk < k; kk++ {
-				s += av(i, kk) * bv(kk, j)
+				s += float64(a.Data[i*ars+kk*acs]) * float64(b.Data[kk*brs+j*bcs])
 			}
-			out.Set(s, i, j)
+			out.Data[i*n+j] = Elem(s)
 		}
 	}
 	return out
@@ -244,26 +239,36 @@ func TestGemmBitwiseAcrossGOMAXPROCS(t *testing.T) {
 		parallel.SetMaxProcs(0)
 	}()
 	rng := rand.New(rand.NewSource(29))
-	shapes := [][3]int{
-		{37, 530, 129}, // ragged everywhere, multiple KC blocks
-		{64, 256, 96},  // aligned
-		{130, 300, 60}, // multiple MC blocks
+	shapes := []struct {
+		m, k, n int
+		t2      bool // a·bᵀ through MatMulT2Into
+	}{
+		{37, 530, 129, false}, // ragged everywhere, multiple KC blocks
+		{64, 256, 96, false},  // aligned
+		{130, 300, 60, false}, // multiple MC blocks
+		// The paper batch: on the avx512 tier these are the skinny path,
+		// fanned out over column strips and column pairs.
+		{10, 784, 512, false},
+		{10, 512, 785, true},
 	}
 	for _, name := range GemmKernels() {
 		t.Run(name, func(t *testing.T) {
 			ForceGemmKernel(name)
 			for _, sh := range shapes {
-				m, k, n := sh[0], sh[1], sh[2]
-				a, b := randTensor(rng, m, k), randTensor(rng, k, n)
+				m, k, n := sh.m, sh.k, sh.n
+				a, b, mul := randTensor(rng, m, k), randTensor(rng, k, n), MatMulInto
+				if sh.t2 {
+					b, mul = randTensor(rng, n, k), MatMulT2Into
+				}
 				runtime.GOMAXPROCS(1)
 				parallel.SetMaxProcs(1) // serial reference: regions inline
 				want := New(m, n)
-				MatMulInto(want, a, b)
+				mul(want, a, b)
 				for _, procs := range []int{2, 4, 8} {
 					runtime.GOMAXPROCS(procs)
 					parallel.SetMaxProcs(procs)
 					got := New(m, n)
-					MatMulInto(got, a, b)
+					mul(got, a, b)
 					for i, v := range got.Data {
 						if v != want.Data[i] {
 							t.Fatalf("%dx%dx%d at GOMAXPROCS=%d: element %d differs from serial: %v vs %v",
@@ -475,20 +480,23 @@ func TestPackersMatchReference(t *testing.T) {
 	})
 }
 
-// BenchmarkGEMM measures the packed kernels at MD-GAN layer shapes and
-// reports GFLOP/s via b.ReportMetric. The last three rows are the
-// paper-batch (b=10) Dense products of the MNIST MLP discriminator's
-// input layer, where packing the 784×512 weight dominates: forward
-// x·W, input gradient g·Wᵀ (the stored-transpose packer) and weight
-// gradient xᵀ·g.
+// BenchmarkGEMM measures the GEMM paths at MD-GAN layer shapes and
+// reports GFLOP/s via b.ReportMetric. The three b=10 rows are the
+// paper-batch Dense products of the MNIST MLP discriminator's input
+// layer: forward x·W, input gradient g·Wᵀ and weight gradient xᵀ·g. The
+// rows after them sweep the left operand's row count across the skinny
+// cut-over (gemmSkinnyM = 12) for the first two: m ≤ 12 reads the
+// 784×512 weight in place on the avx512 tier, m = 13 and 16 pack it;
+// m = 1 is mdgan-serve's un-fused request.
 func BenchmarkGEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	for _, c := range []struct {
+	type gemmCase struct {
 		name    string
 		m, k, n int
 		run     func(out, x, y *Tensor)
 		xs, ys  [2]int // operand shapes as stored
-	}{
+	}
+	cases := []gemmCase{
 		{"", 64, 800, 6272, MatMulInto, [2]int{64, 800}, [2]int{800, 6272}}, // conv2 forward: (OutC, C·KH·KW)·(ckk, N·oHW)
 		{"", 32, 128, 784, MatMulInto, [2]int{32, 128}, [2]int{128, 784}},   // MLP generator output layer at batch 32
 		{"", 256, 256, 256, MatMulInto, [2]int{256, 256}, [2]int{256, 256}}, // square reference point
@@ -496,7 +504,13 @@ func BenchmarkGEMM(b *testing.B) {
 		{"", 10, 784, 512, MatMulInto, [2]int{10, 784}, [2]int{784, 512}},
 		{"T2/", 10, 512, 784, MatMulT2Into, [2]int{10, 512}, [2]int{784, 512}},
 		{"T1Add/", 784, 10, 512, MatMulT1Add, [2]int{10, 784}, [2]int{10, 512}},
-	} {
+	}
+	for _, m := range []int{1, 4, 12, 13, 16} {
+		cases = append(cases,
+			gemmCase{"", m, 784, 512, MatMulInto, [2]int{m, 784}, [2]int{784, 512}},
+			gemmCase{"T2/", m, 512, 784, MatMulT2Into, [2]int{m, 512}, [2]int{784, 512}})
+	}
+	for _, c := range cases {
 		x, y := randTensor(rng, c.xs[0], c.xs[1]), randTensor(rng, c.ys[0], c.ys[1])
 		out := New(c.m, c.n)
 		b.Run(fmt.Sprintf("%s%dx%dx%d", c.name, c.m, c.k, c.n), func(b *testing.B) {

@@ -1,0 +1,28 @@
+//go:build unix
+
+package tensor
+
+import (
+	"syscall"
+	"testing"
+	"unsafe"
+)
+
+// guardedWindow returns a size-element slice whose last element is the
+// last addressable one: the next byte lies in a PROT_NONE page, so any
+// load or store past the slice's end kills the test binary with a
+// fault instead of going unnoticed.
+func guardedWindow(t *testing.T, size int) []Elem {
+	t.Helper()
+	page := syscall.Getpagesize()
+	bytes := (size*ElemBytes + page - 1) / page * page
+	mem, err := syscall.Mmap(-1, 0, bytes+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Fatalf("mmap: %v", err)
+	}
+	t.Cleanup(func() { _ = syscall.Munmap(mem) }) // unmapping scratch cannot meaningfully fail
+	if err := syscall.Mprotect(mem[bytes:], syscall.PROT_NONE); err != nil {
+		t.Fatalf("mprotect: %v", err)
+	}
+	return unsafe.Slice((*Elem)(unsafe.Pointer(&mem[bytes-size*ElemBytes])), size)
+}

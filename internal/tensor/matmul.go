@@ -7,8 +7,8 @@ import (
 )
 
 // Matmul dispatch. Every entry point samples the left operand and picks
-// one of three kernel families, in this order (see gemm.go for the
-// packed layer's architecture):
+// one of four kernel families, in this order (gemm.go's "Dispatch
+// order" has the reasons and the tier table):
 //
 //  1. markedly sparse A → the legacy zero-skipping row kernels below
 //     (ReLU activations and ReLU-gated gradients are ~half zeros; the
@@ -17,9 +17,13 @@ import (
 //  2. small products → the legacy column-tiled 4-wide kernels below
 //     (packing two operands costs more than it saves under
 //     gemmMinWork multiply-adds);
-//  3. everything else → the packed, register-blocked GEMM (gemm.go),
+//  3. a·b and a·bᵀ with at most gemmSkinnyM rows of a, on the AVX-512
+//     tier → the skinny kernels (gemm_skinny.go), which read b in place
+//     instead of packing it for a handful of rows;
+//  4. everything else → the packed, register-blocked GEMM (gemm.go),
 //     which absorbs the T1/T2 transposes into packing and runs the
-//     AVX2+FMA micro-kernel when the CPU has it.
+//     widest micro-kernel the live tier has (AVX-512, AVX2+FMA or
+//     portable Go).
 
 const (
 	// matMulGrain is the m·k·n product below which a matmul runs inline
@@ -130,6 +134,10 @@ func matMulInto(out, a, b *Tensor, m, k, n int, accumulate bool) {
 		return
 	}
 	if m*k*n >= gemmMinWork {
+		if gemmSkinnyOK(m) {
+			gemmSkinny(out.Data, n, m, n, k, a.Data, b.Data, false, accumulate)
+			return
+		}
 		gemm(out.Data, n, m, n, k, a.Data, k, 1, b.Data, n, 1, nil, accumulate)
 		return
 	}
@@ -400,6 +408,10 @@ func matMulT2Into(out, a, b *Tensor, m, k, n int, accumulate bool) {
 		return
 	}
 	if m*k*n >= gemmMinWork {
+		if gemmSkinnyOK(m) {
+			gemmSkinny(out.Data, n, m, n, k, a.Data, b.Data, true, accumulate)
+			return
+		}
 		// B is a stored transpose: packing reads it through the
 		// (rs=1, cs=k) view, one contiguous source run per column.
 		gemm(out.Data, n, m, n, k, a.Data, k, 1, b.Data, 1, k, nil, accumulate)

@@ -32,7 +32,13 @@
 #                               the GEMM packers' full-panel fast paths
 #                               (internal/tensor, against the panel
 #                               definition), whose tile width follows
-#                               the tier. No recorded catch.
+#                               the tier, and the skinny-M path that
+#                               only the avx512 tier takes
+#                               (internal/tensor: guard-page bounds,
+#                               every row count across the cut-over
+#                               against the reference, bitwise across
+#                               GOMAXPROCS, zero steady-state allocs).
+#                               No recorded catch.
 #   GOMAXPROCS=4                the same gates with intra-GEMM fan-out
 #                               forced on, whatever the host's CPU
 #                               count: the strict replay must stay
@@ -89,9 +95,11 @@ engine_gates() { # $1 = label, $2.. = go test args
         -run 'TestStrictEngineMatchesSerialReference|TestPipelinedOneIterationMatchesStrict|TestPipelinedConvergesLikeStrict' \
         ./internal/core
     # The paths a non-default tier or fan-out reaches nowhere else: the
-    # restricted backward passes and the packers' tile-width fast paths.
+    # restricted backward passes, the packers' tile-width fast paths and
+    # the skinny-M kernels (strips and column pairs fan out at
+    # GOMAXPROCS=4; a forced tier moves the cut-over's other side).
     go test "$@" -count=1 \
-        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestPackersMatchReference' \
+        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestPackersMatchReference|TestSkinnyStaysInBounds|TestSkinnyMatchesReference|TestSkinnySteadyStateAllocs|TestGemmBitwiseAcrossGOMAXPROCS' \
         ./internal/gan ./internal/tensor
 }
 
