@@ -7,11 +7,14 @@ import (
 	"os"
 	"path/filepath"
 
+	"mdgan/internal/nn"
 	"mdgan/internal/render"
+	"mdgan/internal/tensor"
 )
 
-// Checkpoint framing. Version 2 (this PR) prefixes a magic header so
-// future format changes are explicit; the parameter frames that follow
+// Checkpoint framing. Version 2 prefixes a magic header so format
+// changes are explicit; the parameter frames that follow (nn.AppendParams
+// over Generator.Params: the network's, then the conditioning embedding)
 // carry their own dtype byte, so a checkpoint written by a float64
 // build loads into a float32 build and vice versa (values convert on
 // read). Files written before the header existed — bare concatenated
@@ -58,10 +61,10 @@ func SaveGenerator(g *Generator, path string) (err error) {
 	if checkpointWriteWrap != nil {
 		w = checkpointWriteWrap(f)
 	}
-	if _, err = w.Write(checkpointMagic); err != nil {
-		return fmt.Errorf("mdgan: save generator: %w", err)
-	}
-	if _, err = g.WriteParams(w); err != nil {
+	ps := g.Params()
+	buf := make([]byte, 0, int64(len(checkpointMagic))+nn.EncodedParamSize(ps, tensor.NativeDType))
+	buf = nn.AppendParams(append(buf, checkpointMagic...), ps, tensor.NativeDType)
+	if _, err = w.Write(buf); err != nil {
 		return fmt.Errorf("mdgan: save generator: %w", err)
 	}
 	if err = f.Sync(); err != nil {
@@ -104,7 +107,7 @@ func LoadGenerator(g *Generator, path string) error {
 		// parameter's rank word — replay them ahead of the rest.
 		r = io.MultiReader(bytes.NewReader(hdr[:n]), f)
 	}
-	if _, err := g.ReadParams(r); err != nil {
+	if _, err := nn.ReadParams(r, g.Params()); err != nil {
 		return fmt.Errorf("mdgan: load generator: %w", err)
 	}
 	// A well-formed checkpoint ends exactly where the parameters do.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mdgan/internal/gan"
+	"mdgan/internal/nn"
 	"mdgan/internal/tensor"
 )
 
@@ -115,7 +116,7 @@ func TestMedianNeutralisesByzantineExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.G.Net.ParamVector()
+		return nn.ParamVector(res.G.Net.Params())
 	}
 	for _, attack := range []ByzantineMode{ByzantineScale, ByzantineInvert, ByzantineRandom} {
 		honest := run(nil, AggMedian)

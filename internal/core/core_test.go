@@ -108,8 +108,8 @@ func TestFeedbackEquivalence(t *testing.T) {
 	optG := opt.NewAdam(cfg.OptG)
 	optG.Step(couple.G.Params())
 
-	got := res.G.Net.ParamVector()
-	want := couple.G.Net.ParamVector()
+	got := nn.ParamVector(res.G.Net.Params())
+	want := nn.ParamVector(couple.G.Net.Params())
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
 			t.Fatalf("generator param %d: distributed %g vs centralised %g", i, got[i], want[i])
@@ -210,8 +210,8 @@ func TestSwapActuallyMovesParameters(t *testing.T) {
 	noSwap := mk(-1)
 	withSwap := mk(1)
 	// Identical seeds → identical worker-0 D only if no swap happened.
-	a := noSwap[workerName(0)].Trunk.ParamVector()
-	b := withSwap[workerName(0)].Trunk.ParamVector()
+	a := nn.ParamVector(noSwap[workerName(0)].Trunk.Params())
+	b := nn.ParamVector(withSwap[workerName(0)].Trunk.Params())
 	same := true
 	for i := range a {
 		if a[i] != b[i] {
@@ -295,8 +295,8 @@ func TestSwapTrafficAccounting(t *testing.T) {
 	if want := swapPayloadSize(d, SwapFP32); perSwap != want {
 		t.Fatalf("per-swap bytes = %d, want fp32 |θ| payload %d", perSwap, want)
 	}
-	if tensor.ElemBytes == 8 && perSwap >= d.EncodedParamSize() {
-		t.Fatalf("f64 build: fp32 swap %d bytes not below native %d", perSwap, d.EncodedParamSize())
+	if tensor.ElemBytes == 8 && perSwap >= nn.EncodedParamSize(d.Params(), tensor.NativeDType) {
+		t.Fatalf("f64 build: fp32 swap %d bytes not below native %d", perSwap, nn.EncodedParamSize(d.Params(), tensor.NativeDType))
 	}
 }
 
@@ -369,7 +369,7 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.G.Net.ParamVector()
+		return nn.ParamVector(res.G.Net.Params())
 	}
 	a, b := run(), run()
 	for i := range a {

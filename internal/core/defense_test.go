@@ -18,6 +18,7 @@ import (
 
 	"mdgan/internal/dataset"
 	"mdgan/internal/gan"
+	"mdgan/internal/nn"
 	"mdgan/internal/simnet"
 	"mdgan/internal/tensor"
 )
@@ -146,7 +147,7 @@ func TestDefenseFaultFreeKeepsStrictPin(t *testing.T) {
 		if defense && len(res.Faults.Defense) != 4 {
 			t.Fatalf("defense snapshots = %v, want all 4 workers scored", res.Faults.Defense)
 		}
-		return res.G.Net.ParamVector()
+		return nn.ParamVector(res.G.Net.Params())
 	}
 	plain, defended := run(false), run(true)
 	for i := range plain {

@@ -28,6 +28,7 @@ import (
 	"mdgan/internal/cluster"
 	"mdgan/internal/dataset"
 	"mdgan/internal/gan"
+	"mdgan/internal/nn"
 	"mdgan/internal/opt"
 	"mdgan/internal/simnet"
 	"mdgan/internal/tensor"
@@ -159,7 +160,7 @@ func serialReference(shards []*dataset.Dataset, arch gan.Arch, cfg Config) []flo
 		}
 		optG.Step(g.Params())
 	}
-	return g.Net.ParamVector()
+	return nn.ParamVector(g.Net.Params())
 }
 
 func sortStrings(s []string) {
@@ -206,7 +207,7 @@ func TestStrictEngineMatchesSerialReference(t *testing.T) {
 				}
 				refShards, refCfg := mk()
 				want := serialReference(refShards, gan.RingMLP(), refCfg)
-				got := res.G.Net.ParamVector()
+				got := nn.ParamVector(res.G.Net.Params())
 				if len(got) != len(want) {
 					t.Fatalf("parameter count %d vs %d", len(got), len(want))
 				}
@@ -233,7 +234,7 @@ func TestStrictEngineMatchesSerialReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					return res.G.Net.ParamVector()
+					return nn.ParamVector(res.G.Net.Params())
 				}
 				got, want := run(cluster.Tree{Depth: 2}), run(nil)
 				tol := tensor.Tol(1e-9, 2e-3)
@@ -263,7 +264,7 @@ func TestPipelinedOneIterationMatchesStrict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.G.Net.ParamVector()
+		return nn.ParamVector(res.G.Net.Params())
 	}
 	strict, pipe := run(false), run(true)
 	for i := range strict {

@@ -24,6 +24,7 @@ import (
 
 	"mdgan/internal/cluster"
 	"mdgan/internal/gan"
+	"mdgan/internal/nn"
 	"mdgan/internal/parallel"
 	"mdgan/internal/simnet"
 )
@@ -354,7 +355,7 @@ func TestDeadlineFaultFreeKeepsStrictPin(t *testing.T) {
 		if res.Faults.Any() {
 			t.Fatalf("fault-free run recorded faults: %+v", res.Faults)
 		}
-		return res.G.Net.ParamVector()
+		return nn.ParamVector(res.G.Net.Params())
 	}
 	plain, armed := run(0), run(2*time.Second)
 	for i := range plain {

@@ -7,6 +7,7 @@ import (
 
 	"mdgan/internal/dataset"
 	"mdgan/internal/gan"
+	"mdgan/internal/nn"
 	"mdgan/internal/simnet"
 	"mdgan/internal/tensor"
 )
@@ -59,8 +60,8 @@ func TestJoinerAdoptsDonorDiscriminator(t *testing.T) {
 	}
 	// All discriminators started identical and never trained, so the
 	// joiner must match worker 0 exactly.
-	a := joined.Trunk.ParamVector()
-	b := res.Discs[workerName(0)].Trunk.ParamVector()
+	a := nn.ParamVector(joined.Trunk.Params())
+	b := nn.ParamVector(res.Discs[workerName(0)].Trunk.Params())
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("joiner did not adopt the donor's discriminator")
@@ -86,8 +87,8 @@ func TestJoinerAdoptsDonorDiscriminatorFP32(t *testing.T) {
 	if joined == nil {
 		t.Fatal("no joiner discriminator")
 	}
-	a := joined.Trunk.ParamVector()
-	b := res.Discs[workerName(0)].Trunk.ParamVector()
+	a := nn.ParamVector(joined.Trunk.Params())
+	b := nn.ParamVector(res.Discs[workerName(0)].Trunk.Params())
 	for i := range a {
 		if d := math.Abs(a[i] - b[i]); d > 2e-7*(1+math.Abs(b[i])) {
 			t.Fatalf("joiner deviates from donor at %d by %g beyond f32 rounding", i, d)
@@ -122,7 +123,7 @@ func TestJoinTrafficCost(t *testing.T) {
 	d := gan.RingMLP().NewGAN(1, cfg.GenLoss, 0).D
 	extraUp := with.Bytes[simnet.WtoC] - without.Bytes[simnet.WtoC]
 	feedbackBytes := int64(1+4+4*2+tensor.ElemBytes*cfg.Batch*2) + 1
-	wantExtra := d.EncodedParamSizeAs(SwapFP32.wireDType()) + 4*feedbackBytes // 4 post-join iterations
+	wantExtra := nn.EncodedParamSize(d.Params(), SwapFP32.wireDType()) + 4*feedbackBytes // 4 post-join iterations
 	if extraUp != wantExtra {
 		t.Fatalf("extra W→C bytes = %d, want %d", extraUp, wantExtra)
 	}
@@ -138,7 +139,7 @@ func TestJoinDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.G.Net.ParamVector()
+		return nn.ParamVector(res.G.Net.Params())
 	}
 	a, b := run(), run()
 	for i := range a {

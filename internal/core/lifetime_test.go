@@ -11,6 +11,7 @@ import (
 	"mdgan/internal/cluster"
 	"mdgan/internal/dataset"
 	"mdgan/internal/gan"
+	"mdgan/internal/nn"
 	"mdgan/internal/simnet"
 )
 
@@ -154,7 +155,7 @@ func TestJoinWarmupRampsJoinerWeight(t *testing.T) {
 		cfg.JoinWarmup = warmup
 		var trace [][]float64
 		eval := func(it int, g *gan.Generator) {
-			trace = append(trace, g.Net.ParamVector())
+			trace = append(trace, nn.ParamVector(g.Net.Params()))
 		}
 		if _, err := Train(ringShards(2, 96, 487), gan.RingMLP(), cfg, eval); err != nil {
 			t.Fatal(err)

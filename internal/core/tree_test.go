@@ -8,6 +8,7 @@ import (
 
 	"mdgan/internal/cluster"
 	"mdgan/internal/gan"
+	"mdgan/internal/nn"
 	"mdgan/internal/simnet"
 	"mdgan/internal/tensor"
 )
@@ -43,7 +44,7 @@ func TestTreeAggregationMatchesFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.G.Net.ParamVector()
+		return nn.ParamVector(res.G.Net.Params())
 	}
 	for _, iters := range []int{1, 2} {
 		flat := run(nil, iters)
@@ -79,7 +80,7 @@ func TestDepthOneTreeMatchesFlatBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.G.Net.ParamVector()
+		return nn.ParamVector(res.G.Net.Params())
 	}
 	flat, tree := run(nil), run(cluster.Tree{Depth: 1})
 	for i := range flat {

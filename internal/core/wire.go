@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"mdgan/internal/gan"
+	"mdgan/internal/nn"
 	"mdgan/internal/tensor"
 )
 
@@ -258,10 +259,9 @@ func (p SwapPrecision) wireDType() byte {
 // encodeSwap frames a discriminator's parameters for round's swap at
 // the given wire precision.
 func encodeSwap(round int, d *gan.Discriminator, p SwapPrecision) []byte {
-	dt := p.wireDType()
-	buf := make([]byte, 0, 4+d.EncodedParamSizeAs(dt))
+	buf := make([]byte, 0, swapPayloadSize(d, p))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(round))
-	return d.AppendParamsAs(buf, dt)
+	return nn.AppendParams(buf, d.Params(), p.wireDType())
 }
 
 // encodeSwapCancel frames the server's rendezvous release for round: a
@@ -291,22 +291,22 @@ func decodeSwap(p []byte) (round int, params []byte, err error) {
 // the given precision (round tag + parameter framing) — what the
 // traffic tests and the Table III accounting expect per swap.
 func swapPayloadSize(d *gan.Discriminator, p SwapPrecision) int64 {
-	return 4 + d.EncodedParamSizeAs(p.wireDType())
+	return 4 + nn.EncodedParamSize(d.Params(), p.wireDType())
 }
 
 // encodeDiscParams frames a discriminator's parameters for a swap at
 // the given wire precision. Size is the |θ| payload of Table III's
 // W→W row.
 func encodeDiscParams(d *gan.Discriminator, p SwapPrecision) []byte {
-	dt := p.wireDType()
-	return d.AppendParamsAs(make([]byte, 0, d.EncodedParamSizeAs(dt)), dt)
+	ps, dt := d.Params(), p.wireDType()
+	return nn.AppendParams(make([]byte, 0, nn.EncodedParamSize(ps, dt)), ps, dt)
 }
 
 // decodeDiscParamsInto loads a swap payload of either wire width (the
 // tensor framing self-describes its dtype, so frames from the f32 and
 // f64 builds decode interchangeably).
 func decodeDiscParamsInto(d *gan.Discriminator, p []byte) error {
-	if _, err := d.ReadParams(bytes.NewReader(p)); err != nil {
+	if _, err := nn.ReadParams(bytes.NewReader(p), d.Params()); err != nil {
 		return fmt.Errorf("core: decode swap params: %w", err)
 	}
 	return nil

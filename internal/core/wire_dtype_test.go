@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 
 	"mdgan/internal/gan"
+	"mdgan/internal/nn"
 	"mdgan/internal/tensor"
 )
 
@@ -49,13 +51,77 @@ func TestSwapParamsCrossDtype(t *testing.T) {
 	}
 }
 
+// The parameter codec is byte-identical to framing every tensor by hand
+// in the documented order — generator: network then embedding;
+// discriminator: trunk, source head, class head — with and without the
+// conditional parts, at both wire widths, and the swap encoder fills
+// exactly the size the traffic accounting predicts.
+func TestParamCodecByteIdentity(t *testing.T) {
+	for _, arch := range []struct {
+		name string
+		m    *gan.GAN
+	}{
+		{"conditional", gan.ScaledMLP(16).NewGAN(1, 0, 1)},
+		{"unconditional", gan.RingMLP().NewGAN(1, 0, 0)},
+	} {
+		g, d := arch.m.G, arch.m.D
+		if cond := arch.name == "conditional"; (g.Embed != nil) != cond || (d.Cls != nil) != cond {
+			t.Fatalf("%s arch: embed %v, class head %v", arch.name, g.Embed != nil, d.Cls != nil)
+		}
+		for _, dt := range []byte{tensor.DTypeF64, tensor.DTypeF32} {
+			frames := func(dst []byte, nets ...*nn.Sequential) []byte {
+				for _, n := range nets {
+					if n == nil {
+						continue
+					}
+					for _, p := range n.Params() {
+						dst = p.W.AppendBinaryAs(dst, dt)
+					}
+				}
+				return dst
+			}
+			wantG := frames(nil, g.Net)
+			if g.Embed != nil {
+				wantG = g.Embed.W.AppendBinaryAs(wantG, dt)
+			}
+			wantD := frames(nil, d.Trunk, d.Src, d.Cls)
+			for _, tc := range []struct {
+				part string
+				ps   []*nn.Param
+				want []byte
+			}{
+				{"G", g.Params(), wantG},
+				{"D", d.Params(), wantD},
+			} {
+				if got := nn.AppendParams(nil, tc.ps, dt); !bytes.Equal(got, tc.want) {
+					t.Fatalf("%s %s dtype %#x: AppendParams differs from per-tensor frames (%d vs %d bytes)",
+						arch.name, tc.part, dt, len(got), len(tc.want))
+				}
+				if n := nn.EncodedParamSize(tc.ps, dt); n != int64(len(tc.want)) {
+					t.Fatalf("%s %s dtype %#x: EncodedParamSize %d, frames are %d bytes",
+						arch.name, tc.part, dt, n, len(tc.want))
+				}
+			}
+		}
+		for _, p := range []SwapPrecision{SwapNative, SwapFP32} {
+			swap := encodeSwap(9, d, p)
+			if int64(len(swap)) != swapPayloadSize(d, p) {
+				t.Fatalf("%s %v: swap is %d bytes, swapPayloadSize says %d", arch.name, p, len(swap), swapPayloadSize(d, p))
+			}
+			if !bytes.Equal(swap[4:], encodeDiscParams(d, p)) {
+				t.Fatalf("%s %v: swap body differs from encodeDiscParams", arch.name, p)
+			}
+		}
+	}
+}
+
 // The native swap payload size follows the compiled element width: the
 // Table III W→W accounting must shrink 2× under the f32 build.
 func TestSwapPayloadSizeTracksDtype(t *testing.T) {
 	d := gan.RingMLP().NewGAN(1, 0, 0).D
 	payload := encodeDiscParams(d, SwapNative)
-	if int64(len(payload)) != d.EncodedParamSize() {
-		t.Fatalf("swap payload %d bytes, EncodedParamSize says %d", len(payload), d.EncodedParamSize())
+	if int64(len(payload)) != nn.EncodedParamSize(d.Params(), tensor.NativeDType) {
+		t.Fatalf("swap payload %d bytes, EncodedParamSize says %d", len(payload), nn.EncodedParamSize(d.Params(), tensor.NativeDType))
 	}
 	perParam := int64(0)
 	elems := int64(0)
@@ -83,16 +149,16 @@ func TestSwapFP32DefaultPayload(t *testing.T) {
 		}
 	}
 	payload := encodeSwap(7, d, SwapFP32)
-	if int64(len(payload)) != 4+d.EncodedParamSizeAs(tensor.DTypeF32) {
-		t.Fatalf("fp32 swap payload %d bytes, want round tag + %d", len(payload), d.EncodedParamSizeAs(tensor.DTypeF32))
+	if int64(len(payload)) != 4+nn.EncodedParamSize(d.Params(), tensor.DTypeF32) {
+		t.Fatalf("fp32 swap payload %d bytes, want round tag + %d", len(payload), nn.EncodedParamSize(d.Params(), tensor.DTypeF32))
 	}
 	if int64(len(payload)) != swapPayloadSize(d, SwapFP32) {
 		t.Fatalf("swapPayloadSize disagrees with the encoder: %d vs %d",
 			swapPayloadSize(d, SwapFP32), len(payload))
 	}
-	if tensor.ElemBytes == 8 && int64(len(payload)) >= d.EncodedParamSize() {
+	if tensor.ElemBytes == 8 && int64(len(payload)) >= nn.EncodedParamSize(d.Params(), tensor.NativeDType) {
 		t.Fatalf("f64 build: fp32 swap payload %d not below native %d",
-			len(payload), d.EncodedParamSize())
+			len(payload), nn.EncodedParamSize(d.Params(), tensor.NativeDType))
 	}
 	round, params, err := decodeSwap(payload)
 	if err != nil {
@@ -152,7 +218,7 @@ func TestWorkerRoundTripAllCompressionsStillTrains(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		for _, v := range res.G.Net.ParamVector() {
+		for _, v := range nn.ParamVector(res.G.Net.Params()) {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("%v: non-finite generator parameter", mode)
 			}

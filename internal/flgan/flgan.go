@@ -76,56 +76,31 @@ const (
 	msgStop  = "stop"
 )
 
-// encodeCouple serialises G then D parameters (w and θ — the paper's
-// N(θ+w) per-round traffic).
-func encodeCouple(m *gan.GAN) []byte {
-	var buf bytes.Buffer
-	if _, err := m.G.Net.WriteParams(&buf); err != nil {
-		panic(err)
-	}
-	if m.G.Embed != nil {
-		if _, err := m.G.Embed.W.WriteTo(&buf); err != nil {
-			panic(err)
-		}
-	}
-	if _, err := m.D.WriteParams(&buf); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+// coupleParams lists every parameter of the (G, D) couple, generator
+// first: the order of the wire payload (w and θ — the paper's N(θ+w)
+// per-round traffic) and of the vector FedAvg averages.
+func coupleParams(m *gan.GAN) []*nn.Param {
+	g, d := m.G.Params(), m.D.Params()
+	return append(append(make([]*nn.Param, 0, len(g)+len(d)), g...), d...)
 }
 
+func encodeCouple(m *gan.GAN) []byte {
+	ps := coupleParams(m)
+	return nn.AppendParams(make([]byte, 0, nn.EncodedParamSize(ps, tensor.NativeDType)), ps, tensor.NativeDType)
+}
+
+// decodeCoupleInto loads a payload from the network: every frame must
+// have its parameter's shape and the payload must end where the
+// parameters do.
 func decodeCoupleInto(m *gan.GAN, p []byte) error {
 	r := bytes.NewReader(p)
-	if _, err := m.G.Net.ReadParams(r); err != nil {
-		return fmt.Errorf("flgan: decode G: %w", err)
+	if _, err := nn.ReadParams(r, coupleParams(m)); err != nil {
+		return fmt.Errorf("flgan: decode couple: %w", err)
 	}
-	if m.G.Embed != nil {
-		if _, err := m.G.Embed.W.ReadFrom(r); err != nil {
-			return fmt.Errorf("flgan: decode embed: %w", err)
-		}
-	}
-	if _, err := m.D.ReadParams(r); err != nil {
-		return fmt.Errorf("flgan: decode D: %w", err)
+	if r.Len() != 0 {
+		return fmt.Errorf("flgan: decode couple: %d trailing bytes after parameters", r.Len())
 	}
 	return nil
-}
-
-// fullVector flattens every (G, D) parameter — generator network,
-// conditioning embedding, discriminator trunk and both heads — in the
-// fixed order setFullVector expects.
-func fullVector(m *gan.GAN) []float64 {
-	v := m.G.Net.ParamVector()
-	if m.G.Embed != nil {
-		for _, x := range m.G.Embed.W.Data {
-			v = append(v, float64(x))
-		}
-	}
-	v = append(v, m.D.Trunk.ParamVector()...)
-	v = append(v, m.D.Src.ParamVector()...)
-	if m.D.Cls != nil {
-		v = append(v, m.D.Cls.ParamVector()...)
-	}
-	return v
 }
 
 // Train runs FL-GAN over the shards. Iters counts LOCAL generator
@@ -301,7 +276,7 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 			if err := decodeCoupleInto(shadow, msg.Payload); err != nil {
 				return nil, err
 			}
-			vectors[msg.From] = fullVector(shadow)
+			vectors[msg.From] = nn.ParamVector(coupleParams(shadow))
 		}
 		names := make([]string, 0, len(vectors))
 		for name := range vectors {
@@ -319,8 +294,8 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 		for i := range avg {
 			avg[i] *= inv
 		}
-		if err := setFullVector(global, avg); err != nil {
-			return nil, err
+		if err := nn.SetParamVector(coupleParams(global), avg); err != nil {
+			return nil, fmt.Errorf("flgan: load averaged couple: %w", err)
 		}
 		// completed counts rounds in which workers actually trained —
 		// a round skipped because every sampled destination was down
@@ -352,48 +327,9 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 	}, nil
 }
 
-// setFullVector loads the averaged full-couple vector back into the
-// model, in the same order coupleVector (+ heads) produced it.
-func setFullVector(m *gan.GAN, v []float64) error {
-	gLen := m.G.Net.NumParams()
-	if err := m.G.Net.SetParamVector(v[:gLen]); err != nil {
-		return err
-	}
-	off := gLen
-	if m.G.Embed != nil {
-		e := m.G.Embed.W.Size()
-		for i, x := range v[off : off+e] {
-			m.G.Embed.W.Data[i] = tensor.Elem(x)
-		}
-		off += e
-	}
-	tLen := m.D.Trunk.NumParams()
-	if err := m.D.Trunk.SetParamVector(v[off : off+tLen]); err != nil {
-		return err
-	}
-	off += tLen
-	sLen := m.D.Src.NumParams()
-	if err := m.D.Src.SetParamVector(v[off : off+sLen]); err != nil {
-		return err
-	}
-	off += sLen
-	if m.D.Cls != nil {
-		cLen := m.D.Cls.NumParams()
-		if err := m.D.Cls.SetParamVector(v[off : off+cLen]); err != nil {
-			return err
-		}
-		off += cLen
-	}
-	if off != len(v) {
-		return fmt.Errorf("flgan: vector length %d, consumed %d", len(v), off)
-	}
-	return nil
-}
-
 // RoundTripBytes returns the per-round traffic of one worker in each
 // direction: the serialised couple size (the paper's θ+w entry in
 // Table III).
 func RoundTripBytes(arch gan.Arch, seed int64, mode nn.GenLossMode, clsWeight float64) int64 {
-	m := arch.NewGAN(seed, mode, clsWeight)
-	return int64(len(encodeCouple(m)))
+	return nn.EncodedParamSize(coupleParams(arch.NewGAN(seed, mode, clsWeight)), tensor.NativeDType)
 }

@@ -1,6 +1,7 @@
 package flgan
 
 import (
+	"bytes"
 	"math"
 	mathrand "math/rand"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"mdgan/internal/nn"
 	"mdgan/internal/opt"
 	"mdgan/internal/simnet"
+	"mdgan/internal/tensor"
 )
 
 func ringShards(n, perShard int, seed int64) []*dataset.Dataset {
@@ -104,8 +106,8 @@ func TestAveragingSingleWorkerIsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := fullVector(res.Model)
-	b := fullVector(res2.Model)
+	a := nn.ParamVector(coupleParams(res.Model))
+	b := nn.ParamVector(coupleParams(res2.Model))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("FL-GAN run not deterministic")
@@ -115,12 +117,12 @@ func TestAveragingSingleWorkerIsIdentity(t *testing.T) {
 
 func TestVectorRoundTrip(t *testing.T) {
 	m := gan.ScaledMLP(32).NewGAN(11, nn.GenLossNonSaturating, 1)
-	v := fullVector(m)
+	v := nn.ParamVector(coupleParams(m))
 	m2 := gan.ScaledMLP(32).NewGAN(12, nn.GenLossNonSaturating, 1)
-	if err := setFullVector(m2, v); err != nil {
+	if err := nn.SetParamVector(coupleParams(m2), v); err != nil {
 		t.Fatal(err)
 	}
-	v2 := fullVector(m2)
+	v2 := nn.ParamVector(coupleParams(m2))
 	for i := range v {
 		if v[i] != v2[i] {
 			t.Fatalf("vector round trip mismatch at %d", i)
@@ -134,10 +136,87 @@ func TestEncodeDecodeCouple(t *testing.T) {
 	if err := decodeCoupleInto(b, encodeCouple(a)); err != nil {
 		t.Fatal(err)
 	}
-	va, vb := fullVector(a), fullVector(b)
+	va, vb := nn.ParamVector(coupleParams(a)), nn.ParamVector(coupleParams(b))
 	for i := range va {
 		if va[i] != vb[i] {
 			t.Fatalf("couple transfer mismatch at %d", i)
+		}
+	}
+}
+
+// TestDecodeCoupleRejectsWrongEmbedShapeAndTrailingBytes: a couple
+// payload comes from the network. The conditioning embedding used to be
+// decoded with ReadFrom, which adopts whatever shape the frame claims —
+// Embed.W changed size under Embed.Grad and Adam's moments — and bytes
+// after the last parameter were ignored.
+func TestDecodeCoupleRejectsWrongEmbedShapeAndTrailingBytes(t *testing.T) {
+	newCouple := func(seed int64) *gan.GAN { return gan.ScaledMLP(32).NewGAN(seed, nn.GenLossNonSaturating, 1) }
+	src := newCouple(13)
+	if src.G.Embed == nil {
+		t.Fatal("fixture must be conditional")
+	}
+
+	// The same couple with a (classes+1, zdim) embedding frame.
+	wide := tensor.New(src.G.Embed.W.Dim(0)+1, src.G.Embed.W.Dim(1))
+	payload := nn.AppendParams(nil, src.G.Net.Params(), tensor.NativeDType)
+	payload = wide.AppendBinary(payload)
+	payload = nn.AppendParams(payload, src.D.Params(), tensor.NativeDType)
+	dst := newCouple(14)
+	shape := append([]int(nil), dst.G.Embed.W.Shape()...)
+	if err := decodeCoupleInto(dst, payload); err == nil {
+		t.Fatal("couple with a wrong-shape embedding frame was accepted")
+	}
+	if !dst.G.Embed.W.SameShape(dst.G.Embed.Grad) || dst.G.Embed.W.Dim(0) != shape[0] || dst.G.Embed.W.Dim(1) != shape[1] {
+		t.Fatalf("rejected frame reshaped the embedding to %v (was %v, grad %v)",
+			dst.G.Embed.W.Shape(), shape, dst.G.Embed.Grad.Shape())
+	}
+
+	if err := decodeCoupleInto(newCouple(15), append(encodeCouple(src), 0)); err == nil {
+		t.Fatal("couple with a trailing byte was accepted")
+	}
+	if err := decodeCoupleInto(newCouple(16), encodeCouple(src)); err != nil {
+		t.Fatalf("well-formed couple rejected: %v", err)
+	}
+}
+
+// The couple on the wire is the generator's frames, then the
+// discriminator's, each in its own documented order, and RoundTripBytes
+// is that payload's size without building it.
+func TestCoupleCodecByteIdentity(t *testing.T) {
+	for _, arch := range []gan.Arch{gan.ScaledMLP(16), gan.RingMLP()} {
+		m := arch.NewGAN(1, nn.GenLossNonSaturating, 1)
+		for _, dt := range []byte{tensor.DTypeF64, tensor.DTypeF32} {
+			var want []byte
+			for _, p := range m.G.Net.Params() {
+				want = p.W.AppendBinaryAs(want, dt)
+			}
+			if m.G.Embed != nil {
+				want = m.G.Embed.W.AppendBinaryAs(want, dt)
+			}
+			nets := []*nn.Sequential{m.D.Trunk, m.D.Src}
+			if m.D.Cls != nil {
+				nets = append(nets, m.D.Cls)
+			}
+			for _, n := range nets {
+				for _, p := range n.Params() {
+					want = p.W.AppendBinaryAs(want, dt)
+				}
+			}
+			ps := coupleParams(m)
+			if got := nn.AppendParams(nil, ps, dt); !bytes.Equal(got, want) {
+				t.Fatalf("%s dtype %#x: couple differs from per-tensor frames (%d vs %d bytes)", arch.Name, dt, len(got), len(want))
+			}
+			if n := nn.EncodedParamSize(ps, dt); n != int64(len(want)) {
+				t.Fatalf("%s dtype %#x: EncodedParamSize %d, frames are %d bytes", arch.Name, dt, n, len(want))
+			}
+			if dt == tensor.NativeDType {
+				if !bytes.Equal(encodeCouple(m), want) {
+					t.Fatalf("%s: encodeCouple differs from per-tensor native frames", arch.Name)
+				}
+				if n := RoundTripBytes(arch, 1, nn.GenLossNonSaturating, 1); n != int64(len(want)) {
+					t.Fatalf("%s: RoundTripBytes %d, couple is %d bytes", arch.Name, n, len(want))
+				}
+			}
 		}
 	}
 }

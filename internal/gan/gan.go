@@ -9,7 +9,6 @@ package gan
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 
 	"mdgan/internal/nn"
@@ -119,8 +118,10 @@ func (g *Generator) Backward(grad *tensor.Tensor) {
 	}
 }
 
-// Params returns all learnable parameters (network + embedding). The
-// slice is cached; it must not be appended to in place.
+// Params returns all learnable parameters: the network's, then the
+// embedding. That is also their order in a checkpoint and an FL-GAN
+// couple (nn.AppendParams over this list). The slice is cached; it must
+// not be appended to in place.
 func (g *Generator) Params() []*nn.Param {
 	if g.params == nil {
 		net := g.Net.Params()
@@ -151,45 +152,6 @@ func (g *Generator) EmbedParams() int {
 		return 0
 	}
 	return g.Embed.W.Size()
-}
-
-// WriteParams serialises the generator's full learnable state (network
-// parameters plus the conditioning embedding) — the checkpoint format.
-func (g *Generator) WriteParams(w io.Writer) (int64, error) {
-	n, err := g.Net.WriteParams(w)
-	if err != nil {
-		return n, err
-	}
-	if g.Embed != nil {
-		n2, err := g.Embed.W.WriteTo(w)
-		n += n2
-		if err != nil {
-			return n, fmt.Errorf("gan: write embedding: %w", err)
-		}
-	}
-	return n, nil
-}
-
-// ReadParams restores state previously written by WriteParams on an
-// identically-shaped generator.
-func (g *Generator) ReadParams(r io.Reader) (int64, error) {
-	n, err := g.Net.ReadParams(r)
-	if err != nil {
-		return n, err
-	}
-	if g.Embed != nil {
-		var t tensor.Tensor
-		n2, err := t.ReadFrom(r)
-		n += n2
-		if err != nil {
-			return n, fmt.Errorf("gan: read embedding: %w", err)
-		}
-		if !t.SameShape(g.Embed.W) {
-			return n, fmt.Errorf("gan: embedding shape %v, want %v", t.Shape(), g.Embed.W.Shape())
-		}
-		g.Embed.W.CopyFrom(&t)
-	}
-	return n, nil
 }
 
 // Clone deep-copies the generator.
@@ -249,9 +211,11 @@ func (d *Discriminator) BackwardWant(srcGrad, clsGrad *tensor.Tensor, want nn.Wa
 	return d.Trunk.BackwardWant(featGrad, want)
 }
 
-// Params returns all learnable parameters. The slice is cached (it is
-// consulted on every ZeroGrads and optimiser step) and copied out of
-// the per-network caches so no append aliases them.
+// Params returns all learnable parameters: trunk, source head, class
+// head — also their order in a swap payload (nn.AppendParams over this
+// list). The slice is cached (it is consulted on every ZeroGrads and
+// optimiser step) and copied out of the per-network caches so no append
+// aliases them.
 func (d *Discriminator) Params() []*nn.Param {
 	if d.params == nil {
 		trunk, src := d.Trunk.Params(), d.Src.Params()
@@ -290,84 +254,6 @@ func (d *Discriminator) Clone() *Discriminator {
 		out.Cls = d.Cls.Clone()
 	}
 	return out
-}
-
-// EncodedParamSize is the byte size of WriteParams output (the |θ|
-// payload of a swap message at the compiled element width).
-func (d *Discriminator) EncodedParamSize() int64 {
-	n := d.Trunk.EncodedParamSize() + d.Src.EncodedParamSize()
-	if d.Cls != nil {
-		n += d.Cls.EncodedParamSize()
-	}
-	return n
-}
-
-// EncodedParamSizeAs is EncodedParamSize at an explicit wire dtype —
-// the |θ| payload of an FP32-compressed swap.
-func (d *Discriminator) EncodedParamSizeAs(dt byte) int64 {
-	n := d.Trunk.EncodedParamSizeAs(dt) + d.Src.EncodedParamSizeAs(dt)
-	if d.Cls != nil {
-		n += d.Cls.EncodedParamSizeAs(dt)
-	}
-	return n
-}
-
-// AppendParams appends trunk, source head and class head parameters to
-// dst — the allocation-free flavour of WriteParams for swap messages.
-func (d *Discriminator) AppendParams(dst []byte) []byte {
-	dst = d.Trunk.AppendParams(dst)
-	dst = d.Src.AppendParams(dst)
-	if d.Cls != nil {
-		dst = d.Cls.AppendParams(dst)
-	}
-	return dst
-}
-
-// AppendParamsAs is AppendParams at an explicit wire dtype. ReadParams
-// decodes either width (the tensor framing is self-describing), so a
-// float64 build can swap 4-byte payloads and vice versa.
-func (d *Discriminator) AppendParamsAs(dst []byte, dt byte) []byte {
-	dst = d.Trunk.AppendParamsAs(dst, dt)
-	dst = d.Src.AppendParamsAs(dst, dt)
-	if d.Cls != nil {
-		dst = d.Cls.AppendParamsAs(dst, dt)
-	}
-	return dst
-}
-
-// WriteParams serialises trunk, source head and class head in order.
-func (d *Discriminator) WriteParams(w io.Writer) (int64, error) {
-	n1, err := d.Trunk.WriteParams(w)
-	if err != nil {
-		return n1, err
-	}
-	n2, err := d.Src.WriteParams(w)
-	if err != nil {
-		return n1 + n2, err
-	}
-	if d.Cls == nil {
-		return n1 + n2, nil
-	}
-	n3, err := d.Cls.WriteParams(w)
-	return n1 + n2 + n3, err
-}
-
-// ReadParams loads parameters previously produced by WriteParams on an
-// identically-shaped discriminator.
-func (d *Discriminator) ReadParams(r io.Reader) (int64, error) {
-	n1, err := d.Trunk.ReadParams(r)
-	if err != nil {
-		return n1, err
-	}
-	n2, err := d.Src.ReadParams(r)
-	if err != nil {
-		return n1 + n2, err
-	}
-	if d.Cls == nil {
-		return n1 + n2, nil
-	}
-	n3, err := d.Cls.ReadParams(r)
-	return n1 + n2 + n3, err
 }
 
 // LossConfig is the loss configuration shared by workers (which hold

@@ -182,15 +182,11 @@ func TestDiscriminatorParamSerialization(t *testing.T) {
 	arch := ScaledCNN(1, 16, 10)
 	a := arch.NewGAN(13, nn.GenLossNonSaturating, 1)
 	b := arch.NewGAN(14, nn.GenLossNonSaturating, 1) // different init
-	var buf bytes.Buffer
-	n, err := a.D.WriteParams(&buf)
-	if err != nil {
-		t.Fatal(err)
+	buf := nn.AppendParams(nil, a.D.Params(), tensor.NativeDType)
+	if n := nn.EncodedParamSize(a.D.Params(), tensor.NativeDType); int64(len(buf)) != n {
+		t.Fatalf("wrote %d, EncodedParamSize %d", len(buf), n)
 	}
-	if n != a.D.EncodedParamSize() {
-		t.Fatalf("wrote %d, EncodedParamSize %d", n, a.D.EncodedParamSize())
-	}
-	if _, err := b.D.ReadParams(&buf); err != nil {
+	if _, err := nn.ReadParams(bytes.NewReader(buf), b.D.Params()); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(15))

@@ -54,7 +54,6 @@ type Scorer struct {
 	trunk   *nn.Sequential // input → features
 	head    *nn.Sequential // features → class logits
 	classes int
-	dim     int
 }
 
 // TrainScorer fits the scoring classifier on the labelled dataset.
@@ -70,7 +69,7 @@ func TrainScorer(ds *dataset.Dataset, cfg ScorerConfig) *Scorer {
 		nn.NewLeakyReLU(0.2),
 	)
 	head := nn.NewSequential(nn.NewDense(cfg.FeatureDim, ds.Classes, rng))
-	s := &Scorer{trunk: trunk, head: head, classes: ds.Classes, dim: d}
+	s := &Scorer{trunk: trunk, head: head, classes: ds.Classes}
 
 	optim := opt.NewAdam(opt.AdamConfig{LR: cfg.LR})
 	sampler := dataset.NewSampler(ds, cfg.Seed+2)
@@ -154,6 +153,3 @@ func (s *Scorer) FID(real, gen *tensor.Tensor) (float64, error) {
 
 // Classes returns the number of classes the scorer distinguishes.
 func (s *Scorer) Classes() int { return s.classes }
-
-// InputDim returns the flattened sample dimension the scorer expects.
-func (s *Scorer) InputDim() int { return s.dim }

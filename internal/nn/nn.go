@@ -93,6 +93,88 @@ func newParam(name string, w *tensor.Tensor) *Param {
 	return &Param{Name: name, W: w, Grad: tensor.New(w.Shape()...)}
 }
 
+// A model is its parameter list. Sequential.Params, gan.Generator.Params
+// and gan.Discriminator.Params return the list in wire order, and the
+// five functions below are the only codec over one: a swap payload, an
+// FL-GAN couple and a checkpoint are all AppendParams frames, and the
+// FedAvg vector is ParamVector.
+
+func numParams(ps []*Param) int {
+	n := 0
+	for _, p := range ps {
+		n += p.W.Size()
+	}
+	return n
+}
+
+// EncodedParamSize returns the number of bytes AppendParams(_, ps, dt)
+// produces — the θ and w payloads the communication accounting of
+// Tables III/IV counts, at wire dtype dt.
+func EncodedParamSize(ps []*Param, dt byte) int64 {
+	var n int64
+	for _, p := range ps {
+		n += p.W.EncodedSizeAs(dt)
+	}
+	return n
+}
+
+// AppendParams appends every parameter's tensor frame at wire dtype dt
+// (converting per element when dt is not the compiled width) and
+// returns the extended slice; into a buffer sized by EncodedParamSize it
+// does not allocate.
+func AppendParams(dst []byte, ps []*Param, dt byte) []byte {
+	for _, p := range ps {
+		dst = p.W.AppendBinaryAs(dst, dt)
+	}
+	return dst
+}
+
+// ReadParams decodes one frame per parameter from r straight into the
+// existing storage. A frame may be of either wire width (the framing
+// names its dtype) but must have its parameter's shape. On error the
+// parameters may be partially updated — callers treat that as fatal.
+func ReadParams(r io.Reader, ps []*Param) (int64, error) {
+	var total int64
+	for _, p := range ps {
+		n, err := p.W.ReadInPlace(r)
+		total += n
+		if err != nil {
+			return total, fmt.Errorf("nn: read %s: %w", p.Name, err)
+		}
+	}
+	return total, nil
+}
+
+// ParamVector flattens the parameters into one []float64 in list order
+// (widened from the compiled Elem when that is float32). The result is
+// a copy.
+func ParamVector(ps []*Param) []float64 {
+	out := make([]float64, 0, numParams(ps))
+	for _, p := range ps {
+		for _, v := range p.W.Data {
+			out = append(out, float64(v))
+		}
+	}
+	return out
+}
+
+// SetParamVector loads a vector produced by ParamVector on a list of
+// the same shapes. A vector of any other length is rejected before a
+// parameter is written.
+func SetParamVector(ps []*Param, v []float64) error {
+	if n := numParams(ps); len(v) != n {
+		return fmt.Errorf("nn: param vector length %d, parameters hold %d", len(v), n)
+	}
+	for _, p := range ps {
+		n := p.W.Size()
+		for i, x := range v[:n] {
+			p.W.Data[i] = tensor.Elem(x)
+		}
+		v = v[n:]
+	}
+	return nil
+}
+
 // Layer is a differentiable module. Forward caches whatever Backward
 // needs; Backward consumes the gradient with respect to the layer output
 // and returns the gradient with respect to the layer input, accumulating
@@ -220,46 +302,7 @@ func (s *Sequential) ZeroGrads() {
 
 // NumParams returns the total number of scalar parameters (the |w| and
 // |θ| quantities of the paper's complexity analysis).
-func (s *Sequential) NumParams() int {
-	n := 0
-	for _, p := range s.Params() {
-		n += p.W.Size()
-	}
-	return n
-}
-
-// ParamVector flattens all parameters into a single []float64 in layer
-// order (widened from the compiled Elem when that is float32). The
-// result is a copy.
-func (s *Sequential) ParamVector() []float64 {
-	out := make([]float64, 0, s.NumParams())
-	for _, p := range s.Params() {
-		for _, v := range p.W.Data {
-			out = append(out, float64(v))
-		}
-	}
-	return out
-}
-
-// SetParamVector loads parameters from a flat vector previously produced
-// by ParamVector on an identically-shaped network.
-func (s *Sequential) SetParamVector(v []float64) error {
-	off := 0
-	for _, p := range s.Params() {
-		n := p.W.Size()
-		if off+n > len(v) {
-			return fmt.Errorf("nn: param vector too short: have %d, need >= %d", len(v), off+n)
-		}
-		for i, x := range v[off : off+n] {
-			p.W.Data[i] = tensor.Elem(x)
-		}
-		off += n
-	}
-	if off != len(v) {
-		return fmt.Errorf("nn: param vector length %d does not match network size %d", len(v), off)
-	}
-	return nil
-}
+func (s *Sequential) NumParams() int { return numParams(s.Params()) }
 
 // GradVector flattens all parameter gradients into a single []float64
 // (widened from the compiled Elem when that is float32).
@@ -271,95 +314,6 @@ func (s *Sequential) GradVector() []float64 {
 		}
 	}
 	return out
-}
-
-// CopyParamsFrom copies parameter values from src, which must have the
-// same architecture.
-func (s *Sequential) CopyParamsFrom(src *Sequential) error {
-	sp, dp := src.Params(), s.Params()
-	if len(sp) != len(dp) {
-		return fmt.Errorf("nn: param count mismatch %d vs %d", len(sp), len(dp))
-	}
-	for i := range sp {
-		if !sp[i].W.SameShape(dp[i].W) {
-			return fmt.Errorf("nn: param %d shape mismatch", i)
-		}
-		dp[i].W.CopyFrom(sp[i].W)
-	}
-	return nil
-}
-
-// EncodedParamSize returns the number of bytes WriteParams produces —
-// used by the communication accounting of Tables III/IV.
-func (s *Sequential) EncodedParamSize() int64 {
-	var n int64
-	for _, p := range s.Params() {
-		n += p.W.EncodedSize()
-	}
-	return n
-}
-
-// EncodedParamSizeAs returns the number of bytes AppendParamsAs(_, dt)
-// produces — the wire footprint of a parameter transfer at an explicit
-// element width (the FP32 swap payloads of Table III's W→W row).
-func (s *Sequential) EncodedParamSizeAs(dt byte) int64 {
-	var n int64
-	for _, p := range s.Params() {
-		n += p.W.EncodedSizeAs(dt)
-	}
-	return n
-}
-
-// WriteParams serialises all parameters to w (for swap / FedAvg traffic).
-func (s *Sequential) WriteParams(w io.Writer) (int64, error) {
-	var total int64
-	for _, p := range s.Params() {
-		n, err := p.W.WriteTo(w)
-		total += n
-		if err != nil {
-			return total, fmt.Errorf("nn: write %s: %w", p.Name, err)
-		}
-	}
-	return total, nil
-}
-
-// AppendParams appends every parameter's wire framing to dst and
-// returns the extended slice — the allocation-free flavour of
-// WriteParams for the per-iteration swap traffic (size the buffer with
-// EncodedParamSize).
-func (s *Sequential) AppendParams(dst []byte) []byte {
-	for _, p := range s.Params() {
-		dst = p.W.AppendBinary(dst)
-	}
-	return dst
-}
-
-// AppendParamsAs is AppendParams at an explicit wire dtype, converting
-// per element when dt is not the compiled width. ReadParams accepts the
-// resulting frames regardless of the width they were written at (the
-// tensor framing self-describes its dtype), which is what lets the
-// float64 build ship 4-byte discriminator swaps.
-func (s *Sequential) AppendParamsAs(dst []byte, dt byte) []byte {
-	for _, p := range s.Params() {
-		dst = p.W.AppendBinaryAs(dst, dt)
-	}
-	return dst
-}
-
-// ReadParams deserialises parameters from r into the network, streaming
-// each payload directly into the existing parameter storage (no
-// intermediate tensors). On a shape mismatch the network may be left
-// partially updated — callers treat that as fatal.
-func (s *Sequential) ReadParams(r io.Reader) (int64, error) {
-	var total int64
-	for _, p := range s.Params() {
-		n, err := p.W.ReadInPlace(r)
-		total += n
-		if err != nil {
-			return total, fmt.Errorf("nn: read %s: %w", p.Name, err)
-		}
-	}
-	return total, nil
 }
 
 // GradNorm returns the Euclidean norm of the concatenated parameter

@@ -22,11 +22,11 @@ func TestParamVectorRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := smallNet(rng)
 	b := smallNet(rng)
-	v := a.ParamVector()
+	v := ParamVector(a.Params())
 	if len(v) != a.NumParams() {
 		t.Fatalf("vector length %d != NumParams %d", len(v), a.NumParams())
 	}
-	if err := b.SetParamVector(v); err != nil {
+	if err := SetParamVector(b.Params(), v); err != nil {
 		t.Fatal(err)
 	}
 	x := randInput(rng, 3, 4)
@@ -40,11 +40,36 @@ func TestParamVectorRoundTrip(t *testing.T) {
 func TestSetParamVectorRejectsWrongLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n := smallNet(rng)
-	if err := n.SetParamVector(make([]float64, 3)); err == nil {
+	if err := SetParamVector(n.Params(), make([]float64, 3)); err == nil {
 		t.Fatal("expected error for short vector")
 	}
-	if err := n.SetParamVector(make([]float64, n.NumParams()+1)); err == nil {
+	if err := SetParamVector(n.Params(), make([]float64, n.NumParams()+1)); err == nil {
 		t.Fatal("expected error for long vector")
+	}
+
+	// A G+D couple as FL-GAN averages it: generator, trunk and two heads
+	// in one list. FedAvg hands back a vector from the network, so any
+	// length but the total is an error — never a panic — and leaves every
+	// parameter as it was.
+	head := NewSequential(NewDense(3, 2, rng))
+	var ps []*Param
+	for _, net := range []*Sequential{smallNet(rng), smallNet(rng), NewSequential(NewDense(3, 1, rng)), head} {
+		ps = append(ps, net.Params()...)
+	}
+	before := ParamVector(ps)
+	for name, l := range map[string]int{
+		"short":             3,
+		"long":              len(before) + 1,
+		"short by one head": len(before) - head.NumParams(),
+	} {
+		if err := SetParamVector(ps, make([]float64, l)); err == nil {
+			t.Fatalf("%s vector (%d of %d): expected error", name, l, len(before))
+		}
+		for i, v := range ParamVector(ps) {
+			if v != before[i] {
+				t.Fatalf("%s vector: rejected load changed parameter element %d", name, i)
+			}
+		}
 	}
 }
 
@@ -67,15 +92,11 @@ func TestParamSerializationRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := smallNet(rng)
 	b := smallNet(rng)
-	var buf bytes.Buffer
-	n, err := a.WriteParams(&buf)
-	if err != nil {
-		t.Fatal(err)
+	buf := AppendParams(nil, a.Params(), tensor.NativeDType)
+	if n := EncodedParamSize(a.Params(), tensor.NativeDType); int64(len(buf)) != n {
+		t.Fatalf("wrote %d bytes, EncodedParamSize says %d", len(buf), n)
 	}
-	if n != a.EncodedParamSize() {
-		t.Fatalf("wrote %d bytes, EncodedParamSize says %d", n, a.EncodedParamSize())
-	}
-	if _, err := b.ReadParams(&buf); err != nil {
+	if _, err := ReadParams(bytes.NewReader(buf), b.Params()); err != nil {
 		t.Fatal(err)
 	}
 	x := randInput(rng, 2, 4)
@@ -88,11 +109,8 @@ func TestReadParamsRejectsShapeMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := smallNet(rng)
 	other := NewSequential(NewDense(9, 9, rng))
-	var buf bytes.Buffer
-	if _, err := other.WriteParams(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.ReadParams(&buf); err == nil {
+	buf := AppendParams(nil, other.Params(), tensor.NativeDType)
+	if _, err := ReadParams(bytes.NewReader(buf), a.Params()); err == nil {
 		t.Fatal("expected shape mismatch error")
 	}
 }

@@ -210,12 +210,6 @@ func ApplyInto(out, t *Tensor, f func(float64) float64) {
 	})
 }
 
-// ApplyInPlace applies f element-wise in place.
-func (t *Tensor) ApplyInPlace(f func(float64) float64) *Tensor {
-	ApplyInto(t, t, f)
-	return t
-}
-
 // Sum returns the sum of all elements, accumulated in float64
 // regardless of the compiled Elem.
 func (t *Tensor) Sum() float64 {

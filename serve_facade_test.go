@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"mdgan"
+	"mdgan/internal/nn"
 	"mdgan/internal/tensor"
 )
 
@@ -35,10 +36,7 @@ func newCkptGAN(seed int64) *mdgan.Generator {
 func writeCheckpointAs(t *testing.T, g *mdgan.Generator, path string, dt byte) {
 	t.Helper()
 	buf := []byte{'M', 'D', 'G', 2}
-	buf = g.Net.AppendParamsAs(buf, dt)
-	if g.Embed != nil {
-		buf = g.Embed.W.AppendBinaryAs(buf, dt)
-	}
+	buf = nn.AppendParams(buf, g.Params(), dt)
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
