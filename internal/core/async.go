@@ -145,9 +145,8 @@ func (s *server) runAsync(iters int) (int, error) {
 			continue
 		}
 		// Apply Δw from this single feedback (stale-gradient update).
-		s.g.ZeroGrads()
 		s.g.Forward(gb.z, gb.labs, true)
-		s.g.Backward(f)
+		s.g.BackwardWrite(f)
 		s.optG.Step(s.g.Params())
 		updates++
 

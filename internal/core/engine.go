@@ -850,7 +850,9 @@ func (s *server) apply(r *round) {
 			}
 		}
 	}
-	s.g.ZeroGrads()
+	// The first batch's backward pass writes the gradient and the others
+	// accumulate into it, so nothing is cleared only to be added to.
+	written := false
 	for j := 0; j < r.k; j++ {
 		if r.outGrads[j] == nil {
 			continue
@@ -858,9 +860,17 @@ func (s *server) apply(r *round) {
 		// Re-forward to restore layer caches for batch j (they were
 		// clobbered when batch j+1.. were generated).
 		s.g.Forward(r.zs[j], r.labs[j], true)
-		s.g.Backward(r.outGrads[j])
+		if written {
+			s.g.Backward(r.outGrads[j])
+		} else {
+			s.g.BackwardWrite(r.outGrads[j])
+			written = true
+		}
 		tensor.Put(r.outGrads[j])
 		r.outGrads[j] = nil
+	}
+	if !written {
+		s.g.ZeroGrads() // no group had a gradient: step on zeros, never on the last round's
 	}
 	s.optG.Step(s.g.Params())
 	s.updates++

@@ -304,9 +304,13 @@ func encodeDiscParams(d *gan.Discriminator, p SwapPrecision) []byte {
 
 // decodeDiscParamsInto loads a swap payload of either wire width (the
 // tensor framing self-describes its dtype, so frames from the f32 and
-// f64 builds decode interchangeably).
+// f64 builds decode interchangeably). It is all or nothing: a payload
+// that is truncated, mis-shaped or followed by stray bytes is an error
+// and leaves d exactly as it was, which is what every caller in
+// worker.go relies on when it keeps its own discriminator after a
+// failed swap.
 func decodeDiscParamsInto(d *gan.Discriminator, p []byte) error {
-	if _, err := nn.ReadParams(bytes.NewReader(p), d.Params()); err != nil {
+	if err := nn.DecodeParams(p, d.Params()); err != nil {
 		return fmt.Errorf("core: decode swap params: %w", err)
 	}
 	return nil

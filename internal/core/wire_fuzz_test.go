@@ -12,6 +12,8 @@ import (
 	"runtime"
 	"testing"
 
+	"mdgan/internal/gan"
+	"mdgan/internal/nn"
 	"mdgan/internal/tensor"
 )
 
@@ -108,9 +110,96 @@ func FuzzTensorReadInPlace(f *testing.F) {
 	f.Add([]byte{0xF0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 2}) // near-miss dtype byte → legacy rank garbage
 	f.Fuzz(func(t *testing.T, p []byte) {
 		dst := tensor.New(3, 4)
-		_, _ = dst.ReadInPlace(bytes.NewReader(p)) // must never panic
+		read, err := dst.ReadInPlace(bytes.NewReader(p)) // must never panic
+		// CheckFrame is ReadInPlace's dry run: same verdict, same length.
+		size, cerr := tensor.New(3, 4).CheckFrame(p)
+		if (err == nil) != (cerr == nil) || (err == nil && int64(size) != read) {
+			t.Fatalf("CheckFrame says (%d, %v), ReadInPlace (%d, %v)", size, cerr, read, err)
+		}
 		var fresh tensor.Tensor
 		_, _ = fresh.ReadFrom(bytes.NewReader(p)) // must never panic
+	})
+}
+
+// swapTestDisc is a small discriminator with distinct, recognisable
+// parameter values, and corruptSwaps the ways its swap payload can
+// arrive damaged: cut short by a byte or by a whole frame, followed by
+// a stray byte, or with the last frame announcing another shape.
+func swapTestDisc(seed int64) *gan.Discriminator {
+	d := gan.RingMLP().NewGAN(seed, nn.GenLossNonSaturating, 0).D
+	for i, p := range d.Params() {
+		for j := range p.W.Data {
+			p.W.Data[j] = tensor.Elem(seed) + tensor.Elem(i) + tensor.Elem(j)/1024
+		}
+	}
+	return d
+}
+
+func corruptSwaps(d *gan.Discriminator) map[string][]byte {
+	valid := encodeDiscParams(d, SwapNative)
+	ps := d.Params()
+	first, last := ps[0].W, ps[len(ps)-1].W
+	head := append([]byte(nil), valid[:len(valid)-int(last.EncodedSize())]...)
+	// The same bytes with the first frame's two dims swapped: every
+	// length still adds up, only the shape is wrong.
+	transposed := append([]byte(nil), valid...)
+	copy(transposed, tensor.New(first.Dim(1), first.Dim(0)).AppendBinary(nil)[:1+4+8])
+	return map[string][]byte{
+		"truncated by one byte":     valid[:len(valid)-1],
+		"truncated by one tensor":   head,
+		"one trailing byte":         append(append([]byte(nil), valid...), 0),
+		"wrong shape in last frame": tensor.New(last.Size()+1, 1).AppendBinary(head),
+		"first frame transposed":    transposed,
+	}
+}
+
+// TestDecodeSwapIsAllOrNothing pins what every swap site in worker.go
+// assumes: a swap payload that does not decode leaves the worker's own
+// discriminator exactly as it was. A truncated payload used to overwrite
+// the leading parameters before failing on the missing one, and a
+// trailing byte used to be accepted.
+func TestDecodeSwapIsAllOrNothing(t *testing.T) {
+	peer := swapTestDisc(7)
+	for name, payload := range corruptSwaps(peer) {
+		t.Run(name, func(t *testing.T) {
+			own := swapTestDisc(3)
+			before := encodeDiscParams(own, SwapNative)
+			if err := decodeDiscParamsInto(own, payload); err == nil {
+				t.Fatal("corrupt swap payload decoded without error")
+			}
+			if !bytes.Equal(encodeDiscParams(own, SwapNative), before) {
+				t.Fatal("a failed swap decode modified the worker's own discriminator")
+			}
+		})
+	}
+	own := swapTestDisc(3)
+	for _, prec := range []SwapPrecision{SwapNative, SwapFP32} {
+		if err := decodeDiscParamsInto(own, encodeDiscParams(peer, prec)); err != nil {
+			t.Fatalf("valid swap payload (precision %v): %v", prec, err)
+		}
+	}
+	if !bytes.Equal(encodeDiscParams(own, SwapNative), encodeDiscParams(peer, SwapNative)) {
+		t.Fatal("a valid swap did not adopt the peer's parameters")
+	}
+}
+
+// FuzzDecodeSwapParams holds the same property over arbitrary bytes:
+// the decode either succeeds or leaves the discriminator bitwise
+// untouched, and never panics.
+func FuzzDecodeSwapParams(f *testing.F) {
+	peer := swapTestDisc(7)
+	f.Add(encodeDiscParams(peer, SwapNative))
+	f.Add(encodeDiscParams(peer, SwapFP32))
+	for _, p := range corruptSwaps(peer) {
+		f.Add(p)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		own := swapTestDisc(3)
+		before := encodeDiscParams(own, SwapNative)
+		if err := decodeDiscParamsInto(own, p); err != nil && !bytes.Equal(encodeDiscParams(own, SwapNative), before) {
+			t.Fatalf("failed decode (%v) modified the discriminator", err)
+		}
 	})
 }
 

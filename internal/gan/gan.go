@@ -101,12 +101,25 @@ func (g *Generator) Generate(b int, rng *rand.Rand, train bool) (*tensor.Tensor,
 // exactly what the MD-GAN server does with the merged worker feedbacks.
 // The gradient with respect to the latent input is computed only when a
 // conditioning embedding sits behind it.
-func (g *Generator) Backward(grad *tensor.Tensor) {
+func (g *Generator) Backward(grad *tensor.Tensor) { g.backward(grad, nn.WantParams) }
+
+// BackwardWrite is Backward for the first (or only) batch of an update:
+// the parameter gradients are written instead of accumulated (nn's
+// WantWrite), so the update needs no ZeroGrads before it. Only the
+// embedding gradient is still cleared — its rows are scattered into.
+func (g *Generator) BackwardWrite(grad *tensor.Tensor) {
+	g.backward(grad, nn.WantParams|nn.WantWrite)
+}
+
+func (g *Generator) backward(grad *tensor.Tensor, want nn.Want) {
 	if g.Embed == nil {
-		g.Net.BackwardWant(grad, nn.WantParams)
+		g.Net.BackwardWant(grad, want)
 		return
 	}
-	din := g.Net.Backward(grad)
+	if want&nn.WantWrite != 0 {
+		g.Embed.Grad.Zero()
+	}
+	din := g.Net.BackwardWant(grad, want|nn.WantInput)
 	din = din.Reshape(din.Dim(0), din.Size()/din.Dim(0))
 	for i, lab := range g.labCache {
 		zi := g.zCache.Data[i*g.ZDim : (i+1)*g.ZDim]
@@ -172,7 +185,10 @@ type Discriminator struct {
 	Src   *nn.Sequential
 	Cls   *nn.Sequential // nil for unconditional GANs
 
-	params []*nn.Param // cached combined parameter list
+	params  []*nn.Param // cached combined parameter list
+	rowWise bool        // no layer couples the rows of a batch; cached with params
+
+	stack *tensor.Tensor // DiscStep's real batch stacked on the generated one
 }
 
 // Forward returns source logits (N, 1) and class logits (N, K) or nil.
@@ -227,6 +243,7 @@ func (d *Discriminator) Params() []*nn.Param {
 		d.params = append(d.params, trunk...)
 		d.params = append(d.params, src...)
 		d.params = append(d.params, cls...)
+		d.rowWise = d.Trunk.RowWise() && d.Src.RowWise() && (d.Cls == nil || d.Cls.RowWise())
 	}
 	return d.params
 }
@@ -280,7 +297,26 @@ type GAN struct {
 // followed by one optimiser update. Only parameter gradients are
 // back-propagated; ∂L/∂x of either batch is never formed. Returns the
 // discriminator loss.
+//
+// When no layer of the discriminator couples the rows of a batch
+// (nn.Sequential.RowWise — every dense and plain convolutional
+// architecture), the two batches are stacked and go through D once:
+// each weight is read once on the way up and each weight-shaped
+// gradient is written once on the way down, instead of cleared and
+// accumulated into twice. Jdisc is a sum of two batch means, so in the
+// stacked batch every row keeps the 1/b of its own half — not 1/2b —
+// and its target (1 for the real rows, 0 for the generated ones): the
+// loss and the gradient are those of the two passes, up to the order a
+// weight gradient's 2b terms are added in. With batch normalisation or
+// minibatch discrimination in D a row's output depends on its batch, so
+// the two batches stay two passes.
 func DiscStep(d *Discriminator, lc LossConfig, optD opt.Optimizer, xr *tensor.Tensor, lr []int, xg *tensor.Tensor, lg []int) float64 {
+	params := d.Params()
+	if d.onePass(xr, xg) {
+		loss := discGradStacked(d, lc, xr, lr, xg, lg, nn.WantParams|nn.WantWrite)
+		optD.Step(params)
+		return loss
+	}
 	d.ZeroGrads()
 	loss := 0.0
 	// Real batch, target 1.
@@ -306,8 +342,55 @@ func DiscStep(d *Discriminator, lc LossConfig, optD opt.Optimizer, xr *tensor.Te
 		gCls = gc.ScaleInPlace(lc.ClsWeight)
 	}
 	d.BackwardWant(gSrc, gCls, nn.WantParams)
-	optD.Step(d.Params())
+	optD.Step(params)
 	return loss
+}
+
+// onePass reports whether DiscStep can run the two batches through d
+// stacked: no layer couples rows, and the rows are the same size.
+func (d *Discriminator) onePass(xr, xg *tensor.Tensor) bool {
+	d.Params() // decides rowWise on first use
+	return d.rowWise && xr.Size()/xr.Dim(0) == xg.Size()/xg.Dim(0)
+}
+
+// discGradStacked is the one-pass half of DiscStep: it stacks the real
+// batch on the generated one in a discriminator-owned buffer, runs one
+// forward pass and one backward pass restricted to want, and returns
+// Jdisc.
+func discGradStacked(d *Discriminator, lc LossConfig, xr *tensor.Tensor, lr []int, xg *tensor.Tensor, lg []int, want nn.Want) float64 {
+	nr, ng := xr.Dim(0), xg.Dim(0)
+	if !stacks(d.stack, xr, nr+ng) {
+		// Only when the batch geometry changes: the steady state reuses
+		// the buffer without forming a shape.
+		d.stack = tensor.Ensure(d.stack, append([]int{nr + ng}, xr.Shape()[1:]...)...)
+	}
+	copy(d.stack.Data, xr.Data)
+	copy(d.stack.Data[len(xr.Data):], xg.Data)
+
+	src, cls := d.Forward(d.stack, true)
+	loss, gSrc := nn.BCEWithLogitsStacked(src, nr)
+	var gCls *tensor.Tensor
+	if cls != nil && lc.ClsWeight > 0 {
+		lCls, gc := nn.SoftmaxCrossEntropyStacked(cls, lr, lg)
+		loss += lc.ClsWeight * lCls
+		gCls = gc.ScaleInPlace(lc.ClsWeight)
+	}
+	d.BackwardWant(gSrc, gCls, want)
+	return loss
+}
+
+// stacks reports whether st already has the shape of n rows shaped like
+// x's.
+func stacks(st, x *tensor.Tensor, n int) bool {
+	if st == nil || st.Rank() != x.Rank() || st.Dim(0) != n {
+		return false
+	}
+	for i := 1; i < x.Rank(); i++ {
+		if st.Dim(i) != x.Dim(i) {
+			return false
+		}
+	}
+	return true
 }
 
 // Feedback computes the MD-GAN error feedback F_n (§IV-B2): the
@@ -339,8 +422,7 @@ func GenStepLocal(g *GAN, optG opt.Optimizer, b int, rng *rand.Rand) float64 {
 	z, labels := g.G.SampleZ(b, rng)
 	xg := g.G.Forward(z, labels, true)
 	fn, loss := Feedback(g.D, g.LossConfig, xg, labels)
-	g.G.ZeroGrads()
-	g.G.Backward(fn)
+	g.G.BackwardWrite(fn)
 	optG.Step(g.G.Params())
 	return loss
 }

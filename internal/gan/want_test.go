@@ -1,6 +1,7 @@
 package gan
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,10 +12,14 @@ import (
 )
 
 // DiscStep and Feedback back-propagate only the gradients they read.
-// The references below are the same steps over a full
-// Discriminator.Backward — what both functions ran before they were
-// given a want-set — and everything the restricted pass produces must
-// equal them bit for bit.
+// The references below are the same steps over a full, accumulating
+// Discriminator.Backward into zeroed gradients — what both functions
+// ran before they were given a want-set — and everything the
+// restricted, gradient-writing pass produces must equal them bit for
+// bit. (Whether DiscStep stacks its two batches is not this file's
+// subject: the reference stacks when DiscStep does, and
+// TestDiscStepFusedMatchesTwoPass compares the stacked step with two
+// passes.)
 
 func feedbackFull(d *Discriminator, lc LossConfig, xg *tensor.Tensor, lg []int) *tensor.Tensor {
 	src, cls := d.Forward(xg, true)
@@ -29,6 +34,13 @@ func feedbackFull(d *Discriminator, lc LossConfig, xg *tensor.Tensor, lg []int) 
 
 func discStepFull(d *Discriminator, lc LossConfig, optD opt.Optimizer, xr *tensor.Tensor, lr []int, xg *tensor.Tensor, lg []int) {
 	d.ZeroGrads()
+	if d.onePass(xr, xg) {
+		// DiscStep stacks the two batches here; so does its reference,
+		// which keeps the comparison about the want-set alone.
+		discGradStacked(d, lc, xr, lr, xg, lg, nn.WantParams|nn.WantInput)
+		optD.Step(d.Params())
+		return
+	}
 	for _, b := range []struct {
 		x      *tensor.Tensor
 		labels []int
@@ -144,14 +156,21 @@ func BenchmarkFeedback(b *testing.B) {
 }
 
 func BenchmarkDiscStep(b *testing.B) {
-	g := PaperMLP().NewGAN(1, nn.GenLossNonSaturating, 1)
-	xg, lg := g.G.Generate(10, rand.New(rand.NewSource(2)), true)
-	xg = xg.Clone()
-	xr, lr := dataset.NewSampler(dataset.SynthDigits(40, 3), 4).Sample(10)
-	optD := opt.NewAdam(opt.AdamConfig{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DiscStep(g.D, g.LossConfig, optD, xr, lr, xg, lg)
+	// b=10 is the paper's batch. The larger ones walk the stacked 2b-row
+	// batch out of the skinny GEMM range (m ≤ 36), where one pass must
+	// still not lose to two.
+	for _, batch := range []int{10, 16, 20, 32} {
+		b.Run(fmt.Sprintf("b=%d", batch), func(b *testing.B) {
+			g := PaperMLP().NewGAN(1, nn.GenLossNonSaturating, 1)
+			xg, lg := g.G.Generate(batch, rand.New(rand.NewSource(2)), true)
+			xg = xg.Clone()
+			xr, lr := dataset.NewSampler(dataset.SynthDigits(40, 3), 4).Sample(batch)
+			optD := opt.NewAdam(opt.AdamConfig{})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				DiscStep(g.D, g.LossConfig, optD, xr, lr, xg, lg)
+			}
+		})
 	}
 }
 

@@ -297,8 +297,8 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // BackwardWant is Backward restricted to want: the gather of grad is
 // shared, the fused dW product and bias reduction run only with
-// WantParams, and Wᵀ·gy with its col2im scatter only with WantInput
-// (nil otherwise).
+// WantParams (stored instead of accumulated under WantWrite), and Wᵀ·gy
+// with its col2im scatter only with WantInput (nil otherwise).
 func (c *Conv2D) BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor {
 	g := c.geom
 	n := c.x.Dim(0)
@@ -327,7 +327,12 @@ func (c *Conv2D) BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor {
 	// transposed im2col packed straight from x), one contiguous
 	// reduction.
 	if want&WantParams != 0 {
-		tensor.MatMulPackedAdd(c.W.Grad, gy, ckk, g.packIm2colT(c.x.Data, inVol, ckk))
+		if want.writes() {
+			tensor.MatMulPacked(c.W.Grad, gy, ckk, g.packIm2colT(c.x.Data, inVol, ckk))
+			c.B.Grad.Zero()
+		} else {
+			tensor.MatMulPackedAdd(c.W.Grad, gy, ckk, g.packIm2colT(c.x.Data, inVol, ckk))
+		}
 		db := c.B.Grad.Data
 		for oc := 0; oc < c.OutC; oc++ {
 			sum := 0.0
@@ -475,7 +480,8 @@ func (c *ConvTranspose2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // BackwardWant is Backward restricted to want: the dx̂ product and its
 // unpack run only with WantInput (nil otherwise), the x̂ repack, the
-// fused dW product and the bias reduction only with WantParams.
+// fused dW product and the bias reduction only with WantParams (stored
+// instead of accumulated under WantWrite).
 func (c *ConvTranspose2D) BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor {
 	g := c.geom
 	n := c.x.Dim(0)
@@ -523,7 +529,12 @@ func (c *ConvTranspose2D) BackwardWant(grad *tensor.Tensor, want Want) *tensor.T
 				}
 			}
 		})
-		tensor.MatMulPackedAdd(c.W.Grad, xhat, ckk, g.packIm2colT(gd, outVol, ckk))
+		if want.writes() {
+			tensor.MatMulPacked(c.W.Grad, xhat, ckk, g.packIm2colT(gd, outVol, ckk))
+			c.B.Grad.Zero()
+		} else {
+			tensor.MatMulPackedAdd(c.W.Grad, xhat, ckk, g.packIm2colT(gd, outVol, ckk))
+		}
 		tensor.Put(xhat)
 
 		// dB sums the gradient per output channel.

@@ -59,14 +59,20 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // BackwardWant is Backward restricted to want: the weight-gradient
-// product and bias reduction run only with WantParams, the g·Wᵀ product
-// only with WantInput (nil otherwise).
+// product and bias reduction run only with WantParams — stored instead
+// of accumulated under WantWrite — and the g·Wᵀ product only with
+// WantInput (nil otherwise).
 func (d *Dense) BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor {
 	if grad.Rank() != 2 {
 		grad = grad.Reshape(grad.Dim(0), grad.Size()/grad.Dim(0))
 	}
 	if want&WantParams != 0 {
-		tensor.MatMulT1Add(d.W.Grad, d.x, grad)
+		if want.writes() {
+			tensor.MatMulT1Into(d.W.Grad, d.x, grad)
+			d.B.Grad.Zero()
+		} else {
+			tensor.MatMulT1Add(d.W.Grad, d.x, grad)
+		}
 		grad.SumRowsAdd(d.B.Grad)
 	}
 	if want&WantInput == 0 {

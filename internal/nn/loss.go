@@ -17,15 +17,32 @@ import (
 // and a constant target (1 = real, 0 = generated), in the numerically
 // stable formulation max(s,0) − s·y + log(1+e^{−|s|}).
 func BCEWithLogits(logits *tensor.Tensor, target float64) (float64, *tensor.Tensor) {
-	n := float64(logits.Size())
 	grad := tensor.New(logits.Shape()...)
+	return bceRows(logits.Data, grad.Data, target), grad
+}
+
+// BCEWithLogitsStacked is BCEWithLogits over two batches stacked into
+// one: the first nReal rows have target 1, the rest target 0, and each
+// group is averaged over its own size — the sum of the two losses, and
+// for every row the gradient it has in its own batch.
+func BCEWithLogitsStacked(logits *tensor.Tensor, nReal int) (float64, *tensor.Tensor) {
+	grad := tensor.New(logits.Shape()...)
+	w := logits.Size() / logits.Dim(0)
+	loss := bceRows(logits.Data[:nReal*w], grad.Data[:nReal*w], 1)
+	return loss + bceRows(logits.Data[nReal*w:], grad.Data[nReal*w:], 0), grad
+}
+
+// bceRows writes the gradient of the mean cross-entropy of logits
+// against target into grad and returns that mean.
+func bceRows(logits, grad []tensor.Elem, target float64) float64 {
+	n := float64(len(logits))
 	loss := 0.0
-	for i, sv := range logits.Data {
+	for i, sv := range logits {
 		s := float64(sv)
 		loss += math.Max(s, 0) - s*target + math.Log1p(math.Exp(-math.Abs(s)))
-		grad.Data[i] = tensor.Elem((sigmoid(s) - target) / n)
+		grad[i] = tensor.Elem((sigmoid(s) - target) / n)
 	}
-	return loss / n, grad
+	return loss / n
 }
 
 func sigmoid(s float64) float64 { return 1 / (1 + math.Exp(-s)) }
@@ -106,25 +123,56 @@ func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 // softmax of logits (N, K) and integer labels, returning the loss and
 // ∂loss/∂logits = (softmax − onehot)/N.
 func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+	if len(labels) != logits.Dim(0) {
+		panic(fmt.Sprintf("nn: %d labels for %d logit rows", len(labels), logits.Dim(0)))
+	}
+	// The probabilities are no longer needed once the loss is summed, so
+	// the gradient (softmax − onehot)/N reuses their tensor in place.
+	probs := Softmax(logits)
+	return crossEntropyRows(probs.Data, logits.Dim(1), labels), probs
+}
+
+// SoftmaxCrossEntropyStacked is SoftmaxCrossEntropy over two batches
+// stacked into one: the first len(first) rows carry the labels first and
+// the rest the labels rest, each group averaged over its own size — the
+// sum of the two losses, and for every row the gradient it has in its
+// own batch. A nil rest leaves the remaining rows out of the loss, with
+// a zero gradient.
+func SoftmaxCrossEntropyStacked(logits *tensor.Tensor, first, rest []int) (float64, *tensor.Tensor) {
 	n, k := logits.Dim(0), logits.Dim(1)
-	if len(labels) != n {
-		panic(fmt.Sprintf("nn: %d labels for %d logit rows", len(labels), n))
+	if len(first) > n || (rest != nil && len(first)+len(rest) != n) {
+		panic(fmt.Sprintf("nn: %d+%d labels for %d logit rows", len(first), len(rest), n))
 	}
 	probs := Softmax(logits)
+	split := len(first) * k
+	loss := crossEntropyRows(probs.Data[:split], k, first)
+	if rest == nil {
+		clear(probs.Data[split:])
+		return loss, probs
+	}
+	return loss + crossEntropyRows(probs.Data[split:], k, rest), probs
+}
+
+// crossEntropyRows turns the softmax probabilities probs (len(labels)
+// rows of k) into the gradient (softmax − onehot)/N of their mean
+// cross-entropy against labels, in place, and returns that mean.
+func crossEntropyRows(probs []tensor.Elem, k int, labels []int) float64 {
+	n := float64(len(labels))
 	loss := 0.0
 	for i, y := range labels {
 		if y < 0 || y >= k {
 			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", y, k))
 		}
-		loss -= math.Log(math.Max(probs.At(i, y), 1e-300))
+		loss -= math.Log(math.Max(float64(probs[i*k+y]), 1e-300))
 	}
-	// The probabilities are no longer needed once the loss is summed, so
-	// the gradient (softmax − onehot)/N reuses their tensor in place.
-	grad := probs.ScaleInPlace(1 / float64(n))
+	inv := tensor.Elem(1 / n)
+	for i := range probs {
+		probs[i] *= inv
+	}
 	for i, y := range labels {
-		grad.Data[i*k+y] -= tensor.Elem(1 / float64(n))
+		probs[i*k+y] -= tensor.Elem(1 / n)
 	}
-	return loss / float64(n), grad
+	return loss / n
 }
 
 // Accuracy returns the fraction of rows whose arg-max matches the label.

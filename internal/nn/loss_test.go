@@ -136,3 +136,42 @@ func TestAccuracy(t *testing.T) {
 		t.Fatalf("accuracy = %v", acc)
 	}
 }
+
+// The stacked losses give every row of two stacked batches the loss
+// share and the gradient it has in its own batch, bit for bit.
+func TestStackedLossesMatchPerBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const nr, ng, k = 3, 5, 4
+	src, cls := randInput(rng, nr+ng, 1), randInput(rng, nr+ng, k)
+	lr, lg := []int{0, 3, 1}, []int{2, 2, 0, 1, 3}
+	half := func(x *tensor.Tensor, from, to int) *tensor.Tensor {
+		w := x.Dim(1)
+		return tensor.FromSlice(x.Data[from*w:to*w], to-from, w)
+	}
+
+	loss, grad := BCEWithLogitsStacked(src, nr)
+	lReal, gReal := BCEWithLogits(half(src, 0, nr), 1)
+	lGen, gGen := BCEWithLogits(half(src, nr, nr+ng), 0)
+	if loss != lReal+lGen {
+		t.Fatalf("stacked BCE %v, per batch %v + %v", loss, lReal, lGen)
+	}
+	sameBits(t, "BCE real rows", half(grad, 0, nr), gReal)
+	sameBits(t, "BCE generated rows", half(grad, nr, nr+ng), gGen)
+
+	loss, grad = SoftmaxCrossEntropyStacked(cls, lr, lg)
+	lReal, gReal = SoftmaxCrossEntropy(half(cls, 0, nr), lr)
+	lGen, gGen = SoftmaxCrossEntropy(half(cls, nr, nr+ng), lg)
+	if loss != lReal+lGen {
+		t.Fatalf("stacked cross-entropy %v, per batch %v + %v", loss, lReal, lGen)
+	}
+	sameBits(t, "cross-entropy real rows", half(grad, 0, nr), gReal)
+	sameBits(t, "cross-entropy generated rows", half(grad, nr, nr+ng), gGen)
+
+	// Unlabelled generated rows stay out of the class loss.
+	loss, grad = SoftmaxCrossEntropyStacked(cls, lr, nil)
+	if loss != lReal {
+		t.Fatalf("cross-entropy with unlabelled rows %v, labelled batch alone %v", loss, lReal)
+	}
+	sameBits(t, "cross-entropy real rows, rest unlabelled", half(grad, 0, nr), gReal)
+	sameBits(t, "unlabelled rows", half(grad, nr, nr+ng), tensor.New(ng, k))
+}

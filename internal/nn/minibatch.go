@@ -84,8 +84,8 @@ func (l *MinibatchDiscrimination) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // BackwardWant is Backward restricted to want: dM is shared, dT += xᵀ·dM
-// runs only with WantParams, the pass-through copy and dM·Tᵀ only with
-// WantInput (nil otherwise).
+// runs only with WantParams (dT = xᵀ·dM under WantWrite), the
+// pass-through copy and dM·Tᵀ only with WantInput (nil otherwise).
 func (l *MinibatchDiscrimination) BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor {
 	n := l.x.Dim(0)
 	l.dm = tensor.Ensure(l.dm, n, l.B*l.C)
@@ -117,7 +117,9 @@ func (l *MinibatchDiscrimination) BackwardWant(grad *tensor.Tensor, want Want) *
 			}
 		}
 	}
-	if want&WantParams != 0 {
+	if want.writes() {
+		tensor.MatMulT1Into(l.T.Grad, l.x, dm) // dT = xᵀ·dM
+	} else if want&WantParams != 0 {
 		tensor.MatMulT1Add(l.T.Grad, l.x, dm) // dT += xᵀ·dM
 	}
 	if want&WantInput == 0 {

@@ -44,6 +44,17 @@
 // under Backward, so it is bitwise the same. A Layer that does not
 // implement BackwardWant gets a plain Backward.
 //
+// WantWrite says how the parameter gradients are delivered: written
+// over whatever Param.Grad holds instead of accumulated into it, so the
+// first backward pass of an update needs no ZeroGrads before it — a
+// Dense layer stores xᵀ·g and its bias sums where it would have cleared
+// a weight-shaped array only to read it back and add. The result is the
+// one an accumulating pass leaves in a zeroed gradient. Every
+// BackwardWant in this package honours the bit; a parameter layer
+// without BackwardWant cannot, so Sequential zeroes that layer's
+// gradients itself before its plain, accumulating Backward — whichever
+// way a layer takes, a stale gradient never leaks into the step.
+//
 // The discipline extends DOWN the stack too, into the packed GEMM's
 // pack-panel pool: Conv2D's im2col operand is never materialised —
 // tensor.MatMulPacked fills pool-backed B panels through a fused packer
@@ -75,6 +86,7 @@
 package nn
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -95,7 +107,7 @@ func newParam(name string, w *tensor.Tensor) *Param {
 
 // A model is its parameter list. Sequential.Params, gan.Generator.Params
 // and gan.Discriminator.Params return the list in wire order, and the
-// five functions below are the only codec over one: a swap payload, an
+// six functions below are the only codec over one: a swap payload, an
 // FL-GAN couple and a checkpoint are all AppendParams frames, and the
 // FedAvg vector is ParamVector.
 
@@ -143,6 +155,28 @@ func ReadParams(r io.Reader, ps []*Param) (int64, error) {
 		}
 	}
 	return total, nil
+}
+
+// DecodeParams is ReadParams over a whole payload, all or nothing: every
+// frame is checked against its parameter's shape, and the frames' total
+// length against len(p), before the first parameter is written. On
+// error — a truncated payload, a frame of another shape, bytes left
+// over — the parameters are untouched. A swap decodes this way: a worker
+// that cannot adopt its peer's discriminator keeps training its own.
+func DecodeParams(p []byte, ps []*Param) error {
+	rest := p
+	for _, q := range ps {
+		n, err := q.W.CheckFrame(rest)
+		if err != nil {
+			return fmt.Errorf("nn: decode %s: %w", q.Name, err)
+		}
+		rest = rest[n:]
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("nn: decode: %d bytes after the last parameter", len(rest))
+	}
+	_, err := ReadParams(bytes.NewReader(p), ps)
+	return err
 }
 
 // ParamVector flattens the parameters into one []float64 in list order
@@ -200,10 +234,18 @@ const (
 	WantParams Want = 1 << iota
 	// WantInput asks for ∂L/∂x as the pass's result.
 	WantInput
+	// WantWrite, with WantParams, asks for ∂L/∂θ written over every
+	// Param.Grad instead of accumulated into it.
+	WantWrite
 )
 
+// writes reports whether a pass with this want-set overwrites parameter
+// gradients.
+func (w Want) writes() bool { return w&(WantParams|WantWrite) == WantParams|WantWrite }
+
 // wantBackwarder is a Layer whose backward pass can leave out what the
-// want-set does not name. It returns nil without WantInput.
+// want-set does not name, and writes its parameter gradients instead of
+// accumulating them under WantWrite. It returns nil without WantInput.
 type wantBackwarder interface {
 	BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor
 }
@@ -216,7 +258,8 @@ type Sequential struct {
 	Layers []Layer
 
 	params      []*Param
-	firstParam  int // index of the first layer with parameters, len(Layers) if none
+	firstParam  int  // index of the first layer with parameters, len(Layers) if none
+	rowWise     bool // every layer is one rowWise knows
 	paramsBuilt bool
 }
 
@@ -242,6 +285,8 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // package doc). Without WantInput it returns nil, stops at the first
 // parameter layer and lets that layer drop its input gradient; every
 // layer above still produces one, because the layer below consumes it.
+// Under WantWrite a layer without BackwardWant has its gradients zeroed
+// here, then accumulates.
 func (s *Sequential) BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor {
 	first := 0
 	if want&WantInput == 0 {
@@ -255,9 +300,12 @@ func (s *Sequential) BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor
 		}
 		if l, ok := s.Layers[i].(wantBackwarder); ok {
 			grad = l.BackwardWant(grad, lw)
-		} else {
-			grad = s.Layers[i].Backward(grad)
+			continue
 		}
+		if want.writes() {
+			zeroGrads(s.Layers[i].Params())
+		}
+		grad = s.Layers[i].Backward(grad)
 	}
 	if want&WantInput == 0 {
 		return nil
@@ -271,7 +319,9 @@ func (s *Sequential) BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor
 func (s *Sequential) Params() []*Param {
 	if !s.paramsBuilt {
 		s.firstParam = len(s.Layers)
+		s.rowWise = true
 		for i, l := range s.Layers {
+			s.rowWise = s.rowWise && rowWise(l)
 			ps := l.Params()
 			if len(ps) > 0 && s.firstParam == len(s.Layers) {
 				s.firstParam = i
@@ -281,6 +331,31 @@ func (s *Sequential) Params() []*Param {
 		s.paramsBuilt = true
 	}
 	return s.params
+}
+
+// RowWise reports whether, in training mode, every row of a batch goes
+// through the network independently of the rows beside it, so that two
+// batches stacked into one give each row the output and the gradient it
+// would have had in its own batch. It is decided once, with the
+// parameter list, from the layer types.
+func (s *Sequential) RowWise() bool {
+	s.Params()
+	return s.rowWise
+}
+
+// rowWise reports whether l is a layer type known to treat the rows of
+// a training batch independently. BatchNorm (batch statistics) and
+// MinibatchDiscrimination (pairwise distances) couple them; so does
+// Dropout, whose mask for a row depends on how many draws the rows
+// before it took from a source other layers may share. A type this
+// package does not know — a decorator from outside it — is taken to
+// couple them too.
+func rowWise(l Layer) bool {
+	switch l.(type) {
+	case *Dense, *Conv2D, *ConvTranspose2D, *LeakyReLU, *Sigmoid, *Tanh, *Reshape, *Flatten:
+		return true
+	}
+	return false
 }
 
 // Clone deep-copies the network (parameters included, gradients fresh).
@@ -294,8 +369,10 @@ func (s *Sequential) Clone() *Sequential {
 }
 
 // ZeroGrads clears every accumulated parameter gradient.
-func (s *Sequential) ZeroGrads() {
-	for _, p := range s.Params() {
+func (s *Sequential) ZeroGrads() { zeroGrads(s.Params()) }
+
+func zeroGrads(ps []*Param) {
+	for _, p := range ps {
 		p.Grad.Zero()
 	}
 }

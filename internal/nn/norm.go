@@ -121,7 +121,8 @@ func (bn *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // BackwardWant is Backward restricted to want: the per-channel sums
 // serve both gradients, dγ and dβ are accumulated only with WantParams
-// and the dx sweep runs only with WantInput (nil otherwise).
+// (into cleared gradients under WantWrite) and the dx sweep runs only
+// with WantInput (nil otherwise).
 func (bn *BatchNorm) BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor {
 	n := bn.shape[0]
 	s := bn.spatial
@@ -130,6 +131,11 @@ func (bn *BatchNorm) BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor
 	if want&WantInput != 0 {
 		bn.dx = tensor.Ensure(bn.dx, bn.shape...)
 		dx = bn.dx
+	}
+	if want.writes() {
+		// The running statistics ride in Params with a gradient nothing
+		// ever writes; clear all four so none can be stale.
+		zeroGrads(bn.Params())
 	}
 	for c := 0; c < bn.C; c++ {
 		g := float64(bn.Gamma.W.Data[c])

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -91,6 +92,16 @@ func TestBackwardWantMatchesBackwardPerLayer(t *testing.T) {
 				t.Fatalf("BackwardWant(WantParams) returned %v, want nil", got.Shape())
 			}
 			sameGrads(t, "without WantInput", l.Params(), full.Params())
+
+			// Written instead of accumulated: over a stale gradient, the
+			// bits an accumulating pass leaves in a zeroed one.
+			zeroed := tc.layer.Clone()
+			zeroed.Forward(x, true)
+			zeroed.Backward(grad)
+			l.Forward(x, true)
+			fillGrads(tensor.Elem(math.NaN()), l.Params())
+			sameBits(t, "dx under WantWrite", l.(wantBackwarder).BackwardWant(grad, WantParams|WantInput|WantWrite), wantDx)
+			sameGrads(t, "under WantWrite", l.Params(), zeroed.Params())
 
 			// Neither: nothing computed, nothing touched.
 			l.Forward(x, true)
@@ -207,4 +218,54 @@ func TestSequentialBackwardWant(t *testing.T) {
 			sameGrads(t, "fallback", net.Params(), full.Params())
 		}
 	})
+
+	// Under WantWrite a layer without BackwardWant cannot overwrite its
+	// gradients, so the Sequential clears them before the layer
+	// accumulates: stale values never reach the result, whichever kind
+	// of layer holds them.
+	t.Run("write", func(t *testing.T) {
+		for _, plain := range []bool{false, true} {
+			net := build()
+			calls := 0
+			for i, l := range net.Layers {
+				if _, ok := l.(*Dense); ok && plain {
+					net.Layers[i] = plainLayer{l, &calls}
+				}
+			}
+			net.Forward(x, true)
+			fillGrads(tensor.Elem(math.NaN()), net.Params())
+			sameBits(t, "dx under WantWrite", net.BackwardWant(grad, WantParams|WantInput|WantWrite), wantDx)
+			sameGrads(t, "under WantWrite", net.Params(), full.Params())
+		}
+	})
+}
+
+// RowWise is the licence to stack two batches into one: only layer
+// types known to treat rows independently grant it.
+func TestSequentialRowWise(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	calls := 0
+	for _, tc := range []struct {
+		name  string
+		extra Layer
+		want  bool
+	}{
+		{"dense-conv-activations", nil, true},
+		{"BatchNorm", NewBatchNorm(4), false},
+		{"MinibatchDiscrimination", NewMinibatchDiscrimination(4, 2, 2, rng), false},
+		{"Dropout", NewDropout(0.5, rng), false},
+		{"unknown-decorator", plainLayer{NewTanh(), &calls}, false},
+	} {
+		layers := []Layer{
+			NewReshape(1, 4, 4), NewConv2D(1, 4, 4, 2, 3, 1, 1, rng), NewLeakyReLU(0.2),
+			NewConvTranspose2D(2, 4, 4, 1, 3, 1, 1, 0, rng), NewSigmoid(),
+			NewFlatten(), NewDense(16, 4, rng), NewTanh(),
+		}
+		if tc.extra != nil {
+			layers = append(layers, tc.extra)
+		}
+		if got := NewSequential(layers...).RowWise(); got != tc.want {
+			t.Errorf("%s: RowWise() = %v, want %v", tc.name, got, tc.want)
+		}
+	}
 }

@@ -17,8 +17,9 @@ import (
 const parGrain = 1 << 14
 
 // Optimizer updates network parameters from their accumulated gradients.
-// Step consumes the current .Grad of every parameter; callers zero the
-// gradients between steps.
+// Step consumes the current .Grad of every parameter and leaves it as it
+// was; between steps callers zero the gradients, or overwrite them (a
+// backward pass under nn.WantWrite).
 type Optimizer interface {
 	// Step applies one update to all parameters.
 	Step(params []*nn.Param)

@@ -89,8 +89,10 @@ package tensor
 //     (ReLU activations are ~half zeros; skipping beats packing)
 //  2. small products (m·k·n < gemmMinWork) → legacy column-tiled
 //     kernels (packing overhead dominates)
-//  3. at most gemmSkinnyM (12) left-operand rows, MatMul* and MatMulT2*
-//     on the avx512 tier → the pack-free skinny kernels (gemm_skinny.go)
+//  3. a batch-sized dimension on the avx512 tier → the pack-free skinny
+//     kernels (gemm_skinny.go): MatMul* and MatMulT2* with at most
+//     gemmSkinnyMaxM (36) left-operand rows, MatMulT1* with at most
+//     gemmSkinnyMaxK (256) — there k is the batch
 //  4. everything else → this file, with the widest micro-kernel the CPU
 //     and build allow:
 //
@@ -104,13 +106,17 @@ package tensor
 // product runs at the speed the weights arrive. Packing first reads
 // every weight, writes it to a panel and reads it again, and the 8-row
 // tile then computes ten rows as sixteen; ten rows cannot pay for that.
-// The skinny kernels hold all m rows of a C block in registers and read
-// each weight once, from where it is stored. Their results differ from
-// the packed path's in the last bits, which is why the choice must be —
-// and is — a pure function of (tier, dtype, m, k, n): the a·bᵀ kernel
-// sums each element as one partial sum per vector lane folded at the
-// end, and both kernels start an accumulating product from C instead
-// of adding C last.
+// The skinny kernels hold a 12-row block of C in registers and read
+// each weight once, from where it is stored. The weight gradient is the
+// same bargain seen from the other side: xᵀ·g adds ten outer products
+// to a weight-shaped dW, and the packed path packs both operands and
+// read-modify-writes dW in 8×8 tiles to do it; the skinny path streams
+// dW once, in 12-row blocks, against a g that stays in cache
+// (gemm_skinny.go has the walk). Results differ from the packed path's
+// in the last bits, which is why the choice must be — and is — a pure
+// function of (tier, dtype, m, k, n): the a·bᵀ kernel sums each element
+// as one partial sum per vector lane folded at the end, and all three
+// start an accumulating product from C instead of adding C last.
 //
 // MDGAN_GEMM_KERNEL={generic,avx2,avx512} forces a tier at startup
 // (ignored, falling back to the best available, when the CPU or build

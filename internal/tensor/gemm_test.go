@@ -241,15 +241,18 @@ func TestGemmBitwiseAcrossGOMAXPROCS(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	shapes := []struct {
 		m, k, n int
-		t2      bool // a·bᵀ through MatMulT2Into
+		op      string // "": a·b; "T2": a·bᵀ; "T1": aᵀ·b
 	}{
-		{37, 530, 129, false}, // ragged everywhere, multiple KC blocks
-		{64, 256, 96, false},  // aligned
-		{130, 300, 60, false}, // multiple MC blocks
-		// The paper batch: on the avx512 tier these are the skinny path,
-		// fanned out over column strips and column pairs.
-		{10, 784, 512, false},
-		{10, 512, 785, true},
+		{37, 530, 129, ""}, // ragged everywhere, multiple KC blocks
+		{64, 256, 96, ""},  // aligned
+		{130, 300, 60, ""}, // multiple MC blocks
+		// The paper batch, and two of them stacked: on the avx512 tier
+		// these are the skinny path, fanned out over column strips,
+		// column pairs and — the weight gradient — row blocks.
+		{10, 784, 512, ""},
+		{10, 512, 785, "T2"},
+		{20, 784, 512, ""},
+		{784, 20, 512, "T1"},
 	}
 	for _, name := range GemmKernels() {
 		t.Run(name, func(t *testing.T) {
@@ -257,8 +260,11 @@ func TestGemmBitwiseAcrossGOMAXPROCS(t *testing.T) {
 			for _, sh := range shapes {
 				m, k, n := sh.m, sh.k, sh.n
 				a, b, mul := randTensor(rng, m, k), randTensor(rng, k, n), MatMulInto
-				if sh.t2 {
+				switch sh.op {
+				case "T2":
 					b, mul = randTensor(rng, n, k), MatMulT2Into
+				case "T1":
+					a, mul = randTensor(rng, k, m), MatMulT1Into
 				}
 				runtime.GOMAXPROCS(1)
 				parallel.SetMaxProcs(1) // serial reference: regions inline
@@ -484,10 +490,12 @@ func TestPackersMatchReference(t *testing.T) {
 // reports GFLOP/s via b.ReportMetric. The three b=10 rows are the
 // paper-batch Dense products of the MNIST MLP discriminator's input
 // layer: forward x·W, input gradient g·Wᵀ and weight gradient xᵀ·g. The
-// rows after them sweep the left operand's row count across the skinny
-// cut-over (gemmSkinnyM = 12) for the first two: m ≤ 12 reads the
-// 784×512 weight in place on the avx512 tier, m = 13 and 16 pack it;
-// m = 1 is mdgan-serve's un-fused request.
+// rows after them sweep the batch dimension across the skinny cut-overs:
+// the left operand's row count for the first two (m ≤ gemmSkinnyMaxM =
+// 36 reads the 784×512 weight in place on the avx512 tier, in 12-row
+// blocks; m = 48 packs it; m = 1 is mdgan-serve's un-fused request, 20
+// a discriminator step's real and generated rows stacked) and k for the
+// weight gradient (k ≤ gemmSkinnyMaxK = 256 streams dW in row blocks).
 func BenchmarkGEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	type gemmCase struct {
@@ -505,10 +513,13 @@ func BenchmarkGEMM(b *testing.B) {
 		{"T2/", 10, 512, 784, MatMulT2Into, [2]int{10, 512}, [2]int{784, 512}},
 		{"T1Add/", 784, 10, 512, MatMulT1Add, [2]int{10, 784}, [2]int{10, 512}},
 	}
-	for _, m := range []int{1, 4, 12, 13, 16} {
+	for _, m := range []int{1, 4, 12, 13, 16, 20, 24, 32, 48} {
 		cases = append(cases,
 			gemmCase{"", m, 784, 512, MatMulInto, [2]int{m, 784}, [2]int{784, 512}},
 			gemmCase{"T2/", m, 512, 784, MatMulT2Into, [2]int{m, 512}, [2]int{784, 512}})
+	}
+	for _, k := range []int{20, 32, 64, 128} {
+		cases = append(cases, gemmCase{"T1Add/", 784, k, 512, MatMulT1Add, [2]int{k, 784}, [2]int{k, 512}})
 	}
 	for _, c := range cases {
 		x, y := randTensor(rng, c.xs[0], c.xs[1]), randTensor(rng, c.ys[0], c.ys[1])

@@ -17,9 +17,11 @@ import (
 //  2. small products → the legacy column-tiled 4-wide kernels below
 //     (packing two operands costs more than it saves under
 //     gemmMinWork multiply-adds);
-//  3. a·b and a·bᵀ with at most gemmSkinnyM rows of a, on the AVX-512
-//     tier → the skinny kernels (gemm_skinny.go), which read b in place
-//     instead of packing it for a handful of rows;
+//  3. a·b and a·bᵀ with at most gemmSkinnyMaxM rows of a, and aᵀ·b
+//     with at most gemmSkinnyMaxK rows of a (a weight gradient: k is
+//     the batch), on the AVX-512 tier → the skinny kernels
+//     (gemm_skinny.go), which read the large operand in place instead
+//     of packing it for a handful of rows;
 //  4. everything else → the packed, register-blocked GEMM (gemm.go),
 //     which absorbs the T1/T2 transposes into packing and runs the
 //     widest micro-kernel the live tier has (AVX-512, AVX2+FMA or
@@ -135,7 +137,7 @@ func matMulInto(out, a, b *Tensor, m, k, n int, accumulate bool) {
 	}
 	if m*k*n >= gemmMinWork {
 		if gemmSkinnyOK(m) {
-			gemmSkinny(out.Data, n, m, n, k, a.Data, b.Data, false, accumulate)
+			gemmSkinny(out.Data, n, m, n, k, a.Data, b.Data, skinnyStrips, accumulate)
 			return
 		}
 		gemm(out.Data, n, m, n, k, a.Data, k, 1, b.Data, n, 1, nil, accumulate)
@@ -279,6 +281,10 @@ func matMulT1Into(out, a, b *Tensor, k, m, n int, accumulate bool) {
 		return
 	}
 	if m*k*n >= gemmMinWork {
+		if gemmSkinnyT1OK(k) {
+			gemmSkinny(out.Data, n, m, n, k, a.Data, b.Data, skinnyBlocks, accumulate)
+			return
+		}
 		// Packing reads A through the (rs=1, cs=m) transposed view, so
 		// the backward passes never strided-read inside a kernel.
 		gemm(out.Data, n, m, n, k, a.Data, 1, m, b.Data, n, 1, nil, accumulate)
@@ -409,7 +415,7 @@ func matMulT2Into(out, a, b *Tensor, m, k, n int, accumulate bool) {
 	}
 	if m*k*n >= gemmMinWork {
 		if gemmSkinnyOK(m) {
-			gemmSkinny(out.Data, n, m, n, k, a.Data, b.Data, true, accumulate)
+			gemmSkinny(out.Data, n, m, n, k, a.Data, b.Data, skinnyPairs, accumulate)
 			return
 		}
 		// B is a stored transpose: packing reads it through the

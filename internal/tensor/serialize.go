@@ -216,21 +216,48 @@ func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 // primitive: a worker adopting a peer's discriminator decodes every
 // parameter straight into its own storage.
 func (t *Tensor) ReadInPlace(r io.Reader) (int64, error) {
-	var shapeBuf [8]int
-	dt, shape, vol, read, err := readHeader(r, shapeBuf[:0])
+	dt, read, err := t.readOwnHeader(r)
 	if err != nil {
 		return read, err
 	}
-	if len(shape) != len(t.shape) {
-		return read, fmt.Errorf("tensor: ReadInPlace rank %d, want %d", len(shape), len(t.shape))
-	}
-	for i, d := range shape {
-		if t.shape[i] != d {
-			return read, fmt.Errorf("tensor: ReadInPlace shape %v, want %v", shape, t.shape)
-		}
-	}
-	_ = vol
 	n, err := readPayload(r, t.Data, dt)
 	read += n
 	return read, err
+}
+
+// readOwnHeader reads a frame header from r and checks it announces
+// exactly t's shape.
+func (t *Tensor) readOwnHeader(r io.Reader) (dt byte, read int64, err error) {
+	var shapeBuf [8]int
+	dt, shape, _, read, err := readHeader(r, shapeBuf[:0])
+	if err != nil {
+		return 0, read, err
+	}
+	if len(shape) != len(t.shape) {
+		return 0, read, fmt.Errorf("tensor: ReadInPlace rank %d, want %d", len(shape), len(t.shape))
+	}
+	for i, d := range shape {
+		if t.shape[i] != d {
+			return 0, read, fmt.Errorf("tensor: ReadInPlace shape %v, want %v", shape, t.shape)
+		}
+	}
+	return dt, read, nil
+}
+
+// CheckFrame reports the length of the frame at the front of p if
+// ReadInPlace would decode it into t without error — its header is well
+// formed and announces t's shape, and its whole payload is present —
+// and an error otherwise. Nothing is written: a decoder that must not
+// leave its target half-updated checks every frame first.
+func (t *Tensor) CheckFrame(p []byte) (int, error) {
+	r := bytes.NewReader(p)
+	dt, read, err := t.readOwnHeader(r)
+	if err != nil {
+		return 0, err
+	}
+	size := int(read) + dtypeSize(dt)*len(t.Data)
+	if size > len(p) {
+		return 0, fmt.Errorf("tensor: frame of %d bytes, %d present", size, len(p))
+	}
+	return size, nil
 }

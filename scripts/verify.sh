@@ -28,17 +28,23 @@
 #                               tier the CPU probe picked. The axis also
 #                               covers the want-set backward passes
 #                               (internal/gan: DiscStep and Feedback
-#                               against a full Backward, bitwise) and
+#                               against a full Backward, bitwise), the
+#                               one-pass discriminator step (stacked
+#                               batches against two passes; stale
+#                               gradients ignored on the writing and
+#                               on the clearing path — which GEMM path
+#                               a stacked 2b-row batch and its rank-2b
+#                               weight gradient take follows the tier),
 #                               the GEMM packers' full-panel fast paths
 #                               (internal/tensor, against the panel
 #                               definition), whose tile width follows
-#                               the tier, and the skinny-M path that
+#                               the tier, and the skinny paths that
 #                               only the avx512 tier takes
 #                               (internal/tensor: guard-page bounds,
-#                               every row count across the cut-over
-#                               against the reference, bitwise across
-#                               GOMAXPROCS, zero steady-state allocs).
-#                               No recorded catch.
+#                               the batch dimension across each
+#                               cut-over against the reference, bitwise
+#                               across GOMAXPROCS, zero steady-state
+#                               allocs). No recorded catch.
 #   GOMAXPROCS=4                the same gates with intra-GEMM fan-out
 #                               forced on, whatever the host's CPU
 #                               count: the strict replay must stay
@@ -95,11 +101,12 @@ engine_gates() { # $1 = label, $2.. = go test args
         -run 'TestStrictEngineMatchesSerialReference|TestPipelinedOneIterationMatchesStrict|TestPipelinedConvergesLikeStrict' \
         ./internal/core
     # The paths a non-default tier or fan-out reaches nowhere else: the
-    # restricted backward passes, the packers' tile-width fast paths and
-    # the skinny-M kernels (strips and column pairs fan out at
-    # GOMAXPROCS=4; a forced tier moves the cut-over's other side).
+    # restricted backward passes, the one-pass discriminator step, the
+    # packers' tile-width fast paths and the skinny kernels (strips,
+    # column pairs and dW row blocks fan out at GOMAXPROCS=4; a forced
+    # tier moves the cut-overs' other side).
     go test "$@" -count=1 \
-        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestPackersMatchReference|TestSkinnyStaysInBounds|TestSkinnyMatchesReference|TestSkinnySteadyStateAllocs|TestGemmBitwiseAcrossGOMAXPROCS' \
+        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestDiscStepFusedMatchesTwoPass|TestDiscStepIgnoresStaleGrads|TestPackersMatchReference|TestSkinnyStaysInBounds|TestSkinnyMatchesReference|TestSkinnySteadyStateAllocs|TestGemmBitwiseAcrossGOMAXPROCS' \
         ./internal/gan ./internal/tensor
 }
 
