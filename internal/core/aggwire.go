@@ -157,32 +157,22 @@ func aggRound(p []byte) (int, bool) {
 
 // readAggHeader consumes the round tag and bounded entry count.
 func readAggHeader(r *bytes.Reader) (round, entries int, err error) {
-	var tmp [4]byte
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return 0, 0, fmt.Errorf("core: read aggregate round: %w", err)
+	if round, err = readU32(r, "aggregate round"); err != nil {
+		return 0, 0, err
 	}
-	round = int(binary.LittleEndian.Uint32(tmp[:]))
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return 0, 0, fmt.Errorf("core: read aggregate entry count: %w", err)
-	}
-	entries = int(binary.LittleEndian.Uint32(tmp[:]))
 	// Every entry needs at least gIdx + nContrib + frameLen.
-	if entries > maxAggEntries || entries > r.Len()/12 {
-		return 0, 0, fmt.Errorf("core: aggregate entry count %d exceeds remaining payload", entries)
+	if entries, err = readCount(r, "aggregate entry count", 12); err == nil && entries > maxAggEntries {
+		err = fmt.Errorf("core: aggregate entry count %d exceeds the %d-entry bound", entries, maxAggEntries)
 	}
-	return round, entries, nil
+	return round, entries, err
 }
 
 // readAggContribs consumes one entry's bounded contributor list,
 // appending into names.
 func readAggContribs(r *bytes.Reader, names []string) ([]string, error) {
-	var tmp [4]byte
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return nil, fmt.Errorf("core: read aggregate contributor count: %w", err)
-	}
-	n := int(binary.LittleEndian.Uint32(tmp[:]))
-	if n > r.Len()/4 {
-		return nil, fmt.Errorf("core: aggregate contributor count %d exceeds remaining payload", n)
+	n, err := readCount(r, "aggregate contributor count", 4)
+	if err != nil {
+		return nil, err
 	}
 	for i := 0; i < n; i++ {
 		name, err := readString(r)
@@ -210,12 +200,11 @@ func decodeAggInto(p []byte, want []int, merge func(gIdx int, contribs []string,
 	}
 	var names []string
 	var seen map[int]bool
-	var tmp [4]byte
 	for i := 0; i < entries; i++ {
-		if _, err := io.ReadFull(r, tmp[:]); err != nil {
-			return round, fmt.Errorf("core: read aggregate batch index: %w", err)
+		gIdx, err := readU32(r, "aggregate batch index")
+		if err != nil {
+			return round, err
 		}
-		gIdx := int(binary.LittleEndian.Uint32(tmp[:]))
 		if gIdx >= maxAggEntries {
 			return round, fmt.Errorf("core: implausible aggregate batch index %d", gIdx)
 		}
@@ -229,12 +218,9 @@ func decodeAggInto(p []byte, want []int, merge func(gIdx int, contribs []string,
 		if names, err = readAggContribs(r, names[:0]); err != nil {
 			return round, err
 		}
-		if _, err := io.ReadFull(r, tmp[:]); err != nil {
-			return round, fmt.Errorf("core: read aggregate frame length: %w", err)
-		}
-		frameLen := int(binary.LittleEndian.Uint32(tmp[:]))
-		if frameLen > r.Len() {
-			return round, fmt.Errorf("core: aggregate frame length %d exceeds remaining payload", frameLen)
+		frameLen, err := readCount(r, "aggregate frame length", 1)
+		if err != nil {
+			return round, err
 		}
 		off := len(p) - r.Len()
 		sum, err := decodeFeedbackAny(p[off:off+frameLen], want)
@@ -260,13 +246,8 @@ func encodeAggSkip(round int, child string) []byte {
 // decodeAggSkip splits a skip frame into its round tag and child name.
 func decodeAggSkip(p []byte) (round int, child string, err error) {
 	r := bytes.NewReader(p)
-	var tmp [4]byte
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return 0, "", fmt.Errorf("core: read skip round: %w", err)
+	if round, err = readU32(r, "skip round"); err == nil {
+		child, err = readString(r)
 	}
-	child, err = readString(r)
-	if err != nil {
-		return 0, "", err
-	}
-	return int(binary.LittleEndian.Uint32(tmp[:])), child, nil
+	return round, child, err
 }

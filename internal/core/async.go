@@ -79,40 +79,34 @@ func (s *server) runAsync(iters int) (int, error) {
 	}
 
 	updates := 0
-	inbox := s.net.Inbox(serverName)
 	for updates < iters {
 		if s.m.NumLive() == 0 {
 			return updates, nil
 		}
-		var msg simnet.Message
-		var ok bool
+		var deadline <-chan time.Time
 		if s.roundTimeout > 0 {
-			t := time.NewTimer(s.roundTimeout)
-			select {
-			case msg, ok = <-inbox:
-				t.Stop()
-			case <-t.C:
-				// A full timeout with no feedback at all: every worker
-				// with an outstanding batch takes a miss (join order for
-				// reproducibility). A demoted worker will never answer;
-				// a surviving suspect still might — its batch stays
-				// outstanding and its feedback reinstates it.
-				for _, name := range s.m.Live() {
-					if !pending[name] {
-						continue
-					}
-					s.m.NoteTimeout(name)
-					if s.m.Suspect(name) {
-						delete(pending, name)
-					}
-				}
-				continue
-			}
-		} else {
-			msg, ok = <-inbox
+			deadline = time.After(s.roundTimeout)
+		}
+		msg, ok, err := s.recv(deadline)
+		if err != nil {
+			return updates, err
 		}
 		if !ok {
-			return updates, fmt.Errorf("core: server inbox closed")
+			// A full timeout with no feedback at all: every worker
+			// with an outstanding batch takes a miss (join order for
+			// reproducibility). A demoted worker will never answer;
+			// a surviving suspect still might — its batch stays
+			// outstanding and its feedback reinstates it.
+			for _, name := range s.m.Live() {
+				if !pending[name] {
+					continue
+				}
+				s.m.NoteTimeout(name)
+				if s.m.Suspect(name) {
+					delete(pending, name)
+				}
+			}
+			continue
 		}
 		if msg.Type != msgFeedback || !s.m.Alive(msg.From) {
 			continue
@@ -124,21 +118,13 @@ func (s *server) runAsync(iters int) (int, error) {
 			// worker is re-fed (its next clean feedback reinstates it);
 			// at the budget it is demoted.
 			delete(pending, msg.From)
-			strikes := s.m.NoteCorrupt(msg.From)
-			switch {
-			case s.roundTimeout <= 0 || strikes >= s.m.SuspectThreshold():
+			if !s.strike(msg.From) && send(msg.From) != nil {
 				s.m.Fail(msg.From)
-			case s.m.Suspect(msg.From):
-				// escalated: nothing more to send
-			default:
-				if send(msg.From) != nil {
-					s.m.Fail(msg.From)
-				}
 			}
 			continue
 		}
 		// A suspect's feedback arriving is evidence of life.
-		s.m.Reinstate(msg.From)
+		s.noteAlive(msg.From)
 		delete(pending, msg.From)
 		gb, okc := cache[msg.From]
 		if !okc {

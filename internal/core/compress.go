@@ -162,14 +162,11 @@ func decodeFeedbackAny(p []byte, want []int) (*tensor.Tensor, error) {
 			return nil, fmt.Errorf("core: feedback shape %v, want %v", shape, want)
 		}
 		f := tensor.New(shape...)
+		n, err := readCount(r, "topk count", 8)
+		if err != nil {
+			return nil, err
+		}
 		var tmp [8]byte
-		if _, err := io.ReadFull(r, tmp[:4]); err != nil {
-			return nil, fmt.Errorf("core: decode topk count: %w", err)
-		}
-		n := int(binary.LittleEndian.Uint32(tmp[:4]))
-		if n > r.Len()/8 {
-			return nil, fmt.Errorf("core: topk count %d exceeds remaining payload", n)
-		}
 		for j := 0; j < n; j++ {
 			if _, err := io.ReadFull(r, tmp[:]); err != nil {
 				return nil, fmt.Errorf("core: decode topk entry: %w", err)
@@ -190,21 +187,19 @@ func decodeFeedbackAny(p []byte, want []int) (*tensor.Tensor, error) {
 // rejecting oversized or overflowing dimension products before any
 // allocation proportional to them happens.
 func readShapeBounded(r *bytes.Reader, maxVol int) ([]int, error) {
-	var tmp [4]byte
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return nil, fmt.Errorf("core: read shape rank: %w", err)
+	rank, err := readU32(r, "shape rank")
+	if err != nil {
+		return nil, err
 	}
-	rank := int(binary.LittleEndian.Uint32(tmp[:]))
 	if rank <= 0 || rank > 8 {
 		return nil, fmt.Errorf("core: implausible shape rank %d", rank)
 	}
 	shape := make([]int, rank)
 	vol := 1
 	for i := range shape {
-		if _, err := io.ReadFull(r, tmp[:]); err != nil {
-			return nil, fmt.Errorf("core: read shape dim: %w", err)
+		if shape[i], err = readU32(r, "shape dim"); err != nil {
+			return nil, err
 		}
-		shape[i] = int(binary.LittleEndian.Uint32(tmp[:]))
 		if shape[i] <= 0 {
 			return nil, fmt.Errorf("core: non-positive shape dim")
 		}

@@ -34,10 +34,17 @@
 //     round (ping/pong) — and the round is applied with the feedbacks
 //     in hand once at least Config.Quorum (default 1) arrived, below
 //     that the wait continues. A suspect that shows evidence of life (a
-//     pong or feedback) is reinstated; Config.SuspectAfter consecutive
-//     misses escalate it to a permanent, fail-stop demotion. apply
-//     already scales by received count, so quorum rounds degrade
+//     pong, feedback or aggregate) is reinstated; Config.SuspectAfter
+//     consecutive misses escalate it to a permanent, fail-stop demotion.
+//     apply already scales by received count, so quorum rounds degrade
 //     gracefully rather than skewing the update.
+//
+// Every fault above is decided by what a node does with a message that
+// arrives early, late or garbled, and each node states that once: a
+// worker reads its inbox only through worker.recv, whose worker.triage
+// holds the whole round-tag policy over one stash; the server reads its
+// inbox only through server.recv, decides liveness in server.evidence
+// and charges corrupt frames in server.strike.
 //
 // Determinism caveat: the fault paths activate only on actual faults.
 // A fault-free run with RoundTimeout set traverses exactly the

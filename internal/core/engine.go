@@ -44,7 +44,6 @@ package core
 // awaiting a swap).
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -347,35 +346,18 @@ func (s *server) route(r *round) {
 			name := r.active[i]
 			gi := i % r.k
 			di := (i + 1) % r.k
-			swap := r.swapTo[name]
-			// On the star both stay empty: the worker answers with a bare
-			// msgFeedback, the frame the wire-byte pins count.
-			var parent string
-			var kids []string
+			tail := batchesMsg{SwapTo: r.swapTo[name], Round: r.it, GIdx: gi, AggWait: aggWait}
+			// On the star parent and children stay empty: the worker answers
+			// with a bare msgFeedback, the frame the wire-byte pins count.
 			if r.plan != nil {
-				parent = r.plan.Parent[name]
-				kids = r.plan.Children[name]
+				tail.Parent, tail.Children = r.plan.Parent[name], r.plan.Children[name]
 			}
-			size := len(r.frames[di]) + len(r.frames[gi]) + 4 + len(swap) + 4 +
-				4 + len(parent) + 4 + 8
-			for _, c := range kids {
-				size += 4 + len(c)
-			}
-			payload := make([]byte, 0, size)
+			payload := make([]byte, 0, len(r.frames[di])+len(r.frames[gi])+batchesTailSize(&tail))
 			payload = append(payload, r.frames[di]...) // X^(d) ++ L^(d)
 			payload = append(payload, r.frames[gi]...) // X^(g) ++ L^(g)
-			payload = appendString(payload, swap)
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(r.it))
-			payload = appendString(payload, parent)
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(len(kids)))
-			for _, c := range kids {
-				payload = appendString(payload, c)
-			}
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(gi))
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(aggWait))
 			r.msgs[i] = simnet.Message{
 				From: serverName, To: name, Type: msgBatches,
-				Kind: simnet.CtoW, Payload: payload,
+				Kind: simnet.CtoW, Payload: appendBatchesTail(payload, &tail),
 			}
 		}
 	})
@@ -502,92 +484,70 @@ func (s *server) cancelSwap(r *round, name string) {
 // because each expiry ticks the missing workers' escalation counters
 // until they demote and stop being waited for.
 //
-// Stale or unexpected messages are skipped, but any message from a
-// suspect — a pong, a late frame — is evidence of life and reinstates
-// it. A corrupt frame strikes its sender (suspect, or demote past the
-// threshold), fails everything routed through it, and the round
-// continues. A closed server inbox (the transport died under the
-// engine) is fatal.
+// Stale or unexpected messages are skipped, except as evidence of life
+// (evidence). A corrupt frame strikes its sender (strike), fails
+// everything routed through it, and the round continues.
 func (s *server) collect(r *round) error {
 	if len(r.sent) == 0 {
 		return nil
 	}
-	inbox := s.net.Inbox(serverName)
 	var canceled map[string]bool
-	var timer *time.Timer
 	var deadline <-chan time.Time
 	if s.roundTimeout > 0 {
-		timer = time.NewTimer(s.roundTimeout)
-		defer timer.Stop()
-		deadline = timer.C
+		deadline = time.After(s.roundTimeout)
 	}
 	for len(r.got)+len(r.failed) < len(r.sent) {
-		var msg simnet.Message
-		var ok bool
-		if deadline == nil {
-			msg, ok = <-inbox
-		} else {
-			select {
-			case msg, ok = <-inbox:
-			case <-deadline:
-				if canceled == nil {
-					canceled = make(map[string]bool)
-				}
-				// Every missing worker takes a miss (r.active iteration
-				// keeps the order deterministic). Its swap receiver is
-				// released exactly once — the suspect, having never seen
-				// its batches, will never send the swap it owes — and a
-				// missing aggregator strands its children's only route to
-				// the server, so they are charged a reparent.
-				for _, name := range r.active {
-					if !r.waiting(name) {
-						continue
-					}
-					s.m.NoteTimeout(name)
-					demoted := s.m.Suspect(name)
-					if !canceled[name] {
-						canceled[name] = true
-						s.cancelSwap(r, name)
-					}
-					s.noteReparented(r, name)
-					if demoted {
-						r.fail(name)
-					}
-				}
-				if len(r.got) >= s.quorum {
-					// Quorum reached: apply the round without the
-					// missing (they stay suspect until probed back in).
-					for _, name := range r.active {
-						r.fail(name)
-					}
-				} else {
-					timer.Reset(s.roundTimeout)
-				}
-				continue
-			}
+		msg, ok, err := s.recv(deadline)
+		if err != nil {
+			return err
 		}
 		if !ok {
-			return fmt.Errorf("core: server inbox closed")
+			if canceled == nil {
+				canceled = make(map[string]bool)
+			}
+			// Every missing worker takes a miss (r.active iteration
+			// keeps the order deterministic). Its swap receiver is
+			// released exactly once — the suspect, having never seen
+			// its batches, will never send the swap it owes — and a
+			// missing aggregator strands its children's only route to
+			// the server, so they are charged a reparent.
+			for _, name := range r.active {
+				if !r.waiting(name) {
+					continue
+				}
+				s.m.NoteTimeout(name)
+				demoted := s.m.Suspect(name)
+				if !canceled[name] {
+					canceled[name] = true
+					s.cancelSwap(r, name)
+				}
+				s.noteReparented(r, name)
+				if demoted {
+					r.fail(name)
+				}
+			}
+			if len(r.got) >= s.quorum {
+				// Quorum reached: apply the round without the
+				// missing (they stay suspect until probed back in).
+				for _, name := range r.active {
+					r.fail(name)
+				}
+			} else {
+				deadline = time.After(s.roundTimeout)
+			}
+			continue
 		}
 		from := msg.From
-		switch msg.Type {
-		case msgFeedback, msgAgg:
-		case msgPong:
-			s.noteAlive(from)
-			continue
-		default:
-			continue
-		}
 		rt, tagged := aggRound(msg.Payload)
-		if !r.waiting(from) || r.parent(from) != serverName || msg.Type == msgAgg && tagged && rt != r.it {
-			// Not usable this round (a duplicate, already given up on, not
-			// a direct child, or an aggregate quorum moved on without) —
-			// but still evidence of life.
-			s.noteAlive(from)
+		if msg.Type != msgFeedback && msg.Type != msgAgg || !r.waiting(from) ||
+			r.parent(from) != serverName || msg.Type == msgAgg && tagged && rt != r.it {
+			// Not a contribution usable this round (a pong, a duplicate,
+			// already given up on, not a direct child, or an aggregate
+			// quorum moved on without) — but possibly evidence of life.
+			s.evidence(msg)
 			continue
 		}
 		var ents []aggEntry
-		var err error
 		if msg.Type == msgAgg {
 			ents, err = r.decodeAgg(msg.Payload, from)
 		} else {
@@ -597,12 +557,7 @@ func (s *server) collect(r *round) error {
 			// Corrupt frame: strike the sender and continue the round.
 			// Its swap receiver needs no release — workers ship their
 			// swap before their contribution, so it is already in flight.
-			strikes := s.m.NoteCorrupt(from)
-			if s.roundTimeout <= 0 || strikes >= s.m.SuspectThreshold() {
-				s.m.Fail(from)
-			} else {
-				s.m.Suspect(from)
-			}
+			s.strike(from)
 			s.failSubtree(r, from)
 			continue
 		}
@@ -680,14 +635,69 @@ func (s *server) noteAlive(name string) bool {
 	return true
 }
 
+// evidence is the one place the server decides what proves a worker
+// alive: a pong, or a contribution frame however stale or unusable — its
+// sender computed and sent it. The sender, if suspect, is reinstated;
+// evidence reports whether it was. Only the sender is believed: outside
+// collect there is no plan to check an aggregate's contributor names
+// against, and each of them answers its own probe anyway.
+func (s *server) evidence(msg simnet.Message) bool {
+	switch msg.Type {
+	case msgPong, msgFeedback, msgAgg:
+		return s.noteAlive(msg.From)
+	}
+	return false
+}
+
+// strike charges name one corrupt frame — the one place that ladder is
+// climbed: without a round deadline (strict fail-stop) or at the strike
+// budget it is demoted, below the budget it is suspected, which may
+// itself escalate. It reports whether name was demoted.
+func (s *server) strike(name string) (demoted bool) {
+	strikes := s.m.NoteCorrupt(name)
+	if s.roundTimeout <= 0 || strikes >= s.m.SuspectThreshold() {
+		s.m.Fail(name)
+		return true
+	}
+	return s.m.Suspect(name)
+}
+
+// expired is a deadline that has already passed: recv(expired) drains
+// what is queued without blocking.
+var expired = make(chan time.Time)
+
+func init() { close(expired) }
+
+// recv is the server's one inbox read: the next message, or ok=false
+// once deadline fires (nil = wait forever). A message already queued
+// beats a deadline that has also passed, so evidence of life that
+// arrived in time is never lost to the timer. A closed inbox — the
+// transport died under the engine — is the one fatal error.
+func (s *server) recv(deadline <-chan time.Time) (msg simnet.Message, ok bool, err error) {
+	inbox := s.net.Inbox(serverName)
+	select {
+	case msg, ok = <-inbox:
+	default:
+		select {
+		case msg, ok = <-inbox:
+		case <-deadline:
+			return msg, false, nil
+		}
+	}
+	if !ok {
+		err = fmt.Errorf("core: server inbox closed")
+	}
+	return msg, ok, err
+}
+
 // tickProbes advances the suspect probe cycle at a round boundary: a
 // probe that went unanswered since the last tick is another miss
 // (possibly escalating the suspect to demotion), then every remaining
-// suspect is (re)probed. Pongs are consumed by collect and awaitRejoin,
-// which reinstate the sender — a worker stuck outside its main loop
-// cannot answer, so reinstatement needs real evidence of life, never
-// mere send success (which would flap a dead-but-reachable worker in
-// and out of the active set forever).
+// suspect is (re)probed. Pongs reinstate their sender wherever the
+// server next reads its inbox (evidence) — a worker stuck outside its
+// main loop cannot answer, so reinstatement needs real evidence of
+// life, never mere send success (which would flap a dead-but-reachable
+// worker in and out of the active set forever).
 func (s *server) tickProbes() {
 	// A probe answer — or a straggler's own late feedback — may have
 	// arrived after the previous collect exited and be sitting unread
@@ -695,23 +705,10 @@ func (s *server) tickProbes() {
 	// mid-Send). Consume that evidence of life before ticking, so a
 	// prompt answer is never counted as a miss. No round is in flight
 	// at a prepare boundary, so anything queued here is a pong or a
-	// stale contribution frame. Only its sender is believed: with no
-	// plan in force there is nothing to check an aggregate's contributor
-	// names against, and each of them answers its own probe anyway.
-	inbox := s.net.Inbox(serverName)
-drain:
-	for {
-		select {
-		case msg, ok := <-inbox:
-			if !ok {
-				break drain
-			}
-			if msg.Type == msgPong || msg.Type == msgFeedback || msg.Type == msgAgg {
-				s.noteAlive(msg.From)
-			}
-		default:
-			break drain
-		}
+	// stale contribution frame. (A closed inbox is left for the next
+	// blocking read to report.)
+	for msg, ok, _ := s.recv(expired); ok; msg, ok, _ = s.recv(expired) {
+		s.evidence(msg)
 	}
 	for _, name := range s.m.Suspects() {
 		if s.probes[name] {
@@ -737,21 +734,14 @@ drain:
 // did. Used when the active set drained entirely — the alternative to
 // ending training while suspects may still recover.
 func (s *server) awaitRejoin() bool {
-	inbox := s.net.Inbox(serverName)
-	timer := time.NewTimer(s.roundTimeout)
-	defer timer.Stop()
+	deadline := time.After(s.roundTimeout)
 	for {
-		select {
-		case msg, ok := <-inbox:
-			if !ok {
-				return false
-			}
-			if (msg.Type == msgPong || msg.Type == msgFeedback || msg.Type == msgAgg) &&
-				s.noteAlive(msg.From) {
-				return true
-			}
-		case <-timer.C:
-			return false
+		msg, ok, _ := s.recv(deadline)
+		if !ok {
+			return false // deadline (or a closed inbox: the next collect reports it)
+		}
+		if s.evidence(msg) {
+			return true
 		}
 	}
 }

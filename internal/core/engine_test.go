@@ -17,6 +17,7 @@ package core
 // convergent to the same ring at full length.
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -521,4 +522,58 @@ func TestTrainErrorPathStopsWorkers(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	inner.Close()
+}
+
+// TestRoutePayloadMatchesEncodeBatches: route concatenates pre-encoded
+// batch frames and appends the routing tail itself; the payload it
+// builds must decode to exactly the fields it chose and be byte-equal
+// to encodeBatches of those fields — one batches-frame layout, on the
+// star (empty parent, no children) and under a tree.
+func TestRoutePayloadMatchesEncodeBatches(t *testing.T) {
+	for _, topo := range []cluster.Topology{nil, cluster.Tree{Depth: 2}} {
+		couple := gan.RingMLP().NewGAN(11, nn.GenLossNonSaturating, 0)
+		srv := &server{
+			g: couple.G, rng: rand.New(rand.NewSource(11)), batch: 4, k: 2,
+			swapInterval: 1, roundTimeout: 30 * time.Millisecond, topo: topo,
+		}
+		r := &srv.rounds[0]
+		r.reset(7)
+		for i := 0; i < 9; i++ {
+			r.active = append(r.active, workerName(i))
+		}
+		r.k = srv.k
+		srv.generate(r)
+		srv.route(r)
+		aggregators := 0
+		for i, msg := range r.msgs {
+			name := r.active[i]
+			var got batchesMsg
+			if err := decodeBatches(msg.Payload, &got); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want := batchesMsg{
+				Xd: got.Xd, Ld: got.Ld, Xg: got.Xg, Lg: got.Lg,
+				SwapTo: r.swapTo[name], Round: 7, GIdx: r.gIdx[name], AggWait: 15,
+			}
+			if r.plan != nil {
+				want.Parent, want.Children = r.plan.Parent[name], r.plan.Children[name]
+				if len(want.Children) > 0 {
+					aggregators++
+				}
+			}
+			if want.SwapTo == "" {
+				t.Fatalf("%s: no swap routed on a swap round", name)
+			}
+			if got.SwapTo != want.SwapTo || got.Round != want.Round || got.Parent != want.Parent ||
+				fmt.Sprint(got.Children) != fmt.Sprint(want.Children) || got.GIdx != want.GIdx || got.AggWait != want.AggWait {
+				t.Fatalf("%s: routed payload decodes to %+v, route chose %+v", name, got, want)
+			}
+			if !bytes.Equal(msg.Payload, encodeBatches(want)) {
+				t.Fatalf("%s: routed payload differs from encodeBatches of the same fields", name)
+			}
+		}
+		if (topo != nil) != (aggregators > 0) {
+			t.Fatalf("topology %v: %d aggregators routed", topo, aggregators)
+		}
+	}
 }

@@ -63,27 +63,27 @@ func (s *server) processJoins(it int, spawn func(shard *dataset.Dataset) (*worke
 		}); err != nil {
 			return fmt.Errorf("core: clone request to %s: %w", donor, err)
 		}
-		// Wait for the reply, ignoring any unrelated stragglers.
+		// Wait for the reply. Anything else is a straggler, but evidence
+		// of life from a probed suspect (a pong, a late feedback or
+		// aggregate) must not be silently discarded meanwhile: the
+		// tickProbes that follows would charge a miss it did not earn.
 		var params []byte
-		inbox := s.net.Inbox(serverName)
 		for params == nil {
-			msg, ok := <-inbox
-			if !ok {
-				return fmt.Errorf("core: server inbox closed during join")
+			msg, _, err := s.recv(nil)
+			if err != nil {
+				return fmt.Errorf("core: join at iteration %d: %w", it, err)
 			}
 			if msg.Type == msgDParams && msg.From == donor {
 				params = msg.Payload
-			} else if msg.Type == msgPong || msg.Type == msgFeedback {
-				// Evidence of life from a probed suspect must not be
-				// silently discarded while we wait for the clone reply.
-				s.noteAlive(msg.From)
+			} else {
+				s.evidence(msg)
 			}
 		}
 		// Hand the pre-trained discriminator to the joiner before it
 		// can see any batches. The swap framing carries round tag 0 —
-		// "before any round" — so the joiner's stray-swap path adopts
-		// it immediately instead of holding it for a rendezvous that
-		// will never open (real rounds are numbered from 1).
+		// "before any round" — so the joiner's triage adopts it as a
+		// stray at once instead of holding it for a rendezvous that will
+		// never open (real rounds are numbered from 1).
 		if err := s.net.Send(simnet.Message{
 			From: serverName, To: w.name, Type: msgSwap,
 			Kind: simnet.CtoW, Payload: encodeSwapForward(0, params),

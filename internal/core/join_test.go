@@ -4,7 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
+	"mdgan/internal/cluster"
 	"mdgan/internal/dataset"
 	"mdgan/internal/gan"
 	"mdgan/internal/nn"
@@ -187,5 +189,58 @@ func TestJoinThenLearn(t *testing.T) {
 	}
 	if mean := sum / 256; mean < 1.0 || mean > 3.0 {
 		t.Fatalf("grown cluster diverged: mean radius %v", mean)
+	}
+}
+
+// TestJoinKeepsSuspectAggregate: while the server waits for a donor's
+// clone reply it must not eat a suspect's evidence of life. Under a tree
+// with a round deadline a suspect aggregator's late msgAgg can land in
+// exactly that wait; processJoins used to reinstate on pongs and
+// feedbacks only, so the aggregate was discarded and the tickProbes that
+// follows charged the worker a miss it had not earned.
+func TestJoinKeepsSuspectAggregate(t *testing.T) {
+	net := simnet.NewChannelNet(8)
+	defer net.Close()
+	donor, suspect, joiner := workerName(0), workerName(1), workerName(2)
+	for _, name := range []string{serverName, donor, suspect, joiner} {
+		if err := net.Register(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	couple := gan.RingMLP().NewGAN(5, nn.GenLossNonSaturating, 0)
+	rng := rand.New(rand.NewSource(5))
+	srv := &server{
+		net: net, rng: rng, roundTimeout: 50 * time.Millisecond,
+		joinAt: map[int][]*dataset.Dataset{3: {ringShards(1, 32, 5)[0]}},
+		probes: map[string]bool{suspect: true},
+		m:      cluster.New(net, rng, nil, 0),
+	}
+	srv.m.Add(donor)
+	srv.m.Add(suspect)
+	srv.m.Suspect(suspect)
+
+	// The server's inbox as the race leaves it: the suspect's aggregate
+	// for a round quorum moved on without, then the donor's clone reply.
+	var late aggAccum
+	late.reset()
+	late.add(0, []string{suspect}, tensor.Full(1, 4, 2))
+	for _, msg := range []simnet.Message{
+		{From: suspect, To: serverName, Type: msgAgg, Kind: simnet.WtoC, Payload: late.encode(2, CompressNone)},
+		{From: donor, To: serverName, Type: msgDParams, Kind: simnet.WtoC, Payload: encodeDiscParams(couple.D, SwapNative)},
+	} {
+		if err := net.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spawn := func(*dataset.Dataset) (*worker, error) { return &worker{name: joiner}, nil }
+	if err := srv.processJoins(3, spawn); err != nil {
+		t.Fatal(err)
+	}
+	if !srv.m.Alive(joiner) {
+		t.Fatal("joiner was not admitted")
+	}
+	if srv.m.IsSuspect(suspect) || srv.probes[suspect] {
+		t.Fatalf("suspect's aggregate was discarded during the join: still suspect=%v, probe outstanding=%v",
+			srv.m.IsSuspect(suspect), srv.probes[suspect])
 	}
 }

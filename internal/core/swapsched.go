@@ -14,7 +14,8 @@ import (
 // pairings slot in without touching the round-tagged rendezvous
 // machinery, because the engine only consumes the returned successor
 // map: every key sends its discriminator to its value and then blocks
-// in awaitSwap for the frame (or cancellation) tagged with this round.
+// in its rendezvous for the frame (or cancellation) tagged with this
+// round (worker.triage).
 //
 // Contract: the returned map's key set must equal its value set —
 // every worker that sends also receives exactly one discriminator, so

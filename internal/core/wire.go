@@ -32,7 +32,7 @@ const (
 // (empty SwapTo = no swap) and the round the command belongs to. Round
 // tags the whole swap exchange: the worker stamps it onto its outgoing
 // msgSwap, and its rendezvous only accepts swap traffic carrying the
-// same tag (see awaitSwap), so a cancellation or late frame from an
+// same tag (see worker.triage), so a cancellation or late frame from an
 // adjacent round can never resolve the wrong rendezvous.
 // The topology fields route the W→C feedback through the round's
 // aggregation plan. Parent names where this worker sends its round
@@ -62,39 +62,68 @@ type batchesMsg struct {
 // zero-length slice with capacity to avoid allocation). An empty list
 // decodes as nil, preserving the "unconditional" convention.
 func readLabels(r *bytes.Reader, buf []int) ([]int, error) {
-	var tmp [4]byte
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return nil, fmt.Errorf("core: read label count: %w", err)
-	}
-	n := int(binary.LittleEndian.Uint32(tmp[:]))
+	n, err := readCount(r, "label count", 4)
 	if n == 0 {
-		return nil, nil
+		return nil, err
 	}
-	if n > r.Len()/4 {
-		return nil, fmt.Errorf("core: label count %d exceeds remaining payload", n)
-	}
-	labels := buf
 	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(r, tmp[:]); err != nil {
-			return nil, fmt.Errorf("core: read label %d: %w", i, err)
+		l, err := readU32(r, "label")
+		if err != nil {
+			return nil, err
 		}
-		labels = append(labels, int(binary.LittleEndian.Uint32(tmp[:])))
+		buf = append(buf, l)
 	}
-	return labels, nil
+	return buf, nil
+}
+
+// readU32 reads one little-endian u32 field; what names it in the
+// error. It reads through the concrete reader, so the scratch bytes stay
+// on the stack.
+func readU32(r *bytes.Reader, what string) (int, error) {
+	var tmp [4]byte
+	if n, _ := r.Read(tmp[:]); n < len(tmp) {
+		return 0, fmt.Errorf("core: read %s: %w", what, io.ErrUnexpectedEOF)
+	}
+	return int(binary.LittleEndian.Uint32(tmp[:])), nil
+}
+
+// readCount reads a length prefix and bounds it against the remaining
+// payload — each of the things it counts takes at least minBytes more —
+// before any allocation proportional to it can happen.
+func readCount(r *bytes.Reader, what string, minBytes int) (int, error) {
+	n, err := readU32(r, what)
+	if err == nil && n > r.Len()/minBytes {
+		return 0, fmt.Errorf("core: %s %d exceeds remaining payload", what, n)
+	}
+	return n, err
 }
 
 func encodeBatches(m batchesMsg) []byte {
 	size := m.Xd.EncodedSize() + m.Xg.EncodedSize() +
-		int64(8+4*len(m.Ld)+4*len(m.Lg)) + int64(4+len(m.SwapTo)) + 4 +
-		int64(4+len(m.Parent)) + 4 + 8
-	for _, c := range m.Children {
-		size += int64(4 + len(c))
-	}
+		int64(8+4*len(m.Ld)+4*len(m.Lg)+batchesTailSize(&m))
 	buf := make([]byte, 0, size)
 	buf = m.Xd.AppendBinary(buf)
 	buf = appendLabels(buf, m.Ld)
 	buf = m.Xg.AppendBinary(buf)
 	buf = appendLabels(buf, m.Lg)
+	return appendBatchesTail(buf, &m)
+}
+
+// batchesTailSize is the byte size of what appendBatchesTail appends.
+func batchesTailSize(m *batchesMsg) int {
+	size := 4 + len(m.SwapTo) + 4 + 4 + len(m.Parent) + 4 + 8
+	for _, c := range m.Children {
+		size += 4 + len(c)
+	}
+	return size
+}
+
+// appendBatchesTail appends everything of a batches frame that follows
+// the two batch frames — swap command, round tag, parent, children,
+// batch index, aggregation wait. The engine's route stage concatenates
+// pre-encoded batch frames and calls this directly; encodeBatches is the
+// same layout from tensors.
+func appendBatchesTail(buf []byte, m *batchesMsg) []byte {
 	buf = appendString(buf, m.SwapTo)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Round))
 	buf = appendString(buf, m.Parent)
@@ -147,20 +176,15 @@ func decodeBatches(p []byte, m *batchesMsg) error {
 	if m.SwapTo, err = readString(r); err != nil {
 		return err
 	}
-	var tmp [4]byte
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return fmt.Errorf("core: read batches round: %w", err)
+	if m.Round, err = readU32(r, "batches round"); err != nil {
+		return err
 	}
-	m.Round = int(binary.LittleEndian.Uint32(tmp[:]))
 	if m.Parent, err = readString(r); err != nil {
 		return err
 	}
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return fmt.Errorf("core: read child count: %w", err)
-	}
-	nc := int(binary.LittleEndian.Uint32(tmp[:]))
-	if nc > r.Len()/4 {
-		return fmt.Errorf("core: child count %d exceeds remaining payload", nc)
+	nc, err := readCount(r, "child count", 4)
+	if err != nil {
+		return err
 	}
 	m.Children = m.Children[:0]
 	for i := 0; i < nc; i++ {
@@ -170,28 +194,17 @@ func decodeBatches(p []byte, m *batchesMsg) error {
 		}
 		m.Children = append(m.Children, c)
 	}
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return fmt.Errorf("core: read batch index: %w", err)
+	if m.GIdx, err = readU32(r, "batch index"); err != nil {
+		return err
 	}
-	m.GIdx = int(binary.LittleEndian.Uint32(tmp[:]))
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return fmt.Errorf("core: read aggregation wait: %w", err)
-	}
-	m.AggWait = int(binary.LittleEndian.Uint32(tmp[:]))
-	return nil
+	m.AggWait, err = readU32(r, "aggregation wait")
+	return err
 }
 
 func readString(r *bytes.Reader) (string, error) {
-	var tmp [4]byte
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return "", fmt.Errorf("core: read string length: %w", err)
-	}
-	n := int(binary.LittleEndian.Uint32(tmp[:]))
+	n, err := readCount(r, "string length", 1)
 	if n == 0 {
-		return "", nil
-	}
-	if n > r.Len() {
-		return "", fmt.Errorf("core: string length %d exceeds remaining payload", n)
+		return "", err
 	}
 	b := make([]byte, n)
 	if _, err := io.ReadFull(r, b); err != nil {

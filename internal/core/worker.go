@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -44,24 +45,12 @@ type worker struct {
 	// built once on its first round, re-sent verbatim ever after.
 	replay *tensor.Tensor
 
-	// pending buffers messages that arrive while the worker is blocked
-	// waiting for a swap (e.g. the next iteration's batches racing the
-	// peer's swap message on TCP transports).
-	pending []simnet.Message
-	// futureSwaps holds swap traffic tagged with a round this worker
-	// has not reached yet (it can overtake that round's batches on
-	// TCP). Only awaitSwap consumes it — routing it through the main
-	// loop would discard a future rendezvous's release and deadlock
-	// that rendezvous.
-	futureSwaps []simnet.Message
-	// futureAggs holds aggregation traffic (msgAgg contributions from
-	// children, msgAggSkip releases from the server) tagged with a round
-	// whose batches have not arrived yet — a child's contribution can
-	// overtake its aggregator's own batches on TCP. Only collectChildren
-	// consumes it.
-	futureAggs []simnet.Message
-	// lastRound is the most recent batches round handled; swap traffic
-	// tagged beyond it belongs to a rendezvous that has not opened yet.
+	// stash holds, in arrival order, every message triage said to hold:
+	// traffic for a window that has not opened yet. recv is its only
+	// reader and writer.
+	stash []simnet.Message
+	// lastRound is the most recent batches round handled — the round
+	// whose collect window and rendezvous are open or already closed.
 	lastRound int
 
 	// agg accumulates this worker's aggregation round (own feedback +
@@ -84,57 +73,161 @@ type worker struct {
 	once sync.Once
 }
 
+// window names where a worker reads its inbox from: the main loop, an
+// aggregator's wait for its children, or a swap round's rendezvous.
+type window int
+
+const (
+	winMain window = iota
+	winCollect
+	winSwap
+)
+
+// verdict is triage's decision on one message.
+type verdict int
+
+const (
+	deliver verdict = iota // hand it to the window's reader
+	hold                   // keep it in the stash for a later window
+	drop                   // consumed here (a stray, stale or corrupt)
+)
+
+// triage decides the fate of one message read in window win. It is the
+// only place the round-tag policy lives: run, collectChildren and the
+// rendezvous all read through recv, so a fix to these rules lands once.
+//
+// Swap traffic is matched to rendezvous by its round tag, because on a
+// transport where W→W frames can trail the server's sends (TCP: one
+// connection per pair) neighbouring rounds interleave:
+//   - tagged beyond lastRound it overtook that round's batches, and
+//     tagged lastRound while the collect window is open it is ahead of
+//     our own rendezvous (which opens after the upstream forward): hold
+//     it. Consuming it early would eat the release that rendezvous will
+//     block on — a later round's cancellation can race ahead of this
+//     round's swap, since the server moves on once feedbacks are in —
+//     and resolving the open rendezvous with it would also displace the
+//     real swap still in flight;
+//   - tagged lastRound inside the rendezvous it resolves it: parameters
+//     are adopted, a bare tag is the server's cancellation (the peer
+//     that owed us its discriminator was demoted mid-round: keep D), and
+//     corrupt parameters count as a lost swap, our own D carries on.
+//     Something with this tag always comes: the sender either got its
+//     batches (it ships its swap before awaiting its own) or it did not
+//     (the server saw the failed dispatch and sent the cancellation);
+//   - anything older is a stray — a late frame whose rendezvous was
+//     cancelled, a duplicate, or the join protocol's tag-0 clone: adopt
+//     its parameters if it carries any, drop a stale cancellation;
+//   - a lazy (async) worker never rendezvouses, and its tags come from
+//     the sender's own iteration counter, so it adopts at once;
+//   - a frame too short for a tag is a lost swap, not a death sentence.
+//
+// Aggregation traffic (a child's msgAgg, the server's msgAggSkip) tagged
+// beyond lastRound overtook our own batches: hold it for that round's
+// collect window. Tagged lastRound inside the collect window it is
+// delivered; anything else is a straggler whose round we already
+// forwarded, or corrupt — its contribution is lost and the server's
+// deadline machinery accounts for the missing contributors.
+//
+// Pings, clone requests and batches are delivered only to the main
+// loop. For pings that is deliberate: a worker stuck in a collect or a
+// rendezvous cannot pong, so the server keeps ticking its escalation
+// counter and eventually demotes it, closing its inbox and unblocking
+// it — a pong is real evidence of life, not just of a reachable
+// transport. msgStop is delivered in every window: shutdown beats the
+// forward and the swap alike.
+func (w *worker) triage(msg simnet.Message, win window) verdict {
+	switch msg.Type {
+	case msgStop:
+		return deliver
+	case msgSwap:
+		r, params, err := decodeSwap(msg.Payload)
+		if err != nil {
+			return drop
+		}
+		v := drop
+		if !w.lazySwap {
+			if r > w.lastRound || r == w.lastRound && win == winCollect {
+				return hold
+			}
+			if r == w.lastRound && win == winSwap {
+				v = deliver
+			}
+		}
+		if len(params) > 0 {
+			// All or nothing: corrupt parameters leave our own D intact.
+			_ = decodeDiscParamsInto(w.d, params)
+		}
+		return v
+	case msgAgg, msgAggSkip:
+		r, ok := aggRound(msg.Payload)
+		switch {
+		case ok && r > w.lastRound:
+			return hold
+		case ok && r == w.lastRound && win == winCollect:
+			return deliver
+		}
+		return drop
+	}
+	if win == winMain {
+		return deliver
+	}
+	return hold
+}
+
+// recv returns the next message triage delivers to window win: the
+// stash first, in arrival order (lastRound or the window may have moved
+// since a message was held), then the inbox. A closed inbox — the
+// fail-stop crash — reads as a msgStop nobody sent, so every reader has
+// one way to end. ok is false only when expire fired first.
+func (w *worker) recv(win window, expire <-chan time.Time) (msg simnet.Message, ok bool) {
+	for i := 0; i < len(w.stash); {
+		msg := w.stash[i]
+		v := w.triage(msg, win)
+		if v == hold {
+			i++
+			continue
+		}
+		// slices.Delete zeroes the vacated slot: a held swap payload is
+		// megabytes and must not stay reachable from the backing array.
+		w.stash = slices.Delete(w.stash, i, i+1)
+		if v == deliver {
+			return msg, true
+		}
+	}
+	inbox := w.net.Inbox(w.name)
+	for {
+		select {
+		case msg, open := <-inbox:
+			if !open {
+				return simnet.Message{Type: msgStop}, true
+			}
+			switch w.triage(msg, win) {
+			case deliver:
+				return msg, true
+			case hold:
+				w.stash = append(w.stash, msg)
+			}
+		case <-expire:
+			return simnet.Message{}, false
+		}
+	}
+}
+
 // run processes messages until stopped or crashed (inbox closed).
 // w.done must be initialised before the goroutine starts.
 func (w *worker) run() {
 	defer w.once.Do(func() { close(w.done) })
-	inbox := w.net.Inbox(w.name)
 	for {
-		msg, ok := w.next(inbox)
-		if !ok {
-			return // crashed: inbox closed under us (fail-stop)
-		}
+		msg, _ := w.recv(winMain, nil)
 		switch msg.Type {
 		case msgStop:
 			return
 		case msgPing:
 			// Liveness probe: the server suspects us (our feedback missed
-			// a round deadline). Answering from the main loop — and ONLY
-			// from here — is deliberate: a worker stuck in a swap
-			// rendezvous cannot pong, so the server keeps ticking its
-			// escalation counter and eventually demotes it, closing its
-			// inbox and unblocking the rendezvous. A pong is therefore
-			// real evidence of life, not just of a reachable transport.
+			// a round deadline). Only the main loop answers (see triage).
 			_ = w.net.Send(simnet.Message{
 				From: w.name, To: serverName, Type: msgPong, Kind: simnet.WtoC,
 			})
-		case msgSwap:
-			// A swap that arrived outside a rendezvous: adopt the
-			// incoming discriminator if its round has already passed
-			// (lazy mode, a late frame whose rendezvous was cancelled,
-			// or the join protocol's tag-0 clone); a bare round tag is
-			// a cancellation (the sender was demoted mid-round): keep
-			// D. Traffic tagged with a FUTURE round overtook that
-			// round's batches — hold it for that round's rendezvous
-			// instead of consuming it here, or the rendezvous would
-			// wait forever for a release that was already eaten. (Lazy
-			// workers never rendezvous, and async tags come from the
-			// sender's own iteration counter, so they always adopt
-			// immediately.)
-			r, params, err := decodeSwap(msg.Payload)
-			if err != nil {
-				continue // corrupt frame: a lost swap, not a death sentence
-			}
-			if r > w.lastRound && !w.lazySwap {
-				w.futureSwaps = append(w.futureSwaps, msg)
-				continue
-			}
-			if len(params) == 0 {
-				continue
-			}
-			if err := decodeDiscParamsInto(w.d, params); err != nil {
-				continue // corrupt parameters: keep our own discriminator
-			}
 		case msgClone:
 			// The server asked for a copy of our discriminator to
 			// bootstrap a joining worker (§IV-A).
@@ -144,34 +237,12 @@ func (w *worker) run() {
 			}); err != nil {
 				return
 			}
-		case msgAgg, msgAggSkip:
-			// Aggregation traffic outside a collect window: a child's
-			// contribution (or the server's skip release) for a round
-			// whose batches have not reached us yet — hold it where
-			// collectChildren will look for it. Anything tagged with a
-			// round we already forwarded is a straggler whose
-			// contribution is lost (the server's deadline machinery
-			// accounts for the missing contributors).
-			if r, ok := aggRound(msg.Payload); ok && r > w.lastRound {
-				w.futureAggs = append(w.futureAggs, msg)
-			}
 		case msgBatches:
 			if !w.handleBatches(msg) {
 				return
 			}
 		}
 	}
-}
-
-// next pops a buffered message first, then reads the inbox.
-func (w *worker) next(inbox <-chan simnet.Message) (simnet.Message, bool) {
-	if len(w.pending) > 0 {
-		msg := w.pending[0]
-		w.pending = w.pending[1:]
-		return msg, true
-	}
-	msg, ok := <-inbox
-	return msg, ok
 }
 
 // handleBatches runs one global iteration at the worker: L local
@@ -269,7 +340,10 @@ func (w *worker) handleBatches(msg simnet.Message) bool {
 		return false
 	}
 	if bm.SwapTo != "" && !w.lazySwap {
-		return w.awaitSwap(bm.Round)
+		// The rendezvous: block until this round's replacement
+		// discriminator (or its cancellation) resolves it — see triage.
+		msg, _ := w.recv(winSwap, nil)
+		return msg.Type != msgStop
 	}
 	return true
 }
@@ -295,17 +369,13 @@ func (w *worker) fabricateFeedback(xg *tensor.Tensor) *tensor.Tensor {
 // sendAggregate runs the worker's side of the round's aggregation plan:
 // collect the children's contributions (none for a leaf), fold in our
 // own feedback, and forward the reduced frame to bm.Parent. Returns
-// false when the worker must stop (crashed inbox, or the parent IS the
-// server and it is gone — the same death the bare feedback send
-// takes).
+// false when the worker must stop (stopped or crashed while collecting,
+// or the parent IS the server and it is gone — the same death the bare
+// feedback send takes).
 func (w *worker) sendAggregate(fn *tensor.Tensor) bool {
 	bm := &w.bm
-	send, alive := w.collectChildren()
-	if !alive {
+	if !w.collectChildren() {
 		return false
-	}
-	if !send {
-		return true // stopping: run() pops the requeued msgStop next
 	}
 	w.agg.reset()
 	if w.ownName == nil {
@@ -357,10 +427,9 @@ func (w *worker) sendAggregate(fn *tensor.Tensor) bool {
 
 // collectChildren gathers this round's msgAgg frames from bm.Children
 // (buffering the raw payloads in aggGot for the in-order merge),
-// honouring msgAggSkip releases and the AggWait deadline. send=false
-// means skip the upstream forward (stopping); alive=false means the
-// worker crashed (inbox closed).
-func (w *worker) collectChildren() (send, alive bool) {
+// honouring msgAggSkip releases and the AggWait deadline. It returns
+// false when the worker must stop instead of forwarding.
+func (w *worker) collectChildren() bool {
 	bm := &w.bm
 	if w.aggGot == nil {
 		w.aggGot = make(map[string][]byte, len(bm.Children))
@@ -368,89 +437,29 @@ func (w *worker) collectChildren() (send, alive bool) {
 		clear(w.aggGot)
 	}
 	if len(bm.Children) == 0 {
-		return true, true
+		return true
 	}
 	need := make(map[string]bool, len(bm.Children))
 	for _, c := range bm.Children {
 		need[c] = true
 	}
-	// This round's contributions may already be stashed: a child's
-	// frame can overtake our own batches on TCP. Flush stale stragglers
-	// along the way.
-	keep := w.futureAggs[:0]
-	for _, msg := range w.futureAggs {
-		r, ok := aggRound(msg.Payload)
-		switch {
-		case !ok || r < bm.Round:
-			// Corrupt or stale: its round already closed.
-		case r > bm.Round:
-			keep = append(keep, msg)
-		default:
-			w.absorbAgg(msg, need)
-		}
-	}
-	w.futureAggs = keep
-	if len(need) == 0 {
-		return true, true
-	}
 	var expire <-chan time.Time
 	if bm.AggWait > 0 {
-		timer := time.NewTimer(time.Duration(bm.AggWait) * time.Millisecond)
-		defer timer.Stop()
-		expire = timer.C
+		expire = time.After(time.Duration(bm.AggWait) * time.Millisecond)
 	}
-	inbox := w.net.Inbox(w.name)
 	for len(need) > 0 {
-		select {
-		case msg, ok := <-inbox:
-			if !ok {
-				return false, false
-			}
-			switch msg.Type {
-			case msgAgg, msgAggSkip:
-				r, ok := aggRound(msg.Payload)
-				switch {
-				case !ok || r < bm.Round:
-				case r > bm.Round:
-					w.futureAggs = append(w.futureAggs, msg)
-				default:
-					w.absorbAgg(msg, need)
-				}
-			case msgSwap:
-				// Swap traffic tagged with this round or later belongs
-				// to a rendezvous that has not opened yet (ours opens
-				// after the upstream forward) — adopting it here would
-				// eat the release awaitSwap will block on. Earlier
-				// rounds follow the stray rules.
-				r, params, err := decodeSwap(msg.Payload)
-				if err != nil {
-					continue
-				}
-				if r >= bm.Round {
-					w.futureSwaps = append(w.futureSwaps, msg)
-					continue
-				}
-				if len(params) > 0 {
-					_ = decodeDiscParamsInto(w.d, params)
-				}
-			case msgStop:
-				// Shutdown beats the forward: requeue so run() exits on
-				// it next.
-				w.pending = append(w.pending, msg)
-				return false, true
-			default:
-				// Pings included: a collect-blocked aggregator must not
-				// pong (see run) — the probe escalation is what breaks a
-				// wedged collect once the server gives up on us.
-				w.pending = append(w.pending, msg)
-			}
-		case <-expire:
+		msg, ok := w.recv(winCollect, expire)
+		if !ok {
 			// Deadline: forward the partial reduction. Missing children
 			// miss the round; the server's accounting notices.
-			return true, true
+			return true
 		}
+		if msg.Type == msgStop {
+			return false
+		}
+		w.absorbAgg(msg, need)
 	}
-	return true, true
+	return true
 }
 
 // absorbAgg accounts one in-round aggregation message against the
@@ -469,94 +478,6 @@ func (w *worker) absorbAgg(msg simnet.Message, need map[string]bool) {
 	}
 	delete(need, msg.From)
 	w.aggGot[msg.From] = msg.Payload
-}
-
-// awaitSwap blocks until round's replacement discriminator arrives. A
-// bare-tag msgSwap for the same round is the server's cancellation —
-// the peer that owed us its discriminator was demoted mid-round — so we
-// keep our own D and resume. Swap traffic tagged with a LATER round is
-// stashed in futureSwaps for that round's rendezvous: a later round's
-// cancellation can race ahead of this round's swap on TCP (the server
-// moves on once feedbacks are in), and resolving this rendezvous with
-// it would both drop the real swap still in flight AND eat the release
-// the later rendezvous will block on. Earlier-round stragglers follow
-// the stray rules in place (late swap adopted, stale cancellation
-// dropped). The protocol guarantees something tagged with THIS round is
-// coming: the sender either got its batches (its swap is in flight — it
-// sends before awaiting its own rendezvous) or it did not (the server
-// saw the failed dispatch and sent this round's cancellation).
-func (w *worker) awaitSwap(round int) bool {
-	// This round's release may already be stashed: it can arrive while
-	// an EARLIER rendezvous is still open. Flush stale stragglers along
-	// the way.
-	keep := w.futureSwaps[:0]
-	var match *simnet.Message
-	for i := range w.futureSwaps {
-		msg := w.futureSwaps[i]
-		r, params, err := decodeSwap(msg.Payload)
-		switch {
-		case err != nil:
-			// Corrupt frame: discard it (its rendezvous, if any, is
-			// released by the server's deadline machinery).
-		case r == round && match == nil:
-			match = &msg
-		case r < round:
-			if len(params) > 0 {
-				// Stray adoption; corrupt parameters → keep our own D.
-				_ = decodeDiscParamsInto(w.d, params)
-			}
-		default:
-			keep = append(keep, msg)
-		}
-	}
-	w.futureSwaps = keep
-	if match != nil {
-		_, params, _ := decodeSwap(match.Payload)
-		if len(params) > 0 {
-			// Corrupt parameters resolve the rendezvous like a
-			// cancellation: the swap is lost, our own D carries on.
-			_ = decodeDiscParamsInto(w.d, params)
-		}
-		return true
-	}
-	inbox := w.net.Inbox(w.name)
-	for {
-		msg, ok := <-inbox
-		if !ok {
-			return false
-		}
-		if msg.Type == msgSwap {
-			r, params, err := decodeSwap(msg.Payload)
-			if err != nil {
-				continue // corrupt frame: not this rendezvous's release
-			}
-			if r > round {
-				// A later rendezvous's traffic: hold it where only that
-				// rendezvous will look for it.
-				w.futureSwaps = append(w.futureSwaps, msg)
-				continue
-			}
-			if r < round {
-				// Straggler from a resolved round: stray rules (corrupt
-				// parameters → keep our own discriminator).
-				if len(params) > 0 {
-					_ = decodeDiscParamsInto(w.d, params)
-				}
-				continue
-			}
-			if len(params) > 0 {
-				// Corrupt parameters resolve like a cancellation.
-				_ = decodeDiscParamsInto(w.d, params)
-			}
-			return true
-		}
-		if msg.Type == msgStop {
-			// Shutdown beats the swap: requeue so run() sees it next.
-			w.pending = append(w.pending, msg)
-			return true
-		}
-		w.pending = append(w.pending, msg)
-	}
 }
 
 // wait blocks until the worker goroutine has exited.

@@ -15,7 +15,6 @@
 package flgan
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -91,14 +90,10 @@ func encodeCouple(m *gan.GAN) []byte {
 
 // decodeCoupleInto loads a payload from the network: every frame must
 // have its parameter's shape and the payload must end where the
-// parameters do.
+// parameters do, or the couple is left untouched.
 func decodeCoupleInto(m *gan.GAN, p []byte) error {
-	r := bytes.NewReader(p)
-	if _, err := nn.ReadParams(r, coupleParams(m)); err != nil {
+	if err := nn.DecodeParams(p, coupleParams(m)); err != nil {
 		return fmt.Errorf("flgan: decode couple: %w", err)
-	}
-	if r.Len() != 0 {
-		return fmt.Errorf("flgan: decode couple: %d trailing bytes after parameters", r.Len())
 	}
 	return nil
 }

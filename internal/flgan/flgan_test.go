@@ -163,16 +163,23 @@ func TestDecodeCoupleRejectsWrongEmbedShapeAndTrailingBytes(t *testing.T) {
 	payload = nn.AppendParams(payload, src.D.Params(), tensor.NativeDType)
 	dst := newCouple(14)
 	shape := append([]int(nil), dst.G.Embed.W.Shape()...)
+	before := encodeCouple(dst)
 	if err := decodeCoupleInto(dst, payload); err == nil {
 		t.Fatal("couple with a wrong-shape embedding frame was accepted")
+	}
+	if !bytes.Equal(encodeCouple(dst), before) {
+		t.Fatal("rejected payload overwrote the parameters ahead of the bad frame")
 	}
 	if !dst.G.Embed.W.SameShape(dst.G.Embed.Grad) || dst.G.Embed.W.Dim(0) != shape[0] || dst.G.Embed.W.Dim(1) != shape[1] {
 		t.Fatalf("rejected frame reshaped the embedding to %v (was %v, grad %v)",
 			dst.G.Embed.W.Shape(), shape, dst.G.Embed.Grad.Shape())
 	}
 
-	if err := decodeCoupleInto(newCouple(15), append(encodeCouple(src), 0)); err == nil {
+	if err := decodeCoupleInto(dst, append(encodeCouple(src), 0)); err == nil {
 		t.Fatal("couple with a trailing byte was accepted")
+	}
+	if !bytes.Equal(encodeCouple(dst), before) {
+		t.Fatal("payload with a trailing byte was adopted before it was rejected")
 	}
 	if err := decodeCoupleInto(newCouple(16), encodeCouple(src)); err != nil {
 		t.Fatalf("well-formed couple rejected: %v", err)

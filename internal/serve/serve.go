@@ -346,27 +346,35 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// badRequest is a Sample error that is the caller's fault: POST /sample
+// answers it with 400 and this text, anything else with 503.
+type badRequest string
+
+func (e badRequest) Error() string { return "serve: " + string(e) }
+
 // Sample draws n samples through the coalescer — the in-process
 // equivalent of POST /sample, used by tests and embedding callers. The
 // returned tensor is pooled; pass it to Release when done.
+//
+// This is the one place a request is validated (the HTTP handler only
+// parses): a bad label that reaches the coalescer panics in the replica
+// goroutine (nil-slice copy on an unconditional generator, embedding
+// index out of range on a conditional one) and takes the whole server
+// down.
 func (s *Server) Sample(n int, labels []int) (*tensor.Tensor, []int, error) {
 	if n <= 0 || n > s.cfg.MaxBatch {
-		return nil, nil, fmt.Errorf("serve: n must be in 1..%d", s.cfg.MaxBatch)
+		return nil, nil, badRequest(fmt.Sprintf("n must be in 1..%d", s.cfg.MaxBatch))
 	}
 	if labels != nil {
-		// Mirror handleSample's validation: a bad label that reaches the
-		// coalescer panics in the replica goroutine (nil-slice copy on an
-		// unconditional generator, embedding index out of range on a
-		// conditional one) and takes the whole server down.
 		if s.classes == 0 {
-			return nil, nil, errors.New("serve: generator is unconditional: labels not supported")
+			return nil, nil, badRequest("generator is unconditional: labels not supported")
 		}
 		if len(labels) != n {
-			return nil, nil, fmt.Errorf("serve: %d labels for %d samples", len(labels), n)
+			return nil, nil, badRequest(fmt.Sprintf("%d labels for n=%d", len(labels), n))
 		}
 		for _, l := range labels {
 			if l < 0 || l >= s.classes {
-				return nil, nil, fmt.Errorf("serve: label %d out of range 0..%d", l, s.classes-1)
+				return nil, nil, badRequest(fmt.Sprintf("labels must be integers in 0..%d", s.classes-1))
 			}
 		}
 	}
@@ -397,27 +405,15 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if n <= 0 || n > s.cfg.MaxBatch {
-		http.Error(w, fmt.Sprintf("n must be in 1..%d", s.cfg.MaxBatch), http.StatusBadRequest)
-		return
-	}
 	var labels []int
 	if v := q.Get("labels"); v != "" {
-		if s.classes == 0 {
-			http.Error(w, "generator is unconditional: labels not supported", http.StatusBadRequest)
-			return
-		}
 		for _, part := range strings.Split(v, ",") {
 			l, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || l < 0 || l >= s.classes {
-				http.Error(w, fmt.Sprintf("labels must be integers in 0..%d", s.classes-1), http.StatusBadRequest)
+			if err != nil {
+				http.Error(w, "labels must be comma-separated integers", http.StatusBadRequest)
 				return
 			}
 			labels = append(labels, l)
-		}
-		if len(labels) != n {
-			http.Error(w, fmt.Sprintf("%d labels for n=%d", len(labels), n), http.StatusBadRequest)
-			return
 		}
 	}
 	format := q.Get("format")
@@ -431,6 +427,10 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	t, lab, err := s.Sample(n, labels)
+	if bad := badRequest(""); errors.As(err, &bad) {
+		http.Error(w, string(bad), http.StatusBadRequest)
+		return
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
