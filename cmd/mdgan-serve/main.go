@@ -1,7 +1,9 @@
 // Command mdgan-serve is the generator-serving daemon: it loads a
 // generator checkpoint written by mdgan-train (-ckpt-out) and answers
-// sampling requests over HTTP, coalescing concurrent requests into
-// batched forwards (see internal/serve).
+// sampling requests over HTTP, fusing the requests that are waiting
+// when the generator is free into one batched forward (see
+// internal/serve). A lone request is served at once; there is no batch
+// window to tune.
 //
 //	mdgan-train -algo md-gan -dataset digits -iters 2000 -ckpt-out g.ckpt
 //	mdgan-serve -ckpt g.ckpt -arch mlp:128 -addr :8080
@@ -38,7 +40,6 @@ func main() {
 		ckpt     = flag.String("ckpt", "", "generator checkpoint to serve (required; SIGHUP re-reads it)")
 		archName = flag.String("arch", "mlp:128", "generator architecture the checkpoint was trained with: ring | mlp:<h> | paper-mlp | paper-cnn-mnist | paper-cnn-cifar | faces | cnn:<c>x<size>x<classes>")
 		maxBatch = flag.Int("max-batch", 64, "max samples fused into one batched forward")
-		maxWait  = flag.Duration("max-wait", 2*time.Millisecond, "batch-window length: how long a request waits for co-travellers")
 		replicas = flag.Int("replicas", 1, "independent generator replicas (multi-core hosts)")
 		seed     = flag.Int64("seed", 1, "latent-stream seed")
 		uncond   = flag.Bool("unconditional", false, "checkpoint was trained without the class embedding (ClsWeight 0)")
@@ -54,8 +55,7 @@ func main() {
 	}
 	srv, err := mdgan.NewSampleServer(mdgan.ServeOptions{
 		Arch: arch, Checkpoint: *ckpt,
-		MaxBatch: *maxBatch, MaxWait: *maxWait,
-		Replicas: *replicas, Seed: *seed, Unconditional: *uncond,
+		MaxBatch: *maxBatch, Replicas: *replicas, Seed: *seed, Unconditional: *uncond,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -65,15 +65,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("serving %s checkpoint %s (%s, max batch %d, window %v, %d replica(s)) on http://%s",
-		arch.Name, *ckpt, tensor.DTypeName, *maxBatch, *maxWait, *replicas, ln.Addr())
+	log.Printf("serving %s checkpoint %s (%s, max batch %d, %d replica(s)) on http://%s",
+		arch.Name, *ckpt, tensor.DTypeName, *maxBatch, *replicas, ln.Addr())
 	if *ready != "" {
 		if err := os.WriteFile(*ready, []byte(ln.Addr().String()), 0o644); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	hs := &http.Server{Handler: srv}
+	// A client that never finishes its headers, or keeps an idle
+	// connection open, must not hold a goroutine forever.
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: 5 * time.Second, IdleTimeout: 2 * time.Minute}
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGHUP, syscall.SIGINT, syscall.SIGTERM)
 	go func() {

@@ -26,84 +26,74 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mdgan-train: ")
 
+	// Flags bind straight into the Options value they configure; only
+	// what Options does not hold, or holds in another type, gets a
+	// variable of its own.
+	var o mdgan.Options
+	flag.StringVar((*string)(&o.Algorithm), "algo", "md-gan", "algorithm: standalone | fl-gan | md-gan")
+	flag.IntVar(&o.Workers, "workers", 10, "number of workers N")
+	flag.IntVar(&o.K, "k", 0, "MD-GAN batches per iteration (0 = ⌊ln N⌋)")
+	flag.IntVar(&o.SwapEvery, "swap", 1, "epochs between discriminator swaps (-1 disables)")
+	flag.BoolVar(&o.Async, "async", false, "MD-GAN asynchronous mode (§VII.1)")
+	flag.BoolVar(&o.Pipeline, "pipeline", false, "MD-GAN pipelined synchronous engine: overlap next-round generation with worker compute (one-iteration parameter staleness)")
+	flag.IntVar(&o.Batch, "batch", 10, "batch size b")
+	flag.IntVar(&o.Iters, "iters", 1000, "generator iterations I")
+	flag.IntVar(&o.DiscSteps, "L", 1, "discriminator steps per iteration")
+	flag.Float64Var(&o.LRG, "lrg", 1e-3, "generator Adam learning rate")
+	flag.Float64Var(&o.LRD, "lrd", 4e-3, "discriminator Adam learning rate")
+	flag.BoolVar(&o.PaperLoss, "paperloss", false, "use the paper's log(1−D) generator objective")
+	flag.Int64Var(&o.Seed, "seed", 1, "random seed")
+	flag.IntVar(&o.EvalEvery, "eval", 100, "metric cadence in iterations (0 disables)")
+	flag.BoolVar(&o.UseTCP, "tcp", false, "run workers over loopback TCP sockets")
+	flag.DurationVar(&o.RoundTimeout, "round-timeout", 0, "MD-GAN round deadline: suspect missing workers and apply the round with a quorum (0 waits forever)")
+	flag.IntVar(&o.Quorum, "quorum", 0, "minimum feedbacks to apply a round after the deadline (0 = 1)")
+	flag.IntVar(&o.SuspectAfter, "suspect-after", 0, "consecutive misses before a suspect is demoted (0 = default, <0 = never)")
+	flag.Float64Var(&o.NonIIDSkew, "skew", 0, "non-IID label skew in [0,1] (0 = i.i.d.)")
+	flag.StringVar(&o.Topology, "topology", "", "MD-GAN feedback aggregation overlay: flat (default) | tree:<depth> — tree reduces feedbacks through worker-side aggregators, bounding server ingress by its fan-in")
+	flag.IntVar(&o.Fanin, "fanin", 0, "tree topology per-node child bound (0 = auto ceil(N^(1/depth)))")
+	flag.StringVar(&o.SwapSchedule, "swap-schedule", "", "discriminator swap plan: ring (default) | shuffle | gossip[:pairs]")
+	flag.BoolVar(&o.Defense, "defense", false, "enable the server-side feedback-quality defense (down-weights, then demotes, free-riders)")
+	flag.IntVar(&o.JoinWarmup, "join-warmup", 0, "ramp a dynamic joiner's aggregation weight over its first N rounds (0 = full weight at once)")
 	var (
-		algo       = flag.String("algo", "md-gan", "algorithm: standalone | fl-gan | md-gan")
 		ds         = flag.String("dataset", "digits", "dataset: digits | cifar | faces | ring")
 		samples    = flag.Int("samples", 4000, "training samples to generate")
-		workers    = flag.Int("workers", 10, "number of workers N")
-		k          = flag.Int("k", 0, "MD-GAN batches per iteration (0 = ⌊ln N⌋)")
-		swapEvery  = flag.Int("swap", 1, "epochs between discriminator swaps (-1 disables)")
-		async      = flag.Bool("async", false, "MD-GAN asynchronous mode (§VII.1)")
-		pipeline   = flag.Bool("pipeline", false, "MD-GAN pipelined synchronous engine: overlap next-round generation with worker compute (one-iteration parameter staleness)")
 		swapNative = flag.Bool("swap-native", false, "ship discriminator swaps at the compiled element width instead of the default 4-byte FP32 wire frames")
-		batch      = flag.Int("batch", 10, "batch size b")
-		iters      = flag.Int("iters", 1000, "generator iterations I")
-		discSteps  = flag.Int("L", 1, "discriminator steps per iteration")
-		lrG        = flag.Float64("lrg", 1e-3, "generator Adam learning rate")
-		lrD        = flag.Float64("lrd", 4e-3, "discriminator Adam learning rate")
-		paperLoss  = flag.Bool("paperloss", false, "use the paper's log(1−D) generator objective")
-		seed       = flag.Int64("seed", 1, "random seed")
-		evalEvery  = flag.Int("eval", 100, "metric cadence in iterations (0 disables)")
-		useTCP     = flag.Bool("tcp", false, "run workers over loopback TCP sockets")
-		roundTO    = flag.Duration("round-timeout", 0, "MD-GAN round deadline: suspect missing workers and apply the round with a quorum (0 waits forever)")
-		quorum     = flag.Int("quorum", 0, "minimum feedbacks to apply a round after the deadline (0 = 1)")
-		suspectN   = flag.Int("suspect-after", 0, "consecutive misses before a suspect is demoted (0 = default, <0 = never)")
 		chaos      = flag.Float64("chaos", 0, "fault-injection intensity p in [0,1): drop=p, delay=2p, duplicate=p, corrupt=p/2 on worker→server frames (implies -round-timeout 250ms unless set)")
 		chaosSeed  = flag.Int64("chaos-seed", 1, "seed for the chaos fault stream")
-		skew       = flag.Float64("skew", 0, "non-IID label skew in [0,1] (0 = i.i.d.)")
 		compress   = flag.String("compress", "none", "feedback compression: none | fp32 | topk")
 		samplesOut = flag.String("samples-out", "", "write a PNG grid of generated samples here")
 		ckptOut    = flag.String("ckpt-out", "", "write a generator checkpoint here")
-		topology   = flag.String("topology", "", "MD-GAN feedback aggregation overlay: flat (default) | tree:<depth> — tree reduces feedbacks through worker-side aggregators, bounding server ingress by its fan-in")
-		fanin      = flag.Int("fanin", 0, "tree topology per-node child bound (0 = auto ceil(N^(1/depth)))")
-		swapSched  = flag.String("swap-schedule", "", "discriminator swap plan: ring (default) | shuffle | gossip[:pairs]")
 		freeRiders = flag.String("free-riders", "", "free-riding workers: N[:variant] (first N workers) or i=variant,... with variant random | replay | noise")
-		defense    = flag.Bool("defense", false, "enable the server-side feedback-quality defense (down-weights, then demotes, free-riders)")
 		lifetimes  = flag.String("lifetimes", "", "temporary-discriminator windows: i=join:retire,... (join 0 = from start, retire 0 = never)")
-		joinWarmup = flag.Int("join-warmup", 0, "ramp a dynamic joiner's aggregation weight over its first N rounds (0 = full weight at once)")
 	)
 	flag.Parse()
 
-	train, test, err := buildDataset(*ds, *samples, *seed)
+	train, test, err := buildDataset(*ds, *samples, o.Seed)
 	if err != nil {
 		log.Fatal(err)
 	}
 	arch := mdgan.ArchFor(train)
 
 	var ev *mdgan.Evaluator
-	if *evalEvery > 0 && test != nil {
+	if o.EvalEvery > 0 && test != nil {
 		log.Printf("training metric classifier on %s ...", *ds)
-		scorer := mdgan.TrainScorer(test, *seed)
+		scorer := mdgan.TrainScorer(test, o.Seed)
 		ev = mdgan.NewEvaluator(scorer, test, 500)
 	}
 
-	var comp mdgan.Compression
 	switch *compress {
 	case "none":
-		comp = mdgan.CompressNone
+		o.Compress = mdgan.CompressNone
 	case "fp32":
-		comp = mdgan.CompressFP32
+		o.Compress = mdgan.CompressFP32
 	case "topk":
-		comp = mdgan.CompressTopK
+		o.Compress = mdgan.CompressTopK
 	default:
 		log.Fatalf("unknown -compress %q", *compress)
 	}
-
-	swapPrec := mdgan.SwapFP32
+	o.SwapPrec = mdgan.SwapFP32
 	if *swapNative {
-		swapPrec = mdgan.SwapNative
-	}
-	o := mdgan.Options{
-		Algorithm: mdgan.Algorithm(*algo),
-		Workers:   *workers, K: *k, SwapEvery: *swapEvery, Async: *async,
-		Pipeline: *pipeline,
-		Batch:    *batch, Iters: *iters, DiscSteps: *discSteps,
-		LRG: *lrG, LRD: *lrD, PaperLoss: *paperLoss,
-		Seed: *seed, EvalEvery: *evalEvery, UseTCP: *useTCP,
-		NonIIDSkew: *skew, Compress: comp, SwapPrec: swapPrec,
-		RoundTimeout: *roundTO, Quorum: *quorum, SuspectAfter: *suspectN,
-		Topology: *topology, Fanin: *fanin, SwapSchedule: *swapSched,
-		Defense: *defense, JoinWarmup: *joinWarmup,
+		o.SwapPrec = mdgan.SwapNative
 	}
 	if o.FreeRiders, err = mdgan.ParseFreeRiders(*freeRiders); err != nil {
 		log.Fatal(err)
@@ -127,7 +117,7 @@ func main() {
 		}
 	}
 	log.Printf("running %s on %s (%d samples, arch %s, N=%d, b=%d, I=%d)",
-		*algo, *ds, train.Len(), arch.Name, *workers, *batch, *iters)
+		o.Algorithm, *ds, train.Len(), arch.Name, o.Workers, o.Batch, o.Iters)
 	res, err := mdgan.Run(train, arch, o, ev)
 	if err != nil {
 		log.Fatal(err)
@@ -150,7 +140,7 @@ func main() {
 			c.Dropped, c.Corrupted, c.Delayed, c.Duplicated, c.Partitioned)
 	}
 	if *samplesOut != "" && train.C > 0 {
-		rng := rand.New(rand.NewSource(*seed + 99))
+		rng := rand.New(rand.NewSource(o.Seed + 99))
 		gen, _ := res.G.Generate(64, rng, false)
 		if err := mdgan.SaveSampleGrid(*samplesOut, gen, 8); err != nil {
 			log.Fatal(err)

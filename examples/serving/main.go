@@ -1,9 +1,10 @@
 // Serving: the mdgan-train → mdgan-serve pipeline in one process.
 // Train briefly on the Gaussian ring, checkpoint the generator, stand
 // up the coalescing sample server on a loopback port, and hit it the
-// way external clients would: concurrent POST /sample requests that
-// the server fuses into batched forwards, then a /statusz read showing
-// how well the coalescer batched them.
+// way external clients would: concurrent POST /sample requests, which
+// queue behind the forward that is running and are fused into the next
+// one, then a /statusz read showing how well the coalescer batched
+// them.
 //
 //	go run ./examples/serving
 package main
@@ -49,13 +50,13 @@ func main() {
 
 	// 3. Serve. NewSampleServer loads the checkpoint and starts the
 	// request coalescer; cmd/mdgan-serve is this plus flags and signal
-	// handling. The 2ms window trades a little latency for fusing
-	// concurrent requests into one batched forward.
+	// handling. Nothing trades latency for batching: a request that
+	// finds the generator idle is served at once, and the requests that
+	// arrive while a forward runs share the next one.
 	srv, err := mdgan.NewSampleServer(mdgan.ServeOptions{
 		Arch:       mdgan.RingArch(),
 		Checkpoint: ckpt,
 		MaxBatch:   64,
-		MaxWait:    2 * time.Millisecond,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -65,15 +66,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: 5 * time.Second, IdleTimeout: 2 * time.Minute}
 	go hs.Serve(ln)
 	defer hs.Close()
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("serving on %s\n", base)
 
 	// 4. Load it like a client fleet: 16 concurrent samplers, each
-	// requesting a few samples. The server parks them on the batch
-	// window and answers all of them from fused forwards.
+	// requesting a few samples. Whoever is waiting when a forward ends
+	// rides the next one together.
 	var wg sync.WaitGroup
 	for c := 0; c < 16; c++ {
 		wg.Add(1)

@@ -61,10 +61,7 @@ func TestServeForwardCloneOrCorrupt(t *testing.T) {
 // single-request test and corrupts the moment a second request's batch
 // runs before the first response is encoded.
 func TestResponseSurvivesSubsequentBatches(t *testing.T) {
-	s, ref := newTestServer(t, func(c *Config) {
-		c.MaxWait = time.Microsecond
-		c.Seed = 31
-	})
+	s, ref := newTestServer(t, func(c *Config) { c.Seed = 31 })
 	rep := replayGenerator(ref)
 	rng := rand.New(rand.NewSource(31))
 
@@ -102,10 +99,7 @@ func TestResponseSurvivesSubsequentBatches(t *testing.T) {
 // retained across batches, so it must be a clone of the fused output,
 // never a view into the generator's buffer.
 func TestPreviewCacheDoesNotAliasGeneratorBuffer(t *testing.T) {
-	s, _ := newTestServer(t, func(c *Config) {
-		c.MaxWait = time.Microsecond
-		c.PreviewSamples = 4
-	})
+	s, _ := newTestServer(t, nil)
 	x, _, err := s.Sample(4, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -143,14 +137,11 @@ func TestPreviewCacheDoesNotAliasGeneratorBuffer(t *testing.T) {
 }
 
 // TestResponseTensorsAreIndependent: two requests fused into ONE batch
-// must receive responses backed by distinct storage (pooled copies),
+// (they queue behind a held forward, see gate) must receive responses backed by distinct storage (pooled copies),
 // not adjacent views of the same fused buffer.
 func TestResponseTensorsAreIndependent(t *testing.T) {
 	const n = 2
-	s, _ := newTestServer(t, func(c *Config) {
-		c.MaxBatch = 2 * n
-		c.MaxWait = 5 * time.Second
-	})
+	s, gt, first := newGatedServer(t, func(c *Config) { c.MaxBatch = 2 * n })
 	results := make(chan *tensor.Tensor, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -165,10 +156,15 @@ func TestResponseTensorsAreIndependent(t *testing.T) {
 			results <- x
 		}()
 	}
+	awaitQueued(t, s, n, 1)
+	close(gt.open)
 	wg.Wait()
 	close(results)
-	if got := s.stats.forwards.Load(); got != 1 {
-		t.Fatalf("requests were not fused (%d forwards)", got)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if got := s.stats.forwards.Load(); got != 2 {
+		t.Fatalf("requests queued behind one forward were not fused (%d more forwards)", got-1)
 	}
 	var held []*tensor.Tensor
 	for x := range results {

@@ -3,9 +3,22 @@
 // batch efficiency. Training PRs made one Forward over a batch far
 // cheaper than many Forwards over singles (packed GEMM, batched
 // im2col); serving exploits exactly that by COALESCING concurrent
-// requests — callers park on a batch window (Config.MaxBatch samples or
-// Config.MaxWait, whichever fills/expires first) and their latent draws
-// are fused into ONE batched Generator.Forward call.
+// requests: the latent draws of every request that is waiting when a
+// replica becomes free are fused, up to Config.MaxBatch samples, into
+// ONE batched Generator.Forward call.
+//
+// Batching is work-conserving — there is no batch window. A replica
+// takes the first request, takes whatever else is already queued
+// without blocking, and runs the forward; requests that arrive while it
+// runs are the next batch. So an idle replica never makes a lone caller
+// wait for co-travellers that may not come, and fusion grows by itself
+// exactly when a queue does: the longer the forward, the more callers
+// it finds waiting afterwards. Between the first request and the rest
+// the replica yields the processor once. Callers released by the
+// previous batch (or woken by the network poller) are runnable but have
+// not reached the queue yet, and the channel hand-off of the first
+// request makes the replica the next goroutine to run; without the
+// yield a GOMAXPROCS=1 server would never fuse anything.
 //
 // Ownership: a generator is not safe for concurrent use, and its
 // Forward result is a module-owned buffer valid only until the next
@@ -37,11 +50,14 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"image/png"
 	"math/rand"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -65,21 +81,17 @@ type Config struct {
 	// serving.
 	Load func(*gan.Generator) error
 
-	MaxBatch int           // max samples fused into one Forward; default 64
-	MaxWait  time.Duration // batch-window length; default 2ms
-	Replicas int           // independent generator copies; default 1
-	Seed     int64         // latent-stream seed (replica i uses Seed+i); default 1
-	// PreviewSamples caps the cached /preview batch (0 → 16, <0
-	// disables the cache entirely).
-	PreviewSamples int
+	MaxBatch int   // max samples fused into one Forward; default 64
+	Replicas int   // independent generator copies; default 1
+	Seed     int64 // latent-stream seed (replica i uses Seed+i); default 1
 }
+
+// previewSamples caps the cached /preview batch.
+const previewSamples = 16
 
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.Replicas <= 0 {
 		c.Replicas = 1
@@ -87,14 +99,12 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.PreviewSamples == 0 {
-		c.PreviewSamples = 16
-	}
 	return c
 }
 
-// request is one caller parked on the batch window.
+// request is one caller waiting for a replica.
 type request struct {
+	ctx    context.Context // done → dropped at batch assembly, costing no forward row
 	n      int
 	labels []int         // nil → drawn uniformly by the coalescer
 	done   chan response // buffered(1); exactly one response is sent
@@ -233,7 +243,7 @@ func (s *Server) stopped() bool {
 	}
 }
 
-// runReplica is the coalescer loop: collect a batch of parked requests,
+// runReplica is the coalescer loop: take the requests that are waiting,
 // fuse their latent draws into one Forward, copy each request's slice
 // out of the module-owned output buffer, respond, repeat. The replica's
 // generator is touched by no other goroutine.
@@ -241,14 +251,13 @@ func (s *Server) runReplica(r *replica) {
 	defer s.wg.Done()
 	rng := rand.New(rand.NewSource(s.cfg.Seed + int64(r.id)))
 	for {
-		var first *request
-		if r.carry != nil {
-			first, r.carry = r.carry, nil
-		} else {
+		rq := r.carry
+		r.carry = nil
+		if rq == nil {
 			select {
 			case <-s.stop:
 				return
-			case first = <-s.reqs:
+			case rq = <-s.reqs:
 			}
 		}
 		// Adopt a pending hot-reload strictly between batches: the
@@ -257,30 +266,38 @@ func (s *Server) runReplica(r *replica) {
 		if ng := r.next.Swap(nil); ng != nil {
 			r.g = ng
 		}
-		batch := []*request{first}
-		total := first.n
-		if total < s.cfg.MaxBatch {
-			timer := time.NewTimer(s.cfg.MaxWait)
-		collect:
-			for total < s.cfg.MaxBatch {
-				select {
-				case rq := <-s.reqs:
-					if total+rq.n > s.cfg.MaxBatch {
-						r.carry = rq // leads the next batch
-						break collect
-					}
-					batch = append(batch, rq)
-					total += rq.n
-				case <-timer.C:
-					break collect
-				case <-s.stop:
-					break collect // serve what we have, then exit
-				}
+		// One yield, so callers that are runnable but not yet queued
+		// get there (package doc); then whoever is waiting, and nobody
+		// who is not.
+		runtime.Gosched()
+		var batch []*request
+		total := 0
+	collect:
+		for {
+			switch err := rq.ctx.Err(); {
+			case err != nil:
+				rq.done <- response{err: err} // client gone: no forward row
+			case total+rq.n > s.cfg.MaxBatch:
+				r.carry = rq // leads the next batch
+				break collect
+			default:
+				batch = append(batch, rq)
+				total += rq.n
 			}
-			timer.Stop()
+			if total == s.cfg.MaxBatch {
+				break
+			}
+			select {
+			case rq = <-s.reqs:
+			default:
+				break collect
+			}
+		}
+		if total == 0 {
+			continue // every request taken had been abandoned
 		}
 
-		// One fused forward for the whole window. SampleZ draws the
+		// One fused forward for the whole batch. SampleZ draws the
 		// latents AND uniform labels from the replica's stream —
 		// exactly the serial draw order, so tests can replay it —
 		// and requests that pinned labels overwrite their region.
@@ -328,13 +345,7 @@ func (s *Server) runReplica(r *replica) {
 // retained-across-batches site, so it must NOT alias the generator's
 // output buffer (contract_test.go corrupts a non-cloning cache).
 func (s *Server) cachePreview(out *tensor.Tensor) {
-	if s.cfg.PreviewSamples < 0 {
-		return
-	}
-	n := s.cfg.PreviewSamples
-	if n > out.Dim(0) {
-		n = out.Dim(0)
-	}
+	n := min(previewSamples, out.Dim(0))
 	s.previewMu.Lock()
 	s.preview = tensor.Ensure(s.preview, append([]int{n}, s.outShape...)...)
 	copy(s.preview.Data, out.Data[:n*s.sampleVol])
@@ -355,13 +366,21 @@ func (e badRequest) Error() string { return "serve: " + string(e) }
 // Sample draws n samples through the coalescer — the in-process
 // equivalent of POST /sample, used by tests and embedding callers. The
 // returned tensor is pooled; pass it to Release when done.
+func (s *Server) Sample(n int, labels []int) (*tensor.Tensor, []int, error) {
+	return s.sample(context.Background(), n, labels)
+}
+
+// sample is Sample for a caller that may give up (POST /sample passes
+// the request context): once ctx is done the request leaves the queue,
+// or is dropped when a replica assembles its batch, and costs no
+// forward row.
 //
 // This is the one place a request is validated (the HTTP handler only
 // parses): a bad label that reaches the coalescer panics in the replica
 // goroutine (nil-slice copy on an unconditional generator, embedding
 // index out of range on a conditional one) and takes the whole server
 // down.
-func (s *Server) Sample(n int, labels []int) (*tensor.Tensor, []int, error) {
+func (s *Server) sample(ctx context.Context, n int, labels []int) (*tensor.Tensor, []int, error) {
 	if n <= 0 || n > s.cfg.MaxBatch {
 		return nil, nil, badRequest(fmt.Sprintf("n must be in 1..%d", s.cfg.MaxBatch))
 	}
@@ -378,9 +397,13 @@ func (s *Server) Sample(n int, labels []int) (*tensor.Tensor, []int, error) {
 			}
 		}
 	}
-	rq := &request{n: n, labels: labels, done: make(chan response, 1)}
+	s.stats.waiting.Add(1)
+	defer s.stats.waiting.Add(-1)
+	rq := &request{ctx: ctx, n: n, labels: labels, done: make(chan response, 1)}
 	select {
 	case s.reqs <- rq:
+	case <-ctx.Done():
+		return nil, nil, ctx.Err()
 	case <-s.stop:
 		return nil, nil, errClosing
 	}
@@ -426,7 +449,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	t, lab, err := s.Sample(n, labels)
+	t, lab, err := s.sample(r.Context(), n, labels)
 	if bad := badRequest(""); errors.As(err, &bad) {
 		http.Error(w, string(bad), http.StatusBadRequest)
 		return
@@ -446,10 +469,10 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		buf := t.AppendBinary((*bp)[:0])
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-		w.Header().Set("X-MDGAN-Shape", shapeString(t.Shape()))
+		w.Header().Set("X-MDGAN-Shape", joinInts(t.Shape()))
 		w.Header().Set("X-MDGAN-Dtype", tensor.DTypeName)
 		if lab != nil {
-			w.Header().Set("X-MDGAN-Labels", labelString(lab))
+			w.Header().Set("X-MDGAN-Labels", joinInts(lab))
 		}
 		w.Write(buf)
 		*bp = buf
@@ -467,9 +490,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", "image/png")
-		if err := encodePNG(w, img); err != nil {
-			return // client gone; nothing useful to add
-		}
+		png.Encode(w, img) // an error means the client has gone
 	}
 }
 
@@ -488,7 +509,6 @@ func (s *Server) Status() Status {
 	st.Dtype = tensor.DTypeName
 	st.Replicas = s.cfg.Replicas
 	st.MaxBatch = s.cfg.MaxBatch
-	st.MaxWaitMs = float64(s.cfg.MaxWait) / 1e6
 	st.OutShape = s.outShape
 	return st
 }
@@ -534,27 +554,17 @@ func (s *Server) handlePreview(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "image/png")
-	encodePNG(w, img)
+	png.Encode(w, img)
 }
 
-func shapeString(shape []int) string {
+// joinInts renders a shape or label list for an X-MDGAN-* header.
+func joinInts(v []int) string {
 	var sb strings.Builder
-	for i, d := range shape {
+	for i, d := range v {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
 		sb.WriteString(strconv.Itoa(d))
-	}
-	return sb.String()
-}
-
-func labelString(labels []int) string {
-	var sb strings.Builder
-	for i, l := range labels {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.Itoa(l))
 	}
 	return sb.String()
 }

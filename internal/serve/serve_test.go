@@ -2,14 +2,18 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"image/png"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,6 +56,22 @@ func newTestServer(t *testing.T, mod func(*Config)) (*Server, *gan.Generator) {
 	return s, ref
 }
 
+// newRingServer serves the unconditional 2-D ring MLP: a forward so
+// cheap that what a request costs is the serving path itself.
+func newRingServer(t *testing.T) *Server {
+	t.Helper()
+	ref := gan.RingMLP().NewGAN(9, nn.GenLossNonSaturating, 1).G
+	s, err := NewServer(Config{
+		New:  func() *gan.Generator { return gan.RingMLP().NewGAN(1, nn.GenLossNonSaturating, 1).G },
+		Load: func(g *gan.Generator) error { copyParams(g, ref); return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
+
 // replayGenerator builds a fresh generator carrying ref's parameters,
 // for replaying the server's deterministic latent stream.
 func replayGenerator(ref *gan.Generator) *gan.Generator {
@@ -60,17 +80,95 @@ func replayGenerator(ref *gan.Generator) *gan.Generator {
 	return g
 }
 
+// gate is a parameterless identity layer appended to the test
+// generator: once armed it parks the next forward that reaches it until
+// the test opens it, so a test can hold a replica busy, let callers
+// queue behind the running forward, and assert how they are fused —
+// with no timer anywhere.
+type gate struct {
+	armed   atomic.Bool
+	entered chan struct{} // closed when the held forward arrives
+	open    chan struct{} // closed by the test to let it through
+}
+
+func (g *gate) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.open
+	}
+	return x
+}
+func (g *gate) Backward(grad *tensor.Tensor) *tensor.Tensor { return grad }
+func (g *gate) Params() []*nn.Param                         { return nil }
+func (g *gate) Clone() nn.Layer                             { return g }
+
+// newGatedServer builds a single-replica test server whose forward #1
+// (the first after NewServer's shape probe) is already running and held
+// at the gate on behalf of one Sample(1, nil) caller. The caller's
+// result arrives on the returned channel after the test closes
+// gate.open.
+func newGatedServer(t *testing.T, mod func(*Config)) (*Server, *gate, <-chan error) {
+	t.Helper()
+	gt := &gate{entered: make(chan struct{}), open: make(chan struct{})}
+	s, _ := newTestServer(t, func(c *Config) {
+		build := c.New
+		c.New = func() *gan.Generator {
+			g := build()
+			g.Net.Layers = append(g.Net.Layers, gt)
+			return g
+		}
+		if mod != nil {
+			mod(c)
+		}
+	})
+	gt.armed.Store(true)
+	held := make(chan error, 1)
+	go func() {
+		x, _, err := s.Sample(1, nil)
+		if err == nil {
+			s.Release(x)
+		}
+		held <- err
+	}()
+	<-gt.entered
+	return s, gt, held
+}
+
+// awaitQueued blocks until exactly n callers are parked on the hand-off
+// to a replica, then checks the waiting gauge against them (plus inflight
+// callers a replica is serving). The gauge alone cannot say "queued": it
+// counts a caller from a few instructions before it parks, and the
+// coalescer's non-blocking drain only finds callers that have parked.
+// Only the runtime can report that, so this reads the goroutine dump: a
+// goroutine in state [select] inside sample is parked on its one select.
+func awaitQueued(t *testing.T, s *Server, n, inflight int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		queued := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, " [select") && strings.Contains(g, "serve.(*Server).sample(") {
+				queued++
+			}
+		}
+		if queued == n {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d callers queued, want %d", queued, n)
+		}
+	}
+	if got := s.Status().Waiting; got != int64(n+inflight) {
+		t.Fatalf("waiting gauge = %d with %d queued and %d in flight", got, n, inflight)
+	}
+}
+
 // TestCoalescingFusesConcurrentRequests is the headline contract: N
-// concurrent single-sample requests inside one batch window must cost
-// exactly ONE generator forward.
+// single-sample requests that queue while a forward is running must
+// cost exactly ONE more generator forward.
 func TestCoalescingFusesConcurrentRequests(t *testing.T) {
 	const n = 8
-	// MaxBatch == n: the window fires the moment all n requests have
-	// parked, so the test neither races the timer nor waits it out.
-	s, _ := newTestServer(t, func(c *Config) {
-		c.MaxBatch = n
-		c.MaxWait = 5 * time.Second
-	})
+	s, gt, held := newGatedServer(t, func(c *Config) { c.MaxBatch = n })
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -87,15 +185,117 @@ func TestCoalescingFusesConcurrentRequests(t *testing.T) {
 			}
 		}()
 	}
+	awaitQueued(t, s, n, 1)
+	close(gt.open)
 	wg.Wait()
-	if got := s.stats.forwards.Load(); got != 1 {
-		t.Fatalf("%d concurrent requests cost %d forwards, want 1 (coalescing broken)", n, got)
+	if err := <-held; err != nil {
+		t.Fatal(err)
 	}
-	if got := s.stats.samples.Load(); got != n {
-		t.Fatalf("samples counter = %d, want %d", got, n)
+	if got := s.stats.forwards.Load(); got != 2 {
+		t.Fatalf("%d requests queued behind one forward cost %d more forwards, want 1 (coalescing broken)", n, got-1)
 	}
-	if got := s.stats.requests.Load(); got != n {
-		t.Fatalf("requests counter = %d, want %d", got, n)
+	if got := s.stats.samples.Load(); got != n+1 {
+		t.Fatalf("samples counter = %d, want %d", got, n+1)
+	}
+	if got := s.stats.requests.Load(); got != n+1 {
+		t.Fatalf("requests counter = %d, want %d", got, n+1)
+	}
+	if got := s.Status().Waiting; got != 0 {
+		t.Fatalf("waiting gauge = %d after every caller returned, want 0", got)
+	}
+}
+
+// TestLoneCallerDoesNotWait: an idle replica serves a lone request at
+// once. With a batch window every one of these calls waited the window
+// out for co-travellers that never came (2 ms each: 400 ms).
+func TestLoneCallerDoesNotWait(t *testing.T) {
+	s := newRingServer(t)
+	const calls = 200
+	start := time.Now()
+	for i := 0; i < calls; i++ {
+		x, _, err := s.Sample(1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Release(x)
+	}
+	if el := time.Since(start); el > calls*time.Millisecond {
+		t.Fatalf("%d sequential lone requests took %v: an idle replica made them wait", calls, el)
+	}
+	if got := s.stats.forwards.Load(); got != calls {
+		t.Fatalf("%d sequential requests cost %d forwards", calls, got)
+	}
+}
+
+// TestClosedLoopCallersFuse: with nothing but the running forward to
+// wait behind, 32 closed-loop callers still share forwards — also on
+// one processor, the case the coalescer's yield exists for (without it
+// the replica runs ahead of the callers it has just released and every
+// batch is a single request).
+func TestClosedLoopCallersFuse(t *testing.T) {
+	for _, procs := range []int{1, 0} { // 0: leave GOMAXPROCS as it is
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			if procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			}
+			s, _ := newTestServer(t, nil)
+			var wg sync.WaitGroup
+			for c := 0; c < 32; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 50; i++ {
+						x, _, err := s.Sample(1, nil)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						s.Release(x)
+					}
+				}()
+			}
+			wg.Wait()
+			st := s.Status()
+			if st.Samples != 32*50 {
+				t.Fatalf("samples = %d, want %d", st.Samples, 32*50)
+			}
+			if st.AvgBatch <= 1 {
+				t.Fatalf("avg batch %.2f over %d forwards: closed-loop callers never fused", st.AvgBatch, st.Forwards)
+			}
+		})
+	}
+}
+
+// TestAbandonedRequestCostsNoForwardRow: a caller whose context is done
+// leaves the queue (or is dropped at batch assembly) without a forward
+// row and without a pooled response nobody would release.
+func TestAbandonedRequestCostsNoForwardRow(t *testing.T) {
+	s, gt, held := newGatedServer(t, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	gone := make(chan error, 1)
+	go func() {
+		_, _, err := s.sample(ctx, 3, nil)
+		gone <- err
+	}()
+	awaitQueued(t, s, 1, 1) // behind the held forward
+	cancel()
+	if err := <-gone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned request returned %v, want context.Canceled", err)
+	}
+	close(gt.open)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	// Already-cancelled callers on the now idle replica: the hand-off
+	// and ctx.Done are both ready, so some of these reach the replica
+	// and are dropped there.
+	for i := 0; i < 64; i++ {
+		if x, _, err := s.sample(ctx, 3, nil); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled request returned (%v, %v), want context.Canceled", x, err)
+		}
+	}
+	if f, n, r := s.stats.forwards.Load(), s.stats.samples.Load(), s.stats.requests.Load(); f != 1 || n != 1 || r != 1 {
+		t.Fatalf("forwards/samples/requests = %d/%d/%d after abandoned requests, want 1/1/1", f, n, r)
 	}
 }
 
@@ -104,7 +304,6 @@ func TestCoalescingFusesConcurrentRequests(t *testing.T) {
 // same latent stream through an identical generator, bitwise.
 func TestResponsesMatchSerialReplay(t *testing.T) {
 	s, ref := newTestServer(t, func(c *Config) {
-		c.MaxWait = time.Microsecond // effectively no batching: serial requests
 		c.Seed = 11
 	})
 	rep := replayGenerator(ref)
@@ -189,7 +388,6 @@ func TestReloadSwapsAtomicallyUnderLoad(t *testing.T) {
 	useBias := false
 	s, _ := newTestServer(t, func(c *Config) {
 		c.MaxBatch = 8
-		c.MaxWait = 200 * time.Microsecond
 		c.Load = func(g *gan.Generator) error {
 			mu.Lock()
 			defer mu.Unlock()
@@ -273,7 +471,6 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 			}
 			return base(g)
 		}
-		c.MaxWait = time.Microsecond
 		c.Seed = 21
 	})
 	ref = r0
@@ -304,13 +501,11 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 	}
 }
 
-// TestCloseDrains: Close must answer or fail every parked request and
-// not hang; requests after Close fail fast.
+// TestCloseDrains: Close must answer or fail every queued request and
+// not hang; requests after Close fail fast. The queue is real: sixteen
+// callers wait behind a held forward when Close begins.
 func TestCloseDrains(t *testing.T) {
-	s, _ := newTestServer(t, func(c *Config) {
-		c.MaxBatch = 4
-		c.MaxWait = 50 * time.Millisecond
-	})
+	s, gt, held := newGatedServer(t, func(c *Config) { c.MaxBatch = 4 })
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -322,15 +517,19 @@ func TestCloseDrains(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(5 * time.Millisecond)
+	awaitQueued(t, s, 16, 1)
 	done := make(chan struct{})
 	go func() { s.Close(); close(done) }()
+	wg.Wait() // the queued callers are failed while the forward still runs
+	close(gt.open)
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close hung")
 	}
-	wg.Wait()
+	if err := <-held; err != nil {
+		t.Fatalf("the in-flight request was failed by Close: %v", err)
+	}
 	if _, _, err := s.Sample(1, nil); err == nil {
 		t.Fatal("Sample after Close succeeded")
 	}
@@ -342,7 +541,6 @@ func TestReplicasServeConcurrently(t *testing.T) {
 	s, _ := newTestServer(t, func(c *Config) {
 		c.Replicas = 3
 		c.MaxBatch = 4
-		c.MaxWait = 100 * time.Microsecond
 	})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -541,15 +739,7 @@ func TestSampleValidatesLabels(t *testing.T) {
 	// Unconditional generator: any labels are an error, and a labeled
 	// request must never park on the coalescer (where a batch offset > 0
 	// would slice the nil label stream).
-	ref := gan.RingMLP().NewGAN(9, nn.GenLossNonSaturating, 1).G
-	u, err := NewServer(Config{
-		New:  func() *gan.Generator { return gan.RingMLP().NewGAN(1, nn.GenLossNonSaturating, 1).G },
-		Load: func(g *gan.Generator) error { copyParams(g, ref); return nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(u.Close)
+	u := newRingServer(t)
 	if _, _, err := u.Sample(1, []int{0}); err == nil {
 		t.Fatal("labeled Sample on an unconditional generator succeeded, want error")
 	}

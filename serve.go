@@ -2,9 +2,9 @@ package mdgan
 
 // The serving facade: mdgan-train produces a generator checkpoint,
 // NewSampleServer turns it into an HTTP sampling service
-// (internal/serve — request coalescing into batched forwards, replica
-// ownership, atomic hot-reload; see that package's doc for the
-// contracts). Command mdgan-serve is the daemon wrapper.
+// (internal/serve — work-conserving request coalescing into batched
+// forwards, replica ownership, atomic hot-reload; see that package's
+// doc for the contracts). Command mdgan-serve is the daemon wrapper.
 
 import (
 	"errors"
@@ -12,14 +12,14 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"time"
 
 	"mdgan/internal/gan"
 	"mdgan/internal/serve"
 )
 
-// SampleServer coalesces concurrent sampling requests into batched
-// generator forwards and hot-reloads checkpoints. It implements
+// SampleServer coalesces the sampling requests that are waiting when a
+// replica is free into batched generator forwards — a lone request is
+// served at once — and hot-reloads checkpoints. It implements
 // http.Handler (POST /sample, GET /healthz, GET /statusz, POST /reload,
 // GET /preview).
 type SampleServer = serve.Server
@@ -29,7 +29,8 @@ type ServeStatus = serve.Status
 
 // ServeOptions configures NewSampleServer. Arch and Checkpoint are
 // required; zero values elsewhere select the serving defaults
-// (MaxBatch 64, MaxWait 2ms, one replica).
+// (MaxBatch 64, one replica). There is no batching delay to tune: the
+// server fuses whoever is waiting and never waits for more.
 type ServeOptions struct {
 	// Arch is the served generator's architecture — checkpoints store
 	// parameters only, so the architecture must match the one trained.
@@ -39,12 +40,9 @@ type ServeOptions struct {
 	// renames atomically; a reader never sees a half-written file).
 	Checkpoint string
 
-	MaxBatch int           // max samples fused into one forward
-	MaxWait  time.Duration // batch-window length
-	Replicas int           // independent generator copies (multi-core hosts)
-	Seed     int64         // latent-stream seed
-	// PreviewSamples caps the /preview cache (0 → 16, <0 disables).
-	PreviewSamples int
+	MaxBatch int   // max samples fused into one forward
+	Replicas int   // independent generator copies (multi-core hosts)
+	Seed     int64 // latent-stream seed
 	// Unconditional builds the generator without the ACGAN class
 	// embedding — required for checkpoints trained with ClsWeight 0 on
 	// a conditional architecture.
@@ -72,12 +70,10 @@ func NewSampleServer(o ServeOptions) (*SampleServer, error) {
 			rng := rand.New(rand.NewSource(1))
 			return gan.NewGenerator(arch.BuildG(rng), arch.ZDim, cond, rng)
 		},
-		Load:           func(g *Generator) error { return LoadGenerator(g, o.Checkpoint) },
-		MaxBatch:       o.MaxBatch,
-		MaxWait:        o.MaxWait,
-		Replicas:       o.Replicas,
-		Seed:           o.Seed,
-		PreviewSamples: o.PreviewSamples,
+		Load:     func(g *Generator) error { return LoadGenerator(g, o.Checkpoint) },
+		MaxBatch: o.MaxBatch,
+		Replicas: o.Replicas,
+		Seed:     o.Seed,
 	})
 }
 

@@ -17,7 +17,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"mdgan"
 	"mdgan/internal/nn"
@@ -80,7 +79,6 @@ func startServer(t *testing.T, path string) *mdgan.SampleServer {
 	s, err := mdgan.NewSampleServer(mdgan.ServeOptions{
 		Arch:       mdgan.MLPArch(16),
 		Checkpoint: path,
-		MaxWait:    time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
