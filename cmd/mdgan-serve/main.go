@@ -3,7 +3,9 @@
 // sampling requests over HTTP, fusing the requests that are waiting
 // when the generator is free into one batched forward (see
 // internal/serve). A lone request is served at once; there is no batch
-// window to tune.
+// window to tune. -arch names the architecture the checkpoint was trained
+// with; a conditional architecture is served with its class embedding,
+// as every trainer writes it.
 //
 //	mdgan-train -algo md-gan -dataset digits -iters 2000 -ckpt-out g.ckpt
 //	mdgan-serve -ckpt g.ckpt -arch mlp:128 -addr :8080
@@ -42,7 +44,6 @@ func main() {
 		maxBatch = flag.Int("max-batch", 64, "max samples fused into one batched forward")
 		replicas = flag.Int("replicas", 1, "independent generator replicas (multi-core hosts)")
 		seed     = flag.Int64("seed", 1, "latent-stream seed")
-		uncond   = flag.Bool("unconditional", false, "checkpoint was trained without the class embedding (ClsWeight 0)")
 		ready    = flag.String("ready-file", "", "write the bound address to this file once listening (smoke tests)")
 	)
 	flag.Parse()
@@ -55,7 +56,7 @@ func main() {
 	}
 	srv, err := mdgan.NewSampleServer(mdgan.ServeOptions{
 		Arch: arch, Checkpoint: *ckpt,
-		MaxBatch: *maxBatch, Replicas: *replicas, Seed: *seed, Unconditional: *uncond,
+		MaxBatch: *maxBatch, Replicas: *replicas, Seed: *seed,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -95,7 +95,7 @@ func main() {
 	if *swapNative {
 		o.SwapPrec = mdgan.SwapNative
 	}
-	if o.FreeRiders, err = mdgan.ParseFreeRiders(*freeRiders); err != nil {
+	if o.Byzantine, err = mdgan.ParseFreeRiders(*freeRiders); err != nil {
 		log.Fatal(err)
 	}
 	if o.Lifetimes, err = mdgan.ParseLifetimes(*lifetimes); err != nil {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"mdgan/internal/complexity"
-	"mdgan/internal/gan"
 )
 
 // This file maps every table and figure of the paper's evaluation to a
@@ -335,7 +334,3 @@ func ArchParams(a Arch, seed int64) (w, theta int) {
 	m := a.NewGAN(seed, 0, 1)
 	return m.G.NumParams(), m.D.NumParams()
 }
-
-// archNewGAN is a tiny indirection so this file does not import nn just
-// for the loss-mode constant.
-var _ = gan.Arch{}

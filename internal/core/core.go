@@ -169,12 +169,12 @@ type Config struct {
 	// async engine picks its swap peers per-feedback rather than
 	// per-round.
 	SwapSched SwapSchedule
-	// Defense configures the server-side feedback-quality defense
-	// against free-riders (defense.go). Synchronous flat-topology
-	// engines only: the server must see per-worker feedbacks, which a
-	// tree pre-sums away. Attack-free runs stay on the bitwise-pinned
-	// arithmetic path whether the defense is on or off.
-	Defense DefenseConfig
+	// Defense enables the server-side feedback-quality defense against
+	// free-riders (defense.go). Synchronous flat-topology engines only:
+	// the server must see per-worker feedbacks, which a tree pre-sums
+	// away. Attack-free runs stay on the bitwise-pinned arithmetic path
+	// whether the defense is on or off.
+	Defense bool
 	// Lifetimes bounds workers' participation windows (temporary
 	// discriminators, Qu et al.): worker index → Lifetime. Joining
 	// workers' Join rounds must match their JoinAt schedule; Retire
@@ -353,7 +353,7 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 	if cfg.SwapSched != nil && cfg.SwapSched.Name() != "ring" && cfg.Async {
 		return nil, fmt.Errorf("core: swap schedule %q requires synchronous mode", cfg.SwapSched.Name())
 	}
-	if cfg.Defense.Enabled {
+	if cfg.Defense {
 		if cfg.Async {
 			return nil, fmt.Errorf("core: feedback-quality defense requires synchronous mode")
 		}
@@ -388,7 +388,7 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 	// Build the GAN couple once; every worker starts from the same
 	// discriminator parameters (§IV-A "for simplicity, we assume that
 	// they are the same").
-	couple := arch.NewGAN(cfg.Seed, cfg.GenLoss, cfg.ClsWeight)
+	couple := arch.NewGAN(cfg.Seed, cfg.GenLoss, 1)
 	g := couple.G
 	lc := couple.LossConfig
 
@@ -426,8 +426,8 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 		retireAt:     retireSchedule(cfg.Lifetimes),
 	}
 	srv.m = cluster.New(net, srv.rng, cfg.CrashAt, cfg.ActivePerRound)
-	if cfg.Defense.Enabled {
-		srv.defense = newDefense(cfg.Defense, srv.m)
+	if cfg.Defense {
+		srv.defense = newDefense(srv.m)
 	}
 	srv.m.SetSuspectThreshold(cfg.SuspectAfter)
 	for _, w := range workers {

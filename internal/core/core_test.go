@@ -90,7 +90,7 @@ func TestFeedbackEquivalence(t *testing.T) {
 	// Reference: reconstruct the same initial couple and replay the
 	// server's batch generation with the same RNG stream, then do one
 	// monolithic generator step on the union batch.
-	couple := arch.NewGAN(seed, cfg.GenLoss, cfg.ClsWeight)
+	couple := arch.NewGAN(seed, cfg.GenLoss, 1)
 	rng := rand.New(rand.NewSource(seed + 31)) // server RNG seed offset
 	zs := make([]*tensor.Tensor, n)
 	for j := 0; j < n; j++ {

@@ -43,37 +43,24 @@ import (
 	"mdgan/internal/tensor"
 )
 
-// DefenseConfig configures the feedback-quality defense. The zero
-// value of every knob selects the documented default.
-type DefenseConfig struct {
-	// Enabled turns the defense on. Synchronous flat-topology engines
-	// only (the server must see per-worker feedbacks; a tree pre-sums
-	// them).
-	Enabled bool
-	// Decay is the EWMA weight of the PAST suspicion (default 0.5):
-	// s ← Decay·s + (1−Decay)·p with p this round's penalty in [0, 1].
-	Decay float64
-	// DownWeightAt is the suspicion at which a worker's aggregation
-	// weight drops below 1 (default 0.6 — two consecutive maximally
-	// suspicious rounds at the default decay).
-	DownWeightAt float64
-	// DemoteAt is the suspicion above which a round counts against the
-	// worker's strike budget (default 0.85); SuspectAfter strikes demote
-	// it permanently.
-	DemoteAt float64
-	// CosLow/CosHigh bound the cosine penalty ramp: similarity to the
-	// leave-one-out reference at or below CosLow scores the full
-	// penalty, at or above CosHigh none (defaults 0.05 / 0.25).
-	CosLow, CosHigh float64
-}
-
-// Defense defaults; see the DefenseConfig field docs.
+// The defense's thresholds, fixed for every run.
 const (
+	// defaultDefenseDecay is the EWMA weight of the PAST suspicion:
+	// s ← decay·s + (1−decay)·p with p this round's penalty in [0, 1].
 	defaultDefenseDecay = 0.5
+	// defaultDownWeightAt is the suspicion at which a worker's
+	// aggregation weight drops below 1 (two consecutive maximally
+	// suspicious rounds at this decay).
 	defaultDownWeightAt = 0.6
-	defaultDemoteAt     = 0.85
-	defaultCosLow       = 0.05
-	defaultCosHigh      = 0.25
+	// defaultDemoteAt is the suspicion above which a round counts
+	// against the worker's strike budget; SuspectAfter strikes demote it
+	// permanently.
+	defaultDemoteAt = 0.85
+	// defaultCosLow and defaultCosHigh bound the cosine penalty ramp:
+	// similarity to the leave-one-out reference at or below the low end
+	// scores the full penalty, at or above the high end none.
+	defaultCosLow  = 0.05
+	defaultCosHigh = 0.25
 )
 
 // Norm-outlier penalty ramp: no penalty up to 3× (or 1/3×) the group's
@@ -89,30 +76,10 @@ var (
 // round, so it re-enters the set immediately and is caught on the next.
 const fpHistory = 512
 
-// withDefaults resolves zero-valued knobs.
-func (c DefenseConfig) withDefaults() DefenseConfig {
-	if c.Decay == 0 {
-		c.Decay = defaultDefenseDecay
-	}
-	if c.DownWeightAt == 0 {
-		c.DownWeightAt = defaultDownWeightAt
-	}
-	if c.DemoteAt == 0 {
-		c.DemoteAt = defaultDemoteAt
-	}
-	if c.CosLow == 0 {
-		c.CosLow = defaultCosLow
-	}
-	if c.CosHigh == 0 {
-		c.CosHigh = defaultCosHigh
-	}
-	return c
-}
-
 // defWorker is the cross-round state the defense keeps per worker.
 type defWorker struct {
 	suspicion  float64
-	strikes    int // rounds at suspicion ≥ DemoteAt (the demotion budget)
+	strikes    int // rounds at suspicion ≥ defaultDemoteAt (the demotion budget)
 	demoted    bool
 	cosSum     float64
 	cosRounds  int
@@ -126,7 +93,6 @@ type defWorker struct {
 // suspicion state. One instance per server, single-threaded (observe
 // runs inside apply).
 type defense struct {
-	cfg     DefenseConfig
 	m       *cluster.Membership
 	workers map[string]*defWorker
 	weights map[string]float64 // reused across rounds
@@ -134,9 +100,8 @@ type defense struct {
 	meds    []float64          // median scratch (median sorts in place)
 }
 
-func newDefense(cfg DefenseConfig, m *cluster.Membership) *defense {
+func newDefense(m *cluster.Membership) *defense {
 	return &defense{
-		cfg:     cfg.withDefaults(),
 		m:       m,
 		workers: make(map[string]*defWorker),
 		weights: make(map[string]float64),
@@ -219,7 +184,7 @@ func (d *defense) observe(r *round) map[string]float64 {
 					cos := (dot - nf2) / (norm * math.Sqrt(refSq))
 					w.cosSum += cos
 					w.cosRounds++
-					if pc := rampDown(cos, d.cfg.CosLow, d.cfg.CosHigh); pc > p {
+					if pc := rampDown(cos, defaultCosLow, defaultCosHigh); pc > p {
 						p = pc
 					}
 				}
@@ -231,8 +196,8 @@ func (d *defense) observe(r *round) map[string]float64 {
 				}
 			}
 			w.lastNorm = norm
-			w.suspicion = d.cfg.Decay*w.suspicion + (1-d.cfg.Decay)*p
-			if !w.demoted && w.suspicion >= d.cfg.DemoteAt {
+			w.suspicion = defaultDefenseDecay*w.suspicion + (1-defaultDefenseDecay)*p
+			if !w.demoted && w.suspicion >= defaultDemoteAt {
 				w.strikes++
 				if w.strikes >= d.m.SuspectThreshold() {
 					w.demoted = true
@@ -244,7 +209,7 @@ func (d *defense) observe(r *round) map[string]float64 {
 			case w.demoted:
 				d.weights[name] = 0
 				flagged = true
-			case w.suspicion >= d.cfg.DownWeightAt:
+			case w.suspicion >= defaultDownWeightAt:
 				d.weights[name] = 1 - w.suspicion
 				d.m.NoteDownWeight(name)
 				flagged = true

@@ -35,7 +35,7 @@ func digitsDefenseConfig(t *testing.T, iters int) ([]*dataset.Dataset, Config) {
 	cfg.Iters = iters
 	cfg.Batch = 16
 	cfg.K = 2
-	cfg.Defense = DefenseConfig{Enabled: true}
+	cfg.Defense = true
 	return shards, cfg
 }
 
@@ -136,7 +136,7 @@ func TestDefenseFaultFreeKeepsStrictPin(t *testing.T) {
 		cfg := baseConfig()
 		cfg.Iters = 10
 		cfg.SwapEvery = 1
-		cfg.Defense = DefenseConfig{Enabled: defense}
+		cfg.Defense = defense
 		res, err := Train(shards, gan.RingMLP(), cfg, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -53,7 +53,7 @@ func serialReference(shards []*dataset.Dataset, arch gan.Arch, cfg Config) []flo
 	if swapE == 0 {
 		swapE = 1
 	}
-	couple := arch.NewGAN(cfg.Seed, cfg.GenLoss, cfg.ClsWeight)
+	couple := arch.NewGAN(cfg.Seed, cfg.GenLoss, 1)
 	g := couple.G
 	lc := couple.LossConfig
 	optG := opt.NewAdam(cfg.OptG)

@@ -14,6 +14,7 @@ package core
 // completion, ring convergence, a rejoin, and no goroutine leaks.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -249,6 +250,53 @@ func TestRoundDeadlineEscalatesToDemotion(t *testing.T) {
 			}
 			if res.Faults.Timeouts < cfg.SuspectAfter {
 				t.Fatalf("faults = %+v, want >=%d timeout ticks before demotion", res.Faults, cfg.SuspectAfter)
+			}
+			inner.Close()
+			assertNoGoroutineLeak(t, before)
+		})
+	}
+}
+
+// TestQuorumDecidesWhetherTheDeadlineApplies: Quorum is the count of
+// contributions an expired round needs before it applies without the
+// missing. With N = 4 and one worker muted for two rounds, Quorum 3 is
+// met by the other three, so each expiry applies the round and the
+// victim, suspected, rejoins once its frames get through. Quorum 4 is
+// not met without the victim, so the wait continues through expiries
+// until escalation demotes it. Both runs finish every iteration.
+func TestQuorumDecidesWhetherTheDeadlineApplies(t *testing.T) {
+	for _, tc := range []struct {
+		quorum  int
+		demoted bool
+	}{
+		{3, false},
+		{4, true},
+	} {
+		t.Run(fmt.Sprintf("quorum=%d", tc.quorum), func(t *testing.T) {
+			before := goroutineBaseline()
+			inner := simnet.NewChannelNet(0)
+			net := &muteNet{Net: inner, victim: workerName(0), mute: 2}
+			cfg := baseConfig()
+			cfg.Iters = 8
+			cfg.Net = net
+			cfg.RoundTimeout = 60 * time.Millisecond
+			cfg.Quorum = tc.quorum
+			res, err := Train(ringShards(4, 64, 431), gan.RingMLP(), cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iters != cfg.Iters {
+				t.Fatalf("applied %d updates, want %d", res.Iters, cfg.Iters)
+			}
+			if live := contains(res.Live, net.victim); live == tc.demoted {
+				t.Fatalf("victim live = %v, want %v (live %v)", live, !tc.demoted, res.Live)
+			}
+			if tc.demoted {
+				if res.Faults.Demotions != 1 || res.Faults.Timeouts < cluster.DefaultSuspectAfter {
+					t.Fatalf("faults = %+v, want one demotion after %d expiries", res.Faults, cluster.DefaultSuspectAfter)
+				}
+			} else if res.Faults.Demotions != 0 || res.Faults.Rejoins < 1 {
+				t.Fatalf("faults = %+v, want no demotion and a rejoin", res.Faults)
 			}
 			inner.Close()
 			assertNoGoroutineLeak(t, before)

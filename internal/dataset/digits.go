@@ -26,33 +26,22 @@ var segDigits = [10][7]bool{
 	{true, true, true, true, false, true, true},     // 9
 }
 
-// DigitsOpts tunes the SynthDigits generator.
-type DigitsOpts struct {
-	Size   int     // image side (default 28)
-	Jitter int     // max absolute translation in pixels (default 1, -1 disables)
-	Noise  float64 // additive Gaussian sigma (default 0.08)
-}
+// Every digit is translated by up to digitJitter pixels on each axis and
+// carries additive Gaussian noise of sigma digitNoise.
+const (
+	digitJitter = 1
+	digitNoise  = 0.08
+)
 
 // SynthDigits generates n procedural digit images of shape
-// (n, 1, size, size) with labels 0..9, the MNIST stand-in.
-func SynthDigits(n int, seed int64) *Dataset { return SynthDigitsWith(n, seed, DigitsOpts{}) }
+// (n, 1, 28, 28) with labels 0..9, the MNIST stand-in.
+func SynthDigits(n int, seed int64) *Dataset { return SynthDigitsSize(n, seed, 28) }
 
-// SynthDigitsWith generates digits with explicit options.
-func SynthDigitsWith(n int, seed int64, o DigitsOpts) *Dataset {
-	if o.Size == 0 {
-		o.Size = 28
-	}
-	switch {
-	case o.Jitter == 0:
-		o.Jitter = 1
-	case o.Jitter < 0:
-		o.Jitter = 0
-	}
-	if o.Noise == 0 {
-		o.Noise = 0.08
-	}
+// SynthDigitsSize generates the same glyphs at an arbitrary square size
+// (n, 1, size, size).
+func SynthDigitsSize(n int, seed int64, size int) *Dataset {
 	rng := rand.New(rand.NewSource(seed))
-	s := o.Size
+	s := size
 	ds := &Dataset{Name: "synthdigits", Classes: 10, C: 1, H: s, W: s}
 	ds.X = newImageTensor(n, 1, s, s)
 	ds.Labels = make([]int, n)
@@ -61,20 +50,19 @@ func SynthDigitsWith(n int, seed int64, o DigitsOpts) *Dataset {
 		label := rng.Intn(10)
 		ds.Labels[i] = label
 		im := newImg(ds.X.Data[i*vol:(i+1)*vol], 1, s, s)
-		drawDigit(im, label, rng, o)
-		addNoise(im.data, o.Noise, rng)
+		drawDigit(im, label, rng, s)
+		addNoise(im.data, digitNoise, rng)
 	}
 	return ds
 }
 
-func drawDigit(im *img, d int, rng *rand.Rand, o DigitsOpts) {
-	s := o.Size
+func drawDigit(im *img, d int, rng *rand.Rand, s int) {
 	// Glyph box: roughly centred, height ~60% of the image.
 	gh := s * 3 / 5
 	gw := s * 2 / 5
 	th := max(2, s/9) // stroke thickness
-	oy := (s-gh)/2 + rng.Intn(2*o.Jitter+1) - o.Jitter
-	ox := (s-gw)/2 + rng.Intn(2*o.Jitter+1) - o.Jitter
+	oy := (s-gh)/2 + rng.Intn(2*digitJitter+1) - digitJitter
+	ox := (s-gw)/2 + rng.Intn(2*digitJitter+1) - digitJitter
 	ink := 0.75 + 0.25*rng.Float64()
 	segs := segDigits[d]
 	half := gh / 2
@@ -106,11 +94,4 @@ func drawDigit(im *img, d int, rng *rand.Rand, o DigitsOpts) {
 	if segs[6] {
 		im.fillRect(0, oy+gh-th, ox, oy+gh, ox+gw, ink)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

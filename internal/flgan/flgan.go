@@ -32,8 +32,6 @@ import (
 // Config configures an FL-GAN run.
 type Config struct {
 	gan.TrainConfig
-	// Epochs is E: local epochs per round (default 1).
-	Epochs int
 	// Net supplies the transport; nil selects an in-process ChannelNet.
 	Net simnet.Net
 	// CrashAt schedules fail-stop worker crashes: round number →
@@ -66,6 +64,10 @@ type Result struct {
 }
 
 const serverName = "server"
+
+// localEpochs is E, the local epochs each worker trains between two
+// FedAvg rounds (the paper's FL-GAN setting, E = 1).
+const localEpochs = 1
 
 func workerName(i int) string { return fmt.Sprintf("flworker%d", i) }
 
@@ -104,9 +106,6 @@ func decodeCoupleInto(m *gan.GAN, p []byte) error {
 // round happens every E·m/b local iterations.
 func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) (*Result, error) {
 	cfg.TrainConfig = cfg.TrainConfig.Defaults()
-	if cfg.Epochs == 0 {
-		cfg.Epochs = 1
-	}
 	n := len(shards)
 	if n == 0 {
 		return nil, fmt.Errorf("flgan: no shards")
@@ -123,7 +122,7 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 
 	// Server model; every worker starts from the same parameters
 	// (federated learning synchronises at the start of each round).
-	global := arch.NewGAN(cfg.Seed, cfg.GenLoss, cfg.ClsWeight)
+	global := arch.NewGAN(cfg.Seed, cfg.GenLoss, 1)
 
 	m := shards[0].Len()
 	for _, sh := range shards {
@@ -131,7 +130,7 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 			m = sh.Len()
 		}
 	}
-	roundIters := cfg.Epochs * m / cfg.Batch
+	roundIters := localEpochs * m / cfg.Batch
 	if roundIters < 1 {
 		roundIters = 1
 	}

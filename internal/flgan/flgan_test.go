@@ -27,7 +27,6 @@ func baseConfig() Config {
 			OptG:    opt.AdamConfig{LR: 1e-3}, OptD: opt.AdamConfig{LR: 4e-3},
 			Seed: 7,
 		},
-		Epochs: 1,
 	}
 }
 
@@ -58,7 +57,7 @@ func TestTrafficIsModelSized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	couple := RoundTripBytes(gan.RingMLP(), 1, cfg.GenLoss, cfg.ClsWeight)
+	couple := RoundTripBytes(gan.RingMLP(), 1, cfg.GenLoss, 1)
 	wantPerDirection := int64(2) /*workers*/ * int64(res.Rounds) * couple
 	if got := res.Traffic.Bytes[simnet.CtoW]; got != wantPerDirection {
 		t.Fatalf("C→W = %d, want %d", got, wantPerDirection)
@@ -301,7 +300,7 @@ func TestCrashScheduleCompletesWithSurvivors(t *testing.T) {
 	}
 	// Post-crash rounds move fewer couples: exactly the per-round
 	// survivor count in each direction (4,4,3,3 then 2 for rounds 5-8).
-	couple := RoundTripBytes(gan.RingMLP(), 1, cfg.GenLoss, cfg.ClsWeight)
+	couple := RoundTripBytes(gan.RingMLP(), 1, cfg.GenLoss, 1)
 	if want := int64(4+4+3+3+2+2+2+2) * couple; res.Traffic.Bytes[simnet.CtoW] != want {
 		t.Fatalf("C→W bytes = %d, want %d", res.Traffic.Bytes[simnet.CtoW], want)
 	}
@@ -337,7 +336,7 @@ func TestClientSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	couple := RoundTripBytes(gan.RingMLP(), 1, cfg.GenLoss, cfg.ClsWeight)
+	couple := RoundTripBytes(gan.RingMLP(), 1, cfg.GenLoss, 1)
 	if want := int64(2*12) * couple; res.Traffic.Bytes[simnet.CtoW] != want {
 		t.Fatalf("C→W bytes = %d, want %d (2 of %d workers × 12 rounds)",
 			res.Traffic.Bytes[simnet.CtoW], want, n)

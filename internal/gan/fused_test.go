@@ -119,12 +119,31 @@ func fusedCases() []fusedCase {
 	}
 }
 
+// TestDiscStepFusedMatchesTwoPass compares the stacked step with two
+// passes: the loss and every gradient element within tol, and the
+// weights after Adam within tol wherever the gradient is above rounding
+// level. Adam's first step moves a weight by lr·g/(|g|+ε), about lr
+// however small |g| is, so two orders of summing a gradient element that
+// cancels to rounding level can move its weight apart by up to 2·lr. On
+// the f32 build with the avx2 kernels the paper MLP has such an element:
+// dense512x512.W[115097] takes g = −9.31e-10 stacked and −1.106e-9 in
+// two passes while max|g| is 0.303, and the weights end 1.44e-5 apart.
+// So a weight is compared only while every gradient it has taken is at
+// least gradFloor·max|g| of its parameter; once one falls below, the
+// element carries that difference and is left out of later steps too.
 func TestDiscStepFusedMatchesTwoPass(t *testing.T) {
 	tol := tensor.Tol(1e-12, 1e-5)
+	gradFloor := tensor.Tol(1e-12, 1e-5)
 	for _, c := range fusedCases() {
 		t.Run(c.name, func(t *testing.T) {
 			ref := c.d.Clone()
 			optD, optRef := opt.NewAdam(opt.AdamConfig{}), opt.NewAdam(opt.AdamConfig{})
+			// rounding[i][j]: parameter i's element j has taken a
+			// rounding-level gradient.
+			rounding := make([][]bool, len(ref.Params()))
+			for i, p := range ref.Params() {
+				rounding[i] = make([]bool, p.W.Size())
+			}
 			// Two steps with a Feedback between: the second runs on Adam
 			// moments and on layers that own input-gradient buffers.
 			for step := 0; step < 2; step++ {
@@ -143,8 +162,18 @@ func TestDiscStepFusedMatchesTwoPass(t *testing.T) {
 						if !ps[i].Grad.Equal(rs[i].Grad, tol) {
 							t.Fatalf("step %d: %s.Grad differs from two passes", step, rs[i].Name)
 						}
-						if !ps[i].W.Equal(rs[i].W, tol) {
-							t.Fatalf("step %d: %s after Adam differs from two passes", step, rs[i].Name)
+						maxG := 0.0
+						for _, g := range rs[i].Grad.Data {
+							maxG = math.Max(maxG, math.Abs(float64(g)))
+						}
+						for j, g := range rs[i].Grad.Data {
+							if math.Abs(float64(g)) < gradFloor*maxG {
+								rounding[i][j] = true
+							}
+							if d := math.Abs(float64(ps[i].W.Data[j]) - float64(rs[i].W.Data[j])); !rounding[i][j] && !(d <= tol) {
+								t.Fatalf("step %d: %s[%d] after Adam differs from two passes by %g (g = %g, max|g| = %g)",
+									step, rs[i].Name, j, d, g, maxG)
+							}
 						}
 						continue
 					}

@@ -230,7 +230,7 @@ func TestStandaloneLearnsRing(t *testing.T) {
 
 func TestTrainConfigDefaults(t *testing.T) {
 	c := TrainConfig{}.Defaults()
-	if c.Batch != 10 || c.Iters != 100 || c.DiscSteps != 1 || c.ClsWeight != 1 {
+	if c.Batch != 10 || c.Iters != 100 || c.DiscSteps != 1 {
 		t.Fatalf("defaults = %+v", c)
 	}
 }

@@ -15,7 +15,6 @@ type TrainConfig struct {
 	Iters     int // I: number of generator updates
 	DiscSteps int // L: discriminator steps per generator update
 	GenLoss   nn.GenLossMode
-	ClsWeight float64
 	OptG      opt.AdamConfig
 	OptD      opt.AdamConfig
 	Seed      int64
@@ -38,9 +37,6 @@ func (c TrainConfig) Defaults() TrainConfig {
 	case c.DiscSteps < 0:
 		c.DiscSteps = 0 // explicit "no discriminator updates"
 	}
-	if c.ClsWeight == 0 {
-		c.ClsWeight = 1
-	}
 	return c
 }
 
@@ -54,7 +50,7 @@ type EvalFunc func(iter int, g *GAN)
 // steps, then one generator step.
 func TrainStandalone(ds *dataset.Dataset, arch Arch, cfg TrainConfig, eval EvalFunc) *GAN {
 	cfg = cfg.Defaults()
-	g := arch.NewGAN(cfg.Seed, cfg.GenLoss, cfg.ClsWeight)
+	g := arch.NewGAN(cfg.Seed, cfg.GenLoss, 1)
 	rng := rand.New(rand.NewSource(cfg.Seed + 1000))
 	sampler := dataset.NewSampler(ds, cfg.Seed+2000)
 	optG := opt.NewAdam(cfg.OptG)

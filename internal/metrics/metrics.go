@@ -22,31 +22,17 @@ import (
 
 // ScorerConfig configures classifier training.
 type ScorerConfig struct {
-	Hidden     int // trunk width (default 64)
-	FeatureDim int // penultimate feature dimension used by FID (default 24)
-	Epochs     int // training epochs (default 8)
-	Batch      int // batch size (default 32)
-	LR         float64
-	Seed       int64
+	Epochs int // training epochs (default 8)
+	Seed   int64
 }
 
-func (c *ScorerConfig) defaults() {
-	if c.Hidden == 0 {
-		c.Hidden = 64
-	}
-	if c.FeatureDim == 0 {
-		c.FeatureDim = 24
-	}
-	if c.Epochs == 0 {
-		c.Epochs = 8
-	}
-	if c.Batch == 0 {
-		c.Batch = 32
-	}
-	if c.LR == 0 {
-		c.LR = 1e-3
-	}
-}
+// The scoring classifier's shape and training batch. Its optimiser is
+// Adam at the defaults (lr 1e-3).
+const (
+	scorerHidden     = 64 // trunk width
+	scorerFeatureDim = 24 // penultimate feature dimension used by FID
+	scorerBatch      = 32
+)
 
 // Scorer scores generated samples against the distribution its
 // classifier was trained on.
@@ -58,29 +44,31 @@ type Scorer struct {
 
 // TrainScorer fits the scoring classifier on the labelled dataset.
 func TrainScorer(ds *dataset.Dataset, cfg ScorerConfig) *Scorer {
-	cfg.defaults()
+	if cfg.Epochs == 0 {
+		cfg.Epochs = 8
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	d := ds.SampleDim()
 	trunk := nn.NewSequential(
 		nn.NewFlatten(),
-		nn.NewDense(d, cfg.Hidden, rng),
+		nn.NewDense(d, scorerHidden, rng),
 		nn.NewLeakyReLU(0.2),
-		nn.NewDense(cfg.Hidden, cfg.FeatureDim, rng),
+		nn.NewDense(scorerHidden, scorerFeatureDim, rng),
 		nn.NewLeakyReLU(0.2),
 	)
-	head := nn.NewSequential(nn.NewDense(cfg.FeatureDim, ds.Classes, rng))
+	head := nn.NewSequential(nn.NewDense(scorerFeatureDim, ds.Classes, rng))
 	s := &Scorer{trunk: trunk, head: head, classes: ds.Classes}
 
-	optim := opt.NewAdam(opt.AdamConfig{LR: cfg.LR})
+	optim := opt.NewAdam(opt.AdamConfig{})
 	sampler := dataset.NewSampler(ds, cfg.Seed+2)
-	steps := cfg.Epochs * (ds.Len() / cfg.Batch)
+	steps := cfg.Epochs * (ds.Len() / scorerBatch)
 	// Copy: Sequential.Params returns a cached slice that must not be
 	// appended to in place.
 	params := make([]*nn.Param, 0, len(trunk.Params())+len(head.Params()))
 	params = append(params, trunk.Params()...)
 	params = append(params, head.Params()...)
 	for i := 0; i < steps; i++ {
-		x, labels := sampler.Sample(cfg.Batch)
+		x, labels := sampler.Sample(scorerBatch)
 		logits := head.Forward(trunk.Forward(x, true), true)
 		_, grad := nn.SoftmaxCrossEntropy(logits, labels)
 		trunk.ZeroGrads()

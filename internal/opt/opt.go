@@ -1,7 +1,6 @@
-// Package opt implements the gradient-based optimisers used to train
-// generators and discriminators: SGD (optionally with momentum) and Adam
-// (Kingma & Ba, 2014), the optimiser the paper uses on both sides
-// (§IV-B2, wi(t) = wi(t−1) + Adam(Δwi)).
+// Package opt implements Adam (Kingma & Ba, 2014), the optimiser the
+// paper uses on both sides (§IV-B2, wi(t) = wi(t−1) + Adam(Δwi)), behind
+// the one-method Optimizer interface that a timing decorator can wrap.
 package opt
 
 import (
@@ -23,69 +22,27 @@ const parGrain = 1 << 14
 type Optimizer interface {
 	// Step applies one update to all parameters.
 	Step(params []*nn.Param)
-	// Reset clears internal state (momentum/Adam moments).
-	Reset()
 }
 
-// SGD is plain stochastic gradient descent with optional classical
-// momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity map[*nn.Param][]float64
-}
+// adamEps is the ε added to Adam's denominator.
+const adamEps = 1e-8
 
-// NewSGD returns an SGD optimiser.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*nn.Param][]float64)}
-}
-
-// Step applies w ← w − lr·(m·v + g). The velocity state is kept in
-// float64 regardless of the compiled tensor Elem (mixed precision: tiny
-// per-step updates must not be rounded away before they accumulate).
-func (s *SGD) Step(params []*nn.Param) {
-	for _, p := range params {
-		if s.Momentum == 0 {
-			for i, g := range p.Grad.Data {
-				p.W.Data[i] -= tensor.Elem(s.LR * float64(g))
-			}
-			continue
-		}
-		v := s.velocity[p]
-		if v == nil {
-			v = make([]float64, p.W.Size())
-			s.velocity[p] = v
-		}
-		for i, g := range p.Grad.Data {
-			v[i] = s.Momentum*v[i] + float64(g)
-			p.W.Data[i] -= tensor.Elem(s.LR * v[i])
-		}
-	}
-}
-
-// Reset drops momentum state.
-func (s *SGD) Reset() { s.velocity = make(map[*nn.Param][]float64) }
-
-// Adam implements the Adam optimiser with bias-corrected first and
-// second moment estimates.
-type Adam struct {
-	LR    float64
-	Beta1 float64
-	Beta2 float64
-	Eps   float64
-	t     int
-	m, v  map[*nn.Param][]float64
-}
-
-// AdamConfig carries the hyper-parameters; the zero value is replaced by
-// the conventional defaults (lr 1e-3, β1 0.9, β2 0.999, ε 1e-8). The
-// paper's CelebA experiment tunes these per competitor (§V-B4), which is
-// why they are all exposed.
+// AdamConfig carries the hyper-parameters; a zero field is replaced by
+// the conventional default (lr 1e-3, β1 0.9, β2 0.999). The paper's
+// CelebA experiment tunes these per competitor (§V-B4), which is why
+// they are exposed.
 type AdamConfig struct {
 	LR    float64
 	Beta1 float64
 	Beta2 float64
-	Eps   float64
+}
+
+// Adam implements the Adam optimiser with bias-corrected first and
+// second moment estimates.
+type Adam struct {
+	cfg  AdamConfig // resolved: no zero field
+	t    int
+	m, v map[*nn.Param][]float64
 }
 
 // NewAdam returns an Adam optimiser with the given config.
@@ -99,20 +56,17 @@ func NewAdam(cfg AdamConfig) *Adam {
 	if cfg.Beta2 == 0 {
 		cfg.Beta2 = 0.999
 	}
-	if cfg.Eps == 0 {
-		cfg.Eps = 1e-8
-	}
 	return &Adam{
-		LR: cfg.LR, Beta1: cfg.Beta1, Beta2: cfg.Beta2, Eps: cfg.Eps,
-		m: make(map[*nn.Param][]float64), v: make(map[*nn.Param][]float64),
+		cfg: cfg,
+		m:   make(map[*nn.Param][]float64), v: make(map[*nn.Param][]float64),
 	}
 }
 
 // Step applies one Adam update to all parameters.
 func (a *Adam) Step(params []*nn.Param) {
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	c1 := 1 - math.Pow(a.cfg.Beta1, float64(a.t))
+	c2 := 1 - math.Pow(a.cfg.Beta2, float64(a.t))
 	for _, p := range params {
 		m := a.m[p]
 		v := a.v[p]
@@ -145,7 +99,7 @@ func (a *Adam) Step(params []*nn.Param) {
 // the gradients themselves do) and both moments integrate tiny
 // (1−β)-scaled contributions that float32 would round away.
 func (a *Adam) update(w, grad []tensor.Elem, m, v []float64, c1, c2 float64, s, e int) {
-	b1, b2, lr, eps := a.Beta1, a.Beta2, a.LR, a.Eps
+	b1, b2, lr := a.cfg.Beta1, a.cfg.Beta2, a.cfg.LR
 	ic1, ic2 := 1/c1, 1/c2
 	for i := s; i < e; i++ {
 		g := float64(grad[i])
@@ -153,13 +107,6 @@ func (a *Adam) update(w, grad []tensor.Elem, m, v []float64, c1, c2 float64, s, 
 		vi := b2*v[i] + (1-b2)*g*g
 		m[i] = mi
 		v[i] = vi
-		w[i] -= tensor.Elem(lr * (mi * ic1) / (math.Sqrt(vi*ic2) + eps))
+		w[i] -= tensor.Elem(lr * (mi * ic1) / (math.Sqrt(vi*ic2) + adamEps))
 	}
-}
-
-// Reset drops moment state and the step counter.
-func (a *Adam) Reset() {
-	a.t = 0
-	a.m = make(map[*nn.Param][]float64)
-	a.v = make(map[*nn.Param][]float64)
 }

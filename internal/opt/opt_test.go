@@ -25,34 +25,11 @@ func paramWithGrad(w, g []float64) *nn.Param {
 	return p
 }
 
-func TestSGDStep(t *testing.T) {
-	p := paramWithGrad([]float64{1, 2}, []float64{0.5, -0.5})
-	NewSGD(0.1, 0).Step([]*nn.Param{p})
-	if math.Abs(float64(p.W.Data[0])-0.95) > tensor.Tol(1e-12, 1e-7) || math.Abs(float64(p.W.Data[1])-2.05) > tensor.Tol(1e-12, 1e-6) {
-		t.Fatalf("SGD step = %v", p.W.Data)
-	}
-}
-
-func TestSGDMomentumAccumulates(t *testing.T) {
-	p := paramWithGrad([]float64{0}, []float64{1})
-	s := NewSGD(1, 0.5)
-	s.Step([]*nn.Param{p}) // v=1, w=-1
-	s.Step([]*nn.Param{p}) // v=1.5, w=-2.5
-	if math.Abs(float64(p.W.Data[0])+2.5) > tensor.Tol(1e-12, 1e-6) {
-		t.Fatalf("momentum w = %v, want -2.5", p.W.Data[0])
-	}
-	s.Reset()
-	s.Step([]*nn.Param{p}) // v=1 again, w=-3.5
-	if math.Abs(float64(p.W.Data[0])+3.5) > tensor.Tol(1e-12, 1e-6) {
-		t.Fatalf("after reset w = %v, want -3.5", p.W.Data[0])
-	}
-}
-
 // TestAdamReferenceSequence checks the exact element-wise Adam update
 // against a hand-computed reference for two steps.
 func TestAdamReferenceSequence(t *testing.T) {
 	p := paramWithGrad([]float64{1}, []float64{0.1})
-	a := NewAdam(AdamConfig{LR: 0.01, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8})
+	a := NewAdam(AdamConfig{LR: 0.01, Beta1: 0.9, Beta2: 0.999})
 
 	// Step 1: m=0.01, v=1e-5·... : m̂ = g, v̂ = g² → Δ = lr·g/(|g|+ε) ≈ lr.
 	a.Step([]*nn.Param{p})
@@ -80,8 +57,8 @@ func TestAdamReferenceSequence(t *testing.T) {
 
 func TestAdamDefaults(t *testing.T) {
 	a := NewAdam(AdamConfig{})
-	if a.LR != 1e-3 || a.Beta1 != 0.9 || a.Beta2 != 0.999 || a.Eps != 1e-8 {
-		t.Fatalf("defaults = %+v", a)
+	if a.cfg != (AdamConfig{LR: 1e-3, Beta1: 0.9, Beta2: 0.999}) || adamEps != 1e-8 {
+		t.Fatalf("defaults = %+v, eps %g", a.cfg, adamEps)
 	}
 }
 
@@ -96,32 +73,26 @@ func TestAdamZeroGradIsNoOp(t *testing.T) {
 	}
 }
 
-// TestOptimizersMinimiseQuadratic drives both optimisers on f(w)=|w|²
-// and checks convergence toward 0 — an end-to-end sanity check of the
-// update direction and magnitude.
+// TestOptimizersMinimiseQuadratic drives Adam on f(w)=|w|² and checks
+// convergence toward 0 — an end-to-end sanity check of the update
+// direction and magnitude.
 func TestOptimizersMinimiseQuadratic(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for name, mk := range map[string]func() Optimizer{
-		"sgd":      func() Optimizer { return NewSGD(0.1, 0) },
-		"momentum": func() Optimizer { return NewSGD(0.05, 0.9) },
-		"adam":     func() Optimizer { return NewAdam(AdamConfig{LR: 0.05}) },
-	} {
-		w := make([]float64, 8)
-		for i := range w {
-			w[i] = rng.NormFloat64() * 3
-		}
-		p := paramWithGrad(w, make([]float64, 8))
-		o := mk()
-		for it := 0; it < 400; it++ {
-			for i, v := range p.W.Data {
-				p.Grad.Data[i] = 2 * v
-			}
-			o.Step([]*nn.Param{p})
-		}
+	w := make([]float64, 8)
+	for i := range w {
+		w[i] = rng.NormFloat64() * 3
+	}
+	p := paramWithGrad(w, make([]float64, 8))
+	var o Optimizer = NewAdam(AdamConfig{LR: 0.05})
+	for it := 0; it < 400; it++ {
 		for i, v := range p.W.Data {
-			if math.Abs(float64(v)) > 1e-2 {
-				t.Fatalf("%s: w[%d] = %v did not converge", name, i, v)
-			}
+			p.Grad.Data[i] = 2 * v
+		}
+		o.Step([]*nn.Param{p})
+	}
+	for i, v := range p.W.Data {
+		if math.Abs(float64(v)) > 1e-2 {
+			t.Fatalf("w[%d] = %v did not converge", i, v)
 		}
 	}
 }

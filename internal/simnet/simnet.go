@@ -107,8 +107,7 @@ type Net interface {
 // (wrapped) when its destination is crashed or unreachable, or another
 // error for transport-level failures. Callers that tolerate stragglers
 // — the round engines demote an ErrNodeDown destination via their
-// membership layer and continue with the survivors — inspect the slice;
-// callers that want the legacy all-or-nothing semantics use Broadcast.
+// membership layer and continue with the survivors — inspect the slice.
 func BroadcastEach(n Net, msgs []Message) []error {
 	if len(msgs) == 0 {
 		return nil
@@ -120,17 +119,6 @@ func BroadcastEach(n Net, msgs []Message) []error {
 		}
 	})
 	return errs
-}
-
-// Broadcast is BroadcastEach with strict semantics: every send is still
-// attempted, and the first error in message order is returned.
-func Broadcast(n Net, msgs []Message) error {
-	for _, err := range BroadcastEach(n, msgs) {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // accounting is shared by the transports.

@@ -12,8 +12,6 @@ const (
 	DTypeName = "float32"
 	// ElemBytes is the wire and storage size of one element.
 	ElemBytes = 4
-	// ElemEpsilon is the machine epsilon of Elem.
-	ElemEpsilon = 0x1p-23
 	// NativeDType is the wire dtype byte AppendBinary emits.
 	NativeDType = DTypeF32
 )

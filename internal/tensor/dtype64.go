@@ -15,8 +15,6 @@ const (
 	DTypeName = "float64"
 	// ElemBytes is the wire and storage size of one element.
 	ElemBytes = 8
-	// ElemEpsilon is the machine epsilon of Elem.
-	ElemEpsilon = 0x1p-52
 	// NativeDType is the wire dtype byte AppendBinary emits.
 	NativeDType = DTypeF64
 )

@@ -129,28 +129,6 @@ func (t *Tensor) AddInPlace(u *Tensor) *Tensor {
 	return t
 }
 
-// SubInPlace sets t -= u.
-func (t *Tensor) SubInPlace(u *Tensor) *Tensor {
-	if len(t.Data) != len(u.Data) {
-		panic("tensor: SubInPlace volume mismatch")
-	}
-	for i := range t.Data {
-		t.Data[i] -= u.Data[i]
-	}
-	return t
-}
-
-// MulInPlace sets t *= u element-wise.
-func (t *Tensor) MulInPlace(u *Tensor) *Tensor {
-	if len(t.Data) != len(u.Data) {
-		panic("tensor: MulInPlace volume mismatch")
-	}
-	for i := range t.Data {
-		t.Data[i] *= u.Data[i]
-	}
-	return t
-}
-
 // Scale returns t * s as a new tensor.
 func (t *Tensor) Scale(s float64) *Tensor {
 	out := New(t.shape...)

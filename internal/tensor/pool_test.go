@@ -79,6 +79,13 @@ func TestPoolSteadyStateAllocs(t *testing.T) {
 		w.Data[0] = 1
 		Put(w)
 	})
+	if raceEnabled {
+		// The race-mode sync.Pool drops a random share of Puts, so the
+		// next Get misses and allocates; no budget below one allocation
+		// per cycle holds. Unlike the budgets that scale by a factor,
+		// this one is zero, so it is skipped rather than relaxed.
+		t.Skipf("race detector: sync.Pool drops Puts at random (%v allocs per cycle)", n)
+	}
 	if n > 0.5 {
 		t.Fatalf("Get/Put allocates %v per cycle, want 0", n)
 	}

@@ -66,9 +66,6 @@ type (
 	// payloads (SwapFP32 by default — half of Table III's W→W row on
 	// the float64 build).
 	SwapPrecision = core.SwapPrecision
-	// DefenseConfig tunes the server-side feedback-quality defense
-	// against free-riders (zero-valued knobs pick the defaults).
-	DefenseConfig = core.DefenseConfig
 	// Lifetime bounds one worker's participation window (temporary
 	// discriminators): a join round and a graceful retire round.
 	Lifetime = cluster.Lifetime
@@ -143,7 +140,7 @@ func SynthDigits(n int, seed int64) *Dataset { return dataset.SynthDigits(n, see
 
 // SynthDigitsSized generates digit images at a custom resolution.
 func SynthDigitsSized(n, size int, seed int64) *Dataset {
-	return dataset.SynthDigitsWith(n, seed, dataset.DigitsOpts{Size: size})
+	return dataset.SynthDigitsSize(n, seed, size)
 }
 
 // SynthCIFAR generates a CIFAR10-like dataset: n 32×32 RGB images in 10
@@ -233,13 +230,14 @@ func HighQualityFraction(x *Tensor, modes int, radius, tol float64) float64 {
 }
 
 // Options configures a training run. Zero values select the experiment
-// defaults noted per field.
+// defaults noted per field. Two settings are fixed: the ACGAN auxiliary
+// classification loss has weight 1 on conditional architectures, and
+// FL-GAN trains E = 1 local epoch per round.
 type Options struct {
 	Algorithm Algorithm // default MDGAN
 	Workers   int       // N; default 10 (ignored by Standalone)
 	K         int       // MD-GAN batches/iteration; 0 → ⌊ln N⌋ (≥1)
 	SwapEvery int       // E epochs between swaps; 0 → 1; <0 disables
-	Epochs    int       // FL-GAN local epochs per round; 0 → 1
 	Async     bool      // MD-GAN asynchronous mode (§VII.1)
 	// Pipeline runs synchronous MD-GAN through the one-round-deep
 	// pipelined engine: the server generates and encodes round t+1's
@@ -255,7 +253,6 @@ type Options struct {
 	LRD       float64 // discriminator Adam learning rate; default 4e-3
 	Beta1     float64 // Adam β1 (both sides); default 0.9
 	Beta2     float64 // Adam β2 (both sides); default 0.999
-	ClsWeight float64 // ACGAN auxiliary-loss weight; default 1
 	PaperLoss bool    // use the paper's log(1−D) generator objective
 
 	Seed      int64
@@ -279,7 +276,9 @@ type Options struct {
 	// ActivePerRound activates only a random subset of workers per
 	// iteration (MD-GAN) or per round (FL-GAN); 0 = all.
 	ActivePerRound int
-	// Byzantine marks compromised workers: index → attack mode.
+	// Byzantine marks compromised workers: index → attack mode, one of
+	// the Byzantine* feedback corruptions or the FreeRider*
+	// fabrications (ParseFreeRiders builds the latter from a CLI spec).
 	Byzantine map[int]ByzantineMode
 	// Aggregate selects the server's feedback-merge rule.
 	Aggregate Aggregation
@@ -330,17 +329,10 @@ type Options struct {
 
 	// Robustness (MD-GAN only).
 
-	// FreeRiders marks free-riding workers: index → one of the
-	// FreeRider* modes (fabricated feedback, no local training).
-	// Merged into Byzantine; the same index cannot appear in both.
-	FreeRiders map[int]ByzantineMode
 	// Defense enables the server-side feedback-quality defense
-	// (cross-round suspicion scoring → down-weighting → demotion).
-	// Synchronous flat-topology runs only.
+	// (cross-round suspicion scoring → down-weighting → demotion) at
+	// fixed thresholds. Synchronous flat-topology runs only.
 	Defense bool
-	// DefenseTuning overrides the defense's default thresholds (nil
-	// keeps them). Ignored unless Defense is set.
-	DefenseTuning *DefenseConfig
 	// Lifetimes bounds workers' participation windows (temporary
 	// discriminators): index → {Join, Retire}. Joining workers must
 	// match their JoinAt schedule; retirement is graceful (the final
@@ -370,9 +362,6 @@ func (o Options) defaults() Options {
 	if o.LRD == 0 {
 		o.LRD = 4e-3
 	}
-	if o.ClsWeight == 0 {
-		o.ClsWeight = 1
-	}
 	return o
 }
 
@@ -392,10 +381,10 @@ func (o Options) trainConfig() gan.TrainConfig {
 	}
 	return gan.TrainConfig{
 		Batch: o.Batch, Iters: o.Iters, DiscSteps: o.DiscSteps,
-		GenLoss: mode, ClsWeight: o.ClsWeight,
-		OptG: opt.AdamConfig{LR: o.LRG, Beta1: o.Beta1, Beta2: o.Beta2},
-		OptD: opt.AdamConfig{LR: o.LRD, Beta1: o.Beta1, Beta2: o.Beta2},
-		Seed: o.Seed, EvalEvery: o.EvalEvery,
+		GenLoss: mode,
+		OptG:    opt.AdamConfig{LR: o.LRG, Beta1: o.Beta1, Beta2: o.Beta2},
+		OptD:    opt.AdamConfig{LR: o.LRD, Beta1: o.Beta1, Beta2: o.Beta2},
+		Seed:    o.Seed, EvalEvery: o.EvalEvery,
 	}
 }
 
@@ -496,7 +485,6 @@ func Run(ds *Dataset, arch Arch, o Options, ev *Evaluator) (*RunResult, error) {
 		shards := o.shard(ds)
 		cfg := flgan.Config{
 			TrainConfig:    o.trainConfig(),
-			Epochs:         o.Epochs,
 			CrashAt:        o.CrashAt,
 			ActivePerRound: o.ActivePerRound,
 		}
@@ -529,15 +517,6 @@ func (o Options) mdganConfig() (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	byz, err := mergeFreeRiders(o.Byzantine, o.FreeRiders)
-	if err != nil {
-		return core.Config{}, err
-	}
-	defense := core.DefenseConfig{Enabled: o.Defense}
-	if o.Defense && o.DefenseTuning != nil {
-		defense = *o.DefenseTuning
-		defense.Enabled = true
-	}
 	return core.Config{
 		TrainConfig:    o.trainConfig(),
 		K:              o.K,
@@ -548,7 +527,7 @@ func (o Options) mdganConfig() (core.Config, error) {
 		Compress:       o.Compress,
 		SwapPrec:       o.SwapPrec,
 		ActivePerRound: o.ActivePerRound,
-		Byzantine:      byz,
+		Byzantine:      o.Byzantine,
 		Aggregate:      o.Aggregate,
 		JoinAt:         o.JoinAt,
 		RoundTimeout:   o.RoundTimeout,
@@ -556,7 +535,7 @@ func (o Options) mdganConfig() (core.Config, error) {
 		SuspectAfter:   o.SuspectAfter,
 		Topology:       topo,
 		SwapSched:      sched,
-		Defense:        defense,
+		Defense:        o.Defense,
 		Lifetimes:      o.Lifetimes,
 		JoinWarmup:     o.JoinWarmup,
 	}, nil

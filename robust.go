@@ -1,37 +1,13 @@
 package mdgan
 
-// Robustness helpers for the facade: merging the free-rider schedule
-// into the Byzantine map, and the CLI spec parsers for mdgan-train's
-// -free-riders and -lifetimes flags.
+// The CLI spec parsers for mdgan-train's -free-riders and -lifetimes
+// flags.
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
 )
-
-// mergeFreeRiders folds the FreeRiders schedule into the Byzantine
-// map. Free-rider entries must use a FreeRider* mode, and an index may
-// not carry both a Byzantine and a free-rider assignment.
-func mergeFreeRiders(byz, fr map[int]ByzantineMode) (map[int]ByzantineMode, error) {
-	if len(fr) == 0 {
-		return byz, nil
-	}
-	out := make(map[int]ByzantineMode, len(byz)+len(fr))
-	for i, m := range byz {
-		out[i] = m
-	}
-	for i, m := range fr {
-		if !m.IsFreeRider() {
-			return nil, fmt.Errorf("mdgan: FreeRiders[%d] = %v is not a free-rider mode", i, m)
-		}
-		if prev, ok := out[i]; ok && prev != m {
-			return nil, fmt.Errorf("mdgan: worker %d is both byzantine (%v) and free-rider (%v)", i, prev, m)
-		}
-		out[i] = m
-	}
-	return out, nil
-}
 
 // freeRiderVariants names the FreeRider* modes for the CLI spec.
 var freeRiderVariants = map[string]ByzantineMode{
@@ -40,8 +16,9 @@ var freeRiderVariants = map[string]ByzantineMode{
 	"noise":  FreeRiderScaledNoise,
 }
 
-// ParseFreeRiders parses a -free-riders CLI spec into a FreeRiders
-// map. Two forms:
+// ParseFreeRiders parses a -free-riders CLI spec into an
+// Options.Byzantine map of FreeRider* modes (fabricated feedback, no
+// local training). Two forms:
 //
 //	"N"  or "N:variant"        — the first N workers (indices 0..N-1)
 //	"i=variant,j=variant,..."  — explicit per-index assignments

@@ -58,26 +58,6 @@ func TestParseLifetimes(t *testing.T) {
 	}
 }
 
-// TestFreeRiderOptionsConflictWithByzantine: an index may not carry
-// both a loud Byzantine assignment and a free-rider assignment, and
-// FreeRiders entries must actually be free-rider modes.
-func TestFreeRiderOptionsConflictWithByzantine(t *testing.T) {
-	ds := mdgan.GaussianRing(100, 4, 1, 0.05, 1)
-	base := mdgan.Options{Algorithm: mdgan.MDGAN, Workers: 3, Batch: 16, Iters: 2, Seed: 2}
-
-	o := base
-	o.Byzantine = map[int]mdgan.ByzantineMode{1: mdgan.ByzantineInvert}
-	o.FreeRiders = map[int]mdgan.ByzantineMode{1: mdgan.FreeRiderReplay}
-	if _, err := mdgan.Run(ds, mdgan.RingArch(), o, nil); err == nil {
-		t.Fatal("conflicting byzantine + free-rider assignment must error")
-	}
-	o = base
-	o.FreeRiders = map[int]mdgan.ByzantineMode{1: mdgan.ByzantineInvert}
-	if _, err := mdgan.Run(ds, mdgan.RingArch(), o, nil); err == nil {
-		t.Fatal("a non-free-rider mode in FreeRiders must error")
-	}
-}
-
 // TestRobustnessOptionsWireThrough: the facade smoke for the
 // robustness tentpole — free-riders, the defense, a temporary
 // discriminator and the joiner warm-up all enabled through Options.
@@ -87,7 +67,7 @@ func TestRobustnessOptionsWireThrough(t *testing.T) {
 	ds := mdgan.GaussianRing(600, 8, 2.0, 0.05, 3)
 	res, err := mdgan.Run(ds, mdgan.RingArch(), mdgan.Options{
 		Algorithm: mdgan.MDGAN, Workers: 4, Batch: 16, Iters: 12, Seed: 4,
-		FreeRiders: map[int]mdgan.ByzantineMode{1: mdgan.FreeRiderRandom},
+		Byzantine:  map[int]mdgan.ByzantineMode{1: mdgan.FreeRiderRandom},
 		Defense:    true,
 		Lifetimes:  map[int]mdgan.Lifetime{2: {Retire: 8}},
 		JoinWarmup: 3,

