@@ -268,14 +268,25 @@ func BenchmarkStandaloneIteration(b *testing.B) {
 	}
 }
 
-// BenchmarkGeneratorForward measures raw generator throughput.
+// BenchmarkGeneratorForward measures raw generator throughput: a
+// training-mode Generate of 32 samples, and the forward mdgan-serve runs
+// for a bulk request — MLPArch(128), batch 64, inference mode, one
+// latent batch reused so only the forward is timed.
 func BenchmarkGeneratorForward(b *testing.B) {
 	g := mdgan.MLPArch(128).NewGAN(1, 0, 1)
 	rng := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.G.Generate(32, rng, true)
-	}
+	b.Run("train/b=32", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			g.G.Generate(32, rng, true)
+		}
+	})
+	b.Run("serve/b=64", func(b *testing.B) {
+		z, labels := g.G.SampleZ(64, rng)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g.G.Forward(z, labels, false)
+		}
+	})
 }
 
 // BenchmarkScorerFID measures one FID evaluation (features + cov +

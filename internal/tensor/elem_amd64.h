@@ -1,0 +1,98 @@
+// Element-wise AVX-512 kernels, shared by the float64 and float32
+// builds: elem_amd64_f64.s / elem_amd64_f32.s define the element width
+// (ESZ, LANES), the PD/PS mnemonics, the dtype's constant table
+// (elemConst<>, laid out by the slot numbers below) and its expm1
+// polynomial (EXPM1POLY), then include this file. See elem.go for when
+// these run. Constant operands are embedded broadcasts from elemConst<>
+// (R8), so the kernel holds no constant register.
+
+// Slots of elemConst<>, in elements.
+#define SIGN   0
+#define ABS    1
+#define CLAMP  2
+#define MINUS2 3
+#define LOG2E  4
+#define LN2HI  5
+#define LN2LO  6
+#define ONE    7
+#define EXPC   8
+
+#define C(i) ((i)*ESZ)(R8)
+
+// func tanhAsm512(dst, src *Elem, n int)
+//
+// dst[i] = tanh(src[i]) for i < n, LANES elements per step; the last
+// n mod LANES go through the K1 mask, so no load or store reaches past
+// either array's end. dst may equal src. Per vector, on a = |x|:
+//
+//   - m = e^y − 1 for y = −2·min(a, CLAMP): a Cody–Waite reduction
+//     y = n·ln2 + r with |r| ≤ ln2/2, e^r − 1 = r + r²·EXPM1POLY(r), and
+//     m = 2^n·(e^r − 1) + (2^n − 1). The clamp keeps +Inf out of the
+//     reduction and lies past the point where tanh rounds to 1. VMIN
+//     returns its second source when one is NaN, which is a.
+//   - tanh a = −m/(2 + m), the denominator formed as
+//     2^n·(e^r − 1) + (2^n + 1) so it is rounded once. Computing e^y − 1
+//     rather than e^y means no 1 − e^y cancels at small a, so one
+//     formula serves the whole range; once m rounds to −1 the quotient
+//     is exactly 1. Every step is an IEEE-rounded operation, so the
+//     result does not depend on the CPU.
+//   - The magnitude then takes x's sign bit (VPTERNLOG as a bit select),
+//     so tanh(−x) = −tanh(x) bit for bit and ±0 keeps its sign.
+//
+// The divide is one correctly rounded instruction. VRCP14 and two Newton
+// steps in its place measured 1.25 against 1.05 ns per float64 element
+// and added an ulp of error.
+
+#define TANHV(mask) \
+	VMOVU.Z         (SI), mask, Z0; \
+	VAND.BCST       C(ABS), Z0, Z1; \
+	VBCAST          C(CLAMP), Z2; \
+	VMIN            Z1, Z2, Z2; \
+	VMUL.BCST       C(MINUS2), Z2, Z2; \
+	VMUL.BCST       C(LOG2E), Z2, Z3; \
+	VRNDSCALE       $0, Z3, Z3; \
+	VFNMADD231.BCST C(LN2HI), Z3, Z2; \
+	VFNMADD231.BCST C(LN2LO), Z3, Z2; \
+	VMUL            Z2, Z2, Z5; \
+	EXPM1POLY(Z2, Z4); \
+	VFMADD213       Z2, Z5, Z4; \
+	VBCAST          C(ONE), Z7; \
+	VSCALEF         Z3, Z7, Z7; \
+	VSUB.BCST       C(ONE), Z7, Z6; \
+	VADD.BCST       C(ONE), Z7, Z8; \
+	VFMADD231       Z4, Z7, Z8; \
+	VFMADD213       Z6, Z7, Z4; \
+	VDIV            Z8, Z4, Z4; \
+	VTERNLOG.BCST   $0xD8, C(SIGN), Z0, Z4; \
+	VMOVU           Z4, mask, (DI)
+
+TEXT ·tanhAsm512(SB), NOSPLIT, $0-24
+	MOVQ   dst+0(FP), DI
+	MOVQ   src+8(FP), SI
+	MOVQ   n+16(FP), CX
+	LEAQ   elemConst<>(SB), R8
+	KXNORW K1, K1, K1
+	CMPQ   CX, $LANES
+	JLT    tail
+
+loop:
+	TANHV(K1)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	SUBQ $LANES, CX
+	CMPQ CX, $LANES
+	JGE  loop
+
+tail:
+	// K1: the n mod LANES lanes that remain, if any.
+	TESTQ CX, CX
+	JZ    done
+	MOVL  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K1
+	TANHV(K1)
+
+done:
+	VZEROUPPER
+	RET

@@ -1,0 +1,51 @@
+//go:build amd64 && !noasm && f32
+
+#include "textflag.h"
+
+// float32 instance of the element-wise AVX-512 kernels: 16 lanes per
+// ZMM, computed in float32 throughout. Constants are IEEE bit patterns;
+// elem_amd64.h names the slots.
+
+#define ESZ        4
+#define LANES      16
+#define VMOVU      VMOVUPS
+#define VBCAST     VBROADCASTSS
+#define VAND       VANDPS
+#define VMIN       VMINPS
+#define VMUL       VMULPS
+#define VSUB       VSUBPS
+#define VADD       VADDPS
+#define VDIV       VDIVPS
+#define VRNDSCALE  VRNDSCALEPS
+#define VSCALEF    VSCALEFPS
+#define VFMADD213  VFMADD213PS
+#define VFMADD231  VFMADD231PS
+#define VFNMADD231 VFNMADD231PS
+#define VTERNLOG   VPTERNLOGD
+
+DATA elemConst<>+0(SB)/4, $0x80000000  // SIGN: -0
+DATA elemConst<>+4(SB)/4, $0x7fffffff  // ABS
+DATA elemConst<>+8(SB)/4, $0x41a00000  // CLAMP: 20
+DATA elemConst<>+12(SB)/4, $0xc0000000 // MINUS2: -2
+DATA elemConst<>+16(SB)/4, $0x3fb8aa3b // LOG2E
+DATA elemConst<>+20(SB)/4, $0x3f318000 // LN2HI: 0.693359375
+DATA elemConst<>+24(SB)/4, $0xb95e8083 // LN2LO: ln 2 - LN2HI
+DATA elemConst<>+28(SB)/4, $0x3f800000 // ONE
+DATA elemConst<>+32(SB)/4, $0x3ab68885 // EXPC+0: c4
+DATA elemConst<>+36(SB)/4, $0x3c0905b7 // c3
+DATA elemConst<>+40(SB)/4, $0x3d2aaa8d // c2
+DATA elemConst<>+44(SB)/4, $0x3e2aaa6e // c1
+DATA elemConst<>+48(SB)/4, $0x3f000000 // c0
+GLOBL elemConst<>(SB), RODATA|NOPTR, $52
+
+// p = Σ c_k·r^k ≈ (e^r − 1 − r)/r² for |r| ≤ ln2/2, by Horner: the
+// degree-4 interpolant at Chebyshev nodes, which puts r + r²·p within
+// 2.4e-8 relative of e^r − 1 (the Taylor polynomial needs degree 5).
+#define EXPM1POLY(r, p) \
+	VBCAST         C(EXPC), p; \
+	VFMADD213.BCST C(EXPC+1), r, p; \
+	VFMADD213.BCST C(EXPC+2), r, p; \
+	VFMADD213.BCST C(EXPC+3), r, p; \
+	VFMADD213.BCST C(EXPC+4), r, p
+
+#include "elem_amd64.h"

@@ -1,0 +1,244 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// tanhMaxULP is the bound TestTanhAccuracy pins for the vector kernel,
+// in units in the last place of the compiled dtype.
+const tanhMaxULP = 2
+
+// ulpDist is the number of representable Elem values between a and b
+// (0 when they are equal, ±0 included).
+func ulpDist(a, b Elem) uint64 {
+	if ElemBytes == 4 {
+		oa, ob := ordered32(float32(a)), ordered32(float32(b))
+		if oa < ob {
+			oa, ob = ob, oa
+		}
+		return uint64(oa - ob)
+	}
+	oa, ob := ordered64(float64(a)), ordered64(float64(b))
+	if oa < ob {
+		oa, ob = ob, oa
+	}
+	return uint64(oa - ob)
+}
+
+// ordered64/ordered32 map a float's bits onto integers that order like
+// the floats, with +0 and −0 both at 0.
+func ordered64(v float64) int64 {
+	b := int64(math.Float64bits(v))
+	if b < 0 {
+		b = math.MinInt64 - b
+	}
+	return b
+}
+
+func ordered32(v float32) int64 {
+	b := int32(math.Float32bits(v))
+	if b < 0 {
+		b = math.MinInt32 - b
+	}
+	return int64(b)
+}
+
+// tanhSpecials are the inputs whose output the kernel must get right by
+// construction rather than by approximation: signed zeros, the smallest
+// and largest denormals, infinities, NaN, and both sides of each point
+// where math.Tanh or the kernel changes formula (0.625), where the
+// rounded tanh reaches 1 (19.06 in float64; 9.01 in float32) and where
+// math.Tanh stops computing (44.02).
+func tanhSpecials() []Elem {
+	denormMin, denormMax := math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff)
+	if ElemBytes == 4 {
+		denormMin, denormMax = math.SmallestNonzeroFloat32, float64(math.Float32frombits(0x007fffff))
+	}
+	var xs []Elem
+	for _, v := range []float64{0, denormMin, denormMax, 1e-300, 1e-30, 1e-8, 0.625, 1, 9.01, 19.06, 44.02, 1e10, math.MaxFloat32, math.Inf(1)} {
+		e := Elem(v)
+		for _, x := range []Elem{e, nextElem(e, -1), nextElem(e, 1)} {
+			xs = append(xs, x, -x)
+		}
+	}
+	return append(xs, Elem(math.NaN()))
+}
+
+// nextElem steps one representable value from x towards dir's sign.
+func nextElem(x Elem, dir float64) Elem {
+	if ElemBytes == 4 {
+		return Elem(math.Nextafter32(float32(x), float32(dir)*math.MaxFloat32))
+	}
+	return Elem(math.Nextafter(float64(x), dir*math.MaxFloat64))
+}
+
+// tanhRef is the math.Tanh loop every tier but avx512 runs.
+func tanhRef(x Elem) Elem { return Elem(math.Tanh(float64(x))) }
+
+// tanhInputs is TestTanhAccuracy's input set: a sweep of [−25, 25] in
+// steps of 2^-12, 10^6 normals at each of four scales, and the specials.
+func tanhInputs() []Elem {
+	var xs []Elem
+	for i := -25 << 12; i <= 25<<12; i++ {
+		xs = append(xs, Elem(float64(i)/(1<<12)))
+	}
+	rng := rand.New(rand.NewSource(53))
+	for _, sigma := range []float64{0.01, 0.3, 1, 3} {
+		for i := 0; i < 1e6; i++ {
+			xs = append(xs, Elem(sigma*rng.NormFloat64()))
+		}
+	}
+	return append(xs, tanhSpecials()...)
+}
+
+// TestTanhAccuracy compares the live tanh with the math.Tanh loop under
+// every tier: bit for bit where the tier keeps that loop, within
+// tanhMaxULP where it takes the vector kernel.
+func TestTanhAccuracy(t *testing.T) {
+	xs := tanhInputs()
+	got := make([]Elem, len(xs))
+	kernelVariants(t, func(t *testing.T) {
+		bound := uint64(0)
+		if tanhVecOK() {
+			bound = tanhMaxULP
+		}
+		tanhElems(got, xs)
+		worst, at := uint64(0), 0
+		for i, x := range xs {
+			want := tanhRef(x)
+			if math.IsNaN(float64(want)) {
+				if !math.IsNaN(float64(got[i])) {
+					t.Fatalf("tanh(%v) = %v, want NaN", x, got[i])
+				}
+				continue
+			}
+			if d := ulpDist(got[i], want); d > worst {
+				worst, at = d, i
+			}
+		}
+		if worst > bound {
+			t.Fatalf("tanh(%v) = %v, math.Tanh %v: %d ulp apart, bound %d", xs[at], got[at], tanhRef(xs[at]), worst, bound)
+		}
+		t.Logf("%s: max %d ulp over %d inputs", GemmKernel(), worst, len(xs))
+	})
+}
+
+// TestTanhProperties checks, under every tier, what holds exactly:
+// odd symmetry bit for bit, |tanh x| ≤ 1, exactly ±1 from the first
+// sweep point where the rounded tanh is 1, NaN in → NaN out, and a
+// non-decreasing sweep.
+func TestTanhProperties(t *testing.T) {
+	var sweep []Elem
+	for i := -25 << 12; i <= 25<<12; i++ {
+		sweep = append(sweep, Elem(float64(i)/(1<<12)))
+	}
+	xs := append(sweep, tanhSpecials()...)
+	got, neg := make([]Elem, len(xs)), make([]Elem, len(xs))
+	negx := make([]Elem, len(xs))
+	for i, x := range xs {
+		negx[i] = -x
+	}
+	kernelVariants(t, func(t *testing.T) {
+		tanhElems(got, xs)
+		tanhElems(neg, negx)
+		for i, x := range xs {
+			y := got[i]
+			if math.IsNaN(float64(x)) {
+				if !math.IsNaN(float64(y)) {
+					t.Fatalf("tanh(NaN) = %v", y)
+				}
+				continue
+			}
+			if ElemBytes == 4 && math.Float32bits(float32(neg[i])) != math.Float32bits(float32(-y)) ||
+				ElemBytes == 8 && math.Float64bits(float64(neg[i])) != math.Float64bits(float64(-y)) {
+				t.Fatalf("tanh(%v) = %v but tanh(%v) = %v", x, y, -x, neg[i])
+			}
+			if !(math.Abs(float64(y)) <= 1) {
+				t.Fatalf("|tanh(%v)| = %v > 1", x, y)
+			}
+			if tanhRef(x) == 1 && y != 1 {
+				t.Fatalf("tanh(%v) = %v, want exactly 1", x, y)
+			}
+		}
+		for i := 1; i < len(sweep); i++ {
+			if got[i] < got[i-1] {
+				t.Fatalf("tanh(%v) = %v < tanh(%v) = %v", sweep[i], got[i], sweep[i-1], got[i-1])
+			}
+		}
+	})
+}
+
+// TestTanhStaysInBounds runs tanh on every length up to two vectors and
+// one element, with both operands ending where a guard page begins, out
+// of place and in place: a load or store past the last element faults.
+func TestTanhStaysInBounds(t *testing.T) {
+	lanes := 64 / ElemBytes
+	rng := rand.New(rand.NewSource(59))
+	kernelVariants(t, func(t *testing.T) {
+		for n := 0; n <= 2*lanes+1; n++ {
+			src, dst := guardedWindow(t, n), guardedWindow(t, n)
+			for i := range src {
+				src[i] = Elem(3 * rng.NormFloat64())
+			}
+			tanhElems(dst, src)
+			for i, x := range src {
+				if ulpDist(dst[i], tanhRef(x)) > tanhMaxULP {
+					t.Fatalf("n=%d: tanh(%v) = %v, want %v", n, x, dst[i], tanhRef(x))
+				}
+			}
+			tanhElems(src, src)
+			for i := range src {
+				if src[i] != dst[i] {
+					t.Fatalf("n=%d: in place, element %d = %v, out of place %v", n, i, src[i], dst[i])
+				}
+			}
+		}
+	})
+}
+
+// TestTanhAllocs pins a tanh call to zero allocations on every tier.
+func TestTanhAllocs(t *testing.T) {
+	x := randTensor(rand.New(rand.NewSource(61)), 64, 784)
+	out := New(64, 784)
+	kernelVariants(t, func(t *testing.T) {
+		if allocs := testing.AllocsPerRun(20, func() { TanhInto(out, x) }); allocs != 0 {
+			t.Fatalf("TanhInto allocates %v times", allocs)
+		}
+	})
+}
+
+// BenchmarkTanh times tanh over the served generator's output layer
+// (batch 64 × 784 pixels) on the live tier and through the math.Tanh
+// loop, reporting ns per element. Inputs are normals of σ = 0.3 — nine
+// in ten below 0.625, math.Tanh's rational branch, where an untrained
+// generator's pre-activations sit — and of σ = 1, half of them on
+// math.Tanh's exp branch.
+func BenchmarkTanh(b *testing.B) {
+	rng := rand.New(rand.NewSource(67))
+	for _, sigma := range []float64{0.3, 1} {
+		x := randTensor(rng, 64, 784)
+		x.ScaleInPlace(sigma)
+		out := New(64, 784)
+		for _, c := range []struct {
+			name string
+			run  func()
+		}{
+			{"kernel", func() { TanhInto(out, x) }},
+			{"math.Tanh", func() {
+				for i, v := range x.Data {
+					out.Data[i] = tanhRef(v)
+				}
+			}},
+		} {
+			b.Run(fmt.Sprintf("%s/%s/sigma=%v", c.name, DTypeName, sigma), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					c.run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(x.Data)), "ns/elem")
+			})
+		}
+	}
+}

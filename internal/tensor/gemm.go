@@ -90,9 +90,10 @@ package tensor
 //  2. small products (m·k·n < gemmMinWork) → legacy column-tiled
 //     kernels (packing overhead dominates)
 //  3. a batch-sized dimension on the avx512 tier → the pack-free skinny
-//     kernels (gemm_skinny.go): MatMul* and MatMulT2* with at most
-//     gemmSkinnyMaxM (36) left-operand rows, MatMulT1* with at most
-//     gemmSkinnyMaxK (256) — there k is the batch
+//     kernels (gemm_skinny.go): MatMul* with at most gemmSkinnyMaxStrips
+//     (64) left-operand rows — every training forward and every serving
+//     batch — MatMulT2* with at most gemmSkinnyMaxPairs (36), MatMulT1*
+//     with at most gemmSkinnyMaxK (256) — there k is the batch
 //  4. everything else → this file, with the widest micro-kernel the CPU
 //     and build allow:
 //

@@ -45,6 +45,13 @@ func gemmSkinnyAsm512(c *Elem, ldc int, a, b *Elem, ldb, kc int, add bool, mr, n
 //go:noescape
 func gemmDotAsm512(c *Elem, ldc int, a *Elem, lda int, b *Elem, ldb, k int, add bool, mr, nr int)
 
+// tanhAsm512 is the AVX-512 tanh (elem.go; elem_amd64.h instantiated
+// per dtype): dst[i] = tanh(src[i]) for i < n, the ragged tail masked.
+// Only reachable on the tierAVX512 dispatch.
+//
+//go:noescape
+func tanhAsm512(dst, src *Elem, n int)
+
 // cpuidRaw executes CPUID for the given leaf/subleaf
 // (gemm_cpu_amd64.s).
 func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

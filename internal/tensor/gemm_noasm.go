@@ -37,3 +37,9 @@ func gemmSkinnyAsm512(c *Elem, ldc int, a, b *Elem, ldb, kc int, add bool, mr, n
 func gemmDotAsm512(c *Elem, ldc int, a *Elem, lda int, b *Elem, ldb, k int, add bool, mr, nr int) {
 	panic("tensor: AVX-512 dot kernel called on a noasm build")
 }
+
+// tanhAsm512 exists so the tanh dispatch links; it is taken on
+// tierAVX512 only, so it is unreachable on this build.
+func tanhAsm512(dst, src *Elem, n int) {
+	panic("tensor: AVX-512 tanh kernel called on a noasm build")
+}

@@ -11,10 +11,11 @@ import (
 // product is a training batch, nothing is packed: the AVX-512 kernels in
 // gemm_skinny_amd64.h keep a gemmSkinnyM-row block of C in registers and
 // read the large operand where it lies. Three products come here —
-// MatMul* (row-major B: every Dense forward) and MatMulT2* (stored-
-// transpose B: every Dense input gradient) when the left operand has at
-// most gemmSkinnyMaxM rows, and MatMulT1* (every Dense weight gradient)
-// when it has at most gemmSkinnyMaxK rows, i.e. k is the batch. The
+// MatMul* (row-major B: every Dense forward) when the left operand has
+// at most gemmSkinnyMaxStrips rows, MatMulT2* (stored-transpose B: every
+// Dense input gradient) when it has at most gemmSkinnyMaxPairs, and
+// MatMulT1* (every Dense weight gradient) when it has at most
+// gemmSkinnyMaxK rows, i.e. k is the batch. The
 // MatMul*Packed entry points have no stored B to read and stay packed.
 //
 // Row-major B is walked in column strips of two vectors
@@ -65,35 +66,44 @@ const (
 	// AVX-512 register budget — 12 rows × 2 vectors of accumulators, two B
 	// vectors and a broadcast out of 32 ZMM.
 	gemmSkinnyM = 12
-	// gemmSkinnyMaxM is the largest left-operand row count MatMul* and
-	// MatMulT2* bring here: three blocks. BenchmarkGEMM's m sweep (784×512
+	// gemmSkinnyMaxStrips is the largest left-operand row count MatMul*
+	// (row-major B: every Dense forward) brings here: five blocks and a
+	// ragged sixth, the serving batch cap. BenchmarkGEMM's m sweep (the
+	// 784×512 weight and the served generator's 32×128, 128×128 and
+	// 128×784 at m = 36, 48, 64, 80; five alternating runs against the
+	// packed path, -cpu 1 and 2; CHANGES.md) has the strips ahead on
+	// every row at 48 and 64: at m = 64, 128×784 by 31 % (-cpu 1) and
+	// 34 % (-cpu 2), 32×128 by 21 % and 33 %, 128×128 by 14 % and 8 %,
+	// 784×512 by 6 % and 40 %. At 36 and 80 both sides run one path and
+	// tie.
+	gemmSkinnyMaxStrips = 64
+	// gemmSkinnyMaxPairs is the same for MatMulT2* (stored-transpose B:
+	// every Dense input gradient), three blocks. The m sweep (784×512
 	// and T2 512×784 at m = 12…48, hot and cold weights, -cpu 1 and 2;
-	// CHANGES.md, PRs 19 and 21) has the blocks ahead of the packed path
-	// on every row up to 36; at 48 the dot kernel's per-pair fold loses
-	// on short k (T2 m×100×512), so the cut sits at the last row count
-	// where nothing does.
-	gemmSkinnyMaxM = 3 * gemmSkinnyM
+	// CHANGES.md) has the blocks ahead of the packed path on every row
+	// up to 36. Past it the dot kernel's per-pair fold loses on short k:
+	// with this cut at 64 as well, T2 512×784 still gained at 48 and 64,
+	// but T2 m×100×512 lost 22 % at m = 48 and 39 % at 64 (-cpu 1), and
+	// 64×128×128 lost 11 %. So the cut sits at the last row count where
+	// nothing does.
+	gemmSkinnyMaxPairs = 3 * gemmSkinnyM
 	// gemmSkinnyMaxK is the largest k MatMulT1* brings here. The k sweep
 	// (T1Add 784×k×512, k = 10…512, and conv-shaped 144×k×640, dW cycled
-	// through eight buffers so it is never cache-resident; CHANGES.md,
-	// PR 21) has the row blocks ahead at every k up to 256 at -cpu 1 and
-	// -cpu 2; from 384 the two-core rows tie.
+	// through eight buffers so it is never cache-resident; CHANGES.md)
+	// has the row blocks ahead at every k up to 256 at -cpu 1 and -cpu 2;
+	// from 384 the two-core rows tie.
 	gemmSkinnyMaxK = 256
 	// gemmSkinnyStrip is the column width of one row-major strip: two
 	// ZMM vectors (16 float64 / 32 float32).
 	gemmSkinnyStrip = 128 / ElemBytes
 )
 
-// gemmSkinnyOK reports whether a product with an m-row left operand
-// takes the skinny path: a pure function of the live tier and m.
-func gemmSkinnyOK(m int) bool {
-	return m <= gemmSkinnyMaxM && gemmTier == tierAVX512
-}
-
-// gemmSkinnyT1OK reports whether aᵀ·b with a k-row a takes the skinny
-// path: a pure function of the live tier and k.
-func gemmSkinnyT1OK(k int) bool {
-	return k <= gemmSkinnyMaxK && gemmTier == tierAVX512
+// gemmSkinnyOK reports whether a product whose batch dimension — the
+// left operand's rows for MatMul* and MatMulT2*, k for MatMulT1* — is m
+// takes the skinny path, given that product's cut: a pure function of
+// the live tier and m.
+func gemmSkinnyOK(m, cut int) bool {
+	return m <= cut && gemmTier == tierAVX512
 }
 
 // The three products the skinny path takes, named by what a chunk of

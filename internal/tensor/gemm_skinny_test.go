@@ -18,8 +18,9 @@ import (
 // covers every remainder class of the dot kernel's vector step
 // (including k below one vector — the 10-wide class head's input
 // gradient), n every ragged strip and the odd column of a column pair,
-// and m one, two and three row blocks, ragged and full, and the first
-// row count past the cut-over. For the weight gradient aᵀ·b — x, the
+// and m one, two and three row blocks, ragged and full, and both sides
+// of each product's cut-over (36 for a·bᵀ; 64, a ragged sixth block,
+// for a·b). For the weight gradient aᵀ·b — x, the
 // gradient and dW each against a guard page — m is ragged against the
 // 12-row block, and k runs from one row to one past its cut-over.
 func TestSkinnyStaysInBounds(t *testing.T) {
@@ -36,15 +37,16 @@ func TestSkinnyStaysInBounds(t *testing.T) {
 		}
 		return w
 	}
-	batchM := []int{1, 7, 10, gemmSkinnyM, 13, 20, 24, gemmSkinnyMaxM, gemmSkinnyMaxM + 1}
+	pairsM := []int{1, 7, 10, gemmSkinnyM, 13, 20, 24, gemmSkinnyMaxPairs, gemmSkinnyMaxPairs + 1}
+	stripsM := append(pairsM, gemmSkinnyMaxStrips-1, gemmSkinnyMaxStrips, gemmSkinnyMaxStrips+1)
 	dotK := []int{1, 10, lanes - 1, lanes, 2*lanes + 1, 3*lanes - 1}
 	for _, kc := range []struct {
 		name       string
 		kind       int
 		ms, ks, ns []int
 	}{
-		{"t2=false", skinnyStrips, batchM, dotK, []int{1, 10, 11, strip - 1, strip + 1}},
-		{"t2=true", skinnyPairs, batchM, dotK, []int{1, 10, 11, strip - 1, strip + 1}},
+		{"t2=false", skinnyStrips, stripsM, dotK, []int{1, 10, 11, strip - 1, strip + 1}},
+		{"t2=true", skinnyPairs, pairsM, dotK, []int{1, 10, 11, strip - 1, strip + 1}},
 		{"t1", skinnyBlocks, []int{1, gemmSkinnyM + 1, 2*gemmSkinnyM + 5}, []int{1, 10, 20, gemmSkinnyMaxK, gemmSkinnyMaxK + 1}, []int{1, 10, strip - 1, strip + 1}},
 	} {
 		for _, m := range kc.ms {
@@ -120,24 +122,24 @@ func skinnyBatches(cut int) []int {
 }
 
 // TestSkinnyMatchesReference walks the batch dimension across the
-// skinny cut-overs at the PaperMLP layer shapes and two ragged ones, for
-// the six entry points that can take the skinny path, under every
-// kernel tier: the left operand's row count for a·b and a·bᵀ (every
-// count of the first block, each later block boundary, gemmSkinnyMaxM+1)
-// and k for aᵀ·b (the same walk up to gemmSkinnyMaxK+1). The four
-// widest layers take a handful of sizes past the first block instead of
-// the whole walk, to keep the reference affordable under -race. Both
+// skinny cut-overs at the PaperMLP layer shapes and two ragged ones,
+// for the six entry points that can take the skinny path, under every
+// kernel tier: the left operand's row count for a·b (every count of the
+// first block, each later block boundary, gemmSkinnyMaxStrips±1) and
+// a·bᵀ (the same up to gemmSkinnyMaxPairs+1) and k for aᵀ·b (the same
+// walk up to gemmSkinnyMaxK+1). The four widest layers take a handful
+// of sizes past the first block and both sides of the a·bᵀ cut instead
+// of the whole walk, to keep the reference affordable under -race. Both
 // sides of a cut must agree with the reference, whichever path a tier
 // dispatches to.
 func TestSkinnyMatchesReference(t *testing.T) {
-	const mMax = gemmSkinnyMaxM + 1
 	rng := rand.New(rand.NewSource(43))
 	type layer struct {
 		k, n             int
-		a, b, bt, c      *Tensor // mMax-row operands; products use row prefixes
+		ms, msT2         []int   // row counts walked for a·b and a·bᵀ
+		a, b, bt, c      *Tensor // max(ms)-row operands; products use row prefixes
 		want, wantT2     *Tensor
 		wantAdd, wantT2A *Tensor
-		ms               []int // row counts walked for a·b and a·bᵀ
 		// aᵀ·b: x is (batch, k) and g (batch, n) for each batch size,
 		// dW (k, n).
 		batches  []int
@@ -147,18 +149,21 @@ func TestSkinnyMatchesReference(t *testing.T) {
 	var layers []*layer
 	for _, kn := range [][2]int{{100, 512}, {512, 512}, {512, 784}, {784, 512}, {512, 10}, {45, 37}, {301, 19}} {
 		l := &layer{k: kn[0], n: kn[1]}
-		l.a, l.b, l.bt = randTensor(rng, mMax, l.k), randTensor(rng, l.k, l.n), randTensor(rng, l.n, l.k)
-		l.c = randTensor(rng, mMax, l.n)
-		l.want, l.wantT2 = refMatMul(l.a, l.b, false, false), refMatMul(l.a, l.bt, false, true)
-		l.wantAdd, l.wantT2A = l.c.Clone(), l.c.Clone()
+		l.ms, l.msT2 = skinnyBatches(gemmSkinnyMaxStrips), skinnyBatches(gemmSkinnyMaxPairs)
+		l.batches = skinnyBatches(gemmSkinnyMaxK)
+		if l.k*l.n >= 100*512 {
+			l.ms = append(skinnyBatches(0), 20, gemmSkinnyMaxPairs, gemmSkinnyMaxPairs+1)
+			l.msT2 = l.ms
+			l.batches = []int{1, 10, gemmSkinnyM + 1, 20}
+		}
+		m, mT2 := l.ms[len(l.ms)-1], l.msT2[len(l.msT2)-1]
+		l.a, l.b, l.bt = randTensor(rng, m, l.k), randTensor(rng, l.k, l.n), randTensor(rng, l.n, l.k)
+		l.c = randTensor(rng, m, l.n)
+		l.want, l.wantT2 = refMatMul(l.a, l.b, false, false), refMatMul(rowPrefix(l.a, mT2), l.bt, false, true)
+		l.wantAdd, l.wantT2A = l.c.Clone(), rowPrefix(l.c, mT2).Clone()
 		l.wantAdd.AddInPlace(l.want)
 		l.wantT2A.AddInPlace(l.wantT2)
 
-		l.ms, l.batches = skinnyBatches(gemmSkinnyMaxM), skinnyBatches(gemmSkinnyMaxK)
-		if l.k*l.n >= 100*512 {
-			l.ms = append(skinnyBatches(0), 20, mMax)
-			l.batches = []int{1, 10, gemmSkinnyM + 1, 20}
-		}
 		bMax := l.batches[len(l.batches)-1]
 		l.x, l.g, l.dw = randTensor(rng, bMax, l.k), randTensor(rng, bMax, l.n), randTensor(rng, l.k, l.n)
 		for _, b := range l.batches {
@@ -169,25 +174,25 @@ func TestSkinnyMatchesReference(t *testing.T) {
 	kernelVariants(t, func(t *testing.T) {
 		for _, l := range layers {
 			tol := Tol(1e-12, 2e-4) * float64(l.k)
-			for _, m := range l.ms {
-				a := rowPrefix(l.a, m)
-				for _, c := range []struct {
-					name string
-					run  func(out, x, y *Tensor)
-					b    *Tensor
-					add  bool
-					want *Tensor
-				}{
-					{"MatMulInto", MatMulInto, l.b, false, l.want},
-					{"MatMulAdd", MatMulAdd, l.b, true, l.wantAdd},
-					{"MatMulT2Into", MatMulT2Into, l.bt, false, l.wantT2},
-					{"MatMulT2Add", MatMulT2Add, l.bt, true, l.wantT2A},
-				} {
+			for _, c := range []struct {
+				name string
+				run  func(out, x, y *Tensor)
+				ms   []int
+				b    *Tensor
+				add  bool
+				want *Tensor
+			}{
+				{"MatMulInto", MatMulInto, l.ms, l.b, false, l.want},
+				{"MatMulAdd", MatMulAdd, l.ms, l.b, true, l.wantAdd},
+				{"MatMulT2Into", MatMulT2Into, l.msT2, l.bt, false, l.wantT2},
+				{"MatMulT2Add", MatMulT2Add, l.msT2, l.bt, true, l.wantT2A},
+			} {
+				for _, m := range c.ms {
 					got := New(m, l.n)
 					if c.add {
 						copy(got.Data, l.c.Data)
 					}
-					c.run(got, a, c.b)
+					c.run(got, rowPrefix(l.a, m), c.b)
 					if !got.Equal(rowPrefix(c.want, m), tol) {
 						t.Fatalf("%s %dx%dx%d: mismatch", c.name, m, l.k, l.n)
 					}
@@ -221,7 +226,7 @@ func rowPrefix(x *Tensor, m int) *Tensor { return FromSlice(x.Data[:m*x.Dim(1)],
 // stacked — allocates nothing, inline or fanned out over four
 // processors.
 func TestSkinnySteadyStateAllocs(t *testing.T) {
-	if !gemmSkinnyOK(20) || !gemmSkinnyT1OK(20) {
+	if !gemmSkinnyOK(20, gemmSkinnyMaxPairs) || !gemmSkinnyOK(20, gemmSkinnyMaxK) {
 		t.Skipf("skinny path not live on this tier (%s)", GemmKernel())
 	}
 	prevProcs := runtime.GOMAXPROCS(0)

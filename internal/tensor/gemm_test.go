@@ -253,6 +253,8 @@ func TestGemmBitwiseAcrossGOMAXPROCS(t *testing.T) {
 		{10, 512, 785, "T2"},
 		{20, 784, 512, ""},
 		{784, 20, 512, "T1"},
+		// The served generator's bulk batch: six row blocks per strip.
+		{64, 128, 784, ""},
 	}
 	for _, name := range GemmKernels() {
 		t.Run(name, func(t *testing.T) {
@@ -491,11 +493,13 @@ func TestPackersMatchReference(t *testing.T) {
 // paper-batch Dense products of the MNIST MLP discriminator's input
 // layer: forward x·W, input gradient g·Wᵀ and weight gradient xᵀ·g. The
 // rows after them sweep the batch dimension across the skinny cut-overs:
-// the left operand's row count for the first two (m ≤ gemmSkinnyMaxM =
-// 36 reads the 784×512 weight in place on the avx512 tier, in 12-row
-// blocks; m = 48 packs it; m = 1 is mdgan-serve's un-fused request, 20
-// a discriminator step's real and generated rows stacked) and k for the
-// weight gradient (k ≤ gemmSkinnyMaxK = 256 streams dW in row blocks).
+// the left operand's row count for the first two (on the avx512 tier
+// m ≤ gemmSkinnyMaxStrips = 64 reads the 784×512 weight in place for
+// x·W, m ≤ gemmSkinnyMaxPairs = 36 for g·Wᵀ, in 12-row blocks; past
+// that it is packed; m = 1 is mdgan-serve's un-fused request, 20 a
+// discriminator step's real and generated rows stacked), the served
+// generator's three forward products at m = 36…80, and k for the weight
+// gradient (k ≤ gemmSkinnyMaxK = 256 streams dW in row blocks).
 func BenchmarkGEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	type gemmCase struct {
@@ -513,10 +517,15 @@ func BenchmarkGEMM(b *testing.B) {
 		{"T2/", 10, 512, 784, MatMulT2Into, [2]int{10, 512}, [2]int{784, 512}},
 		{"T1Add/", 784, 10, 512, MatMulT1Add, [2]int{10, 784}, [2]int{10, 512}},
 	}
-	for _, m := range []int{1, 4, 12, 13, 16, 20, 24, 32, 48} {
+	for _, m := range []int{1, 4, 12, 13, 16, 20, 24, 32, 36, 48, 64, 80} {
 		cases = append(cases,
 			gemmCase{"", m, 784, 512, MatMulInto, [2]int{m, 784}, [2]int{784, 512}},
 			gemmCase{"T2/", m, 512, 784, MatMulT2Into, [2]int{m, 512}, [2]int{784, 512}})
+	}
+	for _, m := range []int{36, 48, 64, 80} {
+		for _, kn := range [][2]int{{32, 128}, {128, 128}, {128, 784}} {
+			cases = append(cases, gemmCase{"", m, kn[0], kn[1], MatMulInto, [2]int{m, kn[0]}, [2]int{kn[0], kn[1]}})
+		}
 	}
 	for _, k := range []int{20, 32, 64, 128} {
 		cases = append(cases, gemmCase{"T1Add/", 784, k, 512, MatMulT1Add, [2]int{k, 784}, [2]int{k, 512}})

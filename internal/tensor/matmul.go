@@ -17,9 +17,10 @@ import (
 //  2. small products → the legacy column-tiled 4-wide kernels below
 //     (packing two operands costs more than it saves under
 //     gemmMinWork multiply-adds);
-//  3. a·b and a·bᵀ with at most gemmSkinnyMaxM rows of a, and aᵀ·b
-//     with at most gemmSkinnyMaxK rows of a (a weight gradient: k is
-//     the batch), on the AVX-512 tier → the skinny kernels
+//  3. a·b with at most gemmSkinnyMaxStrips (64) rows of a, a·bᵀ with at
+//     most gemmSkinnyMaxPairs (36), and aᵀ·b with at most
+//     gemmSkinnyMaxK (256) rows of a (a weight gradient: k is the
+//     batch), on the AVX-512 tier → the skinny kernels
 //     (gemm_skinny.go), which read the large operand in place instead
 //     of packing it for a handful of rows;
 //  4. everything else → the packed, register-blocked GEMM (gemm.go),
@@ -136,7 +137,7 @@ func matMulInto(out, a, b *Tensor, m, k, n int, accumulate bool) {
 		return
 	}
 	if m*k*n >= gemmMinWork {
-		if gemmSkinnyOK(m) {
+		if gemmSkinnyOK(m, gemmSkinnyMaxStrips) {
 			gemmSkinny(out.Data, n, m, n, k, a.Data, b.Data, skinnyStrips, accumulate)
 			return
 		}
@@ -281,7 +282,7 @@ func matMulT1Into(out, a, b *Tensor, k, m, n int, accumulate bool) {
 		return
 	}
 	if m*k*n >= gemmMinWork {
-		if gemmSkinnyT1OK(k) {
+		if gemmSkinnyOK(k, gemmSkinnyMaxK) {
 			gemmSkinny(out.Data, n, m, n, k, a.Data, b.Data, skinnyBlocks, accumulate)
 			return
 		}
@@ -414,7 +415,7 @@ func matMulT2Into(out, a, b *Tensor, m, k, n int, accumulate bool) {
 		return
 	}
 	if m*k*n >= gemmMinWork {
-		if gemmSkinnyOK(m) {
+		if gemmSkinnyOK(m, gemmSkinnyMaxPairs) {
 			gemmSkinny(out.Data, n, m, n, k, a.Data, b.Data, skinnyPairs, accumulate)
 			return
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // Serialisation uses a small explicit binary framing (dtype byte, shape
@@ -23,7 +24,16 @@ import (
 // The hot wire paths (MD-GAN batches, feedbacks and swaps every
 // iteration) use AppendBinary into exact-size buffers and the in-place
 // decoders, so steady-state messaging neither grows bytes.Buffers nor
-// allocates intermediate payload scratch.
+// allocates intermediate payload scratch: a decode into a tensor that
+// already has the capacity allocates nothing, from a *bytes.Reader, a
+// bufio.Reader or any other reader (TestDecodeSteadyStateAllocs).
+//
+// The decoders' scratch — header bytes, dims, the decoded shape and the
+// payload chunk — is pooled (frameScratch), not on the stack: it is
+// handed to io.ReadFull, a call through the io.Reader interface that
+// escape analysis cannot see through, so stack arrays would move to the
+// heap on every call (8,292 B in four allocations per frame, 2.2 µs to
+// decode 32 elements against 35 ns to encode them).
 
 // Wire dtype bytes. The values are chosen outside 1..8 (a legacy
 // frame's first byte is its rank) so the two framings self-distinguish.
@@ -95,13 +105,23 @@ func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
 // and the constant itself fits a 32-bit int.
 const maxDecodeVol = 1 << 30
 
+// frameScratch is one decode's scratch; see the file comment.
+type frameScratch struct {
+	hdr   [4]byte
+	dims  [32]byte
+	shape [8]int
+	chunk [8192]byte // divisible by both element widths
+	br    bytes.Reader
+}
+
+var frameScratchPool = sync.Pool{New: func() any { return new(frameScratch) }}
+
 // readHeader parses the dtype/rank/dims framing, returning the wire
-// dtype, the shape (decoded into shapeBuf when its capacity suffices)
-// and the volume. A first byte in 1..8 selects the legacy pre-dtype
-// framing: the byte is the low byte of the rank word and the payload is
-// float64.
-func readHeader(r io.Reader, shapeBuf []int) (dt byte, shape []int, vol int, read int64, err error) {
-	var hdr [4]byte
+// dtype, the shape (in sc.shape, valid until sc is reused) and the
+// volume. A first byte in 1..8 selects the legacy pre-dtype framing: the
+// byte is the low byte of the rank word and the payload is float64.
+func readHeader(r io.Reader, sc *frameScratch) (dt byte, shape []int, vol int, read int64, err error) {
+	hdr := sc.hdr[:]
 	if _, err = io.ReadFull(r, hdr[:1]); err != nil {
 		return 0, nil, 0, 0, fmt.Errorf("tensor: read dtype: %w", err)
 	}
@@ -122,16 +142,16 @@ func readHeader(r io.Reader, shapeBuf []int) (dt byte, shape []int, vol int, rea
 		}
 		read += 3
 	}
-	rank := int(binary.LittleEndian.Uint32(hdr[:]))
+	rank := int(binary.LittleEndian.Uint32(hdr))
 	if rank <= 0 || rank > 8 {
 		return 0, nil, 0, read, fmt.Errorf("tensor: implausible rank %d", rank)
 	}
-	var dims [32]byte
-	if _, err = io.ReadFull(r, dims[:4*rank]); err != nil {
+	dims := sc.dims[:4*rank]
+	if _, err = io.ReadFull(r, dims); err != nil {
 		return 0, nil, 0, read, fmt.Errorf("tensor: read dims: %w", err)
 	}
 	read += int64(4 * rank)
-	shape = shapeBuf[:0]
+	shape = sc.shape[:0]
 	vol = 1
 	for i := 0; i < rank; i++ {
 		d := int(binary.LittleEndian.Uint32(dims[4*i:]))
@@ -148,11 +168,11 @@ func readHeader(r io.Reader, shapeBuf []int) (dt byte, shape []int, vol int, rea
 }
 
 // readPayload streams len(data) elements of wire dtype dt from r into
-// data using a fixed stack chunk, converting to the compiled element
-// width and avoiding a payload-sized byte scratch.
-func readPayload(r io.Reader, data []Elem, dt byte) (int64, error) {
+// data through sc's chunk, converting to the compiled element width and
+// avoiding a payload-sized byte scratch.
+func readPayload(r io.Reader, data []Elem, dt byte, sc *frameScratch) (int64, error) {
 	es := dtypeSize(dt)
-	var chunk [8192]byte // divisible by both element widths
+	chunk := sc.chunk[:]
 	read := int64(0)
 	for off := 0; off < len(data); {
 		want := (len(data) - off) * es
@@ -184,10 +204,11 @@ func readPayload(r io.Reader, data []Elem, dt byte) (int64, error) {
 // decoding repeatedly into the same tensor reaches a steady state with
 // no allocation. It implements io.ReaderFrom.
 func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
-	// Decode the header into a local scratch so a mid-header error
-	// cannot leave t with a half-updated shape.
-	var shapeBuf [8]int
-	dt, shape, vol, read, err := readHeader(r, shapeBuf[:0])
+	// Decode the header into the scratch so a mid-header error cannot
+	// leave t with a half-updated shape.
+	sc := frameScratchPool.Get().(*frameScratch)
+	defer frameScratchPool.Put(sc)
+	dt, shape, vol, read, err := readHeader(r, sc)
 	if err != nil {
 		return read, err
 	}
@@ -203,12 +224,8 @@ func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 	} else {
 		t.Data = make([]Elem, vol)
 	}
-	n, err := readPayload(r, t.Data, dt)
-	read += n
-	if err != nil {
-		return read, err
-	}
-	return read, nil
+	n, err := readPayload(r, t.Data, dt, sc)
+	return read + n, err
 }
 
 // ReadInPlace decodes a frame whose shape must equal t's, streaming the
@@ -216,20 +233,20 @@ func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 // primitive: a worker adopting a peer's discriminator decodes every
 // parameter straight into its own storage.
 func (t *Tensor) ReadInPlace(r io.Reader) (int64, error) {
-	dt, read, err := t.readOwnHeader(r)
+	sc := frameScratchPool.Get().(*frameScratch)
+	defer frameScratchPool.Put(sc)
+	dt, read, err := t.readOwnHeader(r, sc)
 	if err != nil {
 		return read, err
 	}
-	n, err := readPayload(r, t.Data, dt)
-	read += n
-	return read, err
+	n, err := readPayload(r, t.Data, dt, sc)
+	return read + n, err
 }
 
 // readOwnHeader reads a frame header from r and checks it announces
 // exactly t's shape.
-func (t *Tensor) readOwnHeader(r io.Reader) (dt byte, read int64, err error) {
-	var shapeBuf [8]int
-	dt, shape, _, read, err := readHeader(r, shapeBuf[:0])
+func (t *Tensor) readOwnHeader(r io.Reader, sc *frameScratch) (dt byte, read int64, err error) {
+	dt, shape, _, read, err := readHeader(r, sc)
 	if err != nil {
 		return 0, read, err
 	}
@@ -250,8 +267,11 @@ func (t *Tensor) readOwnHeader(r io.Reader) (dt byte, read int64, err error) {
 // and an error otherwise. Nothing is written: a decoder that must not
 // leave its target half-updated checks every frame first.
 func (t *Tensor) CheckFrame(p []byte) (int, error) {
-	r := bytes.NewReader(p)
-	dt, read, err := t.readOwnHeader(r)
+	sc := frameScratchPool.Get().(*frameScratch)
+	defer frameScratchPool.Put(sc)
+	sc.br.Reset(p)
+	dt, read, err := t.readOwnHeader(&sc.br, sc)
+	sc.br.Reset(nil)
 	if err != nil {
 		return 0, err
 	}

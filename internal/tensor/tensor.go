@@ -52,6 +52,12 @@
 // gemm.go's file comment specifies the packing layout, the micro-kernel
 // contract, the parallel split (panel-aligned, cooperatively packed
 // tasks) and the recipe for adding a new architecture's kernel.
+//
+// Element-wise work is plain Go loops, with one exception: TanhInto, the
+// image generators' output activation, runs an AVX-512 kernel on the
+// avx512 tier (elem.go; elem_amd64.h instantiated per dtype, float32
+// computed in float32). It is within 2 ulp of math.Tanh and exact in
+// sign, range and NaN; every other tier keeps the math.Tanh loop.
 package tensor
 
 import (

@@ -44,7 +44,13 @@
 #                               the batch dimension across each
 #                               cut-over against the reference, bitwise
 #                               across GOMAXPROCS, zero steady-state
-#                               allocs). No recorded catch.
+#                               allocs), and tanh, which the avx512
+#                               tier computes in its own kernel and
+#                               every other tier with math.Tanh
+#                               (internal/tensor: accuracy, exact
+#                               properties, guard-page bounds, allocs),
+#                               beside the rectifiers' branch-free
+#                               select (internal/nn). No recorded catch.
 #   GOMAXPROCS=4                the same gates with intra-GEMM fan-out
 #                               forced on, whatever the host's CPU
 #                               count: the strict replay must stay
@@ -107,12 +113,13 @@ engine_gates() { # $1 = label, $2.. = go test args
         ./internal/core
     # The paths a non-default tier or fan-out reaches nowhere else: the
     # restricted backward passes, the one-pass discriminator step, the
-    # packers' tile-width fast paths and the skinny kernels (strips,
-    # column pairs and dW row blocks fan out at GOMAXPROCS=4; a forced
-    # tier moves the cut-overs' other side).
+    # packers' tile-width fast paths, the skinny kernels (strips, column
+    # pairs and dW row blocks fan out at GOMAXPROCS=4; a forced tier
+    # moves the cut-overs' other side) and the element-wise tier (the
+    # avx512 tanh kernel, math.Tanh on the others; the rectifiers).
     go test "$@" -count=1 \
-        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestDiscStepFusedMatchesTwoPass|TestDiscStepIgnoresStaleGrads|TestPackersMatchReference|TestSkinnyStaysInBounds|TestSkinnyMatchesReference|TestSkinnySteadyStateAllocs|TestGemmBitwiseAcrossGOMAXPROCS' \
-        ./internal/gan ./internal/tensor
+        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestDiscStepFusedMatchesTwoPass|TestDiscStepIgnoresStaleGrads|TestPackersMatchReference|TestSkinnyStaysInBounds|TestSkinnyMatchesReference|TestSkinnySteadyStateAllocs|TestGemmBitwiseAcrossGOMAXPROCS|TestTanhAccuracy|TestTanhProperties|TestTanhStaysInBounds|TestTanhAllocs|TestRectifierMatchesBranch' \
+        ./internal/gan ./internal/nn ./internal/tensor
 }
 
 run_suite() { # $1 = dtype name, $2 = go build tags ("" for none)
