@@ -40,10 +40,18 @@ type AdamConfig struct {
 // Adam implements the Adam optimiser with bias-corrected first and
 // second moment estimates.
 type Adam struct {
-	cfg  AdamConfig // resolved: no zero field
-	t    int
-	m, v map[*nn.Param][]float64
+	cfg AdamConfig // resolved: no zero field
+	t   int
+	mom map[*nn.Param]moments
 }
+
+// moments are one parameter's first and second moment estimates. They
+// are float64 regardless of the compiled tensor Elem — the
+// correctness-sensitive half of the mixed-precision design: v holds
+// squared gradients (whose dynamic range underflows float32 long before
+// the gradients themselves do) and both moments integrate tiny
+// (1−β)-scaled contributions that float32 would round away.
+type moments struct{ m, v []float64 }
 
 // NewAdam returns an Adam optimiser with the given config.
 func NewAdam(cfg AdamConfig) *Adam {
@@ -56,57 +64,36 @@ func NewAdam(cfg AdamConfig) *Adam {
 	if cfg.Beta2 == 0 {
 		cfg.Beta2 = 0.999
 	}
-	return &Adam{
-		cfg: cfg,
-		m:   make(map[*nn.Param][]float64), v: make(map[*nn.Param][]float64),
-	}
+	return &Adam{cfg: cfg, mom: make(map[*nn.Param]moments)}
 }
 
-// Step applies one Adam update to all parameters.
+// Step applies one Adam update to all parameters through
+// tensor.AdamUpdate, which holds the rule. The bias corrections are
+// applied as reciprocal multiplies; only the final denominator needs a
+// real division.
 func (a *Adam) Step(params []*nn.Param) {
 	a.t++
-	c1 := 1 - math.Pow(a.cfg.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.cfg.Beta2, float64(a.t))
+	s := tensor.AdamStep{
+		B1: a.cfg.Beta1, B2: a.cfg.Beta2, LR: a.cfg.LR, Eps: adamEps,
+		IC1: 1 / (1 - math.Pow(a.cfg.Beta1, float64(a.t))),
+		IC2: 1 / (1 - math.Pow(a.cfg.Beta2, float64(a.t))),
+	}
 	for _, p := range params {
-		m := a.m[p]
-		v := a.v[p]
-		if m == nil {
-			m = make([]float64, p.W.Size())
-			v = make([]float64, p.W.Size())
-			a.m[p] = m
-			a.v[p] = v
+		mo, ok := a.mom[p]
+		if !ok {
+			mo = moments{make([]float64, p.W.Size()), make([]float64, p.W.Size())}
+			a.mom[p] = mo
 		}
 		w, g := p.W.Data, p.Grad.Data
 		if len(g) < parGrain {
-			a.update(w, g, m, v, c1, c2, 0, len(g))
+			tensor.AdamUpdate(w, g, mo.m, mo.v, s)
 			continue
 		}
 		// Split at half the fan-out threshold so one chunk still
 		// amortises the hand-off while an idle helper can take its share
 		// of several workers' optimiser steps running concurrently.
-		parallel.ForGrain(len(g), parGrain/2, func(s, e int) {
-			a.update(w, g, m, v, c1, c2, s, e)
+		parallel.ForGrain(len(g), parGrain/2, func(lo, hi int) {
+			tensor.AdamUpdate(w[lo:hi], g[lo:hi], mo.m[lo:hi], mo.v[lo:hi], s)
 		})
-	}
-}
-
-// update applies the Adam rule to the index range [s, e). The bias
-// corrections are applied as reciprocal multiplies; only the final
-// denominator needs a real division. The moment vectors m and v are
-// float64 regardless of the compiled tensor Elem — this is the
-// correctness-sensitive half of the mixed-precision design: v holds
-// squared gradients (whose dynamic range underflows float32 long before
-// the gradients themselves do) and both moments integrate tiny
-// (1−β)-scaled contributions that float32 would round away.
-func (a *Adam) update(w, grad []tensor.Elem, m, v []float64, c1, c2 float64, s, e int) {
-	b1, b2, lr := a.cfg.Beta1, a.cfg.Beta2, a.cfg.LR
-	ic1, ic2 := 1/c1, 1/c2
-	for i := s; i < e; i++ {
-		g := float64(grad[i])
-		mi := b1*m[i] + (1-b1)*g
-		vi := b2*v[i] + (1-b2)*g*g
-		m[i] = mi
-		v[i] = vi
-		w[i] -= tensor.Elem(lr * (mi * ic1) / (math.Sqrt(vi*ic2) + adamEps))
 	}
 }

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -70,6 +71,32 @@ func TestAdamZeroGradIsNoOp(t *testing.T) {
 	}
 	if p.W.Data[0] != 3 {
 		t.Fatalf("zero gradient moved weight to %v", p.W.Data[0])
+	}
+}
+
+// BenchmarkAdam times Adam.Step on one parameter of 4k, 100k and 716k
+// elements (716k: the paper's MNIST generator) on the live kernel tier,
+// reporting ns per parameter. The avx512 tier runs the vector kernel;
+// MDGAN_GEMM_KERNEL=avx2 times the scalar loop.
+func BenchmarkAdam(b *testing.B) {
+	rng := rand.New(rand.NewSource(79))
+	for _, n := range []int{4 << 10, 100_000, 716_000} {
+		w, g := make([]float64, n), make([]float64, n)
+		for i := range w {
+			w[i], g[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		p := []*nn.Param{paramWithGrad(w, g)}
+		b.Run(fmt.Sprintf("%s/n=%dk", tensor.GemmKernel(), n/1000), func(b *testing.B) {
+			a := NewAdam(AdamConfig{})
+			a.Step(p) // allocates the moments
+			b.ResetTimer()
+			// Not b.Loop: in a sub-benchmark under go1.24 it times the
+			// first call, before -cpu has set GOMAXPROCS.
+			for i := 0; i < b.N; i++ {
+				a.Step(p)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/param")
+		})
 	}
 }
 

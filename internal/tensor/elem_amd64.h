@@ -1,10 +1,11 @@
 // Element-wise AVX-512 kernels, shared by the float64 and float32
 // builds: elem_amd64_f64.s / elem_amd64_f32.s define the element width
 // (ESZ, LANES), the PD/PS mnemonics, the dtype's constant table
-// (elemConst<>, laid out by the slot numbers below) and its expm1
-// polynomial (EXPM1POLY), then include this file. See elem.go for when
-// these run. Constant operands are embedded broadcasts from elemConst<>
-// (R8), so the kernel holds no constant register.
+// (elemConst<>, laid out by the slot numbers below), its expm1
+// polynomial (EXPM1POLY) and how Adam widens and narrows an Elem
+// (ELOAD, ESUB), then include this file. See elem.go for when these
+// run. tanh's constant operands are embedded broadcasts from elemConst<>
+// (R8), so that kernel holds no constant register.
 
 // Slots of elemConst<>, in elements.
 #define SIGN   0
@@ -92,6 +93,87 @@ tail:
 	DECQ  AX
 	KMOVW AX, K1
 	TANHV(K1)
+
+done:
+	VZEROUPPER
+	RET
+
+// func adamAsm512(w, grad *Elem, m, v *float64, n int, k *[8]float64)
+//
+// One Adam step on i < n, 8 lanes per step whatever the dtype (the
+// moments are float64), the last n mod 8 through the K1 mask. k holds
+// β1, 1−β1, β2, 1−β2, lr, ic1, ic2, ε, broadcast into Z24–Z31. Each
+// step evaluates the scalar loop's expressions in its order, one
+// rounded multiply, add, sqrt or divide at a time and no FMA:
+//
+//   m = β1·m + (1−β1)·g
+//   v = β2·v + ((1−β2)·g)·g
+//   w = w − Elem((lr·(m·ic1)) / (√(v·ic2) + ε))
+//
+// IEEE multiply and add commute exactly and VSQRTPD and VDIVPD round
+// correctly, so w, m and v come out bit for bit as the scalar loop
+// leaves them. ELOAD widens g to float64; ESUB narrows the step to Elem
+// and subtracts it from w in Elem, as w[i] -= Elem(…) does.
+
+#define ADAMV(mask) \
+	ELOAD(mask, (SI), Z0, Y0); \
+	VMOVUPD.Z (R10), mask, Z1; \
+	VMOVUPD.Z (R11), mask, Z2; \
+	VMULPD    Z24, Z1, Z1; \
+	VMULPD    Z25, Z0, Z3; \
+	VADDPD    Z3, Z1, Z1; \
+	VMULPD    Z26, Z2, Z2; \
+	VMULPD    Z27, Z0, Z4; \
+	VMULPD    Z0, Z4, Z4; \
+	VADDPD    Z4, Z2, Z2; \
+	VMOVUPD   Z1, mask, (R10); \
+	VMOVUPD   Z2, mask, (R11); \
+	VMULPD    Z29, Z1, Z1; \
+	VMULPD    Z28, Z1, Z1; \
+	VMULPD    Z30, Z2, Z2; \
+	VSQRTPD   Z2, Z2; \
+	VADDPD    Z31, Z2, Z2; \
+	VDIVPD    Z2, Z1, Z1; \
+	ESUB(mask, Z1, Y1)
+
+TEXT ·adamAsm512(SB), NOSPLIT, $0-48
+	MOVQ         w+0(FP), DI
+	MOVQ         grad+8(FP), SI
+	MOVQ         m+16(FP), R10
+	MOVQ         v+24(FP), R11
+	MOVQ         n+32(FP), CX
+	MOVQ         k+40(FP), R8
+	VBROADCASTSD 0(R8), Z24
+	VBROADCASTSD 8(R8), Z25
+	VBROADCASTSD 16(R8), Z26
+	VBROADCASTSD 24(R8), Z27
+	VBROADCASTSD 32(R8), Z28
+	VBROADCASTSD 40(R8), Z29
+	VBROADCASTSD 48(R8), Z30
+	VBROADCASTSD 56(R8), Z31
+	KXNORW       K1, K1, K1
+	CMPQ         CX, $8
+	JLT          tail
+
+loop:
+	ADAMV(K1)
+	ADDQ $(8*ESZ), DI
+	ADDQ $(8*ESZ), SI
+	ADDQ $64, R10
+	ADDQ $64, R11
+	SUBQ $8, CX
+	CMPQ CX, $8
+	JGE  loop
+
+tail:
+	// K1: the n mod 8 lanes that remain, if any.
+	TESTQ CX, CX
+	JZ    done
+	MOVL  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K1
+	ADAMV(K1)
 
 done:
 	VZEROUPPER

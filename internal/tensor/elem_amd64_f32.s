@@ -2,9 +2,10 @@
 
 #include "textflag.h"
 
-// float32 instance of the element-wise AVX-512 kernels: 16 lanes per
-// ZMM, computed in float32 throughout. Constants are IEEE bit patterns;
-// elem_amd64.h names the slots.
+// float32 instance of the element-wise AVX-512 kernels: tanh takes 16
+// lanes per ZMM, computed in float32 throughout; Adam takes 8, computed
+// in float64 beside its float64 moments. Constants are IEEE bit
+// patterns; elem_amd64.h names the slots.
 
 #define ESZ        4
 #define LANES      16
@@ -47,5 +48,18 @@ GLOBL elemConst<>(SB), RODATA|NOPTR, $52
 	VFMADD213.BCST C(EXPC+2), r, p; \
 	VFMADD213.BCST C(EXPC+3), r, p; \
 	VFMADD213.BCST C(EXPC+4), r, p
+
+// Adam's Elem operands are 8 float32 lanes in a YMM: g widens exactly to
+// float64, and the step narrows (round to nearest, as Elem(…) does)
+// before the float32 subtract from w.
+#define ELOAD(mask, src, z, y) \
+	VMOVUPS.Z src, mask, y; \
+	VCVTPS2PD y, z
+
+#define ESUB(mask, d, dy) \
+	VCVTPD2PS d, dy; \
+	VMOVUPS.Z (DI), mask, Y5; \
+	VSUBPS    dy, Y5, Y5; \
+	VMOVUPS   Y5, mask, (DI)
 
 #include "elem_amd64.h"

@@ -57,4 +57,13 @@ GLOBL elemConst<>(SB), RODATA|NOPTR, $144
 	VFMADD213.BCST C(EXPC+8), r, p; \
 	VFMADD213.BCST C(EXPC+9), r, p
 
+// Adam's Elem operands are float64 already: 8 lanes load as they are,
+// and w −= d is one subtract.
+#define ELOAD(mask, src, z, y) VMOVUPD.Z src, mask, z
+
+#define ESUB(mask, d, dy) \
+	VMOVUPD.Z (DI), mask, Z5; \
+	VSUBPD    d, Z5, Z5; \
+	VMOVUPD   Z5, mask, (DI)
+
 #include "elem_amd64.h"

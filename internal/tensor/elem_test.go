@@ -102,7 +102,7 @@ func TestTanhAccuracy(t *testing.T) {
 	got := make([]Elem, len(xs))
 	kernelVariants(t, func(t *testing.T) {
 		bound := uint64(0)
-		if tanhVecOK() {
+		if elemVecOK() {
 			bound = tanhMaxULP
 		}
 		tanhElems(got, xs)
@@ -206,6 +206,113 @@ func TestTanhAllocs(t *testing.T) {
 	kernelVariants(t, func(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, func() { TanhInto(out, x) }); allocs != 0 {
 			t.Fatalf("TanhInto allocates %v times", allocs)
+		}
+	})
+}
+
+// adamSteps are steps 1–5 of bias correction under two hyper-parameter
+// sets: the defaults opt.NewAdam resolves to, and the β1 = 0.5 of GAN
+// practice with a larger rate.
+func adamSteps() []AdamStep {
+	var steps []AdamStep
+	for _, c := range []struct{ lr, b1, b2 float64 }{{1e-3, 0.9, 0.999}, {4e-3, 0.5, 0.99}} {
+		for t := 1; t <= 5; t++ {
+			steps = append(steps, AdamStep{
+				B1: c.b1, B2: c.b2, LR: c.lr, Eps: 1e-8,
+				IC1: 1 / (1 - math.Pow(c.b1, float64(t))),
+				IC2: 1 / (1 - math.Pow(c.b2, float64(t))),
+			})
+		}
+	}
+	return steps
+}
+
+// adamGrads fills g with a seeded mix of exact zeros, ±1e-30 (whose
+// square is far below any moment it meets), ±1e3 and normals scaled
+// across twelve decades.
+func adamGrads(rng *rand.Rand, g []Elem) {
+	for i := range g {
+		x := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-8))
+		switch rng.Intn(6) {
+		case 0:
+			x = 0
+		case 1:
+			x = math.Copysign(1e-30, x)
+		case 2:
+			x = math.Copysign(1e3, x)
+		}
+		g[i] = Elem(x)
+	}
+}
+
+// adamMismatch returns the first index at which the two updates' w, m
+// or v differ in any bit, or −1.
+func adamMismatch(w, wr []Elem, m, mr, v, vr []float64) int {
+	for i := range w {
+		if math.Float64bits(float64(w[i])) != math.Float64bits(float64(wr[i])) ||
+			math.Float64bits(m[i]) != math.Float64bits(mr[i]) ||
+			math.Float64bits(v[i]) != math.Float64bits(vr[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestAdamKernelMatchesScalar runs the ten steps of adamSteps, one
+// optimiser state carried through, via the live AdamUpdate and via the
+// scalar loop, under every tier, and requires w, m and v equal bit for
+// bit after each step:
+// on the avx512 tier that is the kernel against the rule, on the others
+// the dispatch keeping the loop. The lengths cover every tail of one and
+// two vectors, plus long runs.
+func TestAdamKernelMatchesScalar(t *testing.T) {
+	sizes := []int{63, 1000, 12345}
+	for n := 0; n <= 17; n++ {
+		sizes = append(sizes, n)
+	}
+	kernelVariants(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(71))
+		for _, n := range sizes {
+			w, g := make([]Elem, n), make([]Elem, n)
+			m, v := make([]float64, n), make([]float64, n)
+			for i := range w {
+				w[i] = Elem(rng.NormFloat64())
+			}
+			wr, mr, vr := append([]Elem(nil), w...), append([]float64(nil), m...), append([]float64(nil), v...)
+			for _, s := range adamSteps() {
+				adamGrads(rng, g)
+				AdamUpdate(w, g, m, v, s)
+				adamScalar(wr, g, mr, vr, s)
+				if i := adamMismatch(w, wr, m, mr, v, vr); i >= 0 {
+					t.Fatalf("n=%d, %+v, g[%d]=%v: w %v m %v v %v, scalar w %v m %v v %v",
+						n, s, i, g[i], w[i], m[i], v[i], wr[i], mr[i], vr[i])
+				}
+			}
+		}
+	})
+}
+
+// TestAdamStaysInBounds runs AdamUpdate on every length up to two
+// vectors and one element with w, g, m and v each ending where a guard
+// page begins: a load or store past the last element faults. The result
+// must still equal the scalar loop's bit for bit.
+func TestAdamStaysInBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	s := adamSteps()[2]
+	kernelVariants(t, func(t *testing.T) {
+		for n := 0; n <= 2*8+1; n++ {
+			w, g := guardedWindow(t, n), guardedWindow(t, n)
+			m, v := guarded[float64](t, n), guarded[float64](t, n)
+			for i := range w {
+				w[i], g[i] = Elem(rng.NormFloat64()), Elem(rng.NormFloat64())
+				m[i], v[i] = 0.1*rng.NormFloat64(), 0.01*math.Abs(rng.NormFloat64())
+			}
+			wr, mr, vr := append([]Elem(nil), w...), append([]float64(nil), m...), append([]float64(nil), v...)
+			AdamUpdate(w, g, m, v, s)
+			adamScalar(wr, g, mr, vr, s)
+			if i := adamMismatch(w, wr, m, mr, v, vr); i >= 0 {
+				t.Fatalf("n=%d: element %d w %v m %v v %v, scalar w %v m %v v %v", n, i, w[i], m[i], v[i], wr[i], mr[i], vr[i])
+			}
 		}
 	})
 }

@@ -52,6 +52,13 @@ func gemmDotAsm512(c *Elem, ldc int, a *Elem, lda int, b *Elem, ldb, k int, add 
 //go:noescape
 func tanhAsm512(dst, src *Elem, n int)
 
+// adamAsm512 is the AVX-512 Adam step (elem.go; elem_amd64.h): the
+// scalar rule on i < n, bit for bit, with k = β1, 1−β1, β2, 1−β2, lr,
+// ic1, ic2, ε. Only reachable on the tierAVX512 dispatch.
+//
+//go:noescape
+func adamAsm512(w, grad *Elem, m, v *float64, n int, k *[8]float64)
+
 // cpuidRaw executes CPUID for the given leaf/subleaf
 // (gemm_cpu_amd64.s).
 func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

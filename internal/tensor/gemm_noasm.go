@@ -38,8 +38,12 @@ func gemmDotAsm512(c *Elem, ldc int, a *Elem, lda int, b *Elem, ldb, k int, add 
 	panic("tensor: AVX-512 dot kernel called on a noasm build")
 }
 
-// tanhAsm512 exists so the tanh dispatch links; it is taken on
-// tierAVX512 only, so it is unreachable on this build.
+// tanhAsm512 and adamAsm512 exist so the element-wise dispatch links;
+// it is taken on tierAVX512 only, so both are unreachable on this build.
 func tanhAsm512(dst, src *Elem, n int) {
 	panic("tensor: AVX-512 tanh kernel called on a noasm build")
+}
+
+func adamAsm512(w, grad *Elem, m, v *float64, n int, k *[8]float64) {
+	panic("tensor: AVX-512 Adam kernel called on a noasm build")
 }

@@ -4,6 +4,8 @@ package tensor
 
 import "testing"
 
-// guardedWindow has no guard page to offer on this platform; see
-// guard_unix_test.go.
+// guardedWindow and guarded have no guard page to offer on this
+// platform; see guard_unix_test.go.
 func guardedWindow(t *testing.T, size int) []Elem { return make([]Elem, size) }
+
+func guarded[T any](t *testing.T, size int) []T { return make([]T, size) }

@@ -12,10 +12,15 @@ import (
 // last addressable one: the next byte lies in a PROT_NONE page, so any
 // load or store past the slice's end kills the test binary with a
 // fault instead of going unnoticed.
-func guardedWindow(t *testing.T, size int) []Elem {
+func guardedWindow(t *testing.T, size int) []Elem { return guarded[Elem](t, size) }
+
+// guarded is guardedWindow for any element type: Adam's moments are
+// float64 whatever Elem is.
+func guarded[T any](t *testing.T, size int) []T {
 	t.Helper()
+	esz := int(unsafe.Sizeof(*new(T)))
 	page := syscall.Getpagesize()
-	bytes := (size*ElemBytes + page - 1) / page * page
+	bytes := (size*esz + page - 1) / page * page
 	mem, err := syscall.Mmap(-1, 0, bytes+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		t.Fatalf("mmap: %v", err)
@@ -24,5 +29,5 @@ func guardedWindow(t *testing.T, size int) []Elem {
 	if err := syscall.Mprotect(mem[bytes:], syscall.PROT_NONE); err != nil {
 		t.Fatalf("mprotect: %v", err)
 	}
-	return unsafe.Slice((*Elem)(unsafe.Pointer(&mem[bytes-size*ElemBytes])), size)
+	return unsafe.Slice((*T)(unsafe.Pointer(&mem[bytes-size*esz])), size)
 }

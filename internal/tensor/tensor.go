@@ -53,11 +53,12 @@
 // contract, the parallel split (panel-aligned, cooperatively packed
 // tasks) and the recipe for adding a new architecture's kernel.
 //
-// Element-wise work is plain Go loops, with one exception: TanhInto, the
-// image generators' output activation, runs an AVX-512 kernel on the
-// avx512 tier (elem.go; elem_amd64.h instantiated per dtype, float32
-// computed in float32). It is within 2 ulp of math.Tanh and exact in
-// sign, range and NaN; every other tier keeps the math.Tanh loop.
+// Element-wise work is plain Go loops, with two exceptions that run
+// AVX-512 kernels on the avx512 tier (elem.go; elem_amd64.h instantiated
+// per dtype). TanhInto, the image generators' output activation, is
+// within 2 ulp of math.Tanh and exact in sign, range and NaN (float32
+// computed in float32). AdamUpdate, the optimiser's step, is bitwise
+// equal to its scalar loop. Every other tier keeps the Go loops.
 package tensor
 
 import (

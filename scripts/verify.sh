@@ -49,8 +49,13 @@
 #                               every other tier with math.Tanh
 #                               (internal/tensor: accuracy, exact
 #                               properties, guard-page bounds, allocs),
-#                               beside the rectifiers' branch-free
-#                               select (internal/nn). No recorded catch.
+#                               and the Adam step, which the avx512
+#                               tier computes in its own kernel and
+#                               every other tier in the scalar loop
+#                               (internal/tensor: bitwise against the
+#                               loop, guard-page bounds), beside the
+#                               rectifiers' branch-free select
+#                               (internal/nn). No recorded catch.
 #   GOMAXPROCS=4                the same gates with intra-GEMM fan-out
 #                               forced on, whatever the host's CPU
 #                               count: the strict replay must stay
@@ -116,9 +121,10 @@ engine_gates() { # $1 = label, $2.. = go test args
     # packers' tile-width fast paths, the skinny kernels (strips, column
     # pairs and dW row blocks fan out at GOMAXPROCS=4; a forced tier
     # moves the cut-overs' other side) and the element-wise tier (the
-    # avx512 tanh kernel, math.Tanh on the others; the rectifiers).
+    # avx512 tanh and Adam kernels, math.Tanh and the scalar Adam loop on
+    # the others; the rectifiers).
     go test "$@" -count=1 \
-        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestDiscStepFusedMatchesTwoPass|TestDiscStepIgnoresStaleGrads|TestPackersMatchReference|TestSkinnyStaysInBounds|TestSkinnyMatchesReference|TestSkinnySteadyStateAllocs|TestGemmBitwiseAcrossGOMAXPROCS|TestTanhAccuracy|TestTanhProperties|TestTanhStaysInBounds|TestTanhAllocs|TestRectifierMatchesBranch' \
+        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestDiscStepFusedMatchesTwoPass|TestDiscStepIgnoresStaleGrads|TestPackersMatchReference|TestSkinnyStaysInBounds|TestSkinnyMatchesReference|TestSkinnySteadyStateAllocs|TestGemmBitwiseAcrossGOMAXPROCS|TestTanhAccuracy|TestTanhProperties|TestTanhStaysInBounds|TestTanhAllocs|TestAdamKernelMatchesScalar|TestAdamStaysInBounds|TestRectifierMatchesBranch' \
         ./internal/gan ./internal/nn ./internal/tensor
 }
 
