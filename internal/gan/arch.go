@@ -262,14 +262,6 @@ func FacesCNN() Arch {
 	}
 }
 
-// ScaledFacesCNN is a lighter faces architecture for tests and quick
-// Fig. 6 runs.
-func ScaledFacesCNN() Arch {
-	a := ScaledCNN(3, 32, 0)
-	a.Name = "scaled-faces-cnn"
-	return a
-}
-
 // RingMLP is a tiny unconditional GAN for the 2-D Gaussian-ring toy
 // set — fast enough for unit tests and the quickstart example.
 func RingMLP() Arch {

@@ -307,9 +307,9 @@ type GAN struct {
 // stacked batch every row keeps the 1/b of its own half — not 1/2b —
 // and its target (1 for the real rows, 0 for the generated ones): the
 // loss and the gradient are those of the two passes, up to the order a
-// weight gradient's 2b terms are added in. With batch normalisation or
-// minibatch discrimination in D a row's output depends on its batch, so
-// the two batches stay two passes.
+// weight gradient's 2b terms are added in. Minibatch discrimination is
+// the only layer that couples rows: with it in D a row's output depends
+// on its batch, so the two batches stay two passes.
 func DiscStep(d *Discriminator, lc LossConfig, optD opt.Optimizer, xr *tensor.Tensor, lr []int, xg *tensor.Tensor, lg []int) float64 {
 	params := d.Params()
 	if d.onePass(xr, xg) {

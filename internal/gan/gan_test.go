@@ -29,9 +29,15 @@ func TestPaperMLPParamCountsExact(t *testing.T) {
 	}
 }
 
+// everyArch returns one of each Arch constructor, the CNN both
+// conditional and not.
+func everyArch() []Arch {
+	return []Arch{PaperMLP(), ScaledMLP(64), PaperCNNMNIST(), PaperCNNCIFAR(), ScaledCNN(1, 28, 10), ScaledCNN(3, 32, 10), FacesCNN(), ScaledCNN(3, 32, 0), RingMLP()}
+}
+
 func TestArchGeometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, a := range []Arch{PaperMLP(), ScaledMLP(64), PaperCNNMNIST(), PaperCNNCIFAR(), ScaledCNN(1, 28, 10), ScaledCNN(3, 32, 10), FacesCNN(), ScaledFacesCNN(), RingMLP()} {
+	for _, a := range everyArch() {
 		t.Run(a.Name, func(t *testing.T) {
 			g := a.NewGAN(2, nn.GenLossNonSaturating, 1)
 			x, labels := g.G.Generate(3, rng, true)
@@ -54,6 +60,47 @@ func TestArchGeometry(t *testing.T) {
 				}
 			} else if cls != nil {
 				t.Fatal("unconditional arch must not have a class head")
+			}
+		})
+	}
+}
+
+// TestBatchOneStaysFiniteOnEveryArch trains every architecture at b = 1:
+// minibatch discrimination is the only layer whose output depends on
+// the rest of the batch, and a batch of one must leave every loss and
+// parameter finite.
+func TestBatchOneStaysFiniteOnEveryArch(t *testing.T) {
+	for _, a := range everyArch() {
+		t.Run(a.Name, func(t *testing.T) {
+			g := a.NewGAN(3, nn.GenLossNonSaturating, 1)
+			optG := opt.NewAdam(opt.AdamConfig{LR: 1e-3})
+			optD := opt.NewAdam(opt.AdamConfig{LR: 1e-3})
+			rng := rand.New(rand.NewSource(4))
+			for it := 0; it < 3; it++ {
+				xr := tensor.New(append([]int{1}, a.OutShape...)...)
+				for i := range xr.Data {
+					xr.Data[i] = tensor.Elem(2*rng.Float64() - 1)
+				}
+				var lr []int
+				if a.Classes > 0 {
+					lr = []int{rng.Intn(a.Classes)}
+				}
+				xg, lg := g.G.Generate(1, rng, true)
+				if l := DiscStep(g.D, g.LossConfig, optD, xr, lr, xg, lg); math.IsNaN(l) || math.IsInf(l, 0) {
+					t.Fatalf("iteration %d: discriminator loss %v", it, l)
+				}
+				if l := GenStepLocal(g, optG, 1, rng); math.IsNaN(l) || math.IsInf(l, 0) {
+					t.Fatalf("iteration %d: generator loss %v", it, l)
+				}
+			}
+			for _, ps := range [][]*nn.Param{g.G.Params(), g.D.Params()} {
+				for _, p := range ps {
+					for i, v := range p.W.Data {
+						if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+							t.Fatalf("parameter %s[%d] = %v", p.Name, i, f)
+						}
+					}
+				}
 			}
 		})
 	}

@@ -170,16 +170,6 @@ func TestConvTranspose2DOutputPadGradients(t *testing.T) {
 	checkLayerGradients(t, l, randInput(rng, 2, 2, 4, 4), 1e-4)
 }
 
-func TestBatchNormGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	checkLayerGradients(t, NewBatchNorm(5), randInput(rng, 6, 5), 2e-4)
-}
-
-func TestBatchNorm2DGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	checkLayerGradients(t, NewBatchNorm(3), randInput(rng, 4, 3, 2, 2), 2e-4)
-}
-
 func TestMinibatchDiscriminationGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	l := NewMinibatchDiscrimination(6, 3, 2, rng)

@@ -72,8 +72,7 @@
 // so the matmul/im2col hot path moves half the bytes under the f32
 // build. Numerics that either span many elements or feed long-running
 // state deliberately stay float64 at any width: loss scalars and their
-// 1/n factors, batch-norm per-channel statistics (a channel's sum spans
-// N·spatial values), bias-gradient reductions inside the conv layers,
+// 1/n factors, bias-gradient reductions inside the conv layers,
 // transcendentals (computed via math on widened values, rounded on
 // store), and the optimiser moments in package opt. Test tolerances
 // follow the dtype through tensor.Tol(f64, f32): float64 asserts keep
@@ -214,8 +213,9 @@ func SetParamVector(ps []*Param, v []float64) error {
 // and returns the gradient with respect to the layer input, accumulating
 // parameter gradients as a side effect.
 type Layer interface {
-	// Forward computes the layer output. train selects training
-	// behaviour (batch statistics, dropout masks).
+	// Forward computes the layer output. train says a Backward may
+	// follow (the conv layers refuse a Backward after an inference
+	// Forward); no layer computes a different output under it.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward propagates grad (∂L/∂out) and returns ∂L/∂in.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
@@ -344,10 +344,8 @@ func (s *Sequential) RowWise() bool {
 }
 
 // rowWise reports whether l is a layer type known to treat the rows of
-// a training batch independently. BatchNorm (batch statistics) and
-// MinibatchDiscrimination (pairwise distances) couple them; so does
-// Dropout, whose mask for a row depends on how many draws the rows
-// before it took from a source other layers may share. A type this
+// a training batch independently. MinibatchDiscrimination (pairwise
+// distances) is the only layer here that couples them. A type this
 // package does not know — a decorator from outside it — is taken to
 // couple them too.
 func rowWise(l Layer) bool {

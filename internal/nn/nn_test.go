@@ -12,7 +12,6 @@ import (
 func smallNet(rng *rand.Rand) *Sequential {
 	return NewSequential(
 		NewDense(4, 6, rng),
-		NewBatchNorm(6),
 		NewLeakyReLU(0.2),
 		NewDense(6, 3, rng),
 	)
@@ -157,58 +156,6 @@ func TestGradientAccumulationIsAdditive(t *testing.T) {
 	}
 }
 
-func TestDropoutTrainEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	d := NewDropout(0.5, rng)
-	x := tensor.Ones(1, 1000)
-	yTrain := d.Forward(x, true)
-	zeros := 0
-	for _, v := range yTrain.Data {
-		if v == 0 {
-			zeros++
-		} else if v != 2 { // inverted dropout rescale 1/(1-0.5)
-			t.Fatalf("surviving activation = %v, want 2", v)
-		}
-	}
-	if zeros < 350 || zeros > 650 {
-		t.Fatalf("dropped %d of 1000, want ~500", zeros)
-	}
-	yEval := d.Forward(x, false)
-	if !yEval.Equal(x, 0) {
-		t.Fatal("eval mode must be identity")
-	}
-}
-
-func TestBatchNormRunningStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	bn := NewBatchNorm(4)
-	// Feed many training batches with mean 5, var 4.
-	for i := 0; i < 200; i++ {
-		x := tensor.New(16, 4)
-		for j := range x.Data {
-			x.Data[j] = tensor.Elem(5 + 2*rng.NormFloat64())
-		}
-		bn.Forward(x, true)
-	}
-	for c := 0; c < 4; c++ {
-		if m := float64(bn.RunMean.W.Data[c]); m < 4.5 || m > 5.5 {
-			t.Fatalf("running mean[%d] = %v, want ~5", c, m)
-		}
-		if v := float64(bn.RunVar.W.Data[c]); v < 3 || v > 5 {
-			t.Fatalf("running var[%d] = %v, want ~4", c, v)
-		}
-	}
-	// Eval mode on data with those stats should be ~standardised.
-	x := tensor.New(64, 4)
-	for j := range x.Data {
-		x.Data[j] = tensor.Elem(5 + 2*rng.NormFloat64())
-	}
-	y := bn.Forward(x, false)
-	if m := y.Mean(); m < -0.2 || m > 0.2 {
-		t.Fatalf("eval output mean %v, want ~0", m)
-	}
-}
-
 func TestMinibatchDiscriminationShapesAndRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	l := NewMinibatchDiscrimination(5, 4, 3, rng)
@@ -256,28 +203,5 @@ func TestConvShapes(t *testing.T) {
 	z := ct.Forward(y, true)
 	if z.Dim(1) != 3 || z.Dim(2) != 32 || z.Dim(3) != 32 {
 		t.Fatalf("transpose forward shape %v", z.Shape())
-	}
-}
-
-// Regression (PR 3): Dropout.Forward reused its Ensure'd output buffer
-// without writing zeros for dropped units, so from the second batch on,
-// dropped positions leaked the PREVIOUS batch's (scaled) activations.
-func TestDropoutZeroesDroppedUnitsAcrossBatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	d := NewDropout(0.5, rng)
-	// First pass fills the layer-owned buffer with non-zero survivors.
-	d.Forward(tensor.Full(7, 1, 512), true)
-	// Second pass: every output must be 0 (dropped) or exactly 2·3=6.
-	y := d.Forward(tensor.Full(3, 1, 512), true)
-	zeros := 0
-	for i, v := range y.Data {
-		if v == 0 {
-			zeros++
-		} else if v != 6 {
-			t.Fatalf("position %d leaked stale value %v (want 0 or 6)", i, v)
-		}
-	}
-	if zeros == 0 {
-		t.Fatal("no units dropped; test is vacuous")
 	}
 }

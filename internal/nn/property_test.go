@@ -90,40 +90,6 @@ func TestBCESymmetryProperty(t *testing.T) {
 	}
 }
 
-// Property: batch-norm training output has per-channel mean ~0 and
-// variance ~1 when γ=1, β=0.
-func TestBatchNormNormalisesProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := 1 + rng.Intn(4)
-		n := 8 + rng.Intn(8)
-		bn := NewBatchNorm(c)
-		x := randInput(rng, n, c)
-		// Shift/scale the raw data arbitrarily.
-		for i := range x.Data {
-			x.Data[i] = x.Data[i]*3 + 7
-		}
-		y := bn.Forward(x, true)
-		for ch := 0; ch < c; ch++ {
-			sum, sq := 0.0, 0.0
-			for i := 0; i < n; i++ {
-				v := y.At(i, ch)
-				sum += v
-				sq += v * v
-			}
-			mean := sum / float64(n)
-			variance := sq/float64(n) - mean*mean
-			if math.Abs(mean) > tensor.Tol(1e-6, 1e-4) || math.Abs(variance-1) > 1e-2 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: Conv2D with a 1×1 kernel, stride 1, no padding is exactly a
 // per-pixel Dense layer over channels.
 func TestConv1x1EqualsDenseProperty(t *testing.T) {

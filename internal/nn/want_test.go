@@ -57,8 +57,6 @@ func TestBackwardWantMatchesBackwardPerLayer(t *testing.T) {
 		{"Conv2D", NewConv2D(3, 9, 9, 5, 3, 2, 1, rng), []int{10, 3, 9, 9}},
 		{"ConvTranspose2D", NewConvTranspose2D(4, 5, 5, 3, 5, 2, 2, 1, rng), []int{10, 4, 5, 5}},
 		{"MinibatchDiscrimination", NewMinibatchDiscrimination(12, 4, 3, rng), []int{10, 12}},
-		{"BatchNorm", NewBatchNorm(6), []int{10, 6}},
-		{"BatchNorm-spatial", NewBatchNorm(3), []int{10, 3, 4, 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			x := randInput(rng, tc.in...)
@@ -251,9 +249,7 @@ func TestSequentialRowWise(t *testing.T) {
 		want  bool
 	}{
 		{"dense-conv-activations", nil, true},
-		{"BatchNorm", NewBatchNorm(4), false},
 		{"MinibatchDiscrimination", NewMinibatchDiscrimination(4, 2, 2, rng), false},
-		{"Dropout", NewDropout(0.5, rng), false},
 		{"unknown-decorator", plainLayer{NewTanh(), &calls}, false},
 	} {
 		layers := []Layer{

@@ -7,7 +7,7 @@ package tensor
 // `-tags f32` switches storage and compute to float32 (halving memory
 // traffic through the bandwidth-bound kernels) while keeping the
 // correctness-sensitive state — optimiser moments, loss/reduction
-// accumulators, batch-norm statistics — in float64.
+// accumulators — in float64.
 type Elem = float64
 
 const (

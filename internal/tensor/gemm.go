@@ -63,8 +63,7 @@ package tensor
 // A single GEMM call fans out on parallel.ForGrainRanger in units of
 // MR-row packed panels — the natural chunk boundary, since a task packs
 // exactly the A panels it owns into its own pool buffer. The grain is
-// sized so one task carries at least matMulGrain multiply-adds (cf.
-// mmRowGrain for the legacy kernels).
+// sized so one task carries at least matMulGrain multiply-adds.
 //
 // B panels are packed cooperatively inside the same region: each panel
 // carries an atomic state (empty → packing → ready) and the first row
@@ -85,16 +84,14 @@ package tensor
 //
 // # Dispatch order (see matMulInto and friends in matmul.go)
 //
-//  1. markedly sparse left operand → legacy zero-skip row kernels
-//     (ReLU activations are ~half zeros; skipping beats packing)
-//  2. small products (m·k·n < gemmMinWork) → legacy column-tiled
+//  1. small products (m·k·n < gemmMinWork) → legacy column-tiled
 //     kernels (packing overhead dominates)
-//  3. a batch-sized dimension on the avx512 tier → the pack-free skinny
+//  2. a batch-sized dimension on the avx512 tier → the pack-free skinny
 //     kernels (gemm_skinny.go): MatMul* with at most gemmSkinnyMaxStrips
 //     (64) left-operand rows — every training forward and every serving
 //     batch — MatMulT2* with at most gemmSkinnyMaxPairs (36), MatMulT1*
 //     with at most gemmSkinnyMaxK (256) — there k is the batch
-//  4. everything else → this file, with the widest micro-kernel the CPU
+//  3. everything else → this file, with the widest micro-kernel the CPU
 //     and build allow:
 //
 //	tier      tile (f64)  tile (f32)  requires
@@ -102,7 +99,7 @@ package tensor
 //	avx2      4×4         4×8         AVX2 + FMA, XCR0 YMM
 //	generic   4×4         4×8         nothing (pure Go)
 //
-// Why step 3: at the paper's batch size a Dense layer multiplies ten
+// Why step 2: at the paper's batch size a Dense layer multiplies ten
 // rows by its whole weight matrix, so each weight meets ten FMAs and the
 // product runs at the speed the weights arrive. Packing first reads
 // every weight, writes it to a panel and reads it again, and the 8-row

@@ -38,7 +38,8 @@ func refMatMul(a, b *Tensor, tA, tB bool) *Tensor {
 	return out
 }
 
-// sparseTensor is ~60% zeros, enough to trip the zero-skip dispatch.
+// sparseTensor is ~60% zeros, like a ReLU activation or a gradient
+// gated by one.
 func sparseTensor(rng *rand.Rand, shape ...int) *Tensor {
 	t := randTensor(rng, shape...)
 	for i := range t.Data {

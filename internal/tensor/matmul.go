@@ -1,29 +1,21 @@
 package tensor
 
-import (
-	"fmt"
+import "fmt"
 
-	"mdgan/internal/parallel"
-)
-
-// Matmul dispatch. Every entry point samples the left operand and picks
-// one of four kernel families, in this order (gemm.go's "Dispatch
-// order" has the reasons and the tier table):
+// Matmul dispatch. Every entry point picks one of three kernel families
+// from (tier, m, k, n) alone, in this order (gemm.go's "Dispatch order"
+// has the reasons and the tier table):
 //
-//  1. markedly sparse A → the legacy zero-skipping row kernels below
-//     (ReLU activations and ReLU-gated gradients are ~half zeros; the
-//     skip beats any dense kernel there, and packing would only bury
-//     the zeros);
-//  2. small products → the legacy column-tiled 4-wide kernels below
+//  1. small products → the legacy column-tiled 4-wide kernels below
 //     (packing two operands costs more than it saves under
 //     gemmMinWork multiply-adds);
-//  3. a·b with at most gemmSkinnyMaxStrips (64) rows of a, a·bᵀ with at
+//  2. a·b with at most gemmSkinnyMaxStrips (64) rows of a, a·bᵀ with at
 //     most gemmSkinnyMaxPairs (36), and aᵀ·b with at most
 //     gemmSkinnyMaxK (256) rows of a (a weight gradient: k is the
 //     batch), on the AVX-512 tier → the skinny kernels
 //     (gemm_skinny.go), which read the large operand in place instead
 //     of packing it for a handful of rows;
-//  4. everything else → the packed, register-blocked GEMM (gemm.go),
+//  3. everything else → the packed, register-blocked GEMM (gemm.go),
 //     which absorbs the T1/T2 transposes into packing and runs the
 //     widest micro-kernel the live tier has (AVX-512, AVX2+FMA or
 //     portable Go).
@@ -32,59 +24,11 @@ const (
 	// matMulGrain is the m·k·n product below which a matmul runs inline
 	// instead of fanning out to the scheduler.
 	matMulGrain = 1 << 15
-	// mmRowGrainMin keeps split row ranges wide enough for the 4-wide
-	// accumulator unrolling: chunks never drop below 8 rows, so at most
-	// three tail rows per chunk run the scalar loop.
-	mmRowGrainMin = 8
 	// mmTile is the column-tile width: four float64 accumulator rows of
 	// this width occupy 16 KiB, comfortably inside L1 alongside the
 	// streamed operand row.
 	mmTile = 512
-	// sparseSamples and sparseNum/sparseDen: sample up to sparseSamples
-	// elements of the left operand; at ≥ sparseNum/sparseDen zeros the
-	// zero-skip kernel wins — against the *scalar* dense kernels. The
-	// skip saves work proportionally (~2× at ReLU's ~50% zeros), but the
-	// AVX2+FMA micro-kernel beats the scalar kernels by ~6× (and the
-	// AVX-512 kernel by more), so when the packed path would run an
-	// assembly kernel the skip only pays once the zero fraction clears a
-	// per-tier threshold: ~81% for AVX2, ~92% for AVX-512.
-	sparseSamples = 256
-	sparseNum     = 1
-	sparseDen     = 4
-	sparseNumAsm  = 13
-	sparseDenAsm  = 16
-	sparseNum512  = 11
-	sparseDen512  = 12
 )
-
-// leftSparse samples a and reports whether the zero-skip kernels should
-// handle a matmul of the given m·k·n work (ReLU activations hit ~50%
-// zeros; dense data ~0%). The threshold is kernel-aware: see the
-// constant block above.
-func leftSparse(a []Elem, work int) bool {
-	num, den := sparseNum, sparseDen
-	if work >= gemmMinWork {
-		switch gemmTier {
-		case tierAVX512:
-			num, den = sparseNum512, sparseDen512
-		case tierAVX2:
-			num, den = sparseNumAsm, sparseDenAsm
-		}
-	}
-	n := len(a)
-	step := 1
-	if n > sparseSamples {
-		step = n / sparseSamples
-	}
-	zeros, samples := 0, 0
-	for i := 0; i < n; i += step {
-		samples++
-		if a[i] == 0 {
-			zeros++
-		}
-	}
-	return zeros*den >= samples*num
-}
 
 // MatMul computes the matrix product a·b of two rank-2 tensors
 // (m, k)·(k, n) → (m, n).
@@ -126,16 +70,6 @@ func checkOutShape(op string, out *Tensor, m, n int) {
 }
 
 func matMulInto(out, a, b *Tensor, m, k, n int, accumulate bool) {
-	if leftSparse(a.Data, m*k*n) {
-		if m*k*n < matMulGrain {
-			matMulRowsSkip(out.Data, a.Data, b.Data, k, n, 0, m, accumulate)
-			return
-		}
-		parallel.ForGrain(m, mmRowGrain(k, n), func(s, e int) {
-			matMulRowsSkip(out.Data, a.Data, b.Data, k, n, s, e, accumulate)
-		})
-		return
-	}
 	if m*k*n >= gemmMinWork {
 		if gemmSkinnyOK(m, gemmSkinnyMaxStrips) {
 			gemmSkinny(out.Data, n, m, n, k, a.Data, b.Data, skinnyStrips, accumulate)
@@ -145,43 +79,6 @@ func matMulInto(out, a, b *Tensor, m, k, n int, accumulate bool) {
 		return
 	}
 	matMulRows(out.Data, a.Data, b.Data, k, n, 0, m, accumulate)
-}
-
-// mmRowGrain sizes the row ranges a matmul splits into so one task
-// carries at least matMulGrain multiply-adds: fine enough for the
-// region's cursor to balance its participants, coarse enough to
-// amortise the hand-off.
-func mmRowGrain(k, n int) int {
-	g := matMulGrain / (k*n + 1)
-	if g < mmRowGrainMin {
-		g = mmRowGrainMin
-	}
-	return g
-}
-
-// matMulRowsSkip is the sparse-A variant: classic ikj with a zero-skip
-// on each streamed A element, so rows of B are only touched for
-// non-zero activations.
-func matMulRowsSkip(out, a, b []Elem, k, n, i0, i1 int, accumulate bool) {
-	for i := i0; i < i1; i++ {
-		row := out[i*n : (i+1)*n]
-		if !accumulate {
-			for j := range row {
-				row[j] = 0
-			}
-		}
-		arow := a[i*k : (i+1)*k]
-		for kk, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b[kk*n : (kk+1)*n]
-			brow = brow[:len(row)]
-			for j, bv := range brow {
-				row[j] += av * bv
-			}
-		}
-	}
 }
 
 // matMulRows computes out[i0:i1] (+)= a[i0:i1]·b, tiling the n columns.
@@ -271,16 +168,6 @@ func checkMatMulT1(a, b *Tensor) (k, m, n int) {
 }
 
 func matMulT1Into(out, a, b *Tensor, k, m, n int, accumulate bool) {
-	if leftSparse(a.Data, m*k*n) {
-		if m*k*n < matMulGrain {
-			matMulT1RowsSkip(out.Data, a.Data, b.Data, k, m, n, 0, m, accumulate)
-			return
-		}
-		parallel.ForGrain(m, mmRowGrain(k, n), func(s, e int) {
-			matMulT1RowsSkip(out.Data, a.Data, b.Data, k, m, n, s, e, accumulate)
-		})
-		return
-	}
 	if m*k*n >= gemmMinWork {
 		if gemmSkinnyOK(k, gemmSkinnyMaxK) {
 			gemmSkinny(out.Data, n, m, n, k, a.Data, b.Data, skinnyBlocks, accumulate)
@@ -292,34 +179,6 @@ func matMulT1Into(out, a, b *Tensor, k, m, n int, accumulate bool) {
 		return
 	}
 	matMulT1Rows(out.Data, a.Data, b.Data, k, m, n, 0, m, accumulate)
-}
-
-// matMulT1RowsSkip is the sparse-A variant of the transposed-left
-// kernel (dW += xᵀ·g with x a ReLU activation is the common case).
-func matMulT1RowsSkip(out, a, b []Elem, k, m, n, i0, i1 int, accumulate bool) {
-	if !accumulate {
-		for i := i0; i < i1; i++ {
-			row := out[i*n : (i+1)*n]
-			for j := range row {
-				row[j] = 0
-			}
-		}
-	}
-	for kk := 0; kk < k; kk++ {
-		arow := a[kk*m : (kk+1)*m]
-		brow := b[kk*n : (kk+1)*n]
-		for i := i0; i < i1; i++ {
-			v := arow[i]
-			if v == 0 {
-				continue
-			}
-			row := out[i*n : (i+1)*n]
-			row = row[:len(brow)]
-			for j, bv := range brow {
-				row[j] += v * bv
-			}
-		}
-	}
 }
 
 // matMulT1Rows computes out[i0:i1] (+)= (aᵀ·b)[i0:i1] where a is
@@ -404,16 +263,6 @@ func checkMatMulT2(a, b *Tensor) (m, k, n int) {
 }
 
 func matMulT2Into(out, a, b *Tensor, m, k, n int, accumulate bool) {
-	if leftSparse(a.Data, m*k*n) {
-		if m*k*n < matMulGrain {
-			matMulT2RowsSkip(out.Data, a.Data, b.Data, k, n, 0, m, accumulate)
-			return
-		}
-		parallel.ForGrain(m, mmRowGrain(k, n), func(s, e int) {
-			matMulT2RowsSkip(out.Data, a.Data, b.Data, k, n, s, e, accumulate)
-		})
-		return
-	}
 	if m*k*n >= gemmMinWork {
 		if gemmSkinnyOK(m, gemmSkinnyMaxPairs) {
 			gemmSkinny(out.Data, n, m, n, k, a.Data, b.Data, skinnyPairs, accumulate)
@@ -425,61 +274,6 @@ func matMulT2Into(out, a, b *Tensor, m, k, n int, accumulate bool) {
 		return
 	}
 	matMulT2Rows(out.Data, a.Data, b.Data, k, n, 0, m, accumulate)
-}
-
-// matMulT2RowsSkip is the sparse-A variant of a·bᵀ: the same 4-wide dot
-// products, but a zero A element skips its four loads and FMAs
-// (gradients gated by a ReLU are ~half zeros).
-func matMulT2RowsSkip(out, a, b []Elem, k, n, i0, i1 int, accumulate bool) {
-	for i := i0; i < i1; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := out[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0 := b[(j+0)*k : (j+1)*k]
-			b1 := b[(j+1)*k : (j+2)*k]
-			b2 := b[(j+2)*k : (j+3)*k]
-			b3 := b[(j+3)*k : (j+4)*k]
-			b0 = b0[:len(arow)]
-			b1 = b1[:len(arow)]
-			b2 = b2[:len(arow)]
-			b3 = b3[:len(arow)]
-			var s0, s1, s2, s3 Elem
-			for kk, av := range arow {
-				if av == 0 {
-					continue
-				}
-				s0 += av * b0[kk]
-				s1 += av * b1[kk]
-				s2 += av * b2[kk]
-				s3 += av * b3[kk]
-			}
-			if accumulate {
-				orow[j] += s0
-				orow[j+1] += s1
-				orow[j+2] += s2
-				orow[j+3] += s3
-			} else {
-				orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-			}
-		}
-		for ; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			brow = brow[:len(arow)]
-			var s Elem
-			for kk, av := range arow {
-				if av == 0 {
-					continue
-				}
-				s += av * brow[kk]
-			}
-			if accumulate {
-				orow[j] += s
-			} else {
-				orow[j] = s
-			}
-		}
-	}
 }
 
 // matMulT2Rows computes out[i0:i1] (+)= (a·bᵀ)[i0:i1]: each output

@@ -33,13 +33,6 @@ func Mul(t, u *Tensor) *Tensor {
 	return out
 }
 
-// Div returns t / u element-wise as a new tensor.
-func Div(t, u *Tensor) *Tensor {
-	out := New(t.shape...)
-	DivInto(out, t, u)
-	return out
-}
-
 func checkZip(op string, out, t, u *Tensor) {
 	if !t.SameShape(u) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", op, t.shape, u.shape))
@@ -98,15 +91,6 @@ func MulInto(out, t, u *Tensor) {
 			od[i] = td[i] * ud[i]
 		}
 	})
-}
-
-// DivInto computes out = t / u element-wise into the preallocated out.
-func DivInto(out, t, u *Tensor) {
-	checkZip("DivInto", out, t, u)
-	od, td, ud := out.Data, t.Data, u.Data
-	for i, v := range td {
-		od[i] = v / ud[i]
-	}
 }
 
 // AddInPlace sets t += u.
@@ -268,25 +252,6 @@ func (t *Tensor) SumRowsAdd(out *Tensor) {
 			od[j] += v
 		}
 	}
-}
-
-// SumCols reduces a rank-2 tensor (r, c) over its columns, returning a
-// (r, 1) tensor: out[i] = Σ_j t[i,j].
-func (t *Tensor) SumCols() *Tensor {
-	if len(t.shape) != 2 {
-		panic("tensor: SumCols requires rank-2 tensor")
-	}
-	r, c := t.shape[0], t.shape[1]
-	out := New(r, 1)
-	for i := 0; i < r; i++ {
-		row := t.Data[i*c : (i+1)*c]
-		s := 0.0
-		for _, v := range row {
-			s += float64(v)
-		}
-		out.Data[i] = Elem(s)
-	}
-	return out
 }
 
 // AddRowVec adds a (1, c) row vector to every row of a (r, c) tensor,

@@ -137,8 +137,10 @@ func TestMatMulIntoVariantsAgainstNaive(t *testing.T) {
 	}
 }
 
-// TestMatMulSparseDispatchAgainstNaive drives the zero-skip kernels:
-// ReLU-like operands (half zeros) must produce bit-identical products.
+// TestMatMulSparseDispatchAgainstNaive feeds ReLU-like left operands
+// (half zeros) through MatMul, MatMulT1Into, MatMulT2Into and
+// MatMulT2Add: the dense kernels must match the naive product within
+// tolerance, and the Into variants must overwrite what out held.
 func TestMatMulSparseDispatchAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, dims := range [][3]int{{5, 7, 3}, {10, 48, 784}, {33, 65, 517}} {

@@ -21,11 +21,11 @@
 // Matrix multiplication — the hot path under every layer — is a packed,
 // register-blocked GEMM (gemm.go), dispatched per call in this order:
 //
-//  1. markedly sparse left operands take the legacy zero-skip row
-//     kernels (matmul.go) — the skip threshold is kernel-aware, since
-//     the vector kernel moves the breakeven sparsity;
-//  2. small products take the legacy column-tiled scalar kernels
-//     (packing two operands costs more than it saves);
+//  1. small products take the legacy column-tiled scalar kernels
+//     (matmul.go; packing two operands costs more than it saves);
+//  2. skinny products on the AVX-512 tier (a handful of rows against a
+//     large operand) take the skinny kernels (gemm_skinny.go), which
+//     read the large operand in place instead of packing it;
 //  3. everything else is packed: A and B blocks are copied once per
 //     cache block into pool-backed MR-row / NR-column panels whose
 //     layout matches the micro-kernel's streaming order exactly, with
@@ -206,16 +206,6 @@ func (t *Tensor) Fill(v float64) {
 	}
 }
 
-// Row returns row i of a rank-2 tensor as a view (shared data) of shape
-// (1, cols).
-func (t *Tensor) Row(i int) *Tensor {
-	if len(t.shape) != 2 {
-		panic("tensor: Row requires rank-2 tensor")
-	}
-	cols := t.shape[1]
-	return &Tensor{shape: []int{1, cols}, Data: t.Data[i*cols : (i+1)*cols]}
-}
-
 // SliceRows returns rows [from, to) of the leading dimension as a view
 // sharing t's data.
 func (t *Tensor) SliceRows(from, to int) *Tensor {
@@ -228,30 +218,6 @@ func (t *Tensor) SliceRows(from, to int) *Tensor {
 	rowVol := len(t.Data) / t.shape[0]
 	shape := append([]int{to - from}, t.shape[1:]...)
 	return &Tensor{shape: shape, Data: t.Data[from*rowVol : to*rowVol]}
-}
-
-// ConcatRows concatenates tensors along the leading dimension. All
-// trailing dimensions must match.
-func ConcatRows(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("tensor: ConcatRows of nothing")
-	}
-	rows := 0
-	rowVol := len(ts[0].Data) / ts[0].shape[0]
-	for _, t := range ts {
-		if len(t.Data)/t.shape[0] != rowVol {
-			panic("tensor: ConcatRows trailing shape mismatch")
-		}
-		rows += t.shape[0]
-	}
-	shape := append([]int{rows}, ts[0].shape[1:]...)
-	out := New(shape...)
-	off := 0
-	for _, t := range ts {
-		copy(out.Data[off:], t.Data)
-		off += len(t.Data)
-	}
-	return out
 }
 
 // Gather returns a new tensor whose leading-dimension rows are

@@ -87,9 +87,6 @@ func TestElementwiseOps(t *testing.T) {
 	if got := Mul(a, b).Data; got[0] != 5 || got[3] != 32 {
 		t.Fatalf("Mul = %v", got)
 	}
-	if got := Div(b, a).Data; got[0] != 5 || !almostEq(float64(got[3]), 2, 1e-15) {
-		t.Fatalf("Div = %v", got)
-	}
 }
 
 func TestInPlaceOps(t *testing.T) {
@@ -122,10 +119,6 @@ func TestReductions(t *testing.T) {
 	sr := x.SumRows()
 	if sr.At(0, 0) != 4 || sr.At(0, 1) != 2 {
 		t.Fatalf("SumRows = %v", sr.Data)
-	}
-	sc := x.SumCols()
-	if sc.At(0, 0) != -1 || sc.At(1, 0) != 7 {
-		t.Fatalf("SumCols = %v", sc.Data)
 	}
 }
 
@@ -216,10 +209,10 @@ func TestMatMulAddAccumulates(t *testing.T) {
 
 func TestRowAndSliceRowsAreViews(t *testing.T) {
 	x := FromSlice([]Elem{1, 2, 3, 4, 5, 6}, 3, 2)
-	r := x.Row(1)
+	r := x.SliceRows(1, 2)
 	r.Data[0] = 42
-	if x.At(1, 0) != 42 {
-		t.Fatal("Row must be a view")
+	if r.Dim(0) != 1 || x.At(1, 0) != 42 {
+		t.Fatal("a one-row SliceRows must be a view")
 	}
 	s := x.SliceRows(1, 3)
 	if s.Dim(0) != 2 || s.At(0, 0) != 42 || s.At(1, 1) != 6 {
@@ -232,12 +225,7 @@ func TestRowAndSliceRowsAreViews(t *testing.T) {
 }
 
 func TestConcatAndGather(t *testing.T) {
-	a := FromSlice([]Elem{1, 2}, 1, 2)
-	b := FromSlice([]Elem{3, 4, 5, 6}, 2, 2)
-	c := ConcatRows(a, b)
-	if c.Dim(0) != 3 || c.At(2, 1) != 6 {
-		t.Fatalf("ConcatRows = %v", c.Data)
-	}
+	c := FromSlice([]Elem{1, 2, 3, 4, 5, 6}, 3, 2)
 	g := c.Gather([]int{2, 0})
 	if g.At(0, 0) != 5 || g.At(1, 1) != 2 {
 		t.Fatalf("Gather = %v", g.Data)

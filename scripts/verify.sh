@@ -55,7 +55,12 @@
 #                               (internal/tensor: bitwise against the
 #                               loop, guard-page bounds), beside the
 #                               rectifiers' branch-free select
-#                               (internal/nn). No recorded catch.
+#                               (internal/nn), and a batch of one
+#                               through every architecture (internal/
+#                               gan: finite losses and parameters): at
+#                               m = 1 the avx512 tier takes the skinny
+#                               strips and every other tier the legacy
+#                               rows. No recorded catch.
 #   GOMAXPROCS=4                the same gates with intra-GEMM fan-out
 #                               forced on, whatever the host's CPU
 #                               count: the strict replay must stay
@@ -122,9 +127,10 @@ engine_gates() { # $1 = label, $2.. = go test args
     # pairs and dW row blocks fan out at GOMAXPROCS=4; a forced tier
     # moves the cut-overs' other side) and the element-wise tier (the
     # avx512 tanh and Adam kernels, math.Tanh and the scalar Adam loop on
-    # the others; the rectifiers).
+    # the others; the rectifiers) and b = 1 through every architecture
+    # (skinny strips on avx512, the legacy rows on every other tier).
     go test "$@" -count=1 \
-        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestDiscStepFusedMatchesTwoPass|TestDiscStepIgnoresStaleGrads|TestPackersMatchReference|TestSkinnyStaysInBounds|TestSkinnyMatchesReference|TestSkinnySteadyStateAllocs|TestGemmBitwiseAcrossGOMAXPROCS|TestTanhAccuracy|TestTanhProperties|TestTanhStaysInBounds|TestTanhAllocs|TestAdamKernelMatchesScalar|TestAdamStaysInBounds|TestRectifierMatchesBranch' \
+        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestDiscStepFusedMatchesTwoPass|TestDiscStepIgnoresStaleGrads|TestPackersMatchReference|TestSkinnyStaysInBounds|TestSkinnyMatchesReference|TestSkinnySteadyStateAllocs|TestGemmBitwiseAcrossGOMAXPROCS|TestTanhAccuracy|TestTanhProperties|TestTanhStaysInBounds|TestTanhAllocs|TestAdamKernelMatchesScalar|TestAdamStaysInBounds|TestRectifierMatchesBranch|TestBatchOneStaysFiniteOnEveryArch' \
         ./internal/gan ./internal/nn ./internal/tensor
 }
 
