@@ -11,13 +11,16 @@ import (
 
 // The convolution layers are batched end to end: one matmul per layer
 // per batch, with every im2col-shaped operand consumed through fused
-// GEMM packers (im2colSeg / the channel-major x̂ pack) that produce the
-// values directly inside the packed B panels the micro-kernel reads —
-// neither Conv2D's col(x) nor ConvTranspose2D's x̂/gcol matrices are
-// ever materialised. The backward passes run the transposed products
-// straight into preallocated gradient buffers. The few remaining
-// workspaces come from the tensor pool and are released before the
-// pass returns.
+// GEMM packers (packIm2col, packIm2colT and the channel-major packXhat)
+// that produce the values directly inside the packed B panels the
+// micro-kernel reads — neither Conv2D's col(x) nor ConvTranspose2D's
+// x̂/gcol matrices are ever materialised. The im2col packers and col2im
+// work in runs, stretches of one output row whose input columns for a
+// patch coordinate (c, ki, kj) are evenly spaced along one input row: a
+// run's row and in-image columns are found once, so the per-element work
+// is a load and a store. The backward passes run the transposed products
+// straight into preallocated gradient buffers, and the few workspaces
+// come from the tensor pool and are released before the pass returns.
 
 // convGeom describes a convolution geometry shared by Conv2D (as its
 // forward map) and ConvTranspose2D (as its backward map).
@@ -38,55 +41,44 @@ func newConvGeom(inC, inH, inW, kh, kw, stride, pad int) convGeom {
 	return g
 }
 
-// im2colSeg fills one row of the batched im2col matrix — row idx, the
-// (c, ki, kj) patch coordinate — restricted to the global column range
-// [p0, p1), writing dst[0], dst[stride], dst[2*stride], … Columns index
-// output positions across the whole batch: p = i·outH·outW + oy·outW +
-// ox. It is the packing primitive behind the fused conv GEMM: with
-// stride 1 it fills a forward B-panel row, with stride nr it fills one
-// column of a transposed (dW) panel, and in both cases the im2col value
-// is produced directly in packed layout — one pass over the image
-// instead of im2col-then-pack.
-func (g convGeom) im2colSeg(x []tensor.Elem, inVol, idx, p0, p1 int, dst []tensor.Elem, stride int) {
-	kj := idx % g.kw
-	ki := (idx / g.kw) % g.kh
-	c := idx / (g.kw * g.kh)
-	oHW := g.outH * g.outW
-	o := 0
-	for p := p0; p < p1; {
-		i := p / oHW
-		rem := p - i*oHW
-		oy := rem / g.outW
-		ox := rem - oy*g.outW
-		run := g.outW - ox // stay within one output row
-		if p+run > p1 {
-			run = p1 - p
-		}
-		iy := oy*g.stride + ki - g.pad
-		if iy < 0 || iy >= g.inH {
-			for t := 0; t < run; t++ {
-				dst[o] = 0
-				o += stride
-			}
-		} else {
-			base := i*inVol + (c*g.inH+iy)*g.inW
-			for t := 0; t < run; t++ {
-				ix := (ox+t)*g.stride + kj - g.pad
-				if ix < 0 || ix >= g.inW {
-					dst[o] = 0
-				} else {
-					dst[o] = x[base+ix]
-				}
-				o += stride
-			}
-		}
-		p += run
+// patch decodes row idx of the im2col matrix into its patch coordinate
+// (c, ki, kj); next steps a coordinate to row idx+1 without dividing.
+func (g convGeom) patch(idx int) (c, ki, kj int) {
+	return idx / (g.kh * g.kw), idx / g.kw % g.kh, idx % g.kw
+}
+
+func (g convGeom) next(c, ki, kj int) (int, int, int) {
+	if kj++; kj < g.kw {
+		return c, ki, kj
 	}
+	if ki++; ki < g.kh {
+		return c, ki, 0
+	}
+	return c + 1, 0, 0
+}
+
+// span returns the in-image part [tlo, thi) of a run of n output
+// columns whose first reads input column ix0: column t reads ix0 +
+// t·stride. Only the ⌈pad/stride⌉ columns at either end can fall
+// outside the image, so it steps in from both ends instead of dividing.
+func (g convGeom) span(ix0, n int) (tlo, thi int) {
+	for tlo < n && ix0+tlo*g.stride < 0 {
+		tlo++
+	}
+	thi = n
+	for thi > tlo && ix0+(thi-1)*g.stride >= g.inW {
+		thi--
+	}
+	return tlo, thi
 }
 
 // col2im scatters one column block of a batched col matrix back into an
 // image, accumulating overlapping contributions — the adjoint of
-// im2col.
+// im2col. The in-image output columns [lo, hi) depend on kj only, so
+// they are found once per patch coordinate. The visit order stays
+// (c, ki, kj, oy, ox) and only out-of-image columns are skipped, so each
+// input element's additions run in the order of a per-element loop
+// (TestCol2imMatchesReference pins this bitwise).
 func (g convGeom) col2im(col []tensor.Elem, rowStride, colOff int, x []tensor.Elem) {
 	idx := 0
 	for c := 0; c < g.inC; c++ {
@@ -94,20 +86,20 @@ func (g convGeom) col2im(col []tensor.Elem, rowStride, colOff int, x []tensor.El
 			for kj := 0; kj < g.kw; kj++ {
 				row := col[idx*rowStride+colOff : idx*rowStride+colOff+g.outH*g.outW]
 				idx++
-				o := 0
+				lo, hi := g.span(kj-g.pad, g.outW)
+				if lo == hi {
+					continue
+				}
 				for oy := 0; oy < g.outH; oy++ {
 					iy := oy*g.stride + ki - g.pad
 					if iy < 0 || iy >= g.inH {
-						o += g.outW
 						continue
 					}
-					base := (c*g.inH + iy) * g.inW
-					for ox := 0; ox < g.outW; ox++ {
-						ix := ox*g.stride + kj - g.pad
-						if ix >= 0 && ix < g.inW {
-							x[base+ix] += row[o]
-						}
-						o++
+					xr := x[(c*g.inH+iy)*g.inW : (c*g.inH+iy+1)*g.inW]
+					ix := lo*g.stride + kj - g.pad
+					for _, v := range row[oy*g.outW+lo : oy*g.outW+hi] {
+						xr[ix] += v
+						ix += g.stride
 					}
 				}
 			}
@@ -127,8 +119,12 @@ func forImages(n, perImageWork int, fn func(s, e int)) {
 // packIm2col returns the fused forward B-panel packer over xd, a batch
 // of n images with per-image volume inVol viewed through geometry g:
 // panel columns are batched output positions (cols = n·outH·outW),
-// panel rows are (c, ki, kj) patch coordinates, and each row segment is
-// one contiguous im2colSeg fill. Conv2D consumes x this way; the
+// panel rows are (c, ki, kj) patch coordinates. The panel's columns
+// split into runs that each lie in one output row; per (run, patch row)
+// the input row is tested once and its in-image columns are filled by a
+// copy at stride 1, an unrolled gather for eight columns at stride 2
+// (every full run of the CIFAR layers at nr = 8) and a strided loop
+// otherwise, between zeroed ends. Conv2D consumes x this way; the
 // ConvTranspose2D backward consumes its output gradient the same way.
 func (g convGeom) packIm2col(xd []tensor.Elem, inVol, cols int) tensor.BPanelPacker {
 	return func(dst []tensor.Elem, k0, k1, j0, nr int) {
@@ -143,27 +139,110 @@ func (g convGeom) packIm2col(xd []tensor.Elem, inVol, cols int) tensor.BPanelPac
 			}
 			j1 = cols
 		}
-		for kk := k0; kk < k1; kk++ {
-			g.im2colSeg(xd, inVol, kk, j0, j1, dst[(kk-k0)*nr:], 1)
+		oHW := g.outH * g.outW
+		c0, ki0, kj0 := g.patch(k0)
+		for p := j0; p < j1; {
+			i := p / oHW
+			oy := (p - i*oHW) / g.outW
+			ox := p - i*oHW - oy*g.outW
+			run := min(g.outW-ox, j1-p)
+			img := xd[i*inVol : (i+1)*inVol]
+			c, ki, kj := c0, ki0, kj0
+			for o := p - j0; o < (k1-k0)*nr; o += nr {
+				d := dst[o : o+run]
+				iy := oy*g.stride + ki - g.pad
+				ix0 := ox*g.stride + kj - g.pad
+				tlo, thi := run, run // a row outside the image is all zero
+				if iy >= 0 && iy < g.inH {
+					tlo, thi = g.span(ix0, run)
+				}
+				for t := 0; t < tlo; t++ {
+					d[t] = 0
+				}
+				if tlo < thi {
+					src, v := img[(c*g.inH+iy)*g.inW+ix0+tlo*g.stride:], d[tlo:thi]
+					switch {
+					case g.stride == 1:
+						copy(v, src)
+					case g.stride == 2 && len(v) == 8:
+						s, v := src[:15:15], v[:8:8]
+						v[0], v[1], v[2], v[3] = s[0], s[2], s[4], s[6]
+						v[4], v[5], v[6], v[7] = s[8], s[10], s[12], s[14]
+					default:
+						for t := range v {
+							v[t] = src[t*g.stride]
+						}
+					}
+				}
+				for t := thi; t < run; t++ {
+					d[t] = 0
+				}
+				c, ki, kj = g.next(c, ki, kj)
+			}
+			p += run
 		}
 	}
 }
 
 // packIm2colT returns the fused dW B-panel packer for ·col(x)ᵀ
 // products: panel columns are (c, ki, kj) patch coordinates, panel rows
-// are batched output positions, so each panel column is one strided
-// im2colSeg fill.
+// are batched output positions. Each panel column decodes its patch
+// coordinate once and walks the rows in runs inside one output row,
+// testing the input row once per run and gathering its in-image
+// columns between zeroed ends, unrolled for eight at stride 2.
 func (g convGeom) packIm2colT(xd []tensor.Elem, inVol, ckk int) tensor.BPanelPacker {
 	return func(dst []tensor.Elem, k0, k1, j0, nr int) {
+		oHW := g.outH * g.outW
+		i0 := k0 / oHW
+		oy0 := (k0 - i0*oHW) / g.outW
+		ox0 := k0 - i0*oHW - oy0*g.outW
+		c, ki, kj := g.patch(j0)
 		for jj := 0; jj < nr; jj++ {
-			idx := j0 + jj
-			if idx >= ckk {
-				for kk := k0; kk < k1; kk++ {
-					dst[(kk-k0)*nr+jj] = 0
+			if j0+jj >= ckk {
+				// Zero-pad the panel columns past the patch edge.
+				for o := jj; o < (k1-k0)*nr; o += nr {
+					dst[o] = 0
 				}
 				continue
 			}
-			g.im2colSeg(xd, inVol, idx, k0, k1, dst[jj:], nr)
+			o := jj
+			i, oy, ox := i0, oy0, ox0
+			for p := k0; p < k1; {
+				run := min(g.outW-ox, k1-p)
+				iy := oy*g.stride + ki - g.pad
+				ix0 := ox*g.stride + kj - g.pad
+				tlo, thi := run, run
+				if iy >= 0 && iy < g.inH {
+					tlo, thi = g.span(ix0, run)
+				}
+				for t := 0; t < tlo; t++ {
+					dst[o] = 0
+					o += nr
+				}
+				if tlo < thi {
+					src := xd[i*inVol+(c*g.inH+iy)*g.inW+ix0+tlo*g.stride:][:(thi-tlo-1)*g.stride+1]
+					if g.stride == 2 && len(src) == 15 {
+						d := dst[o : o+7*nr+1]
+						d[0], d[nr], d[2*nr], d[3*nr] = src[0], src[2], src[4], src[6]
+						d[4*nr], d[5*nr], d[6*nr], d[7*nr] = src[8], src[10], src[12], src[14]
+						o += 8 * nr
+					} else {
+						for ix := 0; ix < len(src); ix += g.stride {
+							dst[o] = src[ix]
+							o += nr
+						}
+					}
+				}
+				for t := thi; t < run; t++ {
+					dst[o] = 0
+					o += nr
+				}
+				p += run
+				if ox, oy = 0, oy+1; oy == g.outH {
+					oy, i = 0, i+1
+				}
+			}
+			c, ki, kj = g.next(c, ki, kj)
 		}
 	}
 }
@@ -209,8 +288,8 @@ func packXhat(xd []tensor.Elem, inVol, hw, cols int) tensor.BPanelPacker {
 // Conv2D is a standard 2-D convolution over NCHW tensors. The im2col
 // matrix is never materialised: both the forward product W·col(x) and
 // the weight gradient g·col(x)ᵀ consume it through fused GEMM packers
-// (im2colSeg), which produce each patch value directly inside the
-// packed B panels the micro-kernel reads.
+// (packIm2col, packIm2colT), which produce each patch value directly
+// inside the packed B panels the micro-kernel reads.
 type Conv2D struct {
 	geom convGeom
 	OutC int

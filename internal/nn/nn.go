@@ -58,7 +58,7 @@
 // The discipline extends DOWN the stack too, into the packed GEMM's
 // pack-panel pool: Conv2D's im2col operand is never materialised —
 // tensor.MatMulPacked fills pool-backed B panels through a fused packer
-// (im2colSeg) that reads the layer's retained input x directly, both in
+// (packIm2col) that reads the layer's retained input x directly, both in
 // Forward and for the weight gradient in Backward. That retained x is a
 // buffer OWNED BY THE UPSTREAM LAYER, valid until that layer's next
 // call; the Forward→Backward window of a training step stays inside it,

@@ -60,7 +60,14 @@
 #                               gan: finite losses and parameters): at
 #                               m = 1 the avx512 tier takes the skinny
 #                               strips and every other tier the legacy
-#                               rows. No recorded catch.
+#                               rows, and the conv layout loops
+#                               (internal/nn: the run-based im2col
+#                               packers and col2im byte for byte
+#                               against the per-element loops, and
+#                               ScaledCNN's conv layers bitwise across
+#                               GOMAXPROCS), whose panel width and
+#                               GEMM path follow the tier. No recorded
+#                               catch.
 #   GOMAXPROCS=4                the same gates with intra-GEMM fan-out
 #                               forced on, whatever the host's CPU
 #                               count: the strict replay must stay
@@ -127,10 +134,12 @@ engine_gates() { # $1 = label, $2.. = go test args
     # pairs and dW row blocks fan out at GOMAXPROCS=4; a forced tier
     # moves the cut-overs' other side) and the element-wise tier (the
     # avx512 tanh and Adam kernels, math.Tanh and the scalar Adam loop on
-    # the others; the rectifiers) and b = 1 through every architecture
-    # (skinny strips on avx512, the legacy rows on every other tier).
+    # the others; the rectifiers), b = 1 through every architecture
+    # (skinny strips on avx512, the legacy rows on every other tier) and
+    # the conv layout loops (against the per-element reference, and the
+    # conv layers bitwise across GOMAXPROCS at the tier's panel width).
     go test "$@" -count=1 \
-        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestDiscStepFusedMatchesTwoPass|TestDiscStepIgnoresStaleGrads|TestPackersMatchReference|TestSkinnyStaysInBounds|TestSkinnyMatchesReference|TestSkinnySteadyStateAllocs|TestGemmBitwiseAcrossGOMAXPROCS|TestTanhAccuracy|TestTanhProperties|TestTanhStaysInBounds|TestTanhAllocs|TestAdamKernelMatchesScalar|TestAdamStaysInBounds|TestRectifierMatchesBranch|TestBatchOneStaysFiniteOnEveryArch' \
+        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestDiscStepFusedMatchesTwoPass|TestDiscStepIgnoresStaleGrads|TestPackersMatchReference|TestSkinnyStaysInBounds|TestSkinnyMatchesReference|TestSkinnySteadyStateAllocs|TestGemmBitwiseAcrossGOMAXPROCS|TestTanhAccuracy|TestTanhProperties|TestTanhStaysInBounds|TestTanhAllocs|TestAdamKernelMatchesScalar|TestAdamStaysInBounds|TestRectifierMatchesBranch|TestBatchOneStaysFiniteOnEveryArch|TestIm2colPackersMatchReference|TestCol2imMatchesReference|TestConvBitwiseAcrossGOMAXPROCS' \
         ./internal/gan ./internal/nn ./internal/tensor
 }
 
