@@ -73,12 +73,11 @@ func TestConvStackSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestConvTransposeFusedStepAllocs pins the fused ConvTranspose2D path
-// on a single layer: one training step draws only the col output
-// workspace and the two channel-major transients (dx̂, x̂ — each just
-// InC·n·hw) from the pool. The gradient's im2col matrix — the old gcol
-// workspace, the largest buffer of the pass — is consumed through the
-// fused GEMM packers and never exists, so steady state is nothing but
+// TestConvTransposeFusedStepAllocs pins the ConvTranspose2D path on a
+// single layer: one training step draws its workspaces — x̂ (kept from
+// Forward to Backward), the col output, the gradient's im2col matrix
+// gcol (built once for both backward products) and dx̂ — from the pool
+// and returns each before the step ends, so steady state is nothing but
 // fan-out bookkeeping.
 func TestConvTransposeFusedStepAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))

@@ -9,18 +9,20 @@ import (
 	"mdgan/internal/tensor"
 )
 
-// The convolution layers are batched end to end: one matmul per layer
-// per batch, with every im2col-shaped operand consumed through fused
-// GEMM packers (packIm2col, packIm2colT and the channel-major packXhat)
-// that produce the values directly inside the packed B panels the
-// micro-kernel reads — neither Conv2D's col(x) nor ConvTranspose2D's
-// x̂/gcol matrices are ever materialised. The im2col packers and col2im
-// work in runs, stretches of one output row whose input columns for a
-// patch coordinate (c, ki, kj) are evenly spaced along one input row: a
-// run's row and in-image columns are found once, so the per-element work
-// is a load and a store. The backward passes run the transposed products
-// straight into preallocated gradient buffers, and the few workspaces
-// come from the tensor pool and are released before the pass returns.
+// The convolution layers are batched end to end: one matmul per product
+// per batch, through the plain tensor.MatMul* entry points, so each
+// product takes the kernel the dispatch picks for its shape — at a
+// training batch's few channels, the skinny kernels that read the
+// im2col matrix in place. Each im2col-shaped operand is built once per
+// pass as a pooled tensor: Conv2D's col(x) in Forward, kept for the
+// weight gradient; ConvTranspose2D's channel-major x̂ in Forward, kept
+// likewise, and its gradient's im2col matrix once in Backward, shared by
+// the dx and dW products. im2col and col2im walk one output row at a
+// time: a row's input row and in-image columns are found once, so the
+// per-element work is a load and a store. The backward passes run the
+// transposed products straight into preallocated gradient buffers, and
+// every workspace not kept for Backward is released before the pass
+// returns.
 
 // convGeom describes a convolution geometry shared by Conv2D (as its
 // forward map) and ConvTranspose2D (as its backward map).
@@ -39,22 +41,6 @@ func newConvGeom(inC, inH, inW, kh, kw, stride, pad int) convGeom {
 		panic(fmt.Sprintf("nn: conv geometry collapses: in %dx%d k %dx%d s %d p %d", inH, inW, kh, kw, stride, pad))
 	}
 	return g
-}
-
-// patch decodes row idx of the im2col matrix into its patch coordinate
-// (c, ki, kj); next steps a coordinate to row idx+1 without dividing.
-func (g convGeom) patch(idx int) (c, ki, kj int) {
-	return idx / (g.kh * g.kw), idx / g.kw % g.kh, idx % g.kw
-}
-
-func (g convGeom) next(c, ki, kj int) (int, int, int) {
-	if kj++; kj < g.kw {
-		return c, ki, kj
-	}
-	if ki++; ki < g.kh {
-		return c, ki, 0
-	}
-	return c + 1, 0, 0
 }
 
 // span returns the in-image part [tlo, thi) of a run of n output
@@ -116,191 +102,94 @@ func forImages(n, perImageWork int, fn func(s, e int)) {
 	parallel.ForGrain(n, 1<<14/(perImageWork+1), fn)
 }
 
-// packIm2col returns the fused forward B-panel packer over xd, a batch
-// of n images with per-image volume inVol viewed through geometry g:
-// panel columns are batched output positions (cols = n·outH·outW),
-// panel rows are (c, ki, kj) patch coordinates. The panel's columns
-// split into runs that each lie in one output row; per (run, patch row)
-// the input row is tested once and its in-image columns are filled by a
-// copy at stride 1, an unrolled gather for eight columns at stride 2
-// (every full run of the CIFAR layers at nr = 8) and a strided loop
-// otherwise, between zeroed ends. Conv2D consumes x this way; the
-// ConvTranspose2D backward consumes its output gradient the same way.
-func (g convGeom) packIm2col(xd []tensor.Elem, inVol, cols int) tensor.BPanelPacker {
-	return func(dst []tensor.Elem, k0, k1, j0, nr int) {
-		j1 := j0 + nr
-		if j1 > cols {
-			// Zero-pad the panel columns past the batch edge.
-			for kk := k0; kk < k1; kk++ {
-				row := dst[(kk-k0)*nr : (kk-k0)*nr+nr]
-				for j := cols - j0; j < nr; j++ {
-					row[j] = 0
-				}
-			}
-			j1 = cols
-		}
-		oHW := g.outH * g.outW
-		c0, ki0, kj0 := g.patch(k0)
-		for p := j0; p < j1; {
-			i := p / oHW
-			oy := (p - i*oHW) / g.outW
-			ox := p - i*oHW - oy*g.outW
-			run := min(g.outW-ox, j1-p)
-			img := xd[i*inVol : (i+1)*inVol]
-			c, ki, kj := c0, ki0, kj0
-			for o := p - j0; o < (k1-k0)*nr; o += nr {
-				d := dst[o : o+run]
-				iy := oy*g.stride + ki - g.pad
-				ix0 := ox*g.stride + kj - g.pad
-				tlo, thi := run, run // a row outside the image is all zero
-				if iy >= 0 && iy < g.inH {
-					tlo, thi = g.span(ix0, run)
-				}
-				for t := 0; t < tlo; t++ {
-					d[t] = 0
-				}
-				if tlo < thi {
-					src, v := img[(c*g.inH+iy)*g.inW+ix0+tlo*g.stride:], d[tlo:thi]
-					switch {
-					case g.stride == 1:
-						copy(v, src)
-					case g.stride == 2 && len(v) == 8:
-						s, v := src[:15:15], v[:8:8]
-						v[0], v[1], v[2], v[3] = s[0], s[2], s[4], s[6]
-						v[4], v[5], v[6], v[7] = s[8], s[10], s[12], s[14]
-					default:
-						for t := range v {
-							v[t] = src[t*g.stride]
+// im2col writes the batched im2col matrix of xd, a batch of n images
+// of per-image volume inVol, into col (inC·kh·kw, n·outH·outW): row
+// (c, ki, kj), column i·outH·outW + oy·outW + ox holds
+// x[i][c][oy·stride+ki−pad][ox·stride+kj−pad], or zero outside the
+// image. It walks col the way col2im walks it, row by row in (c, ki, kj)
+// order, each row through the batch, so col is written front to back
+// while the n planes of channel c stay in cache: the in-image output
+// columns [lo, hi) are found once per kj, the input row is tested once
+// per (i, oy, ki), and each output row is filled by a copy at stride 1,
+// a gather unrolled by four at stride 2 or a strided loop, between
+// zeroed ends. Channels fan out to the scheduler and each writes only
+// its own rows, so every element is written exactly once whatever the
+// split.
+func (g convGeom) im2col(xd []tensor.Elem, inVol, n int, col []tensor.Elem) {
+	oHW, plane := g.outH*g.outW, g.inH*g.inW
+	parallel.ForGrain(g.inC, 1<<14/(g.kh*g.kw*n*oHW+1), func(c0, c1 int) {
+		idx := c0 * g.kh * g.kw
+		for c := c0; c < c1; c++ {
+			for ki := 0; ki < g.kh; ki++ {
+				for kj := 0; kj < g.kw; kj++ {
+					row := col[idx*n*oHW : (idx+1)*n*oHW]
+					idx++
+					lo, hi := g.span(kj-g.pad, g.outW)
+					for i := 0; i < n; i++ {
+						img := xd[i*inVol+c*plane : i*inVol+(c+1)*plane]
+						for oy := 0; oy < g.outH; oy++ {
+							d := row[(i*g.outH+oy)*g.outW : (i*g.outH+oy+1)*g.outW]
+							iy := oy*g.stride + ki - g.pad
+							if lo == hi || iy < 0 || iy >= g.inH {
+								clear(d)
+								continue
+							}
+							clear(d[:lo])
+							src, v := img[iy*g.inW+lo*g.stride+kj-g.pad:], d[lo:hi]
+							switch g.stride {
+							case 1:
+								copy(v, src)
+							case 2:
+								t := 0
+								for ; t+4 <= len(v); t += 4 {
+									s, w := src[2*t:2*t+7:2*t+7], v[t:t+4:t+4]
+									w[0], w[1], w[2], w[3] = s[0], s[2], s[4], s[6]
+								}
+								for ; t < len(v); t++ {
+									v[t] = src[2*t]
+								}
+							default:
+								for t := range v {
+									v[t] = src[t*g.stride]
+								}
+							}
+							clear(d[hi:])
 						}
 					}
 				}
-				for t := thi; t < run; t++ {
-					d[t] = 0
-				}
-				c, ki, kj = g.next(c, ki, kj)
 			}
-			p += run
 		}
-	}
+	})
 }
 
-// packIm2colT returns the fused dW B-panel packer for ·col(x)ᵀ
-// products: panel columns are (c, ki, kj) patch coordinates, panel rows
-// are batched output positions. Each panel column decodes its patch
-// coordinate once and walks the rows in runs inside one output row,
-// testing the input row once per run and gathering its in-image
-// columns between zeroed ends, unrolled for eight at stride 2.
-func (g convGeom) packIm2colT(xd []tensor.Elem, inVol, ckk int) tensor.BPanelPacker {
-	return func(dst []tensor.Elem, k0, k1, j0, nr int) {
-		oHW := g.outH * g.outW
-		i0 := k0 / oHW
-		oy0 := (k0 - i0*oHW) / g.outW
-		ox0 := k0 - i0*oHW - oy0*g.outW
-		c, ki, kj := g.patch(j0)
-		for jj := 0; jj < nr; jj++ {
-			if j0+jj >= ckk {
-				// Zero-pad the panel columns past the patch edge.
-				for o := jj; o < (k1-k0)*nr; o += nr {
-					dst[o] = 0
-				}
-				continue
+// channelMajor lays a batch src (n, ch, hw) out as dst (ch, n·hw) by
+// per-channel copies: dst[c][i·hw+p] = src[i][c][p].
+func channelMajor(dst, src []tensor.Elem, n, ch, hw int) {
+	vol := ch * hw
+	forImages(n, vol, func(s, e int) {
+		for i := s; i < e; i++ {
+			for c := 0; c < ch; c++ {
+				copy(dst[c*n*hw+i*hw:c*n*hw+(i+1)*hw], src[i*vol+c*hw:i*vol+(c+1)*hw])
 			}
-			o := jj
-			i, oy, ox := i0, oy0, ox0
-			for p := k0; p < k1; {
-				run := min(g.outW-ox, k1-p)
-				iy := oy*g.stride + ki - g.pad
-				ix0 := ox*g.stride + kj - g.pad
-				tlo, thi := run, run
-				if iy >= 0 && iy < g.inH {
-					tlo, thi = g.span(ix0, run)
-				}
-				for t := 0; t < tlo; t++ {
-					dst[o] = 0
-					o += nr
-				}
-				if tlo < thi {
-					src := xd[i*inVol+(c*g.inH+iy)*g.inW+ix0+tlo*g.stride:][:(thi-tlo-1)*g.stride+1]
-					if g.stride == 2 && len(src) == 15 {
-						d := dst[o : o+7*nr+1]
-						d[0], d[nr], d[2*nr], d[3*nr] = src[0], src[2], src[4], src[6]
-						d[4*nr], d[5*nr], d[6*nr], d[7*nr] = src[8], src[10], src[12], src[14]
-						o += 8 * nr
-					} else {
-						for ix := 0; ix < len(src); ix += g.stride {
-							dst[o] = src[ix]
-							o += nr
-						}
-					}
-				}
-				for t := thi; t < run; t++ {
-					dst[o] = 0
-					o += nr
-				}
-				p += run
-				if ox, oy = 0, oy+1; oy == g.outH {
-					oy, i = 0, i+1
-				}
-			}
-			c, ki, kj = g.next(c, ki, kj)
 		}
-	}
+	})
 }
 
-// packXhat returns the fused B-panel packer for the channel-major view
-// x̂ (C, n·hw) of a batch x (n, C, hw): x̂[c][i·hw+rem] =
-// xd[i·inVol+c·hw+rem]. Panel rows are channels, panel columns are
-// batched spatial positions, and each row is filled by contiguous
-// per-image copies (zero-padded past cols = n·hw). ConvTranspose2D
-// consumes its input through this packer instead of materialising x̂.
-func packXhat(xd []tensor.Elem, inVol, hw, cols int) tensor.BPanelPacker {
-	return func(dst []tensor.Elem, k0, k1, j0, nr int) {
-		j1 := j0 + nr
-		if j1 > cols {
-			// Zero-pad the panel columns past the batch edge.
-			for kk := k0; kk < k1; kk++ {
-				row := dst[(kk-k0)*nr : (kk-k0)*nr+nr]
-				for j := cols - j0; j < nr; j++ {
-					row[j] = 0
-				}
-			}
-			j1 = cols
-		}
-		for kk := k0; kk < k1; kk++ {
-			row := dst[(kk-k0)*nr:]
-			o := 0
-			for p := j0; p < j1; {
-				i := p / hw
-				rem := p - i*hw
-				run := hw - rem // stay within one image's plane
-				if p+run > j1 {
-					run = j1 - p
-				}
-				src := xd[i*inVol+kk*hw+rem:]
-				copy(row[o:o+run], src[:run])
-				o += run
-				p += run
-			}
-		}
-	}
-}
-
-// Conv2D is a standard 2-D convolution over NCHW tensors. The im2col
-// matrix is never materialised: both the forward product W·col(x) and
-// the weight gradient g·col(x)ᵀ consume it through fused GEMM packers
-// (packIm2col, packIm2colT), which produce each patch value directly
-// inside the packed B panels the micro-kernel reads.
+// Conv2D is a standard 2-D convolution over NCHW tensors. Forward
+// builds the im2col matrix col(x) once, as a pooled tensor, and
+// multiplies W·col(x); a training Forward keeps col(x) for the weight
+// gradient g·col(x)ᵀ, so Backward never gathers x again.
 type Conv2D struct {
 	geom convGeom
 	OutC int
 	W, B *Param // W: (OutC, InC*KH*KW), B: (1, OutC)
 	x    *tensor.Tensor
-	// trained records whether the last Forward ran in training mode
-	// (Backward re-reads c.x through the fused packer, so it needs no
-	// retained workspace — just the mode check).
-	trained bool
-	out     *tensor.Tensor // layer-owned output buffer
-	dx      *tensor.Tensor // layer-owned input-gradient buffer
+	// col is the pooled col(x) of the last training-mode Forward, held
+	// for Backward and released by it (or by the next Forward); nil
+	// means there is no training Forward to back-propagate.
+	col *tensor.Tensor
+	out *tensor.Tensor // layer-owned output buffer
+	dx  *tensor.Tensor // layer-owned input-gradient buffer
 }
 
 // NewConv2D builds a convolution mapping (N, inC, inH, inW) to
@@ -337,13 +226,20 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Conv2D input %v, want per-image volume %d", x.Shape(), inVol))
 	}
 	c.x = x
-	c.trained = train
 	oHW := g.outH * g.outW
 
-	// One fused matmul for the whole batch: (OutC, ckk)·(ckk, n·oHW),
-	// the im2col operand produced inside the GEMM's packed B panels.
+	// One matmul for the whole batch: (OutC, ckk)·(ckk, n·oHW).
+	tensor.Put(c.col) // a training Forward that saw no Backward
+	c.col = nil
+	col := tensor.Get(g.inC*g.kh*g.kw, n*oHW)
+	g.im2col(x.Data, inVol, n, col.Data)
 	y := tensor.Get(c.OutC, n*oHW)
-	tensor.MatMulPacked(y, c.W.W, n*oHW, g.packIm2col(x.Data, inVol, n*oHW))
+	tensor.MatMulInto(y, c.W.W, col)
+	if train {
+		c.col = col
+	} else {
+		tensor.Put(col)
+	}
 
 	// Scatter (OutC, n·oHW) → (n, OutC, oHW), adding the bias.
 	c.out = tensor.Ensure(c.out, n, c.OutC, g.outH, g.outW)
@@ -368,49 +264,40 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward accumulates weight/bias gradients and returns the input
 // gradient (a layer-owned buffer, valid until the next Backward call).
-// The weight gradient re-reads the retained input through the fused
-// transposed im2col packer, so no workspace survives the pass.
+// The weight gradient reads the col(x) the training Forward kept, and
+// Backward releases it, so no workspace survives the pass.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return c.BackwardWant(grad, WantParams|WantInput)
 }
 
 // BackwardWant is Backward restricted to want: the gather of grad is
-// shared, the fused dW product and bias reduction run only with
+// shared, the dW product and bias reduction run only with
 // WantParams (stored instead of accumulated under WantWrite), and Wᵀ·gy
 // with its col2im scatter only with WantInput (nil otherwise).
 func (c *Conv2D) BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor {
+	if c.col == nil {
+		panic("nn: Conv2D.Backward without a training-mode Forward")
+	}
 	g := c.geom
 	n := c.x.Dim(0)
 	oHW := g.outH * g.outW
 	ckk := g.inC * g.kh * g.kw
 	inVol := g.inC * g.inH * g.inW
-	outVol := c.OutC * oHW
-	if !c.trained {
-		panic("nn: Conv2D.Backward without a training-mode Forward")
-	}
 
 	// Gather grad (n, OutC, oHW) → (OutC, n·oHW), mirroring the batched
 	// forward layout.
 	gy := tensor.Get(c.OutC, n*oHW)
-	gd, gyd := grad.Data, gy.Data
-	outC := c.OutC
-	forImages(n, outVol, func(s, e int) {
-		for i := s; i < e; i++ {
-			for oc := 0; oc < outC; oc++ {
-				copy(gyd[oc*n*oHW+i*oHW:oc*n*oHW+(i+1)*oHW], gd[i*outVol+oc*oHW:i*outVol+(oc+1)*oHW])
-			}
-		}
-	})
+	channelMajor(gy.Data, grad.Data, n, c.OutC, oHW)
+	gyd := gy.Data
 
-	// dW += gy·col(x)ᵀ and dB += per-channel sums: one fused matmul (the
-	// transposed im2col packed straight from x), one contiguous
-	// reduction.
+	// dW += gy·col(x)ᵀ and dB += per-channel sums: one matmul against
+	// the retained col(x), one contiguous reduction.
 	if want&WantParams != 0 {
 		if want.writes() {
-			tensor.MatMulPacked(c.W.Grad, gy, ckk, g.packIm2colT(c.x.Data, inVol, ckk))
+			tensor.MatMulT2Into(c.W.Grad, gy, c.col)
 			c.B.Grad.Zero()
 		} else {
-			tensor.MatMulPackedAdd(c.W.Grad, gy, ckk, g.packIm2colT(c.x.Data, inVol, ckk))
+			tensor.MatMulT2Add(c.W.Grad, gy, c.col)
 		}
 		db := c.B.Grad.Data
 		for oc := 0; oc < c.OutC; oc++ {
@@ -421,14 +308,16 @@ func (c *Conv2D) BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor {
 			db[oc] += tensor.Elem(sum)
 		}
 	}
-	c.trained = false
+	// col(x) is spent; its storage takes dcol.
+	dcol := c.col
+	c.col = nil
 	if want&WantInput == 0 {
 		tensor.Put(gy)
+		tensor.Put(dcol)
 		return nil
 	}
 
 	// dcol = Wᵀ·gy, scattered back per image into dx.
-	dcol := tensor.Get(ckk, n*oHW)
 	tensor.MatMulT1Into(dcol, c.W.W, gy)
 	tensor.Put(gy)
 	c.dx = tensor.Ensure(c.dx, c.x.Shape()...)
@@ -465,12 +354,13 @@ type ConvTranspose2D struct {
 	inH, inW  int
 	W, B      *Param // W: (InC, OutC*KH*KW), B: (1, OutC)
 	x         *tensor.Tensor
-	// trained records whether the last Forward ran in training mode
-	// (Backward re-reads c.x through the fused packers, so it needs no
-	// retained workspace — just the mode check).
-	trained bool
-	out     *tensor.Tensor
-	dx      *tensor.Tensor
+	// xhat is the pooled channel-major x̂ of the last training-mode
+	// Forward, held for the weight gradient and released by Backward (or
+	// by the next Forward); nil means there is no training Forward to
+	// back-propagate.
+	xhat *tensor.Tensor
+	out  *tensor.Tensor
+	dx   *tensor.Tensor
 }
 
 // NewConvTranspose2D maps (N, inC, inH, inW) to (N, outC, outH, outW)
@@ -506,10 +396,10 @@ func NewConvTranspose2D(inC, inH, inW, outC, k, stride, pad, outPad int, rng *ra
 func (c *ConvTranspose2D) OutShape() (int, int, int) { return c.OutC, c.geom.inH, c.geom.inW }
 
 // Forward computes y = col2im(Wᵀ·x̂) + b for the whole batch at once:
-// one transposed matmul consumes the channel-major view x̂ (InC, n·hw)
-// of the input through the fused packXhat packer, producing every patch
-// column, and col2im scatters them per image. x̂ itself is never
-// materialised.
+// x̂ (InC, n·hw) is the input laid out channel-major by per-channel
+// copies, one transposed matmul produces every patch column, and col2im
+// scatters them per image. A training Forward keeps x̂ for the weight
+// gradient.
 func (c *ConvTranspose2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := c.geom
 	n := x.Dim(0)
@@ -519,13 +409,21 @@ func (c *ConvTranspose2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: ConvTranspose2D input %v, want per-image volume %d", x.Shape(), inVol))
 	}
 	c.x = x
-	c.trained = train
 	outVol := c.OutC * g.inH * g.inW
 	oPlane := g.inH * g.inW
 
-	// col = Wᵀ·x̂: (OutC·k·k, n·hw) in one fused matmul.
+	// col = Wᵀ·x̂: (OutC·k·k, n·hw) in one matmul.
+	tensor.Put(c.xhat) // a training Forward that saw no Backward
+	c.xhat = nil
+	xhat := tensor.Get(c.InC, n*hw)
+	channelMajor(xhat.Data, x.Data, n, c.InC, hw)
 	col := tensor.Get(c.OutC*g.kh*g.kw, n*hw)
-	tensor.MatMulT1Packed(col, c.W.W, n*hw, packXhat(x.Data, inVol, hw, n*hw))
+	tensor.MatMulT1Into(col, c.W.W, xhat)
+	if train {
+		c.xhat = xhat
+	} else {
+		tensor.Put(xhat)
+	}
 
 	// Per image: start from the bias plane, then scatter the columns.
 	c.out = tensor.Ensure(c.out, n, c.OutC, g.inH, g.inW)
@@ -549,19 +447,21 @@ func (c *ConvTranspose2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward: dx = W·im2col(grad); dW += x̂·im2col(grad)ᵀ; db sums grad
-// per channel — all batched. The gradient's im2col matrix (the old
-// gcol workspace, the largest buffer of the pass) is never
-// materialised: both products consume it through the fused
-// packIm2col/packIm2colT packers shared with Conv2D.
+// per channel — all batched. The gradient's im2col matrix gcol is built
+// once and shared by both products; it and the retained x̂ are released
+// before the pass returns.
 func (c *ConvTranspose2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return c.BackwardWant(grad, WantParams|WantInput)
 }
 
 // BackwardWant is Backward restricted to want: the dx̂ product and its
-// unpack run only with WantInput (nil otherwise), the x̂ repack, the
-// fused dW product and the bias reduction only with WantParams (stored
-// instead of accumulated under WantWrite).
+// unpack run only with WantInput (nil otherwise), the dW product and
+// the bias reduction only with WantParams (stored instead of
+// accumulated under WantWrite).
 func (c *ConvTranspose2D) BackwardWant(grad *tensor.Tensor, want Want) *tensor.Tensor {
+	if c.xhat == nil {
+		panic("nn: ConvTranspose2D.Backward without a training-mode Forward")
+	}
 	g := c.geom
 	n := c.x.Dim(0)
 	hw := c.inH * c.inW
@@ -569,18 +469,16 @@ func (c *ConvTranspose2D) BackwardWant(grad *tensor.Tensor, want Want) *tensor.T
 	outVol := c.OutC * g.inH * g.inW
 	oPlane := g.inH * g.inW
 	ckk := c.OutC * g.kh * g.kw
-	if !c.trained {
-		panic("nn: ConvTranspose2D.Backward without a training-mode Forward")
-	}
 	gd := grad.Data
+	gcol := tensor.Get(ckk, n*hw)
+	g.im2col(gd, outVol, n, gcol.Data)
 
 	inC := c.InC
 	var dx *tensor.Tensor
 	if want&WantInput != 0 {
-		// dx̂ = W·im2col(grad) (InC, n·hw), the gradient unrolled straight
-		// into the GEMM's packed B panels, then unpacked to (n, InC, hw).
+		// dx̂ = W·gcol (InC, n·hw), unpacked to (n, InC, hw).
 		dxhat := tensor.Get(c.InC, n*hw)
-		tensor.MatMulPacked(dxhat, c.W.W, n*hw, g.packIm2col(gd, outVol, n*hw))
+		tensor.MatMulInto(dxhat, c.W.W, gcol)
 		c.dx = tensor.Ensure(c.dx, c.x.Shape()...)
 		dx = c.dx
 		dxd, dh := dx.Data, dxhat.Data
@@ -595,26 +493,13 @@ func (c *ConvTranspose2D) BackwardWant(grad *tensor.Tensor, want Want) *tensor.T
 	}
 
 	if want&WantParams != 0 {
-		// dW += x̂·im2col(grad)ᵀ: the left operand is the channel-major
-		// repack of x (a cheap transient, InC·n·hw — released before
-		// returning), and the transposed im2col of the gradient is packed
-		// straight into B panels.
-		xhat := tensor.Get(c.InC, n*hw)
-		xd, xh := c.x.Data, xhat.Data
-		forImages(n, inVol, func(s, e int) {
-			for i := s; i < e; i++ {
-				for ic := 0; ic < inC; ic++ {
-					copy(xh[ic*n*hw+i*hw:ic*n*hw+(i+1)*hw], xd[i*inVol+ic*hw:i*inVol+(ic+1)*hw])
-				}
-			}
-		})
+		// dW += x̂·gcolᵀ against the x̂ the training Forward kept.
 		if want.writes() {
-			tensor.MatMulPacked(c.W.Grad, xhat, ckk, g.packIm2colT(gd, outVol, ckk))
+			tensor.MatMulT2Into(c.W.Grad, c.xhat, gcol)
 			c.B.Grad.Zero()
 		} else {
-			tensor.MatMulPackedAdd(c.W.Grad, xhat, ckk, g.packIm2colT(gd, outVol, ckk))
+			tensor.MatMulT2Add(c.W.Grad, c.xhat, gcol)
 		}
-		tensor.Put(xhat)
 
 		// dB sums the gradient per output channel.
 		db := c.B.Grad.Data
@@ -629,7 +514,9 @@ func (c *ConvTranspose2D) BackwardWant(grad *tensor.Tensor, want Want) *tensor.T
 			}
 		}
 	}
-	c.trained = false
+	tensor.Put(gcol)
+	tensor.Put(c.xhat)
+	c.xhat = nil
 	return dx
 }
 

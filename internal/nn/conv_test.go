@@ -10,8 +10,8 @@ import (
 	"mdgan/internal/tensor"
 )
 
-// im2colSeg is the per-element im2col fill the run-based packers
-// replaced, kept as their oracle: row idx of the batched im2col matrix
+// im2colSeg is the per-element im2col fill, kept as im2col's oracle:
+// row idx of the batched im2col matrix
 // restricted to the global column range [p0, p1), written to dst[0],
 // dst[stride], dst[2*stride], … with every index and bounds test done
 // per element.
@@ -49,41 +49,6 @@ func (g convGeom) im2colSeg(x []tensor.Elem, inVol, idx, p0, p1 int, dst []tenso
 			}
 		}
 		p += run
-	}
-}
-
-// refPackIm2col and refPackIm2colT are the forward and dW packers as
-// im2colSeg fills: one per panel row, one per panel column.
-func (g convGeom) refPackIm2col(xd []tensor.Elem, inVol, cols int) tensor.BPanelPacker {
-	return func(dst []tensor.Elem, k0, k1, j0, nr int) {
-		j1 := j0 + nr
-		if j1 > cols {
-			for kk := k0; kk < k1; kk++ {
-				row := dst[(kk-k0)*nr : (kk-k0)*nr+nr]
-				for j := cols - j0; j < nr; j++ {
-					row[j] = 0
-				}
-			}
-			j1 = cols
-		}
-		for kk := k0; kk < k1; kk++ {
-			g.im2colSeg(xd, inVol, kk, j0, j1, dst[(kk-k0)*nr:], 1)
-		}
-	}
-}
-
-func (g convGeom) refPackIm2colT(xd []tensor.Elem, inVol, ckk int) tensor.BPanelPacker {
-	return func(dst []tensor.Elem, k0, k1, j0, nr int) {
-		for jj := 0; jj < nr; jj++ {
-			idx := j0 + jj
-			if idx >= ckk {
-				for kk := k0; kk < k1; kk++ {
-					dst[(kk-k0)*nr+jj] = 0
-				}
-				continue
-			}
-			g.im2colSeg(xd, inVol, idx, k0, k1, dst[jj:], nr)
-		}
 	}
 }
 
@@ -142,26 +107,6 @@ var layoutGeoms = []struct {
 	{"k2x3", newConvGeom(2, 7, 9, 2, 3, 1, 1)},
 }
 
-// packAll calls pack on every panel of a (k, n) operand the way the
-// GEMM does — nr-wide column panels, kc-deep k blocks — and returns the
-// panels concatenated. Every panel starts as a sentinel, so an element a
-// packer fails to write shows.
-func packAll(pack tensor.BPanelPacker, k, n, kc, nr int) []tensor.Elem {
-	var out []tensor.Elem
-	for j0 := 0; j0 < n; j0 += nr {
-		for k0 := 0; k0 < k; k0 += kc {
-			k1 := min(k0+kc, k)
-			dst := make([]tensor.Elem, (k1-k0)*nr)
-			for i := range dst {
-				dst[i] = -7777
-			}
-			pack(dst, k0, k1, j0, nr)
-			out = append(out, dst...)
-		}
-	}
-	return out
-}
-
 func sameElems(t *testing.T, what string, got, want []tensor.Elem) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -174,12 +119,10 @@ func sameElems(t *testing.T, what string, got, want []tensor.Elem) {
 	}
 }
 
-// TestIm2colPackersMatchReference pins the run-based packers to the
-// per-element im2colSeg fills they replaced, byte for byte, on every
-// panel: batch sizes 1, 3 and 10, the three tile widths (so panels end
-// mid-row and past the batch edge) and k blocks of 256 and 7 (so
-// blocks start mid-row and mid-patch).
-func TestIm2colPackersMatchReference(t *testing.T) {
+// TestIm2colMatchesReference pins im2col to the per-element im2colSeg
+// fill, byte for byte, at batch sizes 1, 3 and 10. col starts as a
+// sentinel, so an element im2col fails to write shows.
+func TestIm2colMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for _, tc := range layoutGeoms {
 		g := tc.g
@@ -188,17 +131,16 @@ func TestIm2colPackersMatchReference(t *testing.T) {
 		for _, n := range []int{1, 3, 10} {
 			x := randInput(rng, n*inVol).Data
 			cols := n * g.outH * g.outW
-			for _, nr := range []int{4, 8, 16} {
-				for _, kc := range []int{256, 7} {
-					at := fmt.Sprintf("%s n=%d nr=%d kc=%d", tc.name, n, nr, kc)
-					sameElems(t, at+" forward",
-						packAll(g.packIm2col(x, inVol, cols), ckk, cols, kc, nr),
-						packAll(g.refPackIm2col(x, inVol, cols), ckk, cols, kc, nr))
-					sameElems(t, at+" dW",
-						packAll(g.packIm2colT(x, inVol, ckk), cols, ckk, kc, nr),
-						packAll(g.refPackIm2colT(x, inVol, ckk), cols, ckk, kc, nr))
-				}
+			got := make([]tensor.Elem, ckk*cols)
+			for i := range got {
+				got[i] = -7777
 			}
+			g.im2col(x, inVol, n, got)
+			want := make([]tensor.Elem, ckk*cols)
+			for idx := 0; idx < ckk; idx++ {
+				g.im2colSeg(x, inVol, idx, 0, cols, want[idx*cols:], 1)
+			}
+			sameElems(t, fmt.Sprintf("%s n=%d", tc.name, n), got, want)
 		}
 	}
 }
@@ -297,40 +239,51 @@ func TestConvBitwiseAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// BenchmarkConvLayers times ScaledCNN(3, 32, 10)'s conv layers at
-// b = 10: the forward, the backward for the parameter gradients alone
-// (what a discriminator's first layer runs) and for the input gradient
-// alone (what a generator's feedback pass runs).
+// facesCNNConvs builds the three Conv2D and two ConvTranspose2D layers
+// of FacesCNN. Both transposed convolutions' backward products and
+// conv3's weight gradient have more rows than the skinny kernels' cuts,
+// so on the avx512 tier they exercise the packed GEMM.
+func facesCNNConvs(rng *rand.Rand) []convCase {
+	return []convCase{
+		{"faces-conv1", NewConv2D(3, 32, 32, 16, 3, 2, 1, rng), []int{3, 32, 32}},
+		{"faces-conv2", NewConv2D(16, 16, 16, 32, 3, 2, 1, rng), []int{16, 16, 16}},
+		{"faces-conv3", NewConv2D(32, 8, 8, 64, 3, 2, 1, rng), []int{32, 8, 8}},
+		{"faces-convT1", NewConvTranspose2D(256, 8, 8, 128, 5, 2, 2, 1, rng), []int{256, 8, 8}},
+		{"faces-convT2", NewConvTranspose2D(128, 16, 16, 3, 5, 2, 2, 1, rng), []int{128, 16, 16}},
+	}
+}
+
+// BenchmarkConvLayers times ScaledCNN(3, 32, 10)'s and FacesCNN's conv
+// layers at b = 10: the forward, the backward for the parameter
+// gradients alone (what a discriminator's first layer runs), for the
+// input gradient alone (what a generator's feedback pass runs) and for
+// both (what every generator layer runs in a generator step). A
+// backward needs the workspace its training forward kept, so each one
+// follows a forward run with the timer stopped.
 func BenchmarkConvLayers(b *testing.B) {
 	const batch = 10
 	rng := rand.New(rand.NewSource(84))
-	for _, tc := range scaledCNNConvs(rng) {
+	for _, tc := range append(scaledCNNConvs(rng), facesCNNConvs(rng)...) {
 		l := tc.l
 		x := randInput(rng, append([]int{batch}, tc.in...)...)
-		grad := randInput(rng, l.Forward(x, true).Shape()...)
-		// Backward refuses to run without a training forward; re-arm the
-		// flag instead of timing a forward per backward.
-		arm := func() {
-			switch c := l.(type) {
-			case *Conv2D:
-				c.trained = true
-			case *ConvTranspose2D:
-				c.trained = true
+		grad := randInput(rng, l.Forward(x, false).Shape()...)
+		backward := func(want Want) func(b *testing.B) {
+			return func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					l.Forward(x, true)
+					b.StartTimer()
+					l.BackwardWant(grad, want)
+				}
 			}
 		}
-		for _, c := range []struct {
-			name string
-			run  func()
-		}{
-			{"forward", func() { l.Forward(x, true) }},
-			{"backward-params", func() { arm(); l.BackwardWant(grad, WantParams) }},
-			{"backward-input", func() { arm(); l.BackwardWant(grad, WantInput) }},
-		} {
-			b.Run(tc.name+"/"+c.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					c.run()
-				}
-			})
-		}
+		b.Run(tc.name+"/forward", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				l.Forward(x, true)
+			}
+		})
+		b.Run(tc.name+"/backward-params", backward(WantParams))
+		b.Run(tc.name+"/backward-input", backward(WantInput))
+		b.Run(tc.name+"/backward", backward(WantParams|WantInput))
 	}
 }

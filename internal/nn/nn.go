@@ -55,17 +55,16 @@
 // gradients itself before its plain, accumulating Backward — whichever
 // way a layer takes, a stale gradient never leaks into the step.
 //
-// The discipline extends DOWN the stack too, into the packed GEMM's
-// pack-panel pool: Conv2D's im2col operand is never materialised —
-// tensor.MatMulPacked fills pool-backed B panels through a fused packer
-// (packIm2col) that reads the layer's retained input x directly, both in
-// Forward and for the weight gradient in Backward. That retained x is a
-// buffer OWNED BY THE UPSTREAM LAYER, valid until that layer's next
-// call; the Forward→Backward window of a training step stays inside it,
-// which is exactly the window the contract above guarantees. The pack
-// panels themselves are pooled workspaces released inside the GEMM
-// call, and the fused packers run concurrently on the scheduler — they
-// only read x and write disjoint panel slices.
+// The discipline extends DOWN the stack too, into the tensor pool: a
+// training-mode Forward of Conv2D keeps its im2col matrix col(x), and
+// one of ConvTranspose2D its channel-major input x̂, for the weight
+// gradient of the Backward that follows. Each is a pooled workspace
+// the layer owns — a copy, never a view of the upstream layer's
+// buffer — and Backward returns it to the pool. So does the next
+// Forward when no Backward came between; an eval-mode Forward keeps
+// none, and a Clone starts without one (contract_test.go pins all
+// three). Every other conv workspace, and the GEMM's pack panels, is
+// released before the call that drew it returns.
 //
 // Dtype: activations, parameters and gradients are stored and combined
 // at tensor.Elem width (float64 by default, float32 under `-tags f32`),

@@ -284,47 +284,6 @@ func GemmKernels() []string {
 	return ks
 }
 
-// BPanelPacker fills one packed B panel for MatMulPacked: dst holds
-// (k1-k0) rows of exactly nr contiguous elements each — the panel's
-// columns [j0, j0+nr) of the virtual B operand, k range [k0, k1), laid
-// out dst[(kk-k0)*nr + (j-j0)]. Columns past the operand's edge must be
-// zero-filled. Implementations are called concurrently on disjoint dst
-// slices and must not retain dst.
-type BPanelPacker func(dst []Elem, k0, k1, j0, nr int)
-
-// MatMulPacked computes out = a·B for a (m, k) and a virtual (k, n)
-// right operand produced directly in packed-panel form by packB,
-// skipping the materialise-then-pack copy (internal/nn fuses the conv
-// im2col and conv-transpose fills this way). out must be (m, n).
-func MatMulPacked(out, a *Tensor, n int, packB BPanelPacker) {
-	m, k := mustRank2(a, "MatMulPacked")
-	checkOutShape("MatMulPacked", out, m, n)
-	gemm(out.Data, n, m, n, k, a.Data, k, 1, nil, 0, 0, packB, false)
-}
-
-// MatMulPackedAdd computes out += a·B with B produced by packB; out
-// must be (m, n).
-func MatMulPackedAdd(out, a *Tensor, n int, packB BPanelPacker) {
-	m, k := mustRank2(a, "MatMulPackedAdd")
-	checkOutShape("MatMulPackedAdd", out, m, n)
-	gemm(out.Data, n, m, n, k, a.Data, k, 1, nil, 0, 0, packB, true)
-}
-
-// MatMulT1Packed computes out = aᵀ·B for a (k, m) and a virtual (k, n)
-// right operand produced by packB; out must be (m, n).
-func MatMulT1Packed(out, a *Tensor, n int, packB BPanelPacker) {
-	k, m := mustRank2(a, "MatMulT1Packed")
-	checkOutShape("MatMulT1Packed", out, m, n)
-	gemm(out.Data, n, m, n, k, a.Data, 1, m, nil, 0, 0, packB, false)
-}
-
-func mustRank2(a *Tensor, op string) (d0, d1 int) {
-	if len(a.shape) != 2 {
-		panic("tensor: " + op + " requires a rank-2 left operand")
-	}
-	return a.shape[0], a.shape[1]
-}
-
 // packRows fills a full-width packed panel from w-wide contiguous
 // source rows: dst[kk*w+r] = src[kk*stride+r] for kk < kc, r < w. It is
 // the full-panel body of row-major B and of a stored-transpose A. A row
@@ -416,8 +375,8 @@ func packCols(dst, src []Elem, stride, kc, w int) {
 }
 
 // packBStrided fills one packed panel of a stored B operand viewed as
-// B[kk][j] = b[kk*rs + j*cs] with n logical columns (the default packer
-// behind the nine MatMul entry points). Full panels of a row-major or
+// B[kk][j] = b[kk*rs + j*cs] with n logical columns (the packer behind
+// the nine MatMul entry points). Full panels of a row-major or
 // stored-transpose operand take packRows / packCols; ragged edge panels
 // and the general-stride view keep the element loops below. Either way
 // the panel's bytes are the same.
@@ -542,10 +501,8 @@ type gemmRun struct {
 	m, n, k  int
 	a        []Elem
 	ars, acs int
-	// Stored B view (packB == nil) or caller-supplied fused packer.
 	b        []Elem
 	brs, bcs int
-	packB    BPanelPacker
 
 	// Per-(jc, pc) block state, set by gemm before each parallel phase.
 	jc, nc  int
@@ -576,12 +533,7 @@ func (g *gemmRun) panel(q int) []Elem {
 
 func (g *gemmRun) fillPanel(q int, st *atomic.Uint32) {
 	if st.CompareAndSwap(bPanelEmpty, bPanelPacking) {
-		dst := g.bbuf[q*g.panVolB : (q+1)*g.panVolB]
-		if g.packB != nil {
-			g.packB(dst, g.pc, g.pc+g.kc, g.jc+q*gemmNR, gemmNR)
-		} else {
-			packBStrided(dst, g.b, g.brs, g.bcs, g.n, g.pc, g.pc+g.kc, g.jc+q*gemmNR, gemmNR)
-		}
+		packBStrided(g.bbuf[q*g.panVolB:(q+1)*g.panVolB], g.b, g.brs, g.bcs, g.n, g.pc, g.pc+g.kc, g.jc+q*gemmNR, gemmNR)
 		// Release: the atomic store publishes the packed bytes to every
 		// task that observes bPanelReady.
 		st.Store(bPanelReady)
@@ -665,15 +617,12 @@ func (g *gemmRun) Range(ps, pe int) {
 }
 
 // gemm computes C (+)= A·B over strided views: C is row-major (ldc),
-// A[i][kk] = a[i*ars + kk*acs], and B is either the stored operand
-// B[kk][j] = b[kk*brs + j*bcs] (packB nil) or delivered panel-by-panel
-// by packB.
-func gemm(c []Elem, ldc, m, n, k int, a []Elem, ars, acs int, b []Elem, brs, bcs int, packB BPanelPacker, add bool) {
+// A[i][kk] = a[i*ars + kk*acs] and B[kk][j] = b[kk*brs + j*bcs].
+func gemm(c []Elem, ldc, m, n, k int, a []Elem, ars, acs int, b []Elem, brs, bcs int, add bool) {
 	g := gemmRunPool.Get().(*gemmRun)
 	g.c, g.ldc, g.m, g.n, g.k = c, ldc, m, n, k
 	g.a, g.ars, g.acs = a, ars, acs
 	g.b, g.brs, g.bcs = b, brs, bcs
-	g.packB = packB
 
 	nPanA := (m + gemmMR - 1) / gemmMR
 	bbufCols := n
@@ -726,6 +675,6 @@ func gemm(c []Elem, ldc, m, n, k int, a []Elem, ars, acs int, b []Elem, brs, bcs
 	Put(bbufT)
 	// Drop operand references before pooling; bState is retained so the
 	// steady state does not reallocate it.
-	g.c, g.a, g.b, g.bbuf, g.packB = nil, nil, nil, nil, nil
+	g.c, g.a, g.b, g.bbuf = nil, nil, nil, nil
 	gemmRunPool.Put(g)
 }

@@ -15,8 +15,9 @@ import (
 // at most gemmSkinnyMaxStrips rows, MatMulT2* (stored-transpose B: every
 // Dense input gradient) when it has at most gemmSkinnyMaxPairs, and
 // MatMulT1* (every Dense weight gradient) when it has at most
-// gemmSkinnyMaxK rows, i.e. k is the batch. The
-// MatMul*Packed entry points have no stored B to read and stay packed.
+// gemmSkinnyMaxK rows, i.e. k is the batch. The conv layers' products
+// come the same way: their few output or input channels are the left
+// operand's rows, and the im2col matrix is the operand read in place.
 //
 // Row-major B is walked in column strips of two vectors
 // (gemmSkinnyStrip columns): per k step the kernel loads the strip's two

@@ -185,7 +185,7 @@ func TestGemmGoKernelBitwiseMatchesLegacy(t *testing.T) {
 	m, k, n := 21, gemmKC, 19 // above gemmMinWork, single k block, ragged edges
 	a, b := randTensor(rng, m, k), randTensor(rng, k, n)
 	packed := New(m, n)
-	gemm(packed.Data, n, m, n, k, a.Data, k, 1, b.Data, n, 1, nil, false)
+	gemm(packed.Data, n, m, n, k, a.Data, k, 1, b.Data, n, 1, false)
 	legacy := New(m, n)
 	matMulRows(legacy.Data, a.Data, b.Data, k, n, 0, m, false)
 	for i, v := range packed.Data {
@@ -290,46 +290,6 @@ func TestGemmBitwiseAcrossGOMAXPROCS(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestMatMulPackedMatchesMaterialized checks the fused-packing entry
-// points (the conv im2col fusion hook) against materialise-then-
-// multiply, under every kernel variant.
-func TestMatMulPackedMatchesMaterialized(t *testing.T) {
-	kernelVariants(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(17))
-		for _, sh := range gemmShapes {
-			m, k, n := sh[0], sh[1], sh[2]
-			b := randTensor(rng, k, n)
-			packB := func(dst []Elem, k0, k1, j0, nr int) {
-				packBStrided(dst, b.Data, n, 1, n, k0, k1, j0, nr)
-			}
-			tol := Tol(1e-12, 2e-4) * float64(k)
-
-			a := randTensor(rng, m, k)
-			want := refMatMul(a, b, false, false)
-			got := New(m, n)
-			MatMulPacked(got, a, n, packB)
-			if !got.Equal(want, tol) {
-				t.Fatalf("%dx%dx%d: MatMulPacked mismatch", m, k, n)
-			}
-			got = randTensor(rng, m, n)
-			base := got.Clone()
-			MatMulPackedAdd(got, a, n, packB)
-			base.AddInPlace(want)
-			if !got.Equal(base, tol) {
-				t.Fatalf("%dx%dx%d: MatMulPackedAdd mismatch", m, k, n)
-			}
-
-			at := randTensor(rng, k, m)
-			want = refMatMul(at, b, true, false)
-			got = New(m, n)
-			MatMulT1Packed(got, at, n, packB)
-			if !got.Equal(want, tol) {
-				t.Fatalf("%dx%dx%d: MatMulT1Packed mismatch", m, k, n)
-			}
-		}
-	})
 }
 
 // TestGemmSteadyStateAllocs pins the pack buffers to the workspace

@@ -75,7 +75,7 @@ func matMulInto(out, a, b *Tensor, m, k, n int, accumulate bool) {
 			gemmSkinny(out.Data, n, m, n, k, a.Data, b.Data, skinnyStrips, accumulate)
 			return
 		}
-		gemm(out.Data, n, m, n, k, a.Data, k, 1, b.Data, n, 1, nil, accumulate)
+		gemm(out.Data, n, m, n, k, a.Data, k, 1, b.Data, n, 1, accumulate)
 		return
 	}
 	matMulRows(out.Data, a.Data, b.Data, k, n, 0, m, accumulate)
@@ -175,7 +175,7 @@ func matMulT1Into(out, a, b *Tensor, k, m, n int, accumulate bool) {
 		}
 		// Packing reads A through the (rs=1, cs=m) transposed view, so
 		// the backward passes never strided-read inside a kernel.
-		gemm(out.Data, n, m, n, k, a.Data, 1, m, b.Data, n, 1, nil, accumulate)
+		gemm(out.Data, n, m, n, k, a.Data, 1, m, b.Data, n, 1, accumulate)
 		return
 	}
 	matMulT1Rows(out.Data, a.Data, b.Data, k, m, n, 0, m, accumulate)
@@ -270,7 +270,7 @@ func matMulT2Into(out, a, b *Tensor, m, k, n int, accumulate bool) {
 		}
 		// B is a stored transpose: packing reads it through the
 		// (rs=1, cs=k) view, one contiguous source run per column.
-		gemm(out.Data, n, m, n, k, a.Data, k, 1, b.Data, 1, k, nil, accumulate)
+		gemm(out.Data, n, m, n, k, a.Data, k, 1, b.Data, 1, k, accumulate)
 		return
 	}
 	matMulT2Rows(out.Data, a.Data, b.Data, k, n, 0, m, accumulate)

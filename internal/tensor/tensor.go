@@ -29,9 +29,10 @@
 //  3. everything else is packed: A and B blocks are copied once per
 //     cache block into pool-backed MR-row / NR-column panels whose
 //     layout matches the micro-kernel's streaming order exactly, with
-//     the MatMulT1/T2 transposes absorbed by the packing reads and the
-//     conv layers' im2col fill fused straight into B-panel packing
-//     (MatMulPacked). One GEMM call additionally fans its macro loops
+//     the MatMulT1/T2 transposes absorbed by the packing reads. The conv
+//     layers build their im2col matrices as ordinary tensors and take
+//     the same dispatch as every other product. One GEMM call
+//     additionally fans its macro loops
 //     out across the worker pool: tasks split on packed-panel
 //     boundaries and pack the shared B panels cooperatively, so the
 //     result stays bitwise identical at every GOMAXPROCS.

@@ -137,9 +137,9 @@ engine_gates() { # $1 = label, $2.. = go test args
     # the others; the rectifiers), b = 1 through every architecture
     # (skinny strips on avx512, the legacy rows on every other tier) and
     # the conv layout loops (against the per-element reference, and the
-    # conv layers bitwise across GOMAXPROCS at the tier's panel width).
+    # conv layers bitwise across GOMAXPROCS on the tier's kernels).
     go test "$@" -count=1 \
-        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestDiscStepFusedMatchesTwoPass|TestDiscStepIgnoresStaleGrads|TestPackersMatchReference|TestSkinnyStaysInBounds|TestSkinnyMatchesReference|TestSkinnySteadyStateAllocs|TestGemmBitwiseAcrossGOMAXPROCS|TestTanhAccuracy|TestTanhProperties|TestTanhStaysInBounds|TestTanhAllocs|TestAdamKernelMatchesScalar|TestAdamStaysInBounds|TestRectifierMatchesBranch|TestBatchOneStaysFiniteOnEveryArch|TestIm2colPackersMatchReference|TestCol2imMatchesReference|TestConvBitwiseAcrossGOMAXPROCS' \
+        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestDiscStepFusedMatchesTwoPass|TestDiscStepIgnoresStaleGrads|TestPackersMatchReference|TestSkinnyStaysInBounds|TestSkinnyMatchesReference|TestSkinnySteadyStateAllocs|TestGemmBitwiseAcrossGOMAXPROCS|TestTanhAccuracy|TestTanhProperties|TestTanhStaysInBounds|TestTanhAllocs|TestAdamKernelMatchesScalar|TestAdamStaysInBounds|TestRectifierMatchesBranch|TestBatchOneStaysFiniteOnEveryArch|TestIm2colMatchesReference|TestCol2imMatchesReference|TestConvBitwiseAcrossGOMAXPROCS' \
         ./internal/gan ./internal/nn ./internal/tensor
 }
 
