@@ -11,7 +11,11 @@ import (
 // training allocates nothing here.
 
 // LeakyReLU applies max(x, alpha*x) element-wise. Alpha = 0 gives plain
-// ReLU.
+// ReLU. Its forward (v = x) and backward (v = the incoming gradient) are
+// each one tensor.Gate, which holds the rule: v where x > 0 and alpha·v
+// elsewhere, chosen by a select on the bits of x rather than a branch
+// its random signs would mispredict, bit for bit the branch's result for
+// every non-NaN x.
 type LeakyReLU struct {
 	Alpha float64
 	x     *tensor.Tensor
@@ -29,34 +33,15 @@ func NewReLU() *LeakyReLU { return &LeakyReLU{} }
 func (l *LeakyReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.x = x
 	l.out = tensor.Ensure(l.out, x.Shape()...)
-	gate(l.out.Data, x.Data, x.Data, tensor.Elem(l.Alpha))
+	tensor.Gate(l.out.Data, x.Data, x.Data, tensor.Elem(l.Alpha))
 	return l.out
 }
 
 // Backward gates the incoming gradient by the activation derivative.
 func (l *LeakyReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	l.dx = tensor.Ensure(l.dx, grad.Shape()...)
-	gate(l.dx.Data, grad.Data, l.x.Data, tensor.Elem(l.Alpha))
+	tensor.Gate(l.dx.Data, grad.Data, l.x.Data, tensor.Elem(l.Alpha))
 	return l.dx
-}
-
-// gate sets dst[i] = v[i] where x[i] > 0 and alpha·v[i] elsewhere — the
-// forward (v = x) and the backward (v = the incoming gradient) of
-// LeakyReLU. It selects the factor instead of branching on the sign,
-// which a ReLU's input flips at random (a mispredicted branch cost ~5 ns
-// an element, the select under 1): a non-NaN x is > 0 exactly when the
-// bits b of float64(x) are neither 0 (+0) nor have the sign bit set,
-// i.e. when the top bit of (b−1)|b is clear. v·1 is v, so for every
-// non-NaN x the result is bit for bit that of the branch, ±0 included
-// (+0 is not positive: the backward gives alpha·g there). A NaN v stays
-// NaN.
-func gate(dst, v, x []tensor.Elem, alpha tensor.Elem) {
-	slope := [2]tensor.Elem{1, alpha}
-	v, dst = v[:len(x)], dst[:len(x)]
-	for i, xv := range x {
-		b := math.Float64bits(float64(xv))
-		dst[i] = v[i] * slope[((b-1)|b)>>63]
-	}
 }
 
 // Params reports no learnables.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mdgan/internal/tensor"
@@ -83,30 +84,34 @@ func TestRectifierMatchesBranch(t *testing.T) {
 }
 
 // BenchmarkRectifier times LeakyReLU's forward and backward over a
-// served generator's hidden layer (batch 64 × 128) of normals, whose
-// signs a branch cannot predict, reporting ns per element.
+// served generator's hidden layer (batch 64 × 128) and a ScaledCNN
+// conv activation (10 × 8 × 16 × 16) of normals, whose signs a branch
+// cannot predict, reporting ns per element.
 func BenchmarkRectifier(b *testing.B) {
 	rng := rand.New(rand.NewSource(73))
-	x, g := tensor.New(64, 128), tensor.New(64, 128)
-	for i := range x.Data {
-		x.Data[i], g.Data[i] = tensor.Elem(rng.NormFloat64()), tensor.Elem(rng.NormFloat64())
-	}
-	for _, alpha := range []float64{0, 0.2} {
-		l := NewLeakyReLU(alpha)
-		l.Forward(x, true)
-		for _, c := range []struct {
-			name string
-			run  func()
-		}{
-			{"forward", func() { l.Forward(x, false) }},
-			{"backward", func() { l.Backward(g) }},
-		} {
-			b.Run(fmt.Sprintf("%s/alpha=%v", c.name, alpha), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					c.run()
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(x.Data)), "ns/elem")
-			})
+	for _, shape := range [][]int{{64, 128}, {10, 8, 16, 16}} {
+		x, g := tensor.New(shape...), tensor.New(shape...)
+		for i := range x.Data {
+			x.Data[i], g.Data[i] = tensor.Elem(rng.NormFloat64()), tensor.Elem(rng.NormFloat64())
+		}
+		dims := strings.Trim(strings.ReplaceAll(fmt.Sprint(shape), " ", "x"), "[]")
+		for _, alpha := range []float64{0, 0.2} {
+			l := NewLeakyReLU(alpha)
+			l.Forward(x, true)
+			for _, c := range []struct {
+				name string
+				run  func()
+			}{
+				{"forward", func() { l.Forward(x, false) }},
+				{"backward", func() { l.Backward(g) }},
+			} {
+				b.Run(fmt.Sprintf("%s/%s/alpha=%v", dims, c.name, alpha), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						c.run()
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(x.Data)), "ns/elem")
+				})
+			}
 		}
 	}
 }

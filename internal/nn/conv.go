@@ -17,9 +17,12 @@ import (
 // pass as a pooled tensor: Conv2D's col(x) in Forward, kept for the
 // weight gradient; ConvTranspose2D's channel-major x̂ in Forward, kept
 // likewise, and its gradient's im2col matrix once in Backward, shared by
-// the dx and dW products. im2col and col2im walk one output row at a
-// time: a row's input row and in-image columns are found once, so the
-// per-element work is a load and a store. The backward passes run the
+// the dx and dW products. im2col and col2im find each patch
+// coordinate's in-image output rows and columns once. At stride 2,
+// which every ScaledCNN conv and ConvTranspose2D adjoint runs at, the
+// whole block is then one tensor.GatherStride2 or tensor.AddStride2
+// call (AVX-512 kernels on the avx512 tier, bitwise equal to their Go
+// loops); other strides walk it row by row. The backward passes run the
 // transposed products straight into preallocated gradient buffers, and
 // every workspace not kept for Backward is released before the pass
 // returns.
@@ -44,15 +47,16 @@ func newConvGeom(inC, inH, inW, kh, kw, stride, pad int) convGeom {
 }
 
 // span returns the in-image part [tlo, thi) of a run of n output
-// columns whose first reads input column ix0: column t reads ix0 +
-// t·stride. Only the ⌈pad/stride⌉ columns at either end can fall
-// outside the image, so it steps in from both ends instead of dividing.
-func (g convGeom) span(ix0, n int) (tlo, thi int) {
-	for tlo < n && ix0+tlo*g.stride < 0 {
+// positions along an input extent of size whose first reads input
+// position i0: position t reads i0 + t·stride. Only the ⌈pad/stride⌉
+// positions at either end can fall outside the image, so it steps in
+// from both ends instead of dividing.
+func (g convGeom) span(i0, n, size int) (tlo, thi int) {
+	for tlo < n && i0+tlo*g.stride < 0 {
 		tlo++
 	}
 	thi = n
-	for thi > tlo && ix0+(thi-1)*g.stride >= g.inW {
+	for thi > tlo && i0+(thi-1)*g.stride >= size {
 		thi--
 	}
 	return tlo, thi
@@ -60,32 +64,35 @@ func (g convGeom) span(ix0, n int) (tlo, thi int) {
 
 // col2im scatters one column block of a batched col matrix back into an
 // image, accumulating overlapping contributions — the adjoint of
-// im2col. The in-image output columns [lo, hi) depend on kj only, so
-// they are found once per patch coordinate. The visit order stays
-// (c, ki, kj, oy, ox) and only out-of-image columns are skipped, so each
-// input element's additions run in the order of a per-element loop
-// (TestCol2imMatchesReference pins this bitwise).
+// im2col. A patch coordinate (c, ki, kj) reaches the in-image output
+// rows [oyA, oyB), which depend on ki only, and columns [lo, hi), which
+// depend on kj only, so both are found once. At stride 2 the whole
+// block of rows is one tensor.AddStride2 call; other strides walk it row
+// by row. The visit order stays (c, ki, kj, oy, ox) and only
+// out-of-image elements are skipped, so each input element's additions
+// run in the order of a per-element loop (TestCol2imMatchesReference
+// pins this bitwise).
 func (g convGeom) col2im(col []tensor.Elem, rowStride, colOff int, x []tensor.Elem) {
 	idx := 0
 	for c := 0; c < g.inC; c++ {
 		for ki := 0; ki < g.kh; ki++ {
+			oyA, oyB := g.span(ki-g.pad, g.outH, g.inH)
 			for kj := 0; kj < g.kw; kj++ {
 				row := col[idx*rowStride+colOff : idx*rowStride+colOff+g.outH*g.outW]
 				idx++
-				lo, hi := g.span(kj-g.pad, g.outW)
-				if lo == hi {
+				lo, hi := g.span(kj-g.pad, g.outW, g.inW)
+				if lo == hi || oyA == oyB {
 					continue
 				}
-				for oy := 0; oy < g.outH; oy++ {
-					iy := oy*g.stride + ki - g.pad
-					if iy < 0 || iy >= g.inH {
-						continue
-					}
-					xr := x[(c*g.inH+iy)*g.inW : (c*g.inH+iy+1)*g.inW]
-					ix := lo*g.stride + kj - g.pad
-					for _, v := range row[oy*g.outW+lo : oy*g.outW+hi] {
-						xr[ix] += v
-						ix += g.stride
+				xc := x[(c*g.inH+oyA*g.stride+ki-g.pad)*g.inW+lo*g.stride+kj-g.pad:]
+				if g.stride == 2 {
+					tensor.AddStride2(xc, row[oyA*g.outW+lo:], oyB-oyA, 2*g.inW, g.outW, hi-lo)
+					continue
+				}
+				for oy := oyA; oy < oyB; oy++ {
+					xr := xc[(oy-oyA)*g.stride*g.inW:]
+					for t, v := range row[oy*g.outW+lo : oy*g.outW+hi] {
+						xr[t*g.stride] += v
 					}
 				}
 			}
@@ -108,53 +115,51 @@ func forImages(n, perImageWork int, fn func(s, e int)) {
 // x[i][c][oy·stride+ki−pad][ox·stride+kj−pad], or zero outside the
 // image. It walks col the way col2im walks it, row by row in (c, ki, kj)
 // order, each row through the batch, so col is written front to back
-// while the n planes of channel c stay in cache: the in-image output
-// columns [lo, hi) are found once per kj, the input row is tested once
-// per (i, oy, ki), and each output row is filled by a copy at stride 1,
-// a gather unrolled by four at stride 2 or a strided loop, between
-// zeroed ends. Channels fan out to the scheduler and each writes only
-// its own rows, so every element is written exactly once whatever the
-// split.
+// while the n planes of channel c stay in cache. The in-image output
+// rows [oyA, oyB) are found once per ki and the columns [lo, hi) once
+// per kj; each image's plane is then one clear of the rows above, the
+// block of in-image rows — one tensor.GatherStride2 call at stride 2, a
+// copy or a strided loop per row otherwise, between zeroed ends — and
+// one clear of the rows below. Channels fan out to the scheduler and
+// each writes only its own rows, so every element is written exactly
+// once whatever the split.
 func (g convGeom) im2col(xd []tensor.Elem, inVol, n int, col []tensor.Elem) {
 	oHW, plane := g.outH*g.outW, g.inH*g.inW
 	parallel.ForGrain(g.inC, 1<<14/(g.kh*g.kw*n*oHW+1), func(c0, c1 int) {
 		idx := c0 * g.kh * g.kw
 		for c := c0; c < c1; c++ {
 			for ki := 0; ki < g.kh; ki++ {
+				oyA, oyB := g.span(ki-g.pad, g.outH, g.inH)
 				for kj := 0; kj < g.kw; kj++ {
 					row := col[idx*n*oHW : (idx+1)*n*oHW]
 					idx++
-					lo, hi := g.span(kj-g.pad, g.outW)
+					lo, hi := g.span(kj-g.pad, g.outW, g.inW)
+					if lo == hi || oyA == oyB {
+						clear(row)
+						continue
+					}
+					// The input element of output (oyA, lo) in channel c.
+					off := c*plane + (oyA*g.stride+ki-g.pad)*g.inW + lo*g.stride + kj - g.pad
 					for i := 0; i < n; i++ {
-						img := xd[i*inVol+c*plane : i*inVol+(c+1)*plane]
-						for oy := 0; oy < g.outH; oy++ {
-							d := row[(i*g.outH+oy)*g.outW : (i*g.outH+oy+1)*g.outW]
-							iy := oy*g.stride + ki - g.pad
-							if lo == hi || iy < 0 || iy >= g.inH {
-								clear(d)
-								continue
+						d, src := row[i*oHW:(i+1)*oHW], xd[i*inVol+off:i*inVol+(c+1)*plane]
+						clear(d[:oyA*g.outW])
+						if g.stride == 2 {
+							tensor.GatherStride2(d[oyA*g.outW:], src, oyB-oyA, g.outW, 2*g.inW, lo, hi-lo)
+						} else {
+							for oy := oyA; oy < oyB; oy++ {
+								r, s := d[oy*g.outW:(oy+1)*g.outW], src[(oy-oyA)*g.stride*g.inW:]
+								clear(r[:lo])
+								if g.stride == 1 {
+									copy(r[lo:hi], s)
+								} else {
+									for t := range r[lo:hi] {
+										r[lo+t] = s[t*g.stride]
+									}
+								}
+								clear(r[hi:])
 							}
-							clear(d[:lo])
-							src, v := img[iy*g.inW+lo*g.stride+kj-g.pad:], d[lo:hi]
-							switch g.stride {
-							case 1:
-								copy(v, src)
-							case 2:
-								t := 0
-								for ; t+4 <= len(v); t += 4 {
-									s, w := src[2*t:2*t+7:2*t+7], v[t:t+4:t+4]
-									w[0], w[1], w[2], w[3] = s[0], s[2], s[4], s[6]
-								}
-								for ; t < len(v); t++ {
-									v[t] = src[2*t]
-								}
-							default:
-								for t := range v {
-									v[t] = src[t*g.stride]
-								}
-							}
-							clear(d[hi:])
 						}
+						clear(d[oyB*g.outW:])
 					}
 				}
 			}

@@ -287,3 +287,36 @@ func BenchmarkConvLayers(b *testing.B) {
 		b.Run(tc.name+"/backward", backward(WantParams|WantInput))
 	}
 }
+
+// BenchmarkConvLayout times im2col and col2im over the four ScaledCNN(3,
+// 32, 10) geometries of layoutGeoms at b = 10 — a Conv2D forward's
+// gather and its input gradient's scatter, or a ConvTranspose2D's
+// backward gather and forward scatter — reporting ns per element of the
+// im2col matrix.
+func BenchmarkConvLayout(b *testing.B) {
+	const n = 10
+	rng := rand.New(rand.NewSource(85))
+	for _, tc := range layoutGeoms[:4] {
+		g := tc.g
+		inVol, oHW := g.inC*g.inH*g.inW, g.outH*g.outW
+		x := randInput(rng, n*inVol).Data
+		col := randInput(rng, g.inC*g.kh*g.kw*n*oHW).Data
+		perElem := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(col)), "ns/elem")
+		}
+		b.Run(tc.name+"/im2col", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g.im2col(x, inVol, n, col)
+			}
+			perElem(b)
+		})
+		b.Run(tc.name+"/col2im", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < n; j++ {
+					g.col2im(col, n*oHW, j*oHW, x[j*inVol:(j+1)*inVol])
+				}
+			}
+			perElem(b)
+		})
+	}
+}

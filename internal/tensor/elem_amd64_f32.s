@@ -23,6 +23,11 @@
 #define VFMADD231  VFMADD231PS
 #define VFNMADD231 VFNMADD231PS
 #define VTERNLOG   VPTERNLOGD
+#define VPERM      VPERMPS
+#define VPERMT2    VPERMT2PS
+#define VPCMPGT    VPCMPGTD
+#define VBLENDM    VBLENDMPS
+#define VPMOVZXB   VPMOVZXBD
 
 DATA elemConst<>+0(SB)/4, $0x80000000  // SIGN: -0
 DATA elemConst<>+4(SB)/4, $0x7fffffff  // ABS
@@ -38,6 +43,18 @@ DATA elemConst<>+40(SB)/4, $0x3d2aaa8d // c2
 DATA elemConst<>+44(SB)/4, $0x3e2aaa6e // c1
 DATA elemConst<>+48(SB)/4, $0x3f000000 // c0
 GLOBL elemConst<>(SB), RODATA|NOPTR, $52
+
+// Permutation indices of the stride-2 walks, a byte per lane that
+// VPMOVZXBD widens: +0 the even lanes of a two-vector window
+// (gatherS2Asm512); +16 and +32 each source lane twice, for the low and
+// the high x vector (addS2Asm512).
+DATA permIdx<>+0(SB)/8, $0x0e0c0a0806040200
+DATA permIdx<>+8(SB)/8, $0x1e1c1a1816141210
+DATA permIdx<>+16(SB)/8, $0x0303020201010000
+DATA permIdx<>+24(SB)/8, $0x0707060605050404
+DATA permIdx<>+32(SB)/8, $0x0b0b0a0a09090808
+DATA permIdx<>+40(SB)/8, $0x0f0f0e0e0d0d0c0c
+GLOBL permIdx<>(SB), RODATA|NOPTR, $48
 
 // p = Σ c_k·r^k ≈ (e^r − 1 − r)/r² for |r| ≤ ln2/2, by Horner: the
 // degree-4 interpolant at Chebyshev nodes, which puts r + r²·p within

@@ -21,6 +21,11 @@
 #define VFMADD231  VFMADD231PD
 #define VFNMADD231 VFNMADD231PD
 #define VTERNLOG   VPTERNLOGQ
+#define VPERM      VPERMPD
+#define VPERMT2    VPERMT2PD
+#define VPCMPGT    VPCMPGTQ
+#define VBLENDM    VBLENDMPD
+#define VPMOVZXB   VPMOVZXBQ
 
 DATA elemConst<>+0(SB)/8, $0x8000000000000000   // SIGN: -0
 DATA elemConst<>+8(SB)/8, $0x7fffffffffffffff   // ABS
@@ -41,6 +46,15 @@ DATA elemConst<>+120(SB)/8, $0x3fa5555555553d63 // c2
 DATA elemConst<>+128(SB)/8, $0x3fc5555555555556 // c1
 DATA elemConst<>+136(SB)/8, $0x3fe0000000000001 // c0
 GLOBL elemConst<>(SB), RODATA|NOPTR, $144
+
+// Permutation indices of the stride-2 walks, a byte per lane that
+// VPMOVZXBQ widens: +0 the even lanes of a two-vector window
+// (gatherS2Asm512); +8 and +16 each source lane twice, for the low and
+// the high x vector (addS2Asm512).
+DATA permIdx<>+0(SB)/8, $0x0e0c0a0806040200
+DATA permIdx<>+8(SB)/8, $0x0303020201010000
+DATA permIdx<>+16(SB)/8, $0x0707060605050404
+GLOBL permIdx<>(SB), RODATA|NOPTR, $24
 
 // p = Σ c_k·r^k ≈ (e^r − 1 − r)/r² for |r| ≤ ln2/2, by Horner: the
 // degree-9 interpolant at Chebyshev nodes, which puts r + r²·p within

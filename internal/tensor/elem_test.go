@@ -349,3 +349,165 @@ func BenchmarkTanh(b *testing.B) {
 		}
 	}
 }
+
+// elemBits is x's bit pattern in the compiled dtype.
+func elemBits(x Elem) uint64 {
+	if ElemBytes == 4 {
+		return uint64(math.Float32bits(float32(x)))
+	}
+	return math.Float64bits(float64(x))
+}
+
+// sameBits fails t at the first element where got and want differ in
+// any bit, NaN payloads and the sign of zero included.
+func sameBits(t *testing.T, what string, got, want []Elem) {
+	t.Helper()
+	for i := range want {
+		if elemBits(got[i]) != elemBits(want[i]) {
+			t.Fatalf("%s: element %d is %v (%#x), loop gives %v (%#x)", what, i, got[i], elemBits(got[i]), want[i], elemBits(want[i]))
+		}
+	}
+}
+
+// guardedOperands returns k operands of up to size elements each, placed
+// against a guard page: at(i, n, end) is operand i's n-element window
+// whose last element lies just before a PROT_NONE page (end) or whose
+// first lies just after one.
+func guardedOperands(t *testing.T, k, size int) func(i, n int, end bool) []Elem {
+	ends, heads := make([][]Elem, k), make([][]Elem, k)
+	for i := range ends {
+		ends[i], heads[i] = guardedWindow(t, size), guardedHead(t, size)
+	}
+	return func(i, n int, end bool) []Elem {
+		if end {
+			return ends[i][size-n:]
+		}
+		return heads[i][:n:n]
+	}
+}
+
+// gateSpecials are the rectifier inputs where a sign test can go wrong
+// (nn's rectifierSpecials): both zeros, the smallest and largest
+// denormals of the compiled dtype, ±1, the largest finite values and
+// the infinities; plus a NaN of each sign and a signalling NaN, which a
+// multiply by 1 quiets.
+func gateSpecials() []Elem {
+	denormMin, denormMax := math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff)
+	maxFinite := math.MaxFloat64
+	nan, snan := Elem(math.NaN()), Elem(math.Float64frombits(0x7ff0000000000001))
+	if ElemBytes == 4 {
+		denormMin, denormMax = math.SmallestNonzeroFloat32, float64(math.Float32frombits(0x007fffff))
+		maxFinite = math.MaxFloat32
+		nan, snan = Elem(math.Float32frombits(0x7fc00000)), Elem(math.Float32frombits(0x7f800001))
+	}
+	var xs []Elem
+	for _, v := range []float64{0, denormMin, denormMax, 1, maxFinite, math.Inf(1)} {
+		xs = append(xs, Elem(v), -Elem(v))
+	}
+	return append(xs, nan, -nan, snan)
+}
+
+// TestGateMatchesLoop runs Gate on every pair (x, v) of gateSpecials,
+// NaN inputs included, at every length up to four float64 vectors and
+// one element, for ReLU and the discriminators' slope, against the Go
+// loop bit for bit under every tier: out of place, and with v = x as
+// LeakyReLU's forward calls it. All three operands end where a guard
+// page begins in one run and start where one ends in the other, so a
+// load or store outside them faults.
+func TestGateMatchesLoop(t *testing.T) {
+	sp := gateSpecials()
+	var px, pv []Elem
+	for _, x := range sp {
+		for _, v := range sp {
+			px, pv = append(px, x), append(pv, v)
+		}
+	}
+	const maxN = 33
+	kernelVariants(t, func(t *testing.T) {
+		at := guardedOperands(t, 3, maxN)
+		for _, alpha := range []Elem{0, 0.2} {
+			for n := 0; n <= maxN; n++ {
+				for _, end := range []bool{true, false} {
+					dst, v, x := at(0, n, end), at(1, n, end), at(2, n, end)
+					ref := make([]Elem, n)
+					// Each pair passes through every offset of the window
+					// once the window has slid across all of them.
+					for off := 0; off == 0 || off < len(px); off += max(n, 1) {
+						for i := range x {
+							x[i], v[i] = px[(off+i)%len(px)], pv[(off+i)%len(px)]
+						}
+						what := fmt.Sprintf("alpha=%v n=%d end=%v off=%d", alpha, n, end, off)
+						Gate(dst, v, x, alpha)
+						gateLoop(ref, v, x, alpha)
+						sameBits(t, what, dst, ref)
+						Gate(dst, x, x, alpha)
+						gateLoop(ref, x, x, alpha)
+						sameBits(t, what+" v=x", dst, ref)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestStride2MatchesLoop runs GatherStride2 and AddStride2 against their
+// Go loops bit for bit under every tier, on every grid of rows ∈ {1, 2,
+// 3}, m ∈ 1…17 (each tail of an 8- and a 16-lane chunk, and a second
+// chunk), lo ∈ {0, 1, 2} with 0–2 trailing zeros, at the tightest
+// source and x strides and at wider ones. Every operand sits once with
+// its last element just before a guard page and once with its first
+// just after one: a load or store outside the elements the loop touches
+// faults. The gather's dst starts as a sentinel, so an element it fails
+// to write shows; the accumulate's odd x elements include −0, which an
+// add of +0 would turn into +0.
+func TestStride2MatchesLoop(t *testing.T) {
+	const maxLen = 128
+	rng := rand.New(rand.NewSource(79))
+	kernelVariants(t, func(t *testing.T) {
+		at := guardedOperands(t, 2, maxLen)
+		for rows := 1; rows <= 3; rows++ {
+			for m := 1; m <= 17; m++ {
+				for _, end := range []bool{true, false} {
+					for _, wide := range []int{0, 3} {
+						for lo := 0; lo <= 2; lo++ {
+							for zeros := 0; zeros <= 2; zeros++ {
+								ds, ss := lo+m+zeros, 2*m-1+wide
+								what := fmt.Sprintf("gather rows=%d m=%d lo=%d zeros=%d srcStride=%d end=%v", rows, m, lo, zeros, ss, end)
+								src, dst := at(0, (rows-1)*ss+2*m-1, end), at(1, rows*ds, end)
+								for i := range src {
+									src[i] = Elem(rng.NormFloat64())
+								}
+								for i := range dst {
+									dst[i] = -7777
+								}
+								ref := make([]Elem, len(dst))
+								gatherS2Loop(ref, src, rows, ds, ss, lo, m)
+								GatherStride2(dst, src, rows, ds, ss, lo, m)
+								sameBits(t, what, dst, ref)
+							}
+						}
+						xs, ss := 2*m-1+wide, m+wide
+						what := fmt.Sprintf("accumulate rows=%d m=%d xStride=%d srcStride=%d end=%v", rows, m, xs, ss, end)
+						x, src := at(0, (rows-1)*xs+2*m-1, end), at(1, (rows-1)*ss+m, end)
+						for i := range x {
+							x[i] = Elem(rng.NormFloat64())
+							if i%3 == 1 {
+								x[i] = Elem(math.Copysign(0, -1))
+							}
+						}
+						for i := range src {
+							src[i] = Elem(rng.NormFloat64())
+							if i%5 == 2 {
+								src[i] = 0
+							}
+						}
+						ref := append([]Elem(nil), x...)
+						addS2Loop(ref, src, rows, xs, ss, m)
+						AddStride2(x, src, rows, xs, ss, m)
+						sameBits(t, what, x, ref)
+					}
+				}
+			}
+		}
+	})
+}

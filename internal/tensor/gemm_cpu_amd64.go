@@ -59,6 +59,21 @@ func tanhAsm512(dst, src *Elem, n int)
 //go:noescape
 func adamAsm512(w, grad *Elem, m, v *float64, n int, k *[8]float64)
 
+// gateAsm512, gatherS2Asm512 and addS2Asm512 are the AVX-512 rectifier
+// gate and stride-2 layout walks (elem.go; elem_amd64.h): Gate,
+// GatherStride2 and AddStride2 on a validated, non-empty grid, bit for
+// bit as their Go loops, the ragged chunks masked. Only reachable on the
+// tierAVX512 dispatch.
+//
+//go:noescape
+func gateAsm512(dst, v, x *Elem, n int, alpha *Elem)
+
+//go:noescape
+func gatherS2Asm512(dst, src *Elem, rows, dstStride, srcStride, lo, m int)
+
+//go:noescape
+func addS2Asm512(x, src *Elem, rows, xStride, srcStride, m int)
+
 // cpuidRaw executes CPUID for the given leaf/subleaf
 // (gemm_cpu_amd64.s).
 func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

@@ -38,12 +38,25 @@ func gemmDotAsm512(c *Elem, ldc int, a *Elem, lda int, b *Elem, ldb, k int, add 
 	panic("tensor: AVX-512 dot kernel called on a noasm build")
 }
 
-// tanhAsm512 and adamAsm512 exist so the element-wise dispatch links;
-// it is taken on tierAVX512 only, so both are unreachable on this build.
+// tanhAsm512, adamAsm512, gateAsm512, gatherS2Asm512 and addS2Asm512
+// exist so the element-wise dispatch links; it is taken on tierAVX512
+// only, so all five are unreachable on this build.
 func tanhAsm512(dst, src *Elem, n int) {
 	panic("tensor: AVX-512 tanh kernel called on a noasm build")
 }
 
 func adamAsm512(w, grad *Elem, m, v *float64, n int, k *[8]float64) {
 	panic("tensor: AVX-512 Adam kernel called on a noasm build")
+}
+
+func gateAsm512(dst, v, x *Elem, n int, alpha *Elem) {
+	panic("tensor: AVX-512 gate kernel called on a noasm build")
+}
+
+func gatherS2Asm512(dst, src *Elem, rows, dstStride, srcStride, lo, m int) {
+	panic("tensor: AVX-512 gather kernel called on a noasm build")
+}
+
+func addS2Asm512(x, src *Elem, rows, xStride, srcStride, m int) {
+	panic("tensor: AVX-512 accumulate kernel called on a noasm build")
 }

@@ -134,12 +134,14 @@ engine_gates() { # $1 = label, $2.. = go test args
     # pairs and dW row blocks fan out at GOMAXPROCS=4; a forced tier
     # moves the cut-overs' other side) and the element-wise tier (the
     # avx512 tanh and Adam kernels, math.Tanh and the scalar Adam loop on
-    # the others; the rectifiers), b = 1 through every architecture
-    # (skinny strips on avx512, the legacy rows on every other tier) and
+    # the others; the gate and the stride-2 layout walks against their
+    # Go loops at guard pages; the rectifiers), b = 1 through every
+    # architecture (skinny strips on avx512, the legacy rows on every
+    # other tier) and
     # the conv layout loops (against the per-element reference, and the
     # conv layers bitwise across GOMAXPROCS on the tier's kernels).
     go test "$@" -count=1 \
-        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestDiscStepFusedMatchesTwoPass|TestDiscStepIgnoresStaleGrads|TestPackersMatchReference|TestSkinnyStaysInBounds|TestSkinnyMatchesReference|TestSkinnySteadyStateAllocs|TestGemmBitwiseAcrossGOMAXPROCS|TestTanhAccuracy|TestTanhProperties|TestTanhStaysInBounds|TestTanhAllocs|TestAdamKernelMatchesScalar|TestAdamStaysInBounds|TestRectifierMatchesBranch|TestBatchOneStaysFiniteOnEveryArch|TestIm2colMatchesReference|TestCol2imMatchesReference|TestConvBitwiseAcrossGOMAXPROCS' \
+        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestDiscStepFusedMatchesTwoPass|TestDiscStepIgnoresStaleGrads|TestPackersMatchReference|TestSkinnyStaysInBounds|TestSkinnyMatchesReference|TestSkinnySteadyStateAllocs|TestGemmBitwiseAcrossGOMAXPROCS|TestTanhAccuracy|TestTanhProperties|TestTanhStaysInBounds|TestTanhAllocs|TestAdamKernelMatchesScalar|TestAdamStaysInBounds|TestGateMatchesLoop|TestStride2MatchesLoop|TestRectifierMatchesBranch|TestBatchOneStaysFiniteOnEveryArch|TestIm2colMatchesReference|TestCol2imMatchesReference|TestConvBitwiseAcrossGOMAXPROCS' \
         ./internal/gan ./internal/nn ./internal/tensor
 }
 
