@@ -52,6 +52,39 @@ func TestTrainingIterationSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestRingWorkerStepSteadyStateAllocs pins a ring worker's share of an
+// MD-GAN round on RingMLP at the ring-tiny batch (b = 16): a DiscStep
+// and a Feedback. Most of their products are below gemmMinWork, so on
+// the avx512 tier they take step 1's kernels, whose transposes borrow
+// pool scratch; steady state allocates only what the other tiers do.
+func TestRingWorkerStepSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	g := RingMLP().NewGAN(63, nn.GenLossNonSaturating, 1)
+	optD := opt.NewAdam(opt.AdamConfig{})
+	xr := tensor.New(16, 2)
+	for i := range xr.Data {
+		xr.Data[i] = tensor.Elem(rng.NormFloat64())
+	}
+	xg, _ := g.G.Generate(16, rng, true)
+	xg = xg.Clone()
+	step := func() {
+		DiscStep(g.D, g.LossConfig, optD, xr, nil, xg, nil)
+		Feedback(g.D, g.LossConfig, xg, nil)
+	}
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	n := testing.AllocsPerRun(30, step)
+	t.Logf("allocs per ring DiscStep+Feedback: %v", n)
+	budget := 8.0
+	if raceEnabled {
+		budget *= 2 // sporadic pool misses under the race detector
+	}
+	if n > budget {
+		t.Fatalf("ring worker step allocates %v per step, budget %v", n, budget)
+	}
+}
+
 // TestConditionalTrainingIterationSteadyStateAllocs covers the ACGAN
 // path (class head + embedding) at a looser budget: the softmax
 // cross-entropy still allocates its probability/gradient tensors.

@@ -84,8 +84,11 @@ package tensor
 //
 // # Dispatch order (see matMulInto and friends in matmul.go)
 //
-//  1. small products (m·k·n < gemmMinWork) → legacy column-tiled
-//     kernels (packing overhead dominates)
+//  1. small products (m·k·n < gemmMinWork; packing overhead
+//     dominates) → nothing packed: the step-1 AVX-512 kernels on the
+//     avx512 tier, the column-tiled Go loops on every other. Both round
+//     and add every product in the same order, so step 1's results do
+//     not depend on the tier (matmul.go's smallProduct)
 //  2. a batch-sized dimension on the avx512 tier → the pack-free skinny
 //     kernels (gemm_skinny.go): MatMul* with at most gemmSkinnyMaxStrips
 //     (64) left-operand rows — every training forward and every serving
@@ -167,8 +170,7 @@ import (
 )
 
 // gemmMinWork is the m·k·n product below which the packed path is not
-// worth the two operand copies and the legacy column-tiled kernels run
-// instead.
+// worth the two operand copies and step 1 (smallProduct) runs instead.
 const gemmMinWork = 1 << 14
 
 // gemmTierID enumerates the micro-kernel tiers in ascending width.

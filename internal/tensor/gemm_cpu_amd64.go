@@ -74,6 +74,29 @@ func gatherS2Asm512(dst, src *Elem, rows, dstStride, srcStride, lo, m int)
 //go:noescape
 func addS2Asm512(x, src *Elem, rows, xStride, srcStride, m int)
 
+// smallMMAsm512 and transposeAsm512 are matmul dispatch step 1's
+// AVX-512 kernels (matmul.go's smallProduct; matmul_amd64.h instantiated
+// per dtype): one m×n block of C (+)= A·B, lanes across n, bit for bit as
+// the Go loops, and a packed transpose. addRowAsm512, addRowNarrowAsm512
+// and sumRowsAsm512 are the Dense bias passes (ops.go; matmul_amd64.h).
+// All take non-empty, validated operands and are only reachable on the
+// tierAVX512 dispatch.
+//
+//go:noescape
+func smallMMAsm512(c *Elem, ldc int, a *Elem, ars, acs int, b *Elem, ldb, m, k, n, mode int)
+
+//go:noescape
+func transposeAsm512(dst, src *Elem, rows, cols, lds int)
+
+//go:noescape
+func addRowAsm512(x, v *Elem, rows, cols int)
+
+//go:noescape
+func addRowNarrowAsm512(x, v *Elem, n, cols int)
+
+//go:noescape
+func sumRowsAsm512(out, x *Elem, rows, cols int)
+
 // cpuidRaw executes CPUID for the given leaf/subleaf
 // (gemm_cpu_amd64.s).
 func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

@@ -60,3 +60,26 @@ func gatherS2Asm512(dst, src *Elem, rows, dstStride, srcStride, lo, m int) {
 func addS2Asm512(x, src *Elem, rows, xStride, srcStride, m int) {
 	panic("tensor: AVX-512 accumulate kernel called on a noasm build")
 }
+
+// smallMMAsm512, transposeAsm512 and the bias kernels exist so step 1
+// and the bias passes link; they are taken on tierAVX512 only, so all
+// are unreachable on this build.
+func smallMMAsm512(c *Elem, ldc int, a *Elem, ars, acs int, b *Elem, ldb, m, k, n, mode int) {
+	panic("tensor: AVX-512 small-product kernel called on a noasm build")
+}
+
+func transposeAsm512(dst, src *Elem, rows, cols, lds int) {
+	panic("tensor: AVX-512 transpose kernel called on a noasm build")
+}
+
+func addRowAsm512(x, v *Elem, rows, cols int) {
+	panic("tensor: AVX-512 bias kernel called on a noasm build")
+}
+
+func addRowNarrowAsm512(x, v *Elem, n, cols int) {
+	panic("tensor: AVX-512 bias kernel called on a noasm build")
+}
+
+func sumRowsAsm512(out, x *Elem, rows, cols int) {
+	panic("tensor: AVX-512 bias-gradient kernel called on a noasm build")
+}

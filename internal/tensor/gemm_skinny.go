@@ -6,7 +6,7 @@ import (
 	"mdgan/internal/parallel"
 )
 
-// Skinny GEMM: the dispatch step between the legacy kernels and the
+// Skinny GEMM: the dispatch step between the small products and the
 // packed GEMM (gemm.go, "Dispatch order"). When one dimension of a
 // product is a training batch, nothing is packed: the AVX-512 kernels in
 // gemm_skinny_amd64.h keep a gemmSkinnyM-row block of C in registers and

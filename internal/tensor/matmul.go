@@ -6,9 +6,12 @@ import "fmt"
 // from (tier, m, k, n) alone, in this order (gemm.go's "Dispatch order"
 // has the reasons and the tier table):
 //
-//  1. small products → the legacy column-tiled 4-wide kernels below
-//     (packing two operands costs more than it saves under
-//     gemmMinWork multiply-adds);
+//  1. small products (under gemmMinWork multiply-adds packing two
+//     operands costs more than it saves) → smallProduct: the AVX-512
+//     step-1 kernels (matmul_amd64.h) on the avx512 tier, the
+//     column-tiled 4-wide Go loops below on every other. The kernels
+//     round and add each product in the loops' order, so step 1's
+//     results do not depend on the tier;
 //  2. a·b with at most gemmSkinnyMaxStrips (64) rows of a, a·bᵀ with at
 //     most gemmSkinnyMaxPairs (36), and aᵀ·b with at most
 //     gemmSkinnyMaxK (256) rows of a (a weight gradient: k is the
@@ -78,7 +81,7 @@ func matMulInto(out, a, b *Tensor, m, k, n int, accumulate bool) {
 		gemm(out.Data, n, m, n, k, a.Data, k, 1, b.Data, n, 1, accumulate)
 		return
 	}
-	matMulRows(out.Data, a.Data, b.Data, k, n, 0, m, accumulate)
+	smallProduct(out.Data, a.Data, b.Data, m, k, n, smallMM, accumulate)
 }
 
 // matMulRows computes out[i0:i1] (+)= a[i0:i1]·b, tiling the n columns.
@@ -178,7 +181,7 @@ func matMulT1Into(out, a, b *Tensor, k, m, n int, accumulate bool) {
 		gemm(out.Data, n, m, n, k, a.Data, 1, m, b.Data, n, 1, accumulate)
 		return
 	}
-	matMulT1Rows(out.Data, a.Data, b.Data, k, m, n, 0, m, accumulate)
+	smallProduct(out.Data, a.Data, b.Data, m, k, n, smallT1, accumulate)
 }
 
 // matMulT1Rows computes out[i0:i1] (+)= (aᵀ·b)[i0:i1] where a is
@@ -273,7 +276,7 @@ func matMulT2Into(out, a, b *Tensor, m, k, n int, accumulate bool) {
 		gemm(out.Data, n, m, n, k, a.Data, k, 1, b.Data, 1, k, accumulate)
 		return
 	}
-	matMulT2Rows(out.Data, a.Data, b.Data, k, n, 0, m, accumulate)
+	smallProduct(out.Data, a.Data, b.Data, m, k, n, smallT2, accumulate)
 }
 
 // matMulT2Rows computes out[i0:i1] (+)= (a·bᵀ)[i0:i1]: each output
@@ -321,5 +324,117 @@ func matMulT2Rows(out, a, b []Elem, k, n, i0, i1 int, accumulate bool) {
 				orow[j] = s
 			}
 		}
+	}
+}
+
+// Step 1's three products, as smallProduct names them.
+const (
+	smallMM = iota // c (+)= a·b:  a (m, k), b (k, n)
+	smallT1        // c (+)= aᵀ·b: a (k, m), b (k, n)
+	smallT2        // c (+)= a·bᵀ: a (m, k), b (n, k)
+)
+
+// smallMMAsm512's modes: how a sum meets C.
+const (
+	smallStore  = iota // c = Σ, from +0
+	smallFromC         // c = c + p0 + p1 + …: MatMul* and MatMulT1* accumulating
+	smallAddDot        // c = c + (Σ from +0): MatMulT2* accumulating
+)
+
+// smallProduct is dispatch step 1: c (m, n) (+)= the kind's product.
+// Every tier but avx512, and every empty product, runs smallLoop. On
+// avx512 the kernels produce each element by the Go loop's chain — its
+// start (+0, or c when MatMul* or MatMulT1* accumulates), then every
+// product a·b rounded and added in ascending kk; MatMulT2* adds its
+// +0-based sum to c once — so no result depends on the tier.
+// smallMMAsm512 runs lanes across n with the other operand broadcast.
+//
+//   - wide n: MatMul and MatMulT1 read b in place and broadcast a
+//     through its row and column strides; MatMulT2 first transposes its
+//     small b (n, k) into pool scratch (a no-op layout at k = 1).
+//   - n ≤ 2 < m (the 1-logit head, the 2-D ring output): lanes across
+//     n would leave most of every vector idle, so the kernel runs cᵀ,
+//     lanes across m, with b broadcast: MatMulT1's a (k, m) is already
+//     that operand, MatMul's and MatMulT2's a (m, k) is transposed into
+//     scratch. At n = 1, cᵀ is c; at n = 2 it is staged in scratch
+//     (from c when the mode reads c) and transposed back. The
+//     transposes cost more than the product, and 32×32×1 still runs 5×
+//     faster than the loop.
+//
+// BenchmarkSmallProducts, over the 14 products of a ring-tiny op, has
+// the kernels 10–30× faster than the loops on the nine that transpose
+// nothing but a MatMulT2 b, and 3–5× on the five narrow ones that
+// transpose a or stage c (2-CPU AVX-512 Xeon, f64; CHANGES.md has the
+// table).
+func smallProduct(c, a, b []Elem, m, k, n, kind int, accumulate bool) {
+	if m <= 0 || k <= 0 || n <= 0 || !elemVecOK() {
+		smallLoop(c, a, b, m, k, n, kind, accumulate)
+		return
+	}
+	_, _, _ = c[m*n-1], a[m*k-1], b[k*n-1]
+	mode := smallStore
+	if accumulate {
+		mode = smallFromC
+		if kind == smallT2 {
+			mode = smallAddDot
+		}
+	}
+	if n > 2 || m <= n {
+		ars, acs, bb := k, 1, b
+		var s *Tensor
+		if kind == smallT1 {
+			ars, acs = 1, m
+		} else if kind == smallT2 && k > 1 {
+			s = Get(k * n)
+			transposeAsm512(&s.Data[0], &b[0], n, k, k)
+			bb = s.Data
+		}
+		smallMMAsm512(&c[0], n, &a[0], ars, acs, &bb[0], n, m, k, n, mode)
+		Put(s)
+		return
+	}
+	ars, acs, at, ct := 1, n, a, c // b[kk·n + j]
+	if kind == smallT2 {
+		ars, acs = k, 1 // b[j·k + kk]
+	}
+	// One scratch buffer: a's transpose, then cᵀ.
+	tr, size := kind != smallT1 && k > 1, 0
+	if tr {
+		size = k * m
+	}
+	if n > 1 {
+		size += n * m
+	}
+	var s *Tensor
+	if size > 0 {
+		s = Get(size)
+	}
+	if tr {
+		at = s.Data[:k*m]
+		transposeAsm512(&at[0], &a[0], m, k, k)
+	}
+	if n > 1 {
+		ct = s.Data[size-n*m:]
+		if mode != smallStore {
+			transposeAsm512(&ct[0], &c[0], m, n, n)
+		}
+	}
+	smallMMAsm512(&ct[0], m, &b[0], ars, acs, &at[0], m, n, k, m, mode)
+	if n > 1 {
+		transposeAsm512(&c[0], &ct[0], n, m, m)
+	}
+	Put(s)
+}
+
+// smallLoop is step 1's Go loop for the kind: the portable tier and the
+// kernels' test oracle.
+func smallLoop(c, a, b []Elem, m, k, n, kind int, accumulate bool) {
+	switch kind {
+	case smallMM:
+		matMulRows(c, a, b, k, n, 0, m, accumulate)
+	case smallT1:
+		matMulT1Rows(c, a, b, k, m, n, 0, m, accumulate)
+	default:
+		matMulT2Rows(c, a, b, k, n, 0, m, accumulate)
 	}
 }

@@ -235,8 +235,8 @@ func (t *Tensor) SumRows() *Tensor {
 }
 
 // SumRowsAdd accumulates the row reduction of a rank-2 tensor (r, c)
-// into out (1, c): out[j] += Σ_i t[i,j]. It is the shape of a bias
-// gradient update.
+// into out (1, c): out[j] += Σ_i t[i,j], rows in ascending order on
+// every tier. It is the shape of a bias gradient update.
 func (t *Tensor) SumRowsAdd(out *Tensor) {
 	if len(t.shape) != 2 {
 		panic("tensor: SumRowsAdd requires rank-2 tensor")
@@ -245,9 +245,17 @@ func (t *Tensor) SumRowsAdd(out *Tensor) {
 	if len(out.Data) != c {
 		panic("tensor: SumRowsAdd out volume mismatch")
 	}
-	od := out.Data
+	if r > 0 && c > 0 && elemVecOK() {
+		sumRowsAsm512(&out.Data[0], &t.Data[:r*c][0], r, c)
+		return
+	}
+	sumRowsLoop(out.Data, t.Data, r, c)
+}
+
+// sumRowsLoop is SumRowsAdd's Go loop; sumRowsAsm512 adds in its order.
+func sumRowsLoop(od, x []Elem, r, c int) {
 	for i := 0; i < r; i++ {
-		row := t.Data[i*c : (i+1)*c]
+		row := x[i*c : (i+1)*c]
 		for j, v := range row {
 			od[j] += v
 		}
@@ -263,20 +271,34 @@ func AddRowVec(t, v *Tensor) *Tensor {
 }
 
 // AddRowVecInPlace adds a (1, c) row vector to every row of a (r, c)
-// tensor in place (the bias term of a Dense layer).
+// tensor in place (the bias term of a Dense layer). Rows narrower than
+// two vectors that are not whole vectors take addRowNarrowAsm512 on
+// the avx512 tier (matmul_amd64.h has why); every path adds the same.
 func (t *Tensor) AddRowVecInPlace(v *Tensor) *Tensor {
 	if len(t.shape) != 2 || len(v.shape) != 2 || v.shape[0] != 1 || v.shape[1] != t.shape[1] {
 		panic(fmt.Sprintf("tensor: AddRowVecInPlace shapes %v %v", t.shape, v.shape))
 	}
 	r, c := t.shape[0], t.shape[1]
-	vd := v.Data
+	if r > 0 && c > 0 && elemVecOK() {
+		if lanes := 64 / ElemBytes; c%lanes != 0 && c <= 2*lanes {
+			addRowNarrowAsm512(&t.Data[:r*c][0], &v.Data[:c][0], r*c, c)
+		} else {
+			addRowAsm512(&t.Data[:r*c][0], &v.Data[:c][0], r, c)
+		}
+		return t
+	}
+	addRowLoop(t.Data, v.Data, r, c)
+	return t
+}
+
+// addRowLoop is AddRowVecInPlace's Go loop; addRowAsm512 adds as it does.
+func addRowLoop(x, vd []Elem, r, c int) {
 	for i := 0; i < r; i++ {
-		row := t.Data[i*c : (i+1)*c]
+		row := x[i*c : (i+1)*c]
 		for j := range row {
 			row[j] += vd[j]
 		}
 	}
-	return t
 }
 
 // ArgMaxRows returns, for a (r, c) tensor, the column index of the

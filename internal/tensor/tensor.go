@@ -21,8 +21,9 @@
 // Matrix multiplication — the hot path under every layer — is a packed,
 // register-blocked GEMM (gemm.go), dispatched per call in this order:
 //
-//  1. small products take the legacy column-tiled scalar kernels
-//     (matmul.go; packing two operands costs more than it saves);
+//  1. small products are not packed (packing two operands costs more
+//     than it saves): the column-tiled Go loops, or on the AVX-512 tier
+//     kernels bitwise equal to them (matmul.go);
 //  2. skinny products on the AVX-512 tier (a handful of rows against a
 //     large operand) take the skinny kernels (gemm_skinny.go), which
 //     read the large operand in place instead of packing it;
@@ -54,12 +55,14 @@
 // contract, the parallel split (panel-aligned, cooperatively packed
 // tasks) and the recipe for adding a new architecture's kernel.
 //
-// Element-wise work is plain Go loops, with two exceptions that run
-// AVX-512 kernels on the avx512 tier (elem.go; elem_amd64.h instantiated
-// per dtype). TanhInto, the image generators' output activation, is
-// within 2 ulp of math.Tanh and exact in sign, range and NaN (float32
-// computed in float32). AdamUpdate, the optimiser's step, is bitwise
-// equal to its scalar loop. Every other tier keeps the Go loops.
+// Element-wise work is plain Go loops, with exceptions that run AVX-512
+// kernels on the avx512 tier (elem.go; elem_amd64.h instantiated per
+// dtype). TanhInto, the image generators' output activation, is within
+// 2 ulp of math.Tanh and exact in sign, range and NaN (float32 computed
+// in float32). AdamUpdate, Gate, GatherStride2 and AddStride2 are
+// bitwise equal to their Go loops, and so are the Dense bias passes,
+// AddRowVecInPlace and SumRowsAdd (ops.go; matmul_amd64.h). Every other
+// tier keeps the Go loops.
 package tensor
 
 import (

@@ -66,7 +66,12 @@
 #                               against the per-element loops, and
 #                               ScaledCNN's conv layers bitwise across
 #                               GOMAXPROCS), whose panel width and
-#                               GEMM path follow the tier. No recorded
+#                               GEMM path follow the tier, and matmul
+#                               step 1 and the Dense bias passes, which
+#                               the avx512 tier runs in its own kernels
+#                               and every other tier in the Go loops
+#                               (internal/tensor: bitwise against the
+#                               loops, guard-page bounds). No recorded
 #                               catch.
 #   GOMAXPROCS=4                the same gates with intra-GEMM fan-out
 #                               forced on, whatever the host's CPU
@@ -139,9 +144,12 @@ engine_gates() { # $1 = label, $2.. = go test args
     # architecture (skinny strips on avx512, the legacy rows on every
     # other tier) and
     # the conv layout loops (against the per-element reference, and the
-    # conv layers bitwise across GOMAXPROCS on the tier's kernels).
+    # conv layers bitwise across GOMAXPROCS on the tier's kernels), and
+    # matmul step 1 and the Dense bias passes (the avx512 kernels, their
+    # transposes and guard pages, against the Go loops every other tier
+    # runs).
     go test "$@" -count=1 \
-        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestDiscStepFusedMatchesTwoPass|TestDiscStepIgnoresStaleGrads|TestPackersMatchReference|TestSkinnyStaysInBounds|TestSkinnyMatchesReference|TestSkinnySteadyStateAllocs|TestGemmBitwiseAcrossGOMAXPROCS|TestTanhAccuracy|TestTanhProperties|TestTanhStaysInBounds|TestTanhAllocs|TestAdamKernelMatchesScalar|TestAdamStaysInBounds|TestGateMatchesLoop|TestStride2MatchesLoop|TestRectifierMatchesBranch|TestBatchOneStaysFiniteOnEveryArch|TestIm2colMatchesReference|TestCol2imMatchesReference|TestConvBitwiseAcrossGOMAXPROCS' \
+        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestDiscStepFusedMatchesTwoPass|TestDiscStepIgnoresStaleGrads|TestPackersMatchReference|TestSkinnyStaysInBounds|TestSkinnyMatchesReference|TestSkinnySteadyStateAllocs|TestGemmBitwiseAcrossGOMAXPROCS|TestTanhAccuracy|TestTanhProperties|TestTanhStaysInBounds|TestTanhAllocs|TestAdamKernelMatchesScalar|TestAdamStaysInBounds|TestGateMatchesLoop|TestStride2MatchesLoop|TestRectifierMatchesBranch|TestBatchOneStaysFiniteOnEveryArch|TestIm2colMatchesReference|TestCol2imMatchesReference|TestConvBitwiseAcrossGOMAXPROCS|TestSmallProductsMatchLoops|TestBiasKernelsMatchLoops|TestSmallProductsStayInBounds' \
         ./internal/gan ./internal/nn ./internal/tensor
 }
 
