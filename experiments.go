@@ -2,9 +2,9 @@ package mdgan
 
 import (
 	"fmt"
-	"math"
 
 	"mdgan/internal/complexity"
+	"mdgan/internal/core"
 )
 
 // This file maps every table and figure of the paper's evaluation to a
@@ -95,10 +95,7 @@ func RunFig3(panel Fig3Panel, sc Scale) ([]Curve, error) {
 	base := Options{
 		Workers: sc.Workers, Iters: sc.Iters, EvalEvery: sc.EvalEvery, Seed: seed,
 	}
-	kLog := int(math.Floor(math.Log(float64(sc.Workers))))
-	if kLog < 1 {
-		kLog = 1
-	}
+	kLog := core.DefaultK(sc.Workers)
 	runs := []struct {
 		name string
 		o    Options
@@ -208,10 +205,7 @@ func RunFig5(panel Fig3Panel, sc Scale) ([]Curve, error) {
 	ev := NewEvaluator(scorer, test, sc.EvalSamples)
 
 	n := sc.Workers
-	kLog := int(math.Floor(math.Log(float64(n))))
-	if kLog < 1 {
-		kLog = 1
-	}
+	kLog := core.DefaultK(n)
 	// One crash every I/N iterations: worker i dies at (i+1)·I/N.
 	crashes := make(map[int][]int, n)
 	for i := 0; i < n; i++ {

@@ -1,6 +1,6 @@
 // Package linalg implements the small dense linear-algebra routines the
 // evaluation metrics need: symmetric eigendecomposition (cyclic Jacobi),
-// PSD matrix square roots, Cholesky factorisation and sample covariance.
+// PSD matrix square roots and sample covariance.
 // The Fréchet Inception Distance (FID) used throughout the paper's
 // evaluation reduces to trace and sqrtm computations on feature
 // covariances, which is exactly what lives here.
@@ -128,33 +128,6 @@ func SqrtPSD(a *tensor.Tensor) (*tensor.Tensor, error) {
 		}
 	}
 	return tensor.MatMulT2(scaled, v), nil
-}
-
-// Cholesky returns the lower-triangular factor L with L·Lᵀ = a for a
-// symmetric positive definite matrix.
-func Cholesky(a *tensor.Tensor) (*tensor.Tensor, error) {
-	n := a.Dim(0)
-	if a.Rank() != 2 || a.Dim(1) != n {
-		return nil, fmt.Errorf("linalg: Cholesky needs square matrix, got %v", a.Shape())
-	}
-	l := tensor.New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if sum <= 0 {
-					return nil, fmt.Errorf("linalg: matrix not positive definite at pivot %d (%g)", i, sum)
-				}
-				l.Set(math.Sqrt(sum), i, j)
-			} else {
-				l.Set(sum/l.At(j, j), i, j)
-			}
-		}
-	}
-	return l, nil
 }
 
 // Trace returns the trace of a square matrix.

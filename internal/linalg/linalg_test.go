@@ -71,33 +71,6 @@ func TestSqrtPSDSquares(t *testing.T) {
 	}
 }
 
-func TestCholesky(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randSPD(rng, 6)
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.MatMulT2(l, l).Equal(a, tensor.Tol(1e-9, 1e-4)) {
-		t.Fatal("L·Lᵀ != a")
-	}
-	// Upper triangle must be zero.
-	for i := 0; i < 6; i++ {
-		for j := i + 1; j < 6; j++ {
-			if l.At(i, j) != 0 {
-				t.Fatal("Cholesky factor not lower-triangular")
-			}
-		}
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := tensor.FromSlice([]tensor.Elem{1, 2, 2, 1}, 2, 2) // eigenvalues 3, -1
-	if _, err := Cholesky(a); err == nil {
-		t.Fatal("expected error for indefinite matrix")
-	}
-}
-
 func TestMeanCov(t *testing.T) {
 	// Two points (0,0) and (2,2): mean (1,1), cov [[2,2],[2,2]] (n-1 norm).
 	x := tensor.FromSlice([]tensor.Elem{0, 0, 2, 2}, 2, 2)

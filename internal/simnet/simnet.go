@@ -97,7 +97,7 @@ type Net interface {
 }
 
 // BroadcastEach delivers every message, fanning the sends out through
-// internal/parallel: the per-destination work of a send (gob
+// internal/parallel: the per-destination work of a send (envelope
 // framing and socket writes on TCPNet, channel hand-off on ChannelNet)
 // overlaps across destinations, which is where a server's per-worker
 // distribution loop spends its time on real transports. All sends are

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -19,11 +20,12 @@ import (
 const (
 	// DefaultDialTimeout bounds connection establishment.
 	DefaultDialTimeout = 2 * time.Second
-	// DefaultWriteTimeout bounds each chunk write (armed fresh before
-	// every chunk, so a multi-hundred-MB frame to a healthy-but-slow
-	// peer streams chunk by chunk instead of having to land whole
-	// within one deadline, while a genuinely stalled peer still fails
-	// at the first unbuffered chunk).
+	// DefaultWriteTimeout bounds each socket write, which carries at
+	// most tcpChunkSize bytes of payload (armed fresh before every
+	// write, so a multi-hundred-MB frame to a healthy-but-slow peer
+	// streams write by write instead of having to land whole within one
+	// deadline, while a genuinely stalled peer still fails at the first
+	// unbuffered write).
 	DefaultWriteTimeout = 5 * time.Second
 	// tcpSendAttempts is the total number of send attempts (the first
 	// try plus fresh-dial retries).
@@ -34,26 +36,19 @@ const (
 	tcpRetryBase = 20 * time.Millisecond
 )
 
-// Stream framing bounds.
+// Framing bounds.
 const (
-	// tcpChunkSize is the payload budget of one chunk. 64 KiB keeps
-	// per-chunk latency (and the deadline granularity) small while
-	// amortising the 9-byte chunk header to noise.
+	// tcpChunkSize is the payload budget of one socket write. 64 KiB
+	// keeps the deadline granularity small while amortising the write
+	// calls to noise.
 	tcpChunkSize = 64 << 10
 	// tcpMaxFrame bounds a single message's payload: anything claiming
 	// more is hostile or corrupt, and the receiver drops the connection
 	// before allocating for the claim.
 	tcpMaxFrame = 256 << 20
-	// tcpMaxPartialStreams bounds the per-connection reassembly map: a
-	// peer opening streams without finishing them cannot grow receiver
-	// memory past this many in-flight frames.
-	tcpMaxPartialStreams = 1024
-	// tcpMaxNameLen bounds the node-name and type strings in a stream
-	// header.
+	// tcpMaxNameLen bounds the node-name and type strings in a frame
+	// envelope.
 	tcpMaxNameLen = 4096
-
-	tcpFlagFirst = 1 << 0
-	tcpFlagLast  = 1 << 1
 )
 
 // TCPNet is a Net implementation over real loopback/LAN sockets using
@@ -62,26 +57,23 @@ const (
 // accounting counts application payload bytes (identical to
 // ChannelNet), so the communication tables are transport-independent.
 //
-// Messages travel as multiplexed chunked streams. Each frame is cut
-// into ≤ 64 KiB chunks tagged [u32 streamID ++ u8 flags ++ u32 len];
-// the first chunk additionally carries the message header (from, to,
-// type, kind, payload length) and concurrent sends over the same
-// connection interleave their chunks rather than serialising whole
-// frames. That is what makes K=500 tractable: the sender never builds
-// a second full copy of a frame (the old gob encoder buffered every
-// message wholesale), the write deadline applies per chunk instead of
-// per frame, and backpressure propagates per connection through the
-// TCP window — a slow worker throttles its own stream at chunk
-// granularity instead of forcing hundreds of complete frames to queue
-// in memory. The receiver reassembles streams into exactly one
-// payload-sized buffer each, with every header length bounded before
-// any proportional allocation.
+// A frame is the envelope [u32 len ++ from, u32 len ++ to, u32 len ++
+// type, u8 kind, u32 payload length] followed by the payload, and a
+// connection carries one frame at a time. The sender never builds a
+// full copy of a frame: the first write carries the envelope plus up to
+// 64 KiB of payload, and the rest goes straight from the caller's
+// buffer. Every write gets its own deadline, and backpressure
+// propagates per connection through the TCP window — a slow worker
+// throttles its own sender instead of forcing frames to queue in
+// memory. The receiver bounds every envelope length before any
+// proportional allocation and holds at most one partial frame per
+// connection.
 //
 // Sends are hardened against transient peer stalls: dials are bounded
-// by DialTimeout, every chunk write is bounded by WriteTimeout, and a
-// failed write is retried over a fresh connection with exponential
-// backoff and jitter before the peer is reported down. Retries() counts
-// those recovery attempts for the fault accounting.
+// by DialTimeout, every write is bounded by WriteTimeout, and a failed
+// write is retried over a fresh connection with exponential backoff and
+// jitter before the peer is reported down. Retries() counts those
+// recovery attempts for the fault accounting.
 type TCPNet struct {
 	mu        sync.Mutex
 	addrs     map[string]string
@@ -95,7 +87,7 @@ type TCPNet struct {
 	retries   atomic.Int64
 
 	// DialTimeout and WriteTimeout bound connection establishment and
-	// per-chunk writes. They default to DefaultDialTimeout /
+	// each socket write. They default to DefaultDialTimeout /
 	// DefaultWriteTimeout and may be lowered before the first Send
 	// (tests use short deadlines to exercise the expiry paths).
 	DialTimeout  time.Duration
@@ -103,13 +95,13 @@ type TCPNet struct {
 }
 
 // tcpConn is the sender half of one (from, to) connection. The mutex
-// guards individual chunk writes, not whole frames — that is the
-// multiplexing: concurrent Sends on the same pair interleave at chunk
-// boundaries, each chunk atomic under the lock.
+// is held for a whole frame, so concurrent Sends on one pair queue
+// behind each other. MD-GAN's round engines never have two frames in
+// flight on one pair (internal/core's TestAtMostOneSendInFlightPerPair),
+// so in their training runs the lock is never contended.
 type tcpConn struct {
-	mu     sync.Mutex
-	conn   net.Conn
-	nextID atomic.Uint32
+	mu   sync.Mutex
+	conn net.Conn
 }
 
 // NewTCPNet creates a TCP-backed network on loopback.
@@ -178,172 +170,88 @@ func (n *TCPNet) acceptLoop(node string, l net.Listener, inbox chan Message) {
 		go func() {
 			defer connWG.Done()
 			defer c.Close()
-			readStreams(c, inbox)
+			readFrames(c, inbox)
 		}()
 	}
 }
 
-// partialStream is one in-flight reassembly: the decoded header plus
-// how much of the payload buffer has arrived.
-type partialStream struct {
-	msg Message
-	got int
-}
-
-// readStreams is the per-connection receive loop: it demultiplexes
-// chunks into per-stream reassembly buffers and delivers each message
-// once its LAST chunk lands. Any framing violation — oversized chunk,
-// unknown continuation, length claims past the declared payload, too
-// many open streams — drops the connection (the sender's next chunk
-// write fails and takes the fresh-dial retry path). Partial streams
-// die with the connection.
-func readStreams(c net.Conn, inbox chan Message) {
-	streams := make(map[uint32]*partialStream)
-	var hdr [9]byte
+// readFrames is the per-connection receive loop: it reads one frame
+// after another and delivers each once its payload has fully arrived.
+// Any framing violation — a name past tcpMaxNameLen, a payload claim
+// past tcpMaxFrame, a connection closed mid-frame — drops the connection
+// (the sender's next write fails and takes the fresh-dial retry path),
+// and the partial frame dies with it.
+func readFrames(c net.Conn, inbox chan Message) {
+	r := bufio.NewReader(c)
 	for {
-		if _, err := io.ReadFull(c, hdr[:]); err != nil {
+		msg, ok := readFrame(r)
+		if !ok {
 			return
 		}
-		id := binary.LittleEndian.Uint32(hdr[0:4])
-		flags := hdr[4]
-		size := int(binary.LittleEndian.Uint32(hdr[5:9]))
-		if size > tcpChunkSize {
-			return
-		}
-		p := streams[id]
-		if flags&tcpFlagFirst != 0 {
-			if p != nil || len(streams) >= tcpMaxPartialStreams {
-				return
-			}
-			chunk := make([]byte, size)
-			if _, err := io.ReadFull(c, chunk); err != nil {
-				return
-			}
-			msg, body, ok := parseStreamHeader(chunk)
-			if !ok || len(body) > len(msg.Payload) {
-				return
-			}
-			p = &partialStream{msg: msg, got: copy(msg.Payload, body)}
-			streams[id] = p
-		} else {
-			if p == nil || p.got+size > len(p.msg.Payload) {
-				return
-			}
-			if _, err := io.ReadFull(c, p.msg.Payload[p.got:p.got+size]); err != nil {
-				return
-			}
-			p.got += size
-		}
-		if flags&tcpFlagLast != 0 {
-			if p.got != len(p.msg.Payload) {
-				return
-			}
-			delete(streams, id)
-			inbox <- p.msg
-		}
+		inbox <- msg
 	}
 }
 
-// appendStreamHeader frames a message's envelope: three length-prefixed
-// strings, the kind byte and the payload length.
-func appendStreamHeader(b []byte, msg *Message) []byte {
-	for _, s := range []string{msg.From, msg.To, msg.Type} {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-		b = append(b, s...)
-	}
-	b = append(b, byte(msg.Kind))
-	return binary.LittleEndian.AppendUint32(b, uint32(len(msg.Payload)))
-}
-
-// parseStreamHeader decodes the envelope from a first chunk, allocates
-// the (bounded) payload buffer, and returns the chunk's remaining bytes
-// — the payload prefix that shared the first chunk with the header.
-func parseStreamHeader(chunk []byte) (msg Message, body []byte, ok bool) {
-	fields := [3]string{}
+// readFrame reads one envelope and its payload, checking each length
+// against its bound before allocating for it.
+func readFrame(r *bufio.Reader) (msg Message, ok bool) {
+	var word [5]byte
+	var fields [3]string
 	for i := range fields {
-		if len(chunk) < 4 {
-			return msg, nil, false
+		if _, err := io.ReadFull(r, word[:4]); err != nil {
+			return msg, false
 		}
-		l := int(binary.LittleEndian.Uint32(chunk[:4]))
-		chunk = chunk[4:]
-		if l > tcpMaxNameLen || l > len(chunk) {
-			return msg, nil, false
+		l := int(binary.LittleEndian.Uint32(word[:4]))
+		if l > tcpMaxNameLen {
+			return msg, false
 		}
-		fields[i] = string(chunk[:l])
-		chunk = chunk[l:]
+		name := make([]byte, l)
+		if _, err := io.ReadFull(r, name); err != nil {
+			return msg, false
+		}
+		fields[i] = string(name)
 	}
-	if len(chunk) < 5 {
-		return msg, nil, false
+	if _, err := io.ReadFull(r, word[:]); err != nil {
+		return msg, false
 	}
-	msg.From, msg.To, msg.Type = fields[0], fields[1], fields[2]
-	msg.Kind = Kind(chunk[0])
-	size := int(binary.LittleEndian.Uint32(chunk[1:5]))
+	size := int(binary.LittleEndian.Uint32(word[1:]))
 	if size > tcpMaxFrame {
-		return msg, nil, false
+		return msg, false
 	}
-	msg.Payload = make([]byte, size)
-	return msg, chunk[5:], true
+	msg = Message{From: fields[0], To: fields[1], Type: fields[2], Kind: Kind(word[0]), Payload: make([]byte, size)}
+	if _, err := io.ReadFull(r, msg.Payload); err != nil {
+		return msg, false
+	}
+	return msg, true
 }
 
-// writeChunk sends one framed chunk under the connection lock, with a
-// fresh write deadline. Holding the lock only per chunk is what lets
-// concurrent frames to the same destination interleave.
-func (gc *tcpConn) writeChunk(id uint32, flags byte, data []byte, timeout time.Duration) error {
-	var hdr [9]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], id)
-	hdr[4] = flags
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(data)))
+// writeMessage sends one frame under the connection lock. The first
+// write is the envelope plus up to tcpChunkSize bytes of payload, in a
+// buffer sized to exactly that; the rest of the payload is written
+// straight from the caller's buffer in tcpChunkSize pieces. Each write
+// is armed with a fresh deadline: a stalled peer (full receive window)
+// fails the write with a timeout instead of hanging the server's
+// dispatch loop forever, and expiry falls through to the fresh-dial
+// retry path like any other write error.
+func (gc *tcpConn) writeMessage(msg *Message, timeout time.Duration) error {
+	head := min(len(msg.Payload), tcpChunkSize)
+	first := make([]byte, 0, 3*4+1+4+len(msg.From)+len(msg.To)+len(msg.Type)+head)
+	for _, s := range []string{msg.From, msg.To, msg.Type} {
+		first = binary.LittleEndian.AppendUint32(first, uint32(len(s)))
+		first = append(first, s...)
+	}
+	first = append(first, byte(msg.Kind))
+	first = binary.LittleEndian.AppendUint32(first, uint32(len(msg.Payload)))
+	first = append(first, msg.Payload[:head]...)
 	gc.mu.Lock()
 	defer gc.mu.Unlock()
-	// Armed fresh per chunk: a stalled peer (full receive window) fails
-	// this write with a timeout instead of hanging the server's dispatch
-	// loop forever; expiry falls through to the fresh-dial retry path
-	// like any other write error.
-	_ = gc.conn.SetWriteDeadline(time.Now().Add(timeout))
-	if _, err := gc.conn.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := gc.conn.Write(data)
-	return err
-}
-
-// writeMessage streams one message as chunks. The first chunk carries
-// the envelope plus as much payload as fits; the rest of the payload is
-// sliced directly from the caller's buffer — no full-frame copy is ever
-// built on the send side.
-func (gc *tcpConn) writeMessage(msg *Message, timeout time.Duration) error {
-	id := gc.nextID.Add(1)
-	first := appendStreamHeader(make([]byte, 0, tcpChunkSize), msg)
-	rest := msg.Payload
-	if room := tcpChunkSize - len(first); len(rest) <= room {
-		first = append(first, rest...)
-		rest = nil
-	} else {
-		first = append(first, rest[:room]...)
-		rest = rest[room:]
-	}
-	flags := byte(tcpFlagFirst)
-	if rest == nil {
-		flags |= tcpFlagLast
-	}
-	if err := gc.writeChunk(id, flags, first, timeout); err != nil {
-		return err
-	}
-	for rest != nil {
-		chunk := rest
-		if len(chunk) > tcpChunkSize {
-			chunk = chunk[:tcpChunkSize]
-		}
-		flags = 0
-		if len(rest) == len(chunk) {
-			flags = tcpFlagLast
-			rest = nil
-		} else {
-			rest = rest[len(chunk):]
-		}
-		if err := gc.writeChunk(id, flags, chunk, timeout); err != nil {
+	for b, rest := first, msg.Payload[head:]; len(b) > 0; {
+		_ = gc.conn.SetWriteDeadline(time.Now().Add(timeout))
+		if _, err := gc.conn.Write(b); err != nil {
 			return err
 		}
+		n := min(len(rest), tcpChunkSize)
+		b, rest = rest[:n], rest[n:]
 	}
 	return nil
 }
@@ -361,10 +269,10 @@ func retryBackoff(attempt int) time.Duration {
 // torn down by the peer's OS (or a NAT) must not read as a worker death
 // — the round engines suspect/demote ErrNodeDown destinations, so a
 // stale socket would otherwise silently drop a healthy worker and its
-// shard from training. A write that fails mid-stream leaves a torn
+// shard from training. A write that fails mid-frame leaves a torn
 // frame on the wire, so the connection is always evicted and the whole
 // message resent over a fresh dial (the receiver discards the partial
-// stream with the dropped connection).
+// frame with the dropped connection).
 func (n *TCPNet) Send(msg Message) error {
 	n.mu.Lock()
 	addr, ok := n.addrs[msg.To]

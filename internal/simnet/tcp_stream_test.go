@@ -1,23 +1,23 @@
 package simnet
 
-// Tests for the chunked stream framing: interleaved concurrent frames
-// over one connection, multi-chunk reassembly fidelity, and the
-// receiver's hostile-framing bounds.
+// Tests for the frame format: concurrent senders on one connection,
+// multi-write payload fidelity, and the receiver's hostile-framing
+// bounds.
 
 import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestTCPConcurrentStreamsInterleave drives many goroutines through the
-// SAME (from, to) pair with multi-chunk payloads: per-chunk locking
-// means their chunks interleave on one connection, and every frame must
-// still reassemble intact.
-func TestTCPConcurrentStreamsInterleave(t *testing.T) {
+// TestTCPConcurrentSendersDeliverIntactFrames drives many goroutines
+// through the SAME (from, to) pair with multi-write payloads: they share
+// one connection, and every frame must still arrive intact.
+func TestTCPConcurrentSendersDeliverIntactFrames(t *testing.T) {
 	n := NewTCPNet()
 	defer n.Close()
 	for _, node := range []string{"a", "b"} {
@@ -26,7 +26,7 @@ func TestTCPConcurrentStreamsInterleave(t *testing.T) {
 		}
 	}
 	const senders = 8
-	// > 3 chunks each so interleaving actually happens.
+	// > 3 writes each, so a frame torn by another sender would show.
 	payloadLen := 3*tcpChunkSize + 1234
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
@@ -53,7 +53,7 @@ func TestTCPConcurrentStreamsInterleave(t *testing.T) {
 			seed := msg.Payload[0]
 			for j, v := range msg.Payload {
 				if v != seed {
-					t.Fatalf("frame %d: byte %d = %d, want %d (streams crossed)", i, j, v, seed)
+					t.Fatalf("frame %d: byte %d = %d, want %d (frames crossed)", i, j, v, seed)
 				}
 			}
 			if got[seed] {
@@ -61,7 +61,7 @@ func TestTCPConcurrentStreamsInterleave(t *testing.T) {
 			}
 			got[seed] = true
 		case <-time.After(10 * time.Second):
-			t.Fatalf("only %d of %d interleaved frames delivered", i, senders)
+			t.Fatalf("only %d of %d concurrent frames delivered", i, senders)
 		}
 	}
 	if tr := n.Snapshot(); tr.Msgs[CtoW] != senders {
@@ -89,7 +89,7 @@ func TestTCPOversizedPayloadRejected(t *testing.T) {
 	}
 }
 
-// TestTCPHostileStreamsDropConnection feeds raw hostile chunks at a
+// TestTCPHostileStreamsDropConnection feeds raw hostile frames at a
 // registered node's listener: each framing violation must close the
 // connection without delivering anything or allocating for the claimed
 // sizes.
@@ -103,12 +103,6 @@ func TestTCPHostileStreamsDropConnection(t *testing.T) {
 	addr := n.addrs["b"]
 	n.mu.Unlock()
 
-	chunk := func(id uint32, flags byte, data []byte) []byte {
-		out := binary.LittleEndian.AppendUint32(nil, id)
-		out = append(out, flags)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(data)))
-		return append(out, data...)
-	}
 	header := func(payloadLen uint32) []byte {
 		var b []byte
 		for _, s := range []string{"a", "b", "t"} {
@@ -119,44 +113,47 @@ func TestTCPHostileStreamsDropConnection(t *testing.T) {
 		return binary.LittleEndian.AppendUint32(b, payloadLen)
 	}
 
-	hostile := [][]byte{
-		// Chunk length past the chunk bound.
-		func() []byte {
-			out := binary.LittleEndian.AppendUint32(nil, 1)
-			out = append(out, tcpFlagFirst|tcpFlagLast)
-			return binary.LittleEndian.AppendUint32(out, tcpChunkSize+1)
-		}(),
-		// Payload-length bomb in the header.
-		chunk(1, tcpFlagFirst|tcpFlagLast, header(0xFFFFFFF0)),
-		// Continuation chunk for a stream that was never opened.
-		chunk(9, tcpFlagLast, []byte("orphan")),
-		// Name-length bomb inside the header.
-		chunk(1, tcpFlagFirst|tcpFlagLast,
-			binary.LittleEndian.AppendUint32(nil, tcpMaxNameLen+1)),
-		// LAST chunk with the payload short of the declared length.
-		chunk(1, tcpFlagFirst|tcpFlagLast, header(500)),
+	hostile := []struct {
+		name  string
+		frame []byte
+		// closeWrite half-closes the connection after the frame, as a
+		// sender that dies mid-frame does.
+		closeWrite bool
+	}{
+		{"payload-length bomb", header(0xFFFFFFF0), false},
+		{"name-length bomb", binary.LittleEndian.AppendUint32(nil, tcpMaxNameLen+1), false},
+		{"payload 100 bytes short", append(header(500), make([]byte, 400)...), true},
 	}
-	for i, frame := range hostile {
+	for _, h := range hostile {
 		c, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Write(frame); err != nil {
+		if _, err := c.Write(h.frame); err != nil {
 			c.Close()
-			t.Fatalf("hostile frame %d: write: %v", i, err)
+			t.Fatalf("%s: write: %v", h.name, err)
 		}
-		// The receiver must hang up on us.
+		if h.closeWrite {
+			if err := c.(*net.TCPConn).CloseWrite(); err != nil {
+				c.Close()
+				t.Fatalf("%s: close write: %v", h.name, err)
+			}
+		}
+		// The receiver must hang up on us; a read that times out means
+		// it is still waiting for more of the frame.
 		c.SetReadDeadline(time.Now().Add(5 * time.Second))
 		buf := make([]byte, 1)
-		if _, err := c.Read(buf); err == nil {
-			c.Close()
-			t.Fatalf("hostile frame %d: connection stayed open", i)
-		}
+		_, err = c.Read(buf)
 		c.Close()
+		if err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s: connection stayed open (read: %v)", h.name, err)
+		}
 	}
+	// The receiver closes a connection only after its reader returns, so
+	// anything it delivered is in the inbox by now.
 	select {
 	case msg := <-n.Inbox("b"):
-		t.Fatalf("hostile framing delivered a message: %+v", msg)
+		t.Fatalf("hostile framing delivered a %d-byte %s→%s %q message", len(msg.Payload), msg.From, msg.To, msg.Type)
 	default:
 	}
 }

@@ -82,6 +82,10 @@
 #     ./internal/serve          drains depends on who is queued when a
 #                               forward ends: five schedules under the
 #                               detector, not one. No recorded catch.
+#   go test -race -count=5      TCPNet's per-connection reader and the
+#     ./internal/simnet         writers that share one (from, to) pair:
+#                               five schedules under the detector, not
+#                               one. No recorded catch.
 #   serve smoke                 process plumbing unit tests cannot
 #                               reach: flags (each removed one must be
 #                               a usage error, not ignored), signals,
@@ -175,6 +179,7 @@ run_suite() { # $1 = dtype name, $2 = go build tags ("" for none)
     # both element widths.
     go test -race ${tagargs[@]+"${tagargs[@]}"} ./...
     go test -race -count=5 ${tagargs[@]+"${tagargs[@]}"} ./internal/serve
+    go test -race -count=5 ${tagargs[@]+"${tagargs[@]}"} ./internal/simnet
 
     # The engine gates under every kernel tier the host can force: the
     # strict-engine pin must hold for every micro-kernel the binary can
