@@ -48,10 +48,10 @@
 //
 // # Topology contract
 //
-// Since PR 8 the package also owns the communication Topology
-// (topology.go): a pluggable plan for how per-round feedback flows
-// back to the server. Three node roles exist, all implicit in the
-// Plan a Topology produces each round:
+// The package also owns the communication topology (topology.go): how
+// per-round feedback flows back to the server. The paper's flat star is
+// the nil *Tree and needs no plan; a Tree produces a Plan each round,
+// in which three node roles are implicit:
 //
 //   - server — the root; consumes the final reduced contributions.
 //   - aggregator — a worker with Children in the plan; it reduces its
@@ -61,35 +61,30 @@
 //     and add their own feedback to the reduction.
 //   - worker (leaf) — sends its single contribution to its parent.
 //
-// Rules implementations and consumers must uphold:
+// Rules the planner and its consumers uphold:
 //
-//   - Plans are recomputed from the active set every round and MUST be
-//     a deterministic, RNG-free function of (server, active order).
+//   - Plans are recomputed from the active set every round and are a
+//     deterministic, RNG-free function of (server, active order).
 //     This is also the reparenting rule: when an aggregator dies or
 //     goes suspect, it simply drops out of the next round's active
 //     set and the fresh plan rehomes its children (counted per child
-//     as WorkerFaults.Reparents by the engines). No explicit tree
-//     surgery happens mid-round — the engines instead account the
+//     as WorkerFaults.Reparents by the engine). No explicit tree
+//     surgery happens mid-round — the engine instead accounts the
 //     dead aggregator's Subtree as missing for that round.
 //   - The suspect/demote/rejoin lifecycle above composes unchanged: a
 //     child stranded by a dead aggregator is suspected at the round
 //     deadline like any straggler and reinstated by its next pong.
-//   - The flat star (Flat, the default) is the depth-0 plan, which the
-//     engines represent as no Plan at all: every active worker is a
-//     direct child of the server and nobody aggregates. It runs through
-//     the same collect/apply as a tree; what it must keep bitwise is
-//     its wire frames (bare feedback frames, no plan fields filled in)
-//     and its arithmetic and RNG draw order — everything the
-//     serial-reference equivalence test observes.
+//   - The flat star, the default, has no Plan at all: every active
+//     worker is a direct child of the server and nobody aggregates. It
+//     runs through the same collect/apply as a tree; what it must keep
+//     bitwise is its wire frames (bare feedback frames, no plan fields
+//     filled in) and its arithmetic and RNG draw order — everything
+//     the serial-reference equivalence test observes.
 //
-// To add a topology: implement Topology (Name + a deterministic Plan),
-// extend ParseTopology's spec grammar, and rely on the engines'
-// generic plan routing — dispatch/collect consume only Parent,
-// Children and Subtree, never the concrete topology type. The swap
-// counterpart (which worker ships its discriminator where) is the
-// separate SwapSchedule interface in internal/core, deliberately
-// decoupled so aggregation trees and gossip/shuffle swap patterns
-// compose freely.
+// The engine's plan routing consumes only Parent, Children and Subtree.
+// The swap counterpart (which worker ships its discriminator where) is
+// the separate SwapSchedule interface in internal/core, so aggregation
+// trees and gossip/shuffle swap patterns compose freely.
 package cluster
 
 import (
@@ -308,9 +303,6 @@ func (m *Membership) Reinstate(name string) bool {
 	m.faults(name).Rejoins++
 	return true
 }
-
-// IsSuspect reports whether the named worker is live but suspected.
-func (m *Membership) IsSuspect(name string) bool { return m.live[name] && m.suspect[name] }
 
 // Suspects returns the current suspects in join order.
 func (m *Membership) Suspects() []string {

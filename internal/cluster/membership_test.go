@@ -3,6 +3,7 @@ package cluster
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mdgan/internal/simnet"
@@ -245,7 +246,7 @@ func TestSuspectLifecycle(t *testing.T) {
 	if demoted := m.Suspect("worker1"); demoted {
 		t.Fatal("first miss must not demote")
 	}
-	if !m.IsSuspect("worker1") || !m.Alive("worker1") {
+	if !slices.Contains(m.Suspects(), "worker1") || !m.Alive("worker1") {
 		t.Fatal("suspect must stay live")
 	}
 	if got := m.Active(); !reflect.DeepEqual(got, []string{"worker0", "worker2"}) {
@@ -268,7 +269,7 @@ func TestSuspectLifecycle(t *testing.T) {
 	if !m.Reinstate("worker1") {
 		t.Fatal("reinstating a live suspect must succeed")
 	}
-	if m.IsSuspect("worker1") || m.NumActive() != 3 {
+	if slices.Contains(m.Suspects(), "worker1") || m.NumActive() != 3 {
 		t.Fatal("reinstated worker must be active again")
 	}
 	if m.Reinstate("worker1") {
@@ -283,7 +284,7 @@ func TestSuspectLifecycle(t *testing.T) {
 	if !demoted {
 		t.Fatalf("%d consecutive misses must demote", DefaultSuspectAfter)
 	}
-	if m.Alive("worker1") || m.IsSuspect("worker1") {
+	if m.Alive("worker1") || slices.Contains(m.Suspects(), "worker1") {
 		t.Fatal("demoted worker must leave both live and suspect sets")
 	}
 	if m.Suspect("worker1") {
@@ -319,7 +320,7 @@ func TestSuspectThresholdKnob(t *testing.T) {
 			t.Fatal("negative threshold must never escalate")
 		}
 	}
-	if !m.Alive("worker1") || !m.IsSuspect("worker1") {
+	if !m.Alive("worker1") || !slices.Contains(m.Suspects(), "worker1") {
 		t.Fatal("unescalated suspect must stay live")
 	}
 	if m.SuspectThreshold() != int(^uint(0)>>1) {

@@ -7,33 +7,11 @@ import (
 	"strings"
 )
 
-// Topology plans how the workers' per-round feedback flows back to the
-// server. The flat star (every worker reports directly) is the paper's
-// layout; a tree inserts aggregator workers that reduce their
-// children's feedback frames before forwarding, bounding the server's
-// per-round fan-in by the tree's root degree instead of K.
-//
-// The full topology contract — roles, reparenting rules, and how the
-// engines consume a Plan — is documented in the package doc
-// (membership.go).
-type Topology interface {
-	// Name identifies the topology ("flat", "tree:2", ...).
-	Name() string
-	// Plan builds the aggregation plan for one round over the active
-	// workers, listed in dispatch order. Implementations MUST be
-	// deterministic and MUST NOT consume an RNG: plans are recomputed
-	// every round from the live membership (which is how a failed
-	// aggregator's children get reparented), and the engines' pinned
-	// RNG streams must not shift when a topology is enabled.
-	Plan(server string, active []string) *Plan
-}
-
 // Plan is one round's aggregation layout. Node roles are implicit:
-// the server is Server, a worker with Children is an aggregator, and
-// every other worker is a plain leaf.
+// the server is the root every contribution ultimately reaches, a
+// worker with Children is an aggregator, and every other worker is a
+// plain leaf.
 type Plan struct {
-	// Server is the root every contribution ultimately reaches.
-	Server string
 	// Parent maps each active worker to the node its contribution is
 	// sent to: the server for root-level workers, an aggregator
 	// worker otherwise.
@@ -43,12 +21,6 @@ type Plan struct {
 	// the merge order of the aggregation, so tree runs are
 	// reproducible given identical arrival completeness.
 	Children map[string][]string
-}
-
-// IsAggregator reports whether name is a worker that reduces other
-// workers' contributions this round.
-func (p *Plan) IsAggregator(name string) bool {
-	return name != p.Server && len(p.Children[name]) > 0
 }
 
 // Subtree returns name and every descendant below it in plan order.
@@ -62,33 +34,18 @@ func (p *Plan) Subtree(name string) []string {
 	return out
 }
 
-// Flat is the paper's star topology: every worker reports its feedback
-// directly to the server. It is the default — the depth-0 plan — and
-// the layout whose wire frames and arithmetic the bitwise
-// serial-reference pin replays.
-type Flat struct{}
-
-// Name implements Topology.
-func (Flat) Name() string { return "flat" }
-
-// Plan implements Topology.
-func (Flat) Plan(server string, active []string) *Plan {
-	p := &Plan{
-		Server:   server,
-		Parent:   make(map[string]string, len(active)),
-		Children: map[string][]string{server: append([]string(nil), active...)},
-	}
-	for _, name := range active {
-		p.Parent[name] = server
-	}
-	return p
-}
-
-// Tree arranges the active workers into an aggregation tree of the
-// given depth: the active list is split into at most Fanin contiguous
-// groups, the first worker of each group becomes an aggregator (child
-// of the level above), and the rest of its group recurses one level
-// deeper below it. Depth 1 degenerates to Flat; Depth 2 gives the
+// Tree plans how the workers' per-round feedback flows back to the
+// server. The paper's flat star needs no plan and is spelled as no Tree
+// (a nil *Tree); a tree inserts aggregator workers that reduce their
+// children's feedback frames before forwarding, bounding the server's
+// per-round fan-in by the tree's root degree instead of K. The full
+// topology contract — roles, reparenting rules, and how the engine
+// consumes a Plan — is documented in the package doc (membership.go).
+//
+// The active list is split into at most Fanin contiguous groups, the
+// first worker of each group becomes an aggregator (child of the level
+// above), and the rest of its group recurses one level deeper below
+// it. Depth 1 degenerates to the star's layout; Depth 2 gives the
 // server Fanin direct children instead of K.
 //
 // Fanin 0 picks ceil(n^(1/Depth)) per plan — the degree that balances
@@ -98,10 +55,15 @@ type Tree struct {
 	Fanin int
 }
 
-// Name implements Topology.
+// Name identifies the tree in messages ("tree:2", ...).
 func (t Tree) Name() string { return fmt.Sprintf("tree:%d", t.Depth) }
 
-// Plan implements Topology.
+// Plan builds the aggregation plan for one round over the active
+// workers, listed in dispatch order. It is deterministic and consumes
+// no RNG: plans are recomputed every round from the live membership
+// (which is how a failed aggregator's children get reparented), and
+// the engine's pinned RNG streams must not shift when a tree is
+// enabled.
 func (t Tree) Plan(server string, active []string) *Plan {
 	depth := t.Depth
 	if depth < 1 {
@@ -115,7 +77,6 @@ func (t Tree) Plan(server string, active []string) *Plan {
 		}
 	}
 	p := &Plan{
-		Server:   server,
 		Parent:   make(map[string]string, len(active)),
 		Children: make(map[string][]string),
 	}
@@ -156,14 +117,18 @@ func attach(p *Plan, parent string, nodes []string, depth, fanin int) {
 	}
 }
 
-// ParseTopology resolves a topology spec: "" or "flat" is the star,
-// "tree:<depth>" is an aggregation tree (depth ≥ 2) with the given
-// fan-in (0 = auto). It is the single parser behind the facade and the
-// CLI flags.
-func ParseTopology(spec string, fanin int) (Topology, error) {
+// ParseTopology resolves a topology spec: "" or "flat" is the star
+// (nil), "tree:<depth>" is an aggregation tree (depth ≥ 2) with the
+// given fan-in (0 = auto). A fan-in names a tree's degree, so the star
+// rejects a non-zero one. It is the single parser behind the facade and
+// the CLI flags.
+func ParseTopology(spec string, fanin int) (*Tree, error) {
 	switch {
 	case spec == "" || spec == "flat":
-		return Flat{}, nil
+		if fanin != 0 {
+			return nil, fmt.Errorf("cluster: fan-in %d given without a tree topology (want tree:<depth>)", fanin)
+		}
+		return nil, nil
 	case strings.HasPrefix(spec, "tree:"):
 		d, err := strconv.Atoi(spec[len("tree:"):])
 		if err != nil || d < 2 {
@@ -172,7 +137,7 @@ func ParseTopology(spec string, fanin int) (Topology, error) {
 		if fanin < 0 || fanin == 1 {
 			return nil, fmt.Errorf("cluster: bad fan-in %d (want 0=auto or ≥2)", fanin)
 		}
-		return Tree{Depth: d, Fanin: fanin}, nil
+		return &Tree{Depth: d, Fanin: fanin}, nil
 	default:
 		return nil, fmt.Errorf("cluster: unknown topology %q (want flat or tree:<depth>)", spec)
 	}

@@ -51,9 +51,11 @@ func checkPlan(t *testing.T, p *Plan, server string, active []string) {
 	}
 }
 
+// TestFlatPlan: a depth-1 tree lays the workers out as the star does,
+// every worker a direct child of the server and nobody an aggregator.
 func TestFlatPlan(t *testing.T) {
 	active := topoNames(7)
-	p := Flat{}.Plan("server", active)
+	p := Tree{Depth: 1}.Plan("server", active)
 	checkPlan(t, p, "server", active)
 	if got := p.Children["server"]; !reflect.DeepEqual(got, active) {
 		t.Fatalf("flat children = %v", got)
@@ -62,7 +64,7 @@ func TestFlatPlan(t *testing.T) {
 		if p.Parent[name] != "server" {
 			t.Fatalf("flat parent of %s = %q", name, p.Parent[name])
 		}
-		if p.IsAggregator(name) {
+		if len(p.Children[name]) > 0 {
 			t.Fatalf("flat plan made %s an aggregator", name)
 		}
 	}
@@ -114,7 +116,7 @@ func TestTreePlanReparentsAfterLoss(t *testing.T) {
 	p := topo.Plan("server", active)
 	var agg string
 	for _, name := range active {
-		if p.IsAggregator(name) {
+		if len(p.Children[name]) > 0 {
 			agg = name
 			break
 		}
@@ -149,15 +151,18 @@ func TestParseTopology(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseTopology(%q): %v", spec, err)
 		}
-		if topo.Name() != "flat" {
-			t.Fatalf("ParseTopology(%q) = %s", spec, topo.Name())
+		if topo != nil {
+			t.Fatalf("ParseTopology(%q) = %s, want the star (nil)", spec, topo.Name())
+		}
+		if _, err := ParseTopology(spec, 3); err == nil {
+			t.Fatalf("ParseTopology(%q) accepted a fan-in without a tree", spec)
 		}
 	}
 	topo, err := ParseTopology("tree:2", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr, ok := topo.(Tree); !ok || tr.Depth != 2 || tr.Fanin != 4 {
+	if topo == nil || topo.Depth != 2 || topo.Fanin != 4 {
 		t.Fatalf("ParseTopology(tree:2) = %#v", topo)
 	}
 	for _, bad := range []string{"tree", "tree:", "tree:1", "tree:x", "mesh"} {

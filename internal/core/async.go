@@ -44,11 +44,11 @@ func (s *server) runAsync(iters int) (int, error) {
 	pending := make(map[string]bool)    // worker → batch outstanding, feedback awaited
 
 	send := func(name string) error {
-		zg, lg := s.g.SampleZ(s.batch, s.rng)
+		zg, lg := s.g.SampleZ(s.cfg.Batch, s.rng)
 		// Clone: the X^(g) batch must survive the X^(d) forward below
 		// (Forward returns a network-owned buffer).
 		xg := s.g.Forward(zg, lg, true).Clone()
-		zd, ld := s.g.SampleZ(s.batch, s.rng)
+		zd, ld := s.g.SampleZ(s.cfg.Batch, s.rng)
 		xd := s.g.Forward(zd, ld, true)
 		s.feedbackShape = xg.Shape()
 		cache[name] = genBatch{z: zg, labs: lg}
@@ -84,8 +84,8 @@ func (s *server) runAsync(iters int) (int, error) {
 			return updates, nil
 		}
 		var deadline <-chan time.Time
-		if s.roundTimeout > 0 {
-			deadline = time.After(s.roundTimeout)
+		if s.cfg.RoundTimeout > 0 {
+			deadline = time.After(s.cfg.RoundTimeout)
 		}
 		msg, ok, err := s.recv(deadline)
 		if err != nil {
@@ -137,7 +137,7 @@ func (s *server) runAsync(iters int) (int, error) {
 		updates++
 
 		s.m.ApplyCrashes(updates)
-		if s.eval != nil && s.evalEvery > 0 && updates%s.evalEvery == 0 {
+		if s.eval != nil && s.cfg.EvalEvery > 0 && updates%s.cfg.EvalEvery == 0 {
 			s.eval(updates, s.g)
 		}
 		if updates >= iters {

@@ -7,17 +7,17 @@
 // generator gradient and applies Adam. Every E epochs discriminators
 // swap between workers in a gossip fashion (SWAP, §IV-C1).
 //
-// Since PR 4 the iteration is driven by a round engine (engine.go) that
-// decomposes Algorithm 1 into composable stages — prepare (membership),
+// The synchronous iteration is driven by a round engine (engine.go):
+// one loop that runs Algorithm 1's stages — prepare (membership),
 // generate, route, dispatch, collect, apply — over buffers owned by the
-// engine rather than locals of one monolithic loop. The strict driver
-// preserves Algorithm 1's barrier semantics bit-for-bit (pinned by a
-// serial-reference equivalence test); the Pipeline driver overlaps the
-// server's generation/encoding of round t+1 with the workers' compute
-// of round t at the cost of one iteration of generator-parameter
-// staleness. Cluster membership (crashes, joins, sampling, straggler
-// demotion) lives in the shared internal/cluster package, which FL-GAN
-// uses too.
+// engine. In strict mode it keeps Algorithm 1's barrier semantics
+// bit-for-bit (pinned by a serial-reference equivalence test);
+// Config.Pipeline moves one step, generating round t+1 while the
+// workers compute round t, at the cost of one iteration of
+// generator-parameter staleness (pinned against the same replay on
+// that schedule). Cluster membership (crashes, joins, sampling,
+// straggler demotion) lives in the shared internal/cluster package,
+// which FL-GAN uses too.
 //
 // # Failure model
 //
@@ -97,21 +97,18 @@ type Config struct {
 	// Pipeline enables one-round-deep pipelining of the synchronous
 	// engine (the other §VII.1 relaxation: "fresh batches of data can
 	// be generated frequently, so that they can be sent to idle
-	// workers"): the server generates and encodes round t+1's k batches
-	// while the workers compute round t, and applies round t's
-	// generator update when its feedbacks land. Contract: the batches
-	// of round t+1 are generated from parameters that are exactly ONE
-	// generator update stale (they miss round t's update), and —
-	// symmetrically — round t's feedbacks backpropagate through the
-	// generator's current parameters, one update newer than the ones
-	// that produced the batches the workers scored. This is the
-	// standard stale-gradient trade-off of asynchronous parameter
-	// servers (the Async mode shares it), bounded here at exactly one
-	// update. Everything else — membership, routing, aggregation — is
-	// decided at the same round boundaries as strict mode. False (the
-	// default) runs the paper's strict barrier loop, which a
-	// serial-reference test pins bitwise. Mutually exclusive with
-	// Async.
+	// workers"): the round loop's generate for round t+1 moves to just
+	// after round t's dispatch, so the server generates and encodes
+	// while the workers compute. Contract: round t+1's batches come
+	// from parameters exactly ONE generator update stale (they miss
+	// round t's update), and round t's feedbacks backpropagate through
+	// parameters one update newer than the ones that produced its
+	// batches — the stale-gradient trade-off of asynchronous parameter
+	// servers (Async shares it), bounded here at one update. Membership,
+	// routing and aggregation are decided at the same round boundaries
+	// as strict mode. Both schedules are pinned bitwise against a serial
+	// replay. False (the default) runs the paper's strict barrier loop.
+	// Mutually exclusive with Async.
 	Pipeline bool
 	// Compress selects the error-feedback wire encoding (§VII.2
 	// extension): CompressNone (default), CompressFP32 or CompressTopK.
@@ -153,17 +150,17 @@ type Config struct {
 	// suspect to permanent demotion (0 = cluster.DefaultSuspectAfter,
 	// < 0 = never escalate). Also the corrupt-feedback strike budget.
 	SuspectAfter int
-	// Topology selects the feedback-aggregation topology (see the
-	// cluster package's topology contract). nil or cluster.Flat is the
-	// paper's flat star — the depth-0 plan: every worker feeds the
-	// server directly with a bare feedback frame, the wire bytes and
-	// arithmetic the serial-reference pin protects. cluster.Tree routes
-	// feedbacks through worker-hosted aggregators, bounding the server's
-	// per-round ingress by its fan-in instead of N; the server runs the
-	// same collect/apply over fewer, pre-summed frames. Trees are for the
-	// synchronous engines only, and AggMean only (partial sums commute
-	// with the mean, not with median-style rules).
-	Topology cluster.Topology
+	// Topology selects the feedback-aggregation tree (see the cluster
+	// package's topology contract). nil is the paper's flat star: every
+	// worker feeds the server directly with a bare feedback frame, the
+	// wire bytes and arithmetic the serial-reference pin protects. A
+	// cluster.Tree routes feedbacks through worker-hosted aggregators,
+	// bounding the server's per-round ingress by its fan-in instead of
+	// N; the server runs the same collect/apply over fewer, pre-summed
+	// frames. Trees are for the synchronous engine only, and AggMean
+	// only (partial sums commute with the mean, not with median-style
+	// rules).
+	Topology *cluster.Tree
 	// SwapSched selects the SWAP pairing (nil = RingSwap, the paper's
 	// cyclic permutation). Non-ring schedules are synchronous-only: the
 	// async engine picks its swap peers per-feedback rather than
@@ -312,7 +309,13 @@ const serverName = "server"
 // is N). The caller provides shards explicitly so scalability
 // experiments control the data-vs-worker scaling (Fig. 4).
 func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) (*Result, error) {
+	// The run's one Config: Train fills in every default here, and the
+	// server and workers read this copy. A nil Topology is the star.
 	cfg.TrainConfig = cfg.TrainConfig.Defaults()
+	cfg.Quorum = max(cfg.Quorum, 1)
+	if cfg.SwapSched == nil {
+		cfg.SwapSched = RingSwap{}
+	}
 	n := len(shards)
 	if n == 0 {
 		return nil, fmt.Errorf("core: no shards")
@@ -335,37 +338,30 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 	if cfg.Async && cfg.Pipeline {
 		return nil, fmt.Errorf("core: Pipeline applies to the synchronous engine only")
 	}
-	// A Flat topology is the engine's nil plan (every worker a direct
-	// child of the server): drop it so no plan is built or put on the
-	// wire, and so the tree-only restrictions below do not apply.
-	topo := cfg.Topology
-	if topo != nil && topo.Name() == "flat" {
-		topo = nil
-	}
-	if topo != nil {
+	if cfg.Topology != nil {
 		if cfg.Async {
-			return nil, fmt.Errorf("core: topology %q requires synchronous mode", topo.Name())
+			return nil, fmt.Errorf("core: topology %q requires synchronous mode", cfg.Topology.Name())
 		}
 		if cfg.Aggregate != AggMean {
-			return nil, fmt.Errorf("core: topology %q requires mean aggregation (partial sums do not commute with %s)", topo.Name(), cfg.Aggregate)
+			return nil, fmt.Errorf("core: topology %q requires mean aggregation (partial sums do not commute with %s)", cfg.Topology.Name(), cfg.Aggregate)
 		}
 	}
-	if cfg.SwapSched != nil && cfg.SwapSched.Name() != "ring" && cfg.Async {
+	if cfg.SwapSched.Name() != "ring" && cfg.Async {
 		return nil, fmt.Errorf("core: swap schedule %q requires synchronous mode", cfg.SwapSched.Name())
 	}
 	if cfg.Defense {
 		if cfg.Async {
 			return nil, fmt.Errorf("core: feedback-quality defense requires synchronous mode")
 		}
-		if topo != nil {
-			return nil, fmt.Errorf("core: feedback-quality defense requires the flat topology (a %s pre-sums per-worker feedbacks away)", topo.Name())
+		if cfg.Topology != nil {
+			return nil, fmt.Errorf("core: feedback-quality defense requires the flat topology (a %s pre-sums per-worker feedbacks away)", cfg.Topology.Name())
 		}
 	}
 	if cfg.JoinWarmup < 0 {
 		return nil, fmt.Errorf("core: negative JoinWarmup %d", cfg.JoinWarmup)
 	}
-	if cfg.JoinWarmup > 0 && topo != nil {
-		return nil, fmt.Errorf("core: joiner warm-up requires the flat topology (a %s cannot reweight pre-summed contributions)", topo.Name())
+	if cfg.JoinWarmup > 0 && cfg.Topology != nil {
+		return nil, fmt.Errorf("core: joiner warm-up requires the flat topology (a %s cannot reweight pre-summed contributions)", cfg.Topology.Name())
 	}
 	if len(cfg.Lifetimes) > 0 {
 		if cfg.Async {
@@ -401,28 +397,20 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 		if err := net.Register(name); err != nil {
 			return nil, err
 		}
-		workers[i] = newWorker(cfg, net, lc, couple.D, i, shards[i])
+		workers[i] = newWorker(&cfg, net, lc, couple.D, i, shards[i])
 		go workers[i].run()
 	}
 
 	srv := &server{
+		cfg:          &cfg,
 		g:            g,
 		optG:         opt.NewAdam(cfg.OptG),
 		net:          net,
 		rng:          rand.New(rand.NewSource(cfg.Seed + 31)),
-		batch:        cfg.Batch,
 		k:            k,
 		swapInterval: swapInterval,
 		eval:         eval,
-		evalEvery:    cfg.EvalEvery,
-		aggregate:    cfg.Aggregate,
-		joinAt:       cfg.JoinAt,
-		roundTimeout: cfg.RoundTimeout,
-		quorum:       max(cfg.Quorum, 1),
-		topo:         topo,
-		swapSched:    cfg.SwapSched,
 		probes:       make(map[string]bool),
-		joinWarmup:   cfg.JoinWarmup,
 		retireAt:     retireSchedule(cfg.Lifetimes),
 	}
 	srv.m = cluster.New(net, srv.rng, cfg.CrashAt, cfg.ActivePerRound)
@@ -434,7 +422,7 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 		srv.m.Add(w.name)
 	}
 	nextIdx := n
-	srv.spawn = spawnJoiner(cfg, net, lc, couple.D, &workers, &nextIdx)
+	srv.spawn = spawnJoiner(&cfg, net, lc, couple.D, &workers, &nextIdx)
 
 	// Shutdown runs on EVERY exit path — the error returns used to
 	// leak the worker goroutines whenever cfg.Net was caller-supplied
@@ -455,13 +443,10 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 
 	var iters int
 	var err error
-	switch {
-	case cfg.Async:
+	if cfg.Async {
 		iters, err = srv.runAsync(cfg.Iters)
-	case cfg.Pipeline:
-		iters, err = srv.runPipelined(cfg.Iters)
-	default:
-		iters, err = srv.runSync(cfg.Iters)
+	} else {
+		iters, err = srv.run(cfg.Iters, cfg.Pipeline)
 	}
 	if err != nil {
 		return nil, err
@@ -504,19 +489,15 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 // newWorker builds worker i over its shard. The discriminator starts as
 // a clone of the shared template (for joiners it is overwritten by the
 // donor's parameters before the first batch arrives).
-func newWorker(cfg Config, net simnet.Net, lc gan.LossConfig, template *gan.Discriminator, i int, shard *dataset.Dataset) *worker {
+func newWorker(cfg *Config, net simnet.Net, lc gan.LossConfig, template *gan.Discriminator, i int, shard *dataset.Dataset) *worker {
 	return &worker{
 		name:      workerName(i),
 		d:         template.Clone(),
 		lc:        lc,
 		optD:      opt.NewAdam(cfg.OptD),
 		sampler:   dataset.NewSampler(shard, cfg.Seed+7919*int64(i+1)),
-		batch:     cfg.Batch,
-		discL:     cfg.DiscSteps,
 		net:       net,
-		lazySwap:  cfg.Async,
-		compress:  cfg.Compress,
-		swapPrec:  cfg.SwapPrec,
+		cfg:       cfg,
 		byzantine: cfg.Byzantine[i],
 		rng:       rand.New(rand.NewSource(cfg.Seed + 15485863*int64(i+1))),
 		done:      make(chan struct{}),

@@ -18,22 +18,25 @@ package core
 //	apply     — aggregate per generated batch, backprop through G,
 //	            Adam step, eval hook
 //
-// There is one collect and one apply. The paper's flat star is the
-// depth-0 aggregation plan: r.plan == nil, every active worker is a
-// direct child of the server, nobody aggregates, and each worker's bare
-// msgFeedback frame is ingested as a single-contributor entry. A tree
-// only changes who the direct children are and how many contributors
-// one frame carries. What the bitwise pin protects is therefore the
-// star's wire frames and arithmetic, not a separate code path.
+// There is one collect and one apply. The paper's flat star is the nil
+// topology and so the nil aggregation plan (r.plan == nil): every
+// active worker is a direct child of the server, nobody aggregates, and
+// each worker's bare msgFeedback frame is ingested as a
+// single-contributor entry. A tree only changes who the direct children
+// are and how many contributors one frame carries. What the bitwise pin
+// protects is therefore the star's wire frames and arithmetic, not a
+// separate code path.
 //
-// Two drivers compose the stages. runSync is the paper's strict
-// barrier loop — stage order within one round, bitwise-identical
-// generator parameters to a serial replay of Algorithm 1 (pinned by
-// TestStrictEngineMatchesSerialReference). runPipelined overlaps the
-// next round's generate with the current round's worker compute
-// (§VII.1: "fresh batches of data can be generated frequently, so that
-// they can be sent to idle workers"), trading exactly one iteration of
-// generator-parameter staleness for the overlap.
+// One driver, run, composes the stages. In strict mode it is the
+// paper's barrier loop: bitwise-identical generator parameters to a
+// serial replay of Algorithm 1 (TestStrictEngineMatchesSerialReference).
+// Config.Pipeline moves one step: generate for round t+1 runs right
+// after round t's dispatch, overlapping the workers' compute (§VII.1:
+// "fresh batches of data can be generated frequently, so that they can
+// be sent to idle workers"), trading exactly one iteration of
+// generator-parameter staleness for the overlap; the same replay run on
+// that schedule pins it bitwise too
+// (TestPipelinedEngineMatchesSerialReference).
 //
 // Buffer ownership: a round's slices and maps belong to the engine and
 // are reset — not reallocated — when the round slot is reused. The
@@ -60,46 +63,28 @@ import (
 
 // server drives the global iterations.
 type server struct {
+	// cfg is the run's one Config, with Train's defaults filled in.
+	cfg          *Config
 	g            *gan.Generator
 	optG         *opt.Adam
 	net          simnet.Net
 	rng          *rand.Rand
-	batch        int
 	k            int
 	m            *cluster.Membership
 	swapInterval int
 	eval         EvalFunc
-	evalEvery    int
-	aggregate    Aggregation
-	joinAt       map[int][]*dataset.Dataset
 	spawn        func(*dataset.Dataset) (*worker, error)
 	// feedbackShape validates async feedback decodes: the shape of the
 	// last generated batch, set before any feedback can arrive.
 	feedbackShape []int
-	// roundTimeout bounds collect's wait for feedbacks (0 = wait
-	// forever, the strict fail-stop-only mode the bitwise pin replays).
-	roundTimeout time.Duration
-	// quorum is the minimum contributor count needed to apply a round
-	// when the deadline expires (Train normalises it to ≥ 1).
-	quorum int
-	// topo computes the per-round aggregation plan. nil = the flat star:
-	// no plan is built, nothing about it goes on the wire (workers see an
-	// empty parent and answer with a bare msgFeedback), and collect/apply
-	// treat every active worker as a direct child of the server.
-	topo cluster.Topology
-	// swapSched plans the SWAP step over the active workers (RingSwap —
-	// the paper's cyclic permutation — when nil).
-	swapSched SwapSchedule
 	// probes tracks suspects pinged since the last probe tick; a pong or
 	// feedback clears the entry (reinstating the worker), an entry still
 	// present at the next tick is another miss.
 	probes map[string]bool
 	// defense is the cross-round feedback-quality scorer (nil = off).
 	defense *defense
-	// joinWarmup ramps a joiner's aggregation weight from 1/joinWarmup
-	// to 1 over its first joinWarmup rounds (0 = full weight at once);
-	// joinedRound records each tracked joiner's entry iteration.
-	joinWarmup  int
+	// joinedRound records each joiner's entry iteration while its
+	// Config.JoinWarmup ramp runs.
 	joinedRound map[string]int
 	// retireAt maps iteration → names of the workers whose Lifetime
 	// ends at its start (processed by prepare, before joins).
@@ -111,7 +96,7 @@ type server struct {
 	// updates counts generator updates applied (the engine's Iters).
 	updates int
 	// rounds are the engine-owned per-stage buffers: slot 0 for strict
-	// mode, both slots double-buffered in pipelined mode.
+	// mode, both slots alternating in pipelined mode.
 	rounds [2]round
 }
 
@@ -244,16 +229,16 @@ func (r *round) fail(name string) {
 
 // prepare runs the membership stage for iteration it: scheduled
 // crashes, dynamic joins, client sampling. It fills r.active and, when
-// clampK is true (strict mode), sets r.k = min(server k, active count).
-// Pipelined rounds generate before membership is decided, so they keep
-// the k the pregenerate stage chose.
+// clampK is true, sets r.k = min(server k, active count). A round
+// generated ahead (pipelined mode) was generated before its membership
+// was decided, so it keeps the k chosen then.
 func (s *server) prepare(r *round, clampK bool) error {
 	s.m.ApplyCrashes(r.it)
 	s.processRetirements(r.it)
 	if err := s.processJoins(r.it, s.spawn); err != nil {
 		return err
 	}
-	if s.roundTimeout > 0 {
+	if s.cfg.RoundTimeout > 0 {
 		s.tickProbes()
 	}
 	r.active = append(r.active[:0], s.m.Sample()...)
@@ -262,7 +247,7 @@ func (s *server) prepare(r *round, clampK bool) error {
 	// life. Bounded: each fruitless wait ticks every suspect's
 	// escalation counter, so if nobody ever answers they all demote and
 	// the loop exits with an empty active set (training ends).
-	for len(r.active) == 0 && s.roundTimeout > 0 && s.m.NumSuspect() > 0 {
+	for len(r.active) == 0 && s.cfg.RoundTimeout > 0 && s.m.NumSuspect() > 0 {
 		if !s.awaitRejoin() {
 			s.tickProbes()
 		}
@@ -289,7 +274,7 @@ func (s *server) generate(r *round) {
 		r.frames = r.frames[:r.k]
 	}
 	for j := 0; j < r.k; j++ {
-		z, lab := s.g.SampleZ(s.batch, s.rng)
+		z, lab := s.g.SampleZ(s.cfg.Batch, s.rng)
 		x := s.g.Forward(z, lab, true)
 		r.zs = append(r.zs, z)
 		r.labs = append(r.labs, lab)
@@ -309,27 +294,24 @@ func (s *server) generate(r *round) {
 func (s *server) route(r *round) {
 	r.swapTo = nil
 	if s.swapInterval > 0 && r.it%s.swapInterval == 0 && len(r.active) > 1 {
-		sched := s.swapSched
-		if sched == nil {
-			sched = RingSwap{}
-		}
-		r.swapTo = sched.Plan(r.active, s.rng)
+		r.swapTo = s.cfg.SwapSched.Plan(r.active, s.rng)
 	}
-	// The aggregation plan is recomputed fresh every round from the
-	// active set — deterministic and RNG-free (the Topology contract),
-	// so a membership change reparents orphans as a plain side effect of
-	// replanning, without disturbing the pinned RNG streams.
+	// A tree's aggregation plan is recomputed fresh every round from the
+	// active set — deterministic and RNG-free (the cluster package's
+	// topology contract), so a membership change reparents orphans as a
+	// plain side effect of replanning, without disturbing the pinned RNG
+	// streams.
 	r.plan = nil
-	if s.topo != nil {
-		r.plan = s.topo.Plan(serverName, r.active)
+	if s.cfg.Topology != nil {
+		r.plan = s.cfg.Topology.Plan(serverName, r.active)
 	}
 	// Aggregators bound their own wait at half the round deadline so a
 	// partial reduction (a child's frame was lost) still reaches the
 	// server before ITS timer expires — otherwise every lost child frame
 	// would cost the aggregator's whole accounted subtree a timeout.
 	aggWait := 0
-	if s.roundTimeout > 0 {
-		aggWait = int(s.roundTimeout / 2 / time.Millisecond)
+	if s.cfg.RoundTimeout > 0 {
+		aggWait = int(s.cfg.RoundTimeout / 2 / time.Millisecond)
 		if aggWait < 1 {
 			aggWait = 1
 		}
@@ -384,7 +366,7 @@ func (s *server) dispatch(r *round) error {
 		switch {
 		case err == nil:
 		case errors.Is(err, simnet.ErrNodeDown):
-			if s.roundTimeout > 0 {
+			if s.cfg.RoundTimeout > 0 {
 				s.m.Suspect(name)
 			} else {
 				s.m.Fail(name)
@@ -493,8 +475,8 @@ func (s *server) collect(r *round) error {
 	}
 	var canceled map[string]bool
 	var deadline <-chan time.Time
-	if s.roundTimeout > 0 {
-		deadline = time.After(s.roundTimeout)
+	if s.cfg.RoundTimeout > 0 {
+		deadline = time.After(s.cfg.RoundTimeout)
 	}
 	for len(r.got)+len(r.failed) < len(r.sent) {
 		msg, ok, err := s.recv(deadline)
@@ -526,14 +508,14 @@ func (s *server) collect(r *round) error {
 					r.fail(name)
 				}
 			}
-			if len(r.got) >= s.quorum {
+			if len(r.got) >= s.cfg.Quorum {
 				// Quorum reached: apply the round without the
 				// missing (they stay suspect until probed back in).
 				for _, name := range r.active {
 					r.fail(name)
 				}
 			} else {
-				deadline = time.After(s.roundTimeout)
+				deadline = time.After(s.cfg.RoundTimeout)
 			}
 			continue
 		}
@@ -655,7 +637,7 @@ func (s *server) evidence(msg simnet.Message) bool {
 // itself escalate. It reports whether name was demoted.
 func (s *server) strike(name string) (demoted bool) {
 	strikes := s.m.NoteCorrupt(name)
-	if s.roundTimeout <= 0 || strikes >= s.m.SuspectThreshold() {
+	if s.cfg.RoundTimeout <= 0 || strikes >= s.m.SuspectThreshold() {
 		s.m.Fail(name)
 		return true
 	}
@@ -734,7 +716,7 @@ func (s *server) tickProbes() {
 // did. Used when the active set drained entirely — the alternative to
 // ending training while suspects may still recover.
 func (s *server) awaitRejoin() bool {
-	deadline := time.After(s.roundTimeout)
+	deadline := time.After(s.cfg.RoundTimeout)
 	for {
 		msg, ok, _ := s.recv(deadline)
 		if !ok {
@@ -804,7 +786,7 @@ func (s *server) apply(r *round) {
 			if len(fs) == 0 {
 				continue
 			}
-			agg := aggregateFeedbacks(fs, s.aggregate, &s.aggSc)
+			agg := aggregateFeedbacks(fs, s.cfg.Aggregate, &s.aggSc)
 			r.outGrads[j] = agg.ScaleInPlace(float64(len(fs)) / float64(total))
 		}
 	} else {
@@ -824,7 +806,7 @@ func (s *server) apply(r *round) {
 				ws = append(ws, feedbackWeight(weights, name))
 			}
 			s.wsSc = ws
-			agg, w := aggregateFeedbacksWeighted(fs, ws, s.aggregate, &s.aggSc)
+			agg, w := aggregateFeedbacksWeighted(fs, ws, s.cfg.Aggregate, &s.aggSc)
 			if agg == nil {
 				continue
 			}
@@ -865,7 +847,7 @@ func (s *server) apply(r *round) {
 	s.optG.Step(s.g.Params())
 	s.updates++
 
-	if s.eval != nil && s.evalEvery > 0 && r.it%s.evalEvery == 0 {
+	if s.eval != nil && s.cfg.EvalEvery > 0 && r.it%s.cfg.EvalEvery == 0 {
 		s.eval(r.it, s.g)
 	}
 }
@@ -880,7 +862,7 @@ func (s *server) roundWeights(r *round) map[string]float64 {
 	if s.defense != nil {
 		weights = s.defense.observe(r)
 	}
-	if s.joinWarmup > 0 && len(s.joinedRound) > 0 {
+	if s.cfg.JoinWarmup > 0 && len(s.joinedRound) > 0 {
 		for name, joined := range s.joinedRound {
 			if !r.got[name] {
 				continue
@@ -890,11 +872,11 @@ func (s *server) roundWeights(r *round) map[string]float64 {
 			// joiner's weight ramps linearly over its first warm-up
 			// rounds instead of jolting the aggregate at full strength.
 			age := r.it - joined + 1
-			if age >= s.joinWarmup {
+			if age >= s.cfg.JoinWarmup {
 				delete(s.joinedRound, name) // ramp complete
 				continue
 			}
-			w := float64(age) / float64(s.joinWarmup)
+			w := float64(age) / float64(s.cfg.JoinWarmup)
 			if weights == nil {
 				weights = make(map[string]float64, 1)
 			}
@@ -938,99 +920,59 @@ func (s *server) processRetirements(it int) {
 	}
 }
 
-// runSync executes the strict synchronous Algorithm 1 for I iterations
-// and returns the number of generator updates applied. Stage order
-// within a round matches the pre-engine monolithic loop exactly
-// (including the server RNG draw order: joins → sampling → k latent
-// draws → swap permutation), so a fixed seed yields bitwise-identical
-// generator parameters.
-func (s *server) runSync(iters int) (int, error) {
+// run executes the synchronous Algorithm 1 for iters iterations and
+// returns the number of generator updates applied. Each round runs
+// prepare → generate → route → dispatch → collect → apply; the server
+// RNG draw order is joins → sampling → k latent draws → swap
+// permutation, so in strict mode a fixed seed yields generator
+// parameters bitwise equal to a serial replay of Algorithm 1.
+//
+// With pipeline set, one step moves: after dispatching round it the
+// server generates round it+1's batches into the other round slot
+// while the workers compute (§VII.1), with k clamped by the membership
+// bound visible at that point — if crashes at it+1 later shrink the
+// active set below k, the surplus batches simply collect no feedback.
+// Round it+1 then skips its own generate, and its membership is
+// resolved only after round it's feedbacks are in, so a scheduled
+// crash can never eat a feedback the strict schedule would have
+// counted. Round it+1's batches therefore come from parameters that
+// miss exactly round it's update, and round it's apply re-forwards
+// through parameters one update newer than the ones that generated its
+// batches — the one-update staleness documented on Config.Pipeline.
+// With iters = 1 nothing is generated ahead and the run is strict.
+func (s *server) run(iters int, pipeline bool) (int, error) {
+	cur, nxt := &s.rounds[0], &s.rounds[1]
+	ahead := false // cur's batches were generated during the previous round
 	for it := 1; it <= iters; it++ {
-		r := &s.rounds[0]
-		r.reset(it)
-		if err := s.prepare(r, true); err != nil {
+		if !ahead {
+			cur.reset(it)
+		}
+		if err := s.prepare(cur, !ahead); err != nil {
 			return s.updates, err
 		}
-		if len(r.active) == 0 {
+		if len(cur.active) == 0 || cur.k == 0 {
 			return s.updates, nil // every worker crashed: training ends
 		}
-		s.generate(r)
-		s.route(r)
-		if err := s.dispatch(r); err != nil {
+		if !ahead {
+			s.generate(cur)
+		}
+		s.route(cur)
+		if err := s.dispatch(cur); err != nil {
 			return s.updates, err
 		}
-		if err := s.collect(r); err != nil {
-			return s.updates, err
-		}
-		s.apply(r)
-	}
-	return s.updates, nil
-}
-
-// runPipelined executes the one-round-deep pipelined variant: while the
-// workers compute round t, the server generates and encodes round
-// t+1's batches (pregenerate), then collects and applies round t, and
-// only then resolves round t+1's membership and routing. Round t+1's
-// batches therefore come from parameters that miss exactly round t's
-// update, and round t's apply re-forwards through parameters one
-// update newer than the ones that generated its batches — both sides
-// of the one-update stale-gradient trade-off documented on
-// Config.Pipeline. Crashes, joins and sampling still take effect at
-// their scheduled iteration. With Iters=1 no pregeneration happens and
-// the run is bitwise identical to strict mode.
-func (s *server) runPipelined(iters int) (int, error) {
-	if iters <= 0 {
-		return 0, nil
-	}
-	cur, nxt := &s.rounds[0], &s.rounds[1]
-	cur.reset(1)
-	if err := s.prepare(cur, true); err != nil {
-		return s.updates, err
-	}
-	if len(cur.active) == 0 {
-		return s.updates, nil
-	}
-	s.generate(cur)
-	s.route(cur)
-	if err := s.dispatch(cur); err != nil {
-		return s.updates, err
-	}
-	for it := 1; it <= iters; it++ {
-		if it < iters {
-			// Overlap: the workers are busy with round it right now.
-			// Clamp k by the membership bound visible at this point; if
-			// crashes at it+1 later shrink the active set below k, the
-			// surplus batches simply collect no feedback.
+		ahead = pipeline && it < iters
+		if ahead {
 			nxt.reset(it + 1)
-			nxt.k = s.k
-			if bound := s.m.ActiveBound(); nxt.k > bound {
-				nxt.k = bound
-			}
-			if nxt.k > 0 {
-				s.generate(nxt)
-			}
+			nxt.k = min(s.k, s.m.ActiveBound())
+			s.generate(nxt)
 		}
 		if err := s.collect(cur); err != nil {
 			return s.updates, err
 		}
 		s.apply(cur)
-		if it == iters {
-			break
+		if ahead {
+			cur, nxt = nxt, cur
 		}
-		// Round it+1's membership is resolved only now — after round
-		// it's feedbacks are in, so a scheduled crash can never eat a
-		// feedback the strict schedule would have counted.
-		if err := s.prepare(nxt, false); err != nil {
-			return s.updates, err
-		}
-		if len(nxt.active) == 0 || nxt.k == 0 {
-			return s.updates, nil
-		}
-		s.route(nxt)
-		if err := s.dispatch(nxt); err != nil {
-			return s.updates, err
-		}
-		cur, nxt = nxt, cur
 	}
 	return s.updates, nil
 }

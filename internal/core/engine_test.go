@@ -2,19 +2,21 @@ package core
 
 // Engine-decomposition regression tests.
 //
-// TestStrictEngineMatchesSerialReference pins the refactor's core
+// TestStrictEngineMatchesSerialReference pins the engine's core
 // guarantee: the staged round engine in strict (default) mode produces
 // bitwise-identical generator parameters to a serial, message-free
-// replay of Algorithm 1 — the semantics of the pre-engine monolithic
-// runSync. If a stage reorders an RNG draw, changes the merge order or
-// accidentally makes pipelining the default, this fails. Every case
-// also runs under a depth-2 aggregation tree, compared against the star
-// within tolerance (the serial reference models the star; workers'
-// partial sums are reassociation-equivalent to its mean, not bitwise).
+// replay of Algorithm 1. If a stage reorders an RNG draw, changes the
+// merge order or accidentally makes pipelining the default, this fails.
+// Every case also runs under a depth-2 aggregation tree, compared
+// against the star within tolerance (the serial reference models the
+// star; workers' partial sums are reassociation-equivalent to its mean,
+// not bitwise).
 //
-// The pipelined tests pin the documented one-iteration staleness
-// contract: identical to strict at Iters=1 (no round to overlap with),
-// convergent to the same ring at full length.
+// TestPipelinedEngineMatchesSerialReference pins the pipelined schedule
+// bitwise against the same replay run on that schedule. The other
+// pipelined tests pin the documented one-iteration staleness contract:
+// identical to strict at Iters=1 (no round to overlap with), convergent
+// to the same ring at full length.
 
 import (
 	"bytes"
@@ -42,6 +44,13 @@ import (
 // same §IV-B1 SPLIT, the same merge order and the same swap wire
 // round-trip. It supports crashes and client sampling (not joins or
 // byzantine modes, which have their own determinism tests).
+//
+// With cfg.Pipeline it replays the pipelined schedule instead: round
+// it+1's latents are drawn and forwarded after round it's swap
+// permutation, from parameters that round it's update has not reached
+// yet, with k = min(K, ActivePerRound, live) at that point; round it+1
+// then samples its workers after those draws and keeps that k even if
+// a crash left fewer active workers than batches.
 func serialReference(shards []*dataset.Dataset, arch gan.Arch, cfg Config) []float64 {
 	cfg.TrainConfig = cfg.TrainConfig.Defaults()
 	n := len(shards)
@@ -84,13 +93,29 @@ func serialReference(shards []*dataset.Dataset, arch gan.Arch, cfg Config) []flo
 		}
 		return out
 	}
+	// batches holds one round's generated batches and the draws behind
+	// them.
+	type batches struct {
+		zs   []*tensor.Tensor
+		labs [][]int
+		xs   []*tensor.Tensor
+	}
+	generate := func(k int) *batches {
+		b := &batches{zs: make([]*tensor.Tensor, k), labs: make([][]int, k), xs: make([]*tensor.Tensor, k)}
+		for j := 0; j < k; j++ {
+			b.zs[j], b.labs[j] = g.SampleZ(cfg.Batch, rng)
+			b.xs[j] = g.Forward(b.zs[j], b.labs[j], true).Clone()
+		}
+		return b
+	}
+	var ahead *batches // pipelined: this round's batches, generated a round early
 
 	for it := 1; it <= cfg.Iters; it++ {
 		for _, idx := range cfg.CrashAt[it] {
 			delete(ws, workerName(idx))
 		}
 		active := alive()
-		if len(active) == 0 {
+		if len(active) == 0 || ahead != nil && len(ahead.zs) == 0 {
 			break
 		}
 		if cfg.ActivePerRound > 0 && cfg.ActivePerRound < len(active) {
@@ -98,20 +123,21 @@ func serialReference(shards []*dataset.Dataset, arch gan.Arch, cfg Config) []flo
 			active = active[:cfg.ActivePerRound]
 			sortStrings(active)
 		}
-		k := kCfg
-		if k > len(active) {
-			k = len(active)
+		cur := ahead
+		if cur == nil {
+			cur = generate(min(kCfg, len(active)))
 		}
-		zs := make([]*tensor.Tensor, k)
-		labs := make([][]int, k)
-		xs := make([]*tensor.Tensor, k)
-		for j := 0; j < k; j++ {
-			zs[j], labs[j] = g.SampleZ(cfg.Batch, rng)
-			xs[j] = g.Forward(zs[j], labs[j], true).Clone()
-		}
+		k, zs, labs, xs := len(cur.zs), cur.zs, cur.labs, cur.xs
 		swapTo := map[string]string{}
 		if swapInterval > 0 && it%swapInterval == 0 && len(active) > 1 {
 			swapTo = sattolo(active, rng)
+		}
+		if cfg.Pipeline && it < cfg.Iters {
+			bound := len(alive())
+			if cfg.ActivePerRound > 0 && cfg.ActivePerRound < bound {
+				bound = cfg.ActivePerRound
+			}
+			ahead = generate(min(kCfg, bound))
 		}
 		// Worker side: L discriminator steps + feedback, in any order
 		// (workers are independent); swaps apply after every feedback
@@ -227,7 +253,7 @@ func TestStrictEngineMatchesSerialReference(t *testing.T) {
 			// — this axis pins the fault-free reduce path under every
 			// routing variant (sampling, swaps, native swaps).
 			t.Run("tree:2", func(t *testing.T) {
-				run := func(topo cluster.Topology) []float64 {
+				run := func(topo *cluster.Tree) []float64 {
 					shards, cfg := mk()
 					cfg.Iters = 2
 					cfg.Topology = topo
@@ -237,7 +263,7 @@ func TestStrictEngineMatchesSerialReference(t *testing.T) {
 					}
 					return nn.ParamVector(res.G.Net.Params())
 				}
-				got, want := run(cluster.Tree{Depth: 2}), run(nil)
+				got, want := run(&cluster.Tree{Depth: 2}), run(nil)
 				tol := tensor.Tol(1e-9, 2e-3)
 				for i := range want {
 					scale := math.Max(1, math.Abs(want[i]))
@@ -272,6 +298,60 @@ func TestPipelinedOneIterationMatchesStrict(t *testing.T) {
 		if strict[i] != pipe[i] {
 			t.Fatalf("param %d: pipelined %g vs strict %g with Iters=1", i, pipe[i], strict[i])
 		}
+	}
+}
+
+// TestPipelinedEngineMatchesSerialReference pins the pipelined driver
+// bitwise against the serial replay of its schedule: generate-ahead
+// after the swap permutation and before apply, k clamped by the
+// membership bound at that point and not again. The crash case leaves
+// one worker for a round generated with k = 2.
+func TestPipelinedEngineMatchesSerialReference(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"plain", func(c *Config) {}},
+		{"k=1", func(c *Config) { c.K = 1 }},
+		{"swaps", func(c *Config) { c.SwapEvery = 1 }},
+		{"crashes", func(c *Config) { c.CrashAt = map[int][]int{4: {1}, 7: {0, 2, 3}} }},
+		{"sampling", func(c *Config) { c.ActivePerRound = 3 }},
+		{"swaps+crashes+sampling", func(c *Config) {
+			c.SwapEvery = 1
+			c.CrashAt = map[int][]int{5: {0}}
+			c.ActivePerRound = 3
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func() ([]*dataset.Dataset, Config) {
+				shards := ringShards(5, 96, 311)
+				cfg := baseConfig()
+				cfg.Iters = 12
+				cfg.Batch = 16
+				cfg.SwapEvery = -1
+				cfg.Pipeline = true
+				tc.mut(&cfg)
+				return shards, cfg
+			}
+			shards, cfg := mk()
+			res, err := Train(shards, gan.RingMLP(), cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refShards, refCfg := mk()
+			want := serialReference(refShards, gan.RingMLP(), refCfg)
+			got := nn.ParamVector(res.G.Net.Params())
+			if len(got) != len(want) {
+				t.Fatalf("parameter count %d vs %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("pipelined engine diverged from its serial schedule at param %d: %g vs %g",
+						i, got[i], want[i])
+				}
+			}
+		})
 	}
 }
 
@@ -530,11 +610,14 @@ func TestTrainErrorPathStopsWorkers(t *testing.T) {
 // to encodeBatches of those fields — one batches-frame layout, on the
 // star (empty parent, no children) and under a tree.
 func TestRoutePayloadMatchesEncodeBatches(t *testing.T) {
-	for _, topo := range []cluster.Topology{nil, cluster.Tree{Depth: 2}} {
+	for _, topo := range []*cluster.Tree{nil, {Depth: 2}} {
 		couple := gan.RingMLP().NewGAN(11, nn.GenLossNonSaturating, 0)
 		srv := &server{
-			g: couple.G, rng: rand.New(rand.NewSource(11)), batch: 4, k: 2,
-			swapInterval: 1, roundTimeout: 30 * time.Millisecond, topo: topo,
+			cfg: &Config{
+				TrainConfig:  gan.TrainConfig{Batch: 4},
+				RoundTimeout: 30 * time.Millisecond, Topology: topo, SwapSched: RingSwap{},
+			},
+			g: couple.G, rng: rand.New(rand.NewSource(11)), k: 2, swapInterval: 1,
 		}
 		r := &srv.rounds[0]
 		r.reset(7)

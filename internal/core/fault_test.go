@@ -80,10 +80,10 @@ func assertNoGoroutineLeak(t *testing.T, before int) {
 // with the same expectations — there is one collect behind them.
 var framings = []struct {
 	name string
-	topo cluster.Topology
+	topo *cluster.Tree
 }{
 	{"feedback", nil},
-	{"aggregate", cluster.Tree{Depth: 1}},
+	{"aggregate", &cluster.Tree{Depth: 1}},
 }
 
 // isContribution reports whether msg carries a worker's round
@@ -135,22 +135,35 @@ func (n *blackholeNet) Send(msg simnet.Message) error {
 }
 
 // garbleNet truncates the victim's contribution payloads so they cannot
-// decode (a corrupt frame, not merely wrong values).
+// decode (a corrupt frame, not merely wrong values). Every other
+// worker's contribution is held until the victim's first garbled frame
+// has been sent: the inbox is FIFO, so the receiver reads that frame
+// before any clean one and the strike happens however long the
+// scheduler starves the victim's goroutine (without the hold, the clean
+// workers of an async run could finish every update first).
 type garbleNet struct {
 	simnet.Net
-	victim  string
-	mu      sync.Mutex
-	garbled int
+	victim string
+	sent   chan struct{} // closed once the first garbled frame is sent
+	once   sync.Once
+}
+
+func newGarbleNet(inner simnet.Net, victim string) *garbleNet {
+	return &garbleNet{Net: inner, victim: victim, sent: make(chan struct{})}
 }
 
 func (n *garbleNet) Send(msg simnet.Message) error {
-	if msg.From == n.victim && isContribution(msg) {
-		n.mu.Lock()
-		n.garbled++
-		n.mu.Unlock()
-		msg.Payload = append([]byte(nil), msg.Payload[:3]...)
+	if !isContribution(msg) {
+		return n.Net.Send(msg)
 	}
-	return n.Net.Send(msg)
+	if msg.From != n.victim {
+		<-n.sent
+		return n.Net.Send(msg)
+	}
+	msg.Payload = append([]byte(nil), msg.Payload[:3]...)
+	err := n.Net.Send(msg)
+	n.once.Do(func() { close(n.sent) })
+	return err
 }
 
 func contains(names []string, name string) bool {
@@ -316,7 +329,7 @@ func TestCorruptFeedbackKeepsTraining(t *testing.T) {
 			t.Run(fr.name, func(t *testing.T) {
 				before := goroutineBaseline()
 				inner := simnet.NewChannelNet(0)
-				net := &garbleNet{Net: inner, victim: workerName(1)}
+				net := newGarbleNet(inner, workerName(1))
 				shards := ringShards(3, 64, 419)
 				cfg := baseConfig()
 				cfg.Iters = 5
@@ -345,7 +358,7 @@ func TestCorruptFeedbackKeepsTraining(t *testing.T) {
 			t.Run(fr.name, func(t *testing.T) {
 				before := goroutineBaseline()
 				inner := simnet.NewChannelNet(0)
-				net := &garbleNet{Net: inner, victim: workerName(1)}
+				net := newGarbleNet(inner, workerName(1))
 				shards := ringShards(3, 64, 421)
 				cfg := baseConfig()
 				cfg.Iters = 8
@@ -454,13 +467,12 @@ func TestAsyncTimeoutDemotesUnresponsiveWorkers(t *testing.T) {
 func TestAsyncCorruptFeedbackKeepsTraining(t *testing.T) {
 	before := goroutineBaseline()
 	inner := simnet.NewChannelNet(0)
-	net := &garbleNet{Net: inner, victim: workerName(2)}
+	net := newGarbleNet(inner, workerName(2))
 	shards := ringShards(3, 64, 439)
 	cfg := baseConfig()
-	// Long enough that the victim's first frame is consumed before the
-	// two clean workers finish the run on their own: at 12 iterations a
-	// loaded 2-CPU host starved the victim's goroutine past the end in
-	// ~2 % of runs, and the strike this test asserts never happened.
+	// garbleNet holds the clean workers' feedbacks until the victim's
+	// first garbled frame is in the server's inbox, so the strike this
+	// test asserts happens however the victim's goroutine is scheduled.
 	cfg.Iters = 96
 	cfg.Async = true
 	cfg.Net = net

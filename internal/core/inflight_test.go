@@ -56,7 +56,7 @@ func TestAtMostOneSendInFlightPerPair(t *testing.T) {
 	}{
 		{"strict star", 4, func(c *Config) {}},
 		{"strict tree with swaps", 9, func(c *Config) {
-			c.Topology = cluster.Tree{Depth: 2}
+			c.Topology = &cluster.Tree{Depth: 2}
 			c.SwapEvery = 1
 		}},
 		{"pipelined with a joiner", 3, func(c *Config) {

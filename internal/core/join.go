@@ -36,7 +36,7 @@ const (
 // processJoins spawns and initialises the workers scheduled to join at
 // iteration it. Called by the engine's prepare stage between rounds.
 func (s *server) processJoins(it int, spawn func(shard *dataset.Dataset) (*worker, error)) error {
-	shards := s.joinAt[it]
+	shards := s.cfg.JoinAt[it]
 	if len(shards) == 0 {
 		return nil
 	}
@@ -91,7 +91,7 @@ func (s *server) processJoins(it int, spawn func(shard *dataset.Dataset) (*worke
 			return fmt.Errorf("core: forward clone to %s: %w", w.name, err)
 		}
 		s.m.Add(w.name)
-		if s.joinWarmup > 0 {
+		if s.cfg.JoinWarmup > 0 {
 			if s.joinedRound == nil {
 				s.joinedRound = make(map[string]int)
 			}
@@ -103,7 +103,7 @@ func (s *server) processJoins(it int, spawn func(shard *dataset.Dataset) (*worke
 
 // spawnJoiner builds the worker-spawning closure Train hands to the
 // server for dynamic joins.
-func spawnJoiner(cfg Config, net simnet.Net, lc gan.LossConfig, template *gan.Discriminator,
+func spawnJoiner(cfg *Config, net simnet.Net, lc gan.LossConfig, template *gan.Discriminator,
 	workers *[]*worker, nextIdx *int) func(*dataset.Dataset) (*worker, error) {
 	return func(shard *dataset.Dataset) (*worker, error) {
 		i := *nextIdx

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -210,8 +211,11 @@ func TestJoinKeepsSuspectAggregate(t *testing.T) {
 	couple := gan.RingMLP().NewGAN(5, nn.GenLossNonSaturating, 0)
 	rng := rand.New(rand.NewSource(5))
 	srv := &server{
-		net: net, rng: rng, roundTimeout: 50 * time.Millisecond,
-		joinAt: map[int][]*dataset.Dataset{3: {ringShards(1, 32, 5)[0]}},
+		cfg: &Config{
+			RoundTimeout: 50 * time.Millisecond,
+			JoinAt:       map[int][]*dataset.Dataset{3: {ringShards(1, 32, 5)[0]}},
+		},
+		net: net, rng: rng,
 		probes: map[string]bool{suspect: true},
 		m:      cluster.New(net, rng, nil, 0),
 	}
@@ -239,8 +243,8 @@ func TestJoinKeepsSuspectAggregate(t *testing.T) {
 	if !srv.m.Alive(joiner) {
 		t.Fatal("joiner was not admitted")
 	}
-	if srv.m.IsSuspect(suspect) || srv.probes[suspect] {
+	if still := slices.Contains(srv.m.Suspects(), suspect); still || srv.probes[suspect] {
 		t.Fatalf("suspect's aggregate was discarded during the join: still suspect=%v, probe outstanding=%v",
-			srv.m.IsSuspect(suspect), srv.probes[suspect])
+			still, srv.probes[suspect])
 	}
 }

@@ -46,7 +46,7 @@ func TestCancelSwapCannotResolveEarlierRendezvous(t *testing.T) {
 		Batch: 4, DiscSteps: 0, Seed: 41,
 		OptD: opt.AdamConfig{LR: 1e-3},
 	}, SwapPrec: SwapNative}
-	w := newWorker(cfg, net, couple.LossConfig, couple.D, 0, shard)
+	w := newWorker(&cfg, net, couple.LossConfig, couple.D, 0, shard)
 	go w.run()
 
 	// The discriminator B must adopt: recognisably different parameters.

@@ -17,7 +17,7 @@ import (
 // fan-in 3: aggregators worker0/3/6, two leaves each).
 func treeConfig() Config {
 	cfg := baseConfig()
-	cfg.Topology = cluster.Tree{Depth: 2}
+	cfg.Topology = &cluster.Tree{Depth: 2}
 	return cfg
 }
 
@@ -33,7 +33,7 @@ func treeConfig() Config {
 // iterations (reassociation drift compounds chaotically through Adam
 // beyond that) within tensor.Tol.
 func TestTreeAggregationMatchesFlat(t *testing.T) {
-	run := func(topo cluster.Topology, iters int) []float64 {
+	run := func(topo *cluster.Tree, iters int) []float64 {
 		shards := ringShards(9, 96, 419)
 		cfg := baseConfig()
 		cfg.Iters = iters
@@ -48,7 +48,7 @@ func TestTreeAggregationMatchesFlat(t *testing.T) {
 	}
 	for _, iters := range []int{1, 2} {
 		flat := run(nil, iters)
-		tree := run(cluster.Tree{Depth: 2}, iters)
+		tree := run(&cluster.Tree{Depth: 2}, iters)
 		tol := tensor.Tol(1e-9, 2e-3)
 		for i := range flat {
 			scale := math.Max(1, math.Abs(flat[i]))
@@ -69,7 +69,7 @@ func TestTreeAggregationMatchesFlat(t *testing.T) {
 // inexact, which is what told the two former server-side arithmetics
 // (mean·size/received vs sum/received) apart in the last ulp.
 func TestDepthOneTreeMatchesFlatBitwise(t *testing.T) {
-	run := func(topo cluster.Topology) []float64 {
+	run := func(topo *cluster.Tree) []float64 {
 		shards := ringShards(9, 96, 419)
 		cfg := baseConfig()
 		cfg.Iters = 12
@@ -82,7 +82,7 @@ func TestDepthOneTreeMatchesFlatBitwise(t *testing.T) {
 		}
 		return nn.ParamVector(res.G.Net.Params())
 	}
-	flat, tree := run(nil), run(cluster.Tree{Depth: 1})
+	flat, tree := run(nil), run(&cluster.Tree{Depth: 1})
 	for i := range flat {
 		if flat[i] != tree[i] {
 			t.Fatalf("param %d: depth-1 tree %v vs flat %v — the star in aggregate framing must be the star",
@@ -175,7 +175,7 @@ func TestTreeTrainCompletes(t *testing.T) {
 // child per round (3), not one per worker (9).
 func TestTreeServerIngressReduction(t *testing.T) {
 	const iters = 6
-	run := func(topo cluster.Topology) simnet.Traffic {
+	run := func(topo *cluster.Tree) simnet.Traffic {
 		shards := ringShards(9, 96, 439)
 		cfg := baseConfig()
 		cfg.Iters = iters
@@ -188,7 +188,7 @@ func TestTreeServerIngressReduction(t *testing.T) {
 		return res.Traffic
 	}
 	flat := run(nil)
-	tree := run(cluster.Tree{Depth: 2})
+	tree := run(&cluster.Tree{Depth: 2})
 	if got, want := flat.Msgs[simnet.WtoC], int64(9*iters); got != want {
 		t.Fatalf("flat W→C msgs = %d, want %d", got, want)
 	}
@@ -276,9 +276,13 @@ func TestTreeValidation(t *testing.T) {
 	if _, err := Train(shards, gan.RingMLP(), cfg, nil); err == nil {
 		t.Fatal("tree + median accepted")
 	}
-	// Flat topology is identity: it must NOT reject median.
+	// The "flat" spec is the star: it must NOT reject median.
 	cfg = baseConfig()
-	cfg.Topology = cluster.Flat{}
+	topo, err := cluster.ParseTopology("flat", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Topology = topo
 	cfg.Aggregate = AggMedian
 	cfg.Iters = 2
 	if _, err := Train(shards, gan.RingMLP(), cfg, nil); err != nil {

@@ -19,13 +19,13 @@ func triageWorker(t *testing.T, net simnet.Net, lazy bool) (w *worker, donor *ga
 	cfg := Config{TrainConfig: gan.TrainConfig{
 		Batch: 4, Seed: 41, OptD: opt.AdamConfig{LR: 1e-3},
 	}, SwapPrec: SwapNative, Async: lazy}
-	w = newWorker(cfg, net, couple.LossConfig, couple.D, 0, ringShards(1, 32, 43)[0])
+	w = newWorker(&cfg, net, couple.LossConfig, couple.D, 0, ringShards(1, 32, 43)[0])
 	donor = couple.D.Clone()
 	for _, p := range w.d.Params() {
-		p.W.Fill(0)
+		p.W.Zero()
 	}
 	for _, p := range donor.Params() {
-		p.W.Fill(5)
+		p.W.CopyFrom(tensor.Full(5, p.W.Shape()...))
 	}
 	return w, donor
 }

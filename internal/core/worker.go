@@ -22,18 +22,13 @@ type worker struct {
 	lc      gan.LossConfig
 	optD    *opt.Adam
 	sampler *dataset.Sampler
-	batch   int
-	discL   int
 	net     simnet.Net
-	// lazySwap applies incoming swap parameters whenever they arrive
-	// instead of blocking for them (used in async mode, where strict
-	// rendezvous could stall the pipeline).
-	lazySwap bool
-	// compress selects the feedback wire encoding (§VII.2 extension).
-	compress Compression
-	// swapPrec selects the wire width of outgoing swap and clone
-	// payloads (SwapFP32 by default).
-	swapPrec SwapPrecision
+	// cfg is the run's one Config (the server's). The worker reads its
+	// batch size, step count, wire encodings and Async: an async worker
+	// adopts incoming swap parameters whenever they arrive instead of
+	// blocking for them, since a strict rendezvous could stall the
+	// per-feedback loop.
+	cfg *Config
 	// byzantine, when non-zero, corrupts the feedback before sending
 	// (§VII.3 adversary model). Free-rider modes skip local training
 	// and fabricate the feedback outright.
@@ -145,7 +140,7 @@ func (w *worker) triage(msg simnet.Message, win window) verdict {
 			return drop
 		}
 		v := drop
-		if !w.lazySwap {
+		if !w.cfg.Async {
 			if r > w.lastRound || r == w.lastRound && win == winCollect {
 				return hold
 			}
@@ -233,7 +228,7 @@ func (w *worker) run() {
 			// bootstrap a joining worker (§IV-A).
 			if err := w.net.Send(simnet.Message{
 				From: w.name, To: serverName, Type: msgDParams,
-				Kind: simnet.WtoC, Payload: encodeDiscParams(w.d, w.swapPrec),
+				Kind: simnet.WtoC, Payload: encodeDiscParams(w.d, w.cfg.SwapPrec),
 			}); err != nil {
 				return
 			}
@@ -276,8 +271,8 @@ func (w *worker) handleBatches(msg simnet.Message) bool {
 		// Step 2 (§IV-A): L discriminator learning steps against the
 		// local shard. X^(r) is drawn once per global iteration
 		// (Algorithm 1 line 4) and reused across the L steps.
-		xr, lr := w.sampler.Sample(w.batch)
-		for l := 0; l < w.discL; l++ {
+		xr, lr := w.sampler.Sample(w.cfg.Batch)
+		for l := 0; l < w.cfg.DiscSteps; l++ {
 			gan.DiscStep(w.d, w.lc, w.optD, xr, lr, bm.Xd, bm.Ld)
 		}
 		// Step 3: error feedback on X^(g). A compromised worker lies
@@ -304,7 +299,7 @@ func (w *worker) handleBatches(msg simnet.Message) bool {
 	if bm.SwapTo != "" {
 		if err := w.net.Send(simnet.Message{
 			From: w.name, To: bm.SwapTo, Type: msgSwap,
-			Kind: simnet.WtoW, Payload: encodeSwap(bm.Round, w.d, w.swapPrec),
+			Kind: simnet.WtoW, Payload: encodeSwap(bm.Round, w.d, w.cfg.SwapPrec),
 		}); err != nil {
 			// Receiver crashed mid-round: keep our discriminator.
 			_ = err
@@ -332,14 +327,14 @@ func (w *worker) handleBatches(msg simnet.Message) bool {
 		// Flat star (no plan): the bare feedback frame to the server.
 		if err := w.net.Send(simnet.Message{
 			From: w.name, To: serverName, Type: msgFeedback,
-			Kind: simnet.WtoC, Payload: encodeFeedbackCompressed(fn, w.compress),
+			Kind: simnet.WtoC, Payload: encodeFeedbackCompressed(fn, w.cfg.Compress),
 		}); err != nil {
 			return false
 		}
 	} else if !w.sendAggregate(fn) {
 		return false
 	}
-	if bm.SwapTo != "" && !w.lazySwap {
+	if bm.SwapTo != "" && !w.cfg.Async {
 		// The rendezvous: block until this round's replacement
 		// discriminator (or its cancellation) resolves it — see triage.
 		msg, _ := w.recv(winSwap, nil)
@@ -402,7 +397,7 @@ func (w *worker) sendAggregate(fn *tensor.Tensor) bool {
 	// at every tree level, so the aggregate frame falls back to the
 	// dense fp32 encoding. A leaf's single-contribution frame keeps the
 	// configured mode — same loss profile as the flat star.
-	mode := w.compress
+	mode := w.cfg.Compress
 	if len(bm.Children) > 0 && mode == CompressTopK {
 		mode = CompressFP32
 	}

@@ -191,7 +191,7 @@ func TestDiscStepFusedMatchesTwoPass(t *testing.T) {
 // fillGrads sets every gradient of ps to v.
 func fillGrads(ps []*nn.Param, v float64) {
 	for _, p := range ps {
-		p.Grad.Fill(v)
+		p.Grad.CopyFrom(tensor.Full(v, p.Grad.Shape()...))
 	}
 }
 

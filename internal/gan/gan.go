@@ -155,17 +155,8 @@ func (g *Generator) ZeroGrads() {
 }
 
 // NumParams counts scalar parameters of the core network (the paper's
-// |w|; the conditioning embedding is reported separately by EmbedParams).
+// |w|; the conditioning embedding is not included).
 func (g *Generator) NumParams() int { return g.Net.NumParams() }
-
-// EmbedParams counts the conditioning embedding parameters (0 when
-// unconditional).
-func (g *Generator) EmbedParams() int {
-	if g.Embed == nil {
-		return 0
-	}
-	return g.Embed.W.Size()
-}
 
 // Clone deep-copies the generator.
 func (g *Generator) Clone() *Generator {

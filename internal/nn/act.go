@@ -56,9 +56,6 @@ type Sigmoid struct {
 	dx *tensor.Tensor
 }
 
-// NewSigmoid returns a Sigmoid layer.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
 // Forward applies the logistic function.
 func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	s.y = tensor.Ensure(s.y, x.Shape()...)

@@ -134,7 +134,7 @@ func TestLeakyReLUGradients(t *testing.T) {
 
 func TestSigmoidGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	checkLayerGradients(t, NewSigmoid(), randInput(rng, 3, 6), 1e-5)
+	checkLayerGradients(t, &Sigmoid{}, randInput(rng, 3, 6), 1e-5)
 }
 
 func TestTanhGradients(t *testing.T) {

@@ -378,18 +378,6 @@ func zeroGrads(ps []*Param) {
 // |θ| quantities of the paper's complexity analysis).
 func (s *Sequential) NumParams() int { return numParams(s.Params()) }
 
-// GradVector flattens all parameter gradients into a single []float64
-// (widened from the compiled Elem when that is float32).
-func (s *Sequential) GradVector() []float64 {
-	out := make([]float64, 0, s.NumParams())
-	for _, p := range s.Params() {
-		for _, v := range p.Grad.Data {
-			out = append(out, float64(v))
-		}
-	}
-	return out
-}
-
 // GradNorm returns the Euclidean norm of the concatenated parameter
 // gradients — handy for divergence diagnostics.
 func (s *Sequential) GradNorm() float64 {

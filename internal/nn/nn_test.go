@@ -119,7 +119,7 @@ func TestZeroGradsAndGradNorm(t *testing.T) {
 	n := smallNet(rng)
 	x := randInput(rng, 3, 4)
 	out := n.Forward(x, true)
-	n.Backward(tensor.Ones(out.Shape()...))
+	n.Backward(tensor.Full(1, out.Shape()...))
 	if n.GradNorm() == 0 {
 		t.Fatal("expected non-zero gradients after backward")
 	}
@@ -133,25 +133,30 @@ func TestGradientAccumulationIsAdditive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := smallNet(rng)
 	x := randInput(rng, 3, 4)
-	g := tensor.Ones(3, 3)
+	g := tensor.Full(1, 3, 3)
 
 	n.ZeroGrads()
 	n.Forward(x, true)
 	n.Backward(g)
-	once := n.GradVector()
+	var once []*tensor.Tensor
+	for _, p := range n.Params() {
+		once = append(once, p.Grad.Clone())
+	}
 
 	n.ZeroGrads()
 	n.Forward(x, true)
 	n.Backward(g)
 	n.Forward(x, true)
 	n.Backward(g)
-	twice := n.GradVector()
 
-	for i := range once {
-		// Mixed absolute/relative bound: near-zero gradients see f32
-		// cancellation noise that a pure relative error over-penalises.
-		if d := math.Abs(2*once[i] - twice[i]); d > tensor.Tol(1e-9, 1e-5)*(1+math.Abs(2*once[i])) {
-			t.Fatalf("gradient accumulation not additive at %d: %g vs %g", i, 2*once[i], twice[i])
+	for i, p := range n.Params() {
+		for j, v := range p.Grad.Data {
+			want, twice := 2*float64(once[i].Data[j]), float64(v)
+			// Mixed absolute/relative bound: near-zero gradients see f32
+			// cancellation noise that a pure relative error over-penalises.
+			if d := math.Abs(want - twice); d > tensor.Tol(1e-9, 1e-5)*(1+math.Abs(want)) {
+				t.Fatalf("gradient accumulation not additive at param %d element %d: %g vs %g", i, j, want, twice)
+			}
 		}
 	}
 }

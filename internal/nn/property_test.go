@@ -59,7 +59,8 @@ func TestSoftmaxShiftInvarianceProperty(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		x := randInput(rng, 3, 5)
-		shifted := x.Apply(func(v float64) float64 { return v + shift })
+		shifted := tensor.New(x.Shape()...)
+		tensor.ApplyInto(shifted, x, func(v float64) float64 { return v + shift })
 		return Softmax(x).Equal(Softmax(shifted), tensor.Tol(1e-9, 1e-5))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -254,7 +254,7 @@ func TestSequentialRowWise(t *testing.T) {
 	} {
 		layers := []Layer{
 			NewReshape(1, 4, 4), NewConv2D(1, 4, 4, 2, 3, 1, 1, rng), NewLeakyReLU(0.2),
-			NewConvTranspose2D(2, 4, 4, 1, 3, 1, 1, 0, rng), NewSigmoid(),
+			NewConvTranspose2D(2, 4, 4, 1, 3, 1, 1, 0, rng), &Sigmoid{},
 			NewFlatten(), NewDense(16, 4, rng), NewTanh(),
 		}
 		if tc.extra != nil {

@@ -26,13 +26,6 @@ func Sub(t, u *Tensor) *Tensor {
 	return out
 }
 
-// Mul returns t * u element-wise as a new tensor.
-func Mul(t, u *Tensor) *Tensor {
-	out := New(t.shape...)
-	MulInto(out, t, u)
-	return out
-}
-
 func checkZip(op string, out, t, u *Tensor) {
 	if !t.SameShape(u) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", op, t.shape, u.shape))
@@ -144,13 +137,6 @@ func (t *Tensor) AxpyInPlace(alpha float64, u *Tensor) *Tensor {
 	return t
 }
 
-// Apply returns f applied element-wise as a new tensor.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	out := New(t.shape...)
-	ApplyInto(out, t, f)
-	return out
-}
-
 // ApplyInto computes out = f(t) element-wise into the preallocated out.
 // f operates in float64 regardless of the compiled Elem (transcendental
 // closures come from package math); the result rounds to Elem on store.
@@ -182,25 +168,11 @@ func (t *Tensor) Sum() float64 {
 	return s
 }
 
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 { return t.Sum() / float64(len(t.Data)) }
-
 // Max returns the maximum element.
 func (t *Tensor) Max() float64 {
 	m := math.Inf(-1)
 	for _, v := range t.Data {
 		if float64(v) > m {
-			m = float64(v)
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element.
-func (t *Tensor) Min() float64 {
-	m := math.Inf(1)
-	for _, v := range t.Data {
-		if float64(v) < m {
 			m = float64(v)
 		}
 	}
@@ -260,14 +232,6 @@ func sumRowsLoop(od, x []Elem, r, c int) {
 			od[j] += v
 		}
 	}
-}
-
-// AddRowVec adds a (1, c) row vector to every row of a (r, c) tensor,
-// returning a new tensor.
-func AddRowVec(t, v *Tensor) *Tensor {
-	out := New(t.shape...)
-	out.CopyFrom(t)
-	return out.AddRowVecInPlace(v)
 }
 
 // AddRowVecInPlace adds a (1, c) row vector to every row of a (r, c)

@@ -92,13 +92,6 @@ func (t *Tensor) AppendBinaryAs(dst []byte, dt byte) []byte {
 	return dst
 }
 
-// WriteTo encodes t to w. It implements io.WriterTo.
-func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
-	buf := t.AppendBinary(make([]byte, 0, t.EncodedSize()))
-	n, err := w.Write(buf)
-	return int64(n), err
-}
-
 // maxDecodeVol caps the element count a decoded frame may claim (2^30
 // floats, far beyond any tensor this system ships); the product check
 // against it also rejects dimension products that would overflow int,

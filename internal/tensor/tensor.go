@@ -105,9 +105,6 @@ func Full(v float64, shape ...int) *Tensor {
 	return t
 }
 
-// Ones returns a tensor of the given shape filled with 1.
-func Ones(shape ...int) *Tensor { return Full(1, shape...) }
-
 func checkShape(shape []int) int {
 	if len(shape) == 0 {
 		panic("tensor: empty shape")
@@ -199,14 +196,6 @@ func (t *Tensor) offset(idx []int) int {
 func (t *Tensor) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
-	}
-}
-
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	e := Elem(v)
-	for i := range t.Data {
-		t.Data[i] = e
 	}
 }
 

@@ -299,7 +299,8 @@ type Options struct {
 	// fan-in instead of the cluster size. Synchronous engines only.
 	Topology string
 	// Fanin overrides the tree's per-node child bound (≥ 2); 0 picks
-	// ceil(N^(1/depth)) automatically.
+	// ceil(N^(1/depth)) automatically. A non-zero Fanin without a tree
+	// Topology is an error.
 	Fanin int
 	// SwapSchedule selects the discriminator-swap plan: "" or "ring"
 	// is the paper's cyclic permutation (Sattolo), "shuffle" a random

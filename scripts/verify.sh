@@ -25,7 +25,11 @@
 #                               from mdgan-bench -list-kernels, so a
 #                               host without AVX2/AVX-512 narrows the
 #                               axis): the plain run only exercises the
-#                               tier the CPU probe picked. The axis also
+#                               tier the CPU probe picked. The pipelined
+#                               driver's serial replay runs beside the
+#                               strict one, so the generate-ahead
+#                               schedule is pinned bitwise on every
+#                               tier too. The axis also
 #                               covers the want-set backward passes
 #                               (internal/gan: DiscStep and Feedback
 #                               against a full Backward, bitwise), the
@@ -131,11 +135,12 @@ engine_gates() { # $1 = label, $2.. = go test args
     shift
     # The round-engine contracts, for callers that set an env the plain
     # test run does not: strict mode must replay serial Algorithm 1
-    # bitwise, and the pipelined driver must match strict at Iters=1 and
-    # converge with it at full length.
+    # bitwise, the pipelined schedule must replay its serial schedule
+    # bitwise, match strict at Iters=1 and converge with it at full
+    # length.
     echo "== [$name] engine equivalence gates =="
     go test "$@" -count=1 \
-        -run 'TestStrictEngineMatchesSerialReference|TestPipelinedOneIterationMatchesStrict|TestPipelinedConvergesLikeStrict' \
+        -run 'TestStrictEngineMatchesSerialReference|TestPipelinedEngineMatchesSerialReference|TestPipelinedOneIterationMatchesStrict|TestPipelinedConvergesLikeStrict' \
         ./internal/core
     # The paths a non-default tier or fan-out reaches nowhere else: the
     # restricted backward passes, the one-pass discriminator step, the
