@@ -7,17 +7,14 @@ import (
 )
 
 // SynthFaces generates n procedural face compositions of shape
-// (n, 3, size, size) — the CelebA stand-in of the Fig. 6 experiment.
+// (n, 3, 32, 32) — the CelebA stand-in of the Fig. 6 experiment.
 // Faces combine three binary attributes (skin tone, eye colour, mouth
 // expression), yielding 8 attribute classes the scoring classifier can
 // learn; CelebA itself is unlabelled for our purposes, but the Inception
 // substitute needs classes to produce IS/FID.
-func SynthFaces(n int, seed int64) *Dataset { return SynthFacesSize(n, seed, 32) }
-
-// SynthFacesSize generates faces at an arbitrary square size.
-func SynthFacesSize(n int, seed int64, size int) *Dataset {
+func SynthFaces(n int, seed int64) *Dataset {
 	rng := rand.New(rand.NewSource(seed))
-	s := size
+	const s = 32
 	ds := &Dataset{Name: "synthfaces", Classes: 8, C: 3, H: s, W: s}
 	ds.X = newImageTensor(n, 3, s, s)
 	ds.Labels = make([]int, n)

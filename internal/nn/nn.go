@@ -109,7 +109,8 @@ func newParam(name string, w *tensor.Tensor) *Param {
 // FL-GAN couple and a checkpoint are all AppendParams frames, and the
 // FedAvg vector is ParamVector.
 
-func numParams(ps []*Param) int {
+// NumParams returns the number of scalars in ps.
+func NumParams(ps []*Param) int {
 	n := 0
 	for _, p := range ps {
 		n += p.W.Size()
@@ -181,7 +182,7 @@ func DecodeParams(p []byte, ps []*Param) error {
 // (widened from the compiled Elem when that is float32). The result is
 // a copy.
 func ParamVector(ps []*Param) []float64 {
-	out := make([]float64, 0, numParams(ps))
+	out := make([]float64, 0, NumParams(ps))
 	for _, p := range ps {
 		for _, v := range p.W.Data {
 			out = append(out, float64(v))
@@ -194,7 +195,7 @@ func ParamVector(ps []*Param) []float64 {
 // the same shapes. A vector of any other length is rejected before a
 // parameter is written.
 func SetParamVector(ps []*Param, v []float64) error {
-	if n := numParams(ps); len(v) != n {
+	if n := NumParams(ps); len(v) != n {
 		return fmt.Errorf("nn: param vector length %d, parameters hold %d", len(v), n)
 	}
 	for _, p := range ps {
@@ -376,7 +377,7 @@ func zeroGrads(ps []*Param) {
 
 // NumParams returns the total number of scalar parameters (the |w| and
 // |θ| quantities of the paper's complexity analysis).
-func (s *Sequential) NumParams() int { return numParams(s.Params()) }
+func (s *Sequential) NumParams() int { return NumParams(s.Params()) }
 
 // GradNorm returns the Euclidean norm of the concatenated parameter
 // gradients — handy for divergence diagnostics.

@@ -4,6 +4,7 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 
 	"mdgan/internal/nn"
@@ -42,16 +43,15 @@ type AdamConfig struct {
 type Adam struct {
 	cfg AdamConfig // resolved: no zero field
 	t   int
-	mom map[*nn.Param]moments
+	// m and v are the first and second moment estimates, element by
+	// element in the order of the first Step's params. They are float64
+	// regardless of the compiled tensor Elem — the correctness-sensitive
+	// half of the mixed-precision design: v holds squared gradients
+	// (whose dynamic range underflows float32 long before the gradients
+	// themselves do) and both moments integrate tiny (1−β)-scaled
+	// contributions that float32 would round away.
+	m, v []float64
 }
-
-// moments are one parameter's first and second moment estimates. They
-// are float64 regardless of the compiled tensor Elem — the
-// correctness-sensitive half of the mixed-precision design: v holds
-// squared gradients (whose dynamic range underflows float32 long before
-// the gradients themselves do) and both moments integrate tiny
-// (1−β)-scaled contributions that float32 would round away.
-type moments struct{ m, v []float64 }
 
 // NewAdam returns an Adam optimiser with the given config.
 func NewAdam(cfg AdamConfig) *Adam {
@@ -64,36 +64,40 @@ func NewAdam(cfg AdamConfig) *Adam {
 	if cfg.Beta2 == 0 {
 		cfg.Beta2 = 0.999
 	}
-	return &Adam{cfg: cfg, mom: make(map[*nn.Param]moments)}
+	return &Adam{cfg: cfg}
 }
 
 // Step applies one Adam update to all parameters through
 // tensor.AdamUpdate, which holds the rule. The bias corrections are
 // applied as reciprocal multiplies; only the final denominator needs a
-// real division.
+// real division. The moments follow params by position, so every Step
+// must pass the same list; one of another total size panics.
 func (a *Adam) Step(params []*nn.Param) {
+	if n := nn.NumParams(params); a.m == nil {
+		a.m, a.v = make([]float64, n), make([]float64, n)
+	} else if n != len(a.m) {
+		panic(fmt.Sprintf("opt: Adam.Step got %d parameter elements, the first Step had %d", n, len(a.m)))
+	}
 	a.t++
 	s := tensor.AdamStep{
 		B1: a.cfg.Beta1, B2: a.cfg.Beta2, LR: a.cfg.LR, Eps: adamEps,
 		IC1: 1 / (1 - math.Pow(a.cfg.Beta1, float64(a.t))),
 		IC2: 1 / (1 - math.Pow(a.cfg.Beta2, float64(a.t))),
 	}
+	off := 0
 	for _, p := range params {
-		mo, ok := a.mom[p]
-		if !ok {
-			mo = moments{make([]float64, p.W.Size()), make([]float64, p.W.Size())}
-			a.mom[p] = mo
-		}
 		w, g := p.W.Data, p.Grad.Data
+		m, v := a.m[off:off+len(w)], a.v[off:off+len(w)]
+		off += len(w)
 		if len(g) < parGrain {
-			tensor.AdamUpdate(w, g, mo.m, mo.v, s)
+			tensor.AdamUpdate(w, g, m, v, s)
 			continue
 		}
 		// Split at half the fan-out threshold so one chunk still
 		// amortises the hand-off while an idle helper can take its share
 		// of several workers' optimiser steps running concurrently.
 		parallel.ForGrain(len(g), parGrain/2, func(lo, hi int) {
-			tensor.AdamUpdate(w[lo:hi], g[lo:hi], mo.m[lo:hi], mo.v[lo:hi], s)
+			tensor.AdamUpdate(w[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], s)
 		})
 	}
 }

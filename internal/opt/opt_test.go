@@ -74,6 +74,22 @@ func TestAdamZeroGradIsNoOp(t *testing.T) {
 	}
 }
 
+// TestAdamPanicsOnAnotherParamList pins the contract of the positional
+// moments: a Step whose parameters total another element count than
+// the first Step's cannot be matched to them and must panic, not
+// update with misaligned moments.
+func TestAdamPanicsOnAnotherParamList(t *testing.T) {
+	p, q := paramWithGrad([]float64{1, 2}, []float64{0.1, 0.2}), paramWithGrad([]float64{3}, []float64{0.3})
+	a := NewAdam(AdamConfig{})
+	a.Step([]*nn.Param{p, q})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Step with a shorter parameter list did not panic")
+		}
+	}()
+	a.Step([]*nn.Param{p})
+}
+
 // BenchmarkAdam times Adam.Step on one parameter of 4k, 100k and 716k
 // elements (716k: the paper's MNIST generator) on the live kernel tier,
 // reporting ns per parameter. The avx512 tier runs the vector kernel;

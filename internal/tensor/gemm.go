@@ -3,9 +3,10 @@ package tensor
 // Packed, register-blocked GEMM. This file is the macro layer: cache
 // blocking, operand packing and the parallel split. The MR×NR
 // micro-kernels live in gemm_kernel64.go / gemm_kernel32.go (portable
-// Go), gemm_amd64_f64.s / gemm_amd64_f32.s (AVX2+FMA) and
-// gemm_amd64_f64_avx512.s / gemm_amd64_f32_avx512.s (AVX-512), selected
-// at runtime — see gemm_cpu_amd64.go and the `noasm` build tag.
+// Go) and gemm_amd64.h (AVX2+FMA and AVX-512, written once over the
+// element width and instantiated per dtype by gemm_amd64_f64.s /
+// gemm_amd64_f32.s), selected at runtime — see gemm_cpu_amd64.go and
+// the `noasm` build tag.
 //
 // # Architecture
 //
@@ -130,33 +131,31 @@ package tensor
 // Implement the micro-kernel contract for the new ISA: given packed
 // panels a (MR·kc) and b (NR·kc), compute the full MR×NR tile
 // t[r][j] = Σ_kk a[kk*MR+r]·b[kk*NR+j] and either store it to or
-// accumulate it into c (row stride ldc). Supply a feature probe in a
-// gemm_cpu_<arch>.go, gate both behind `<arch> && !noasm`, extend
-// gemm_noasm.go's constraint so every other build keeps the Go kernel,
-// and add a tier to the dispatch below. Tile sizes are per-dtype,
-// per-tier constants in gemm_dims64.go / gemm_dims32.go; packing adapts
-// automatically to the live gemmMR/gemmNR/gemmKC.
+// accumulate it into c (row stride ldc). Write it once, in a macro
+// header over the element width and the vector mnemonics that two stub
+// .s files instantiate per dtype, as gemm_amd64.h is. Supply a feature
+// probe in a gemm_cpu_<arch>.go, gate both behind `<arch> && !noasm`,
+// extend gemm_noasm.go's constraint so every other build keeps the Go
+// kernel, and add a tier to the dispatch below. Tile sizes are
+// per-dtype, per-tier constants in gemm_dims64.go / gemm_dims32.go;
+// packing adapts automatically to the live gemmMR/gemmNR/gemmKC.
 //
-// The AVX-512 kernels are the worked example of every step:
+// The AVX-512 kernel is the worked example of every step:
 //
 //   - Why MR×NR changed: a ZMM vector holds 8 f64 / 16 f32, so one
 //     vector is a full accumulator row and the tile grows to 8×8 f64 /
-//     8×16 f32 — 16 accumulator registers out of 32 ZMM, still leaving
-//     two B vectors, two broadcast temps and a C temp. The wider tile
-//     quadruples the flops per packed element streamed, which is where
-//     the ≥1.5× over AVX2 comes from. KC shrinks on the f32 tier
-//     (gemm_dims32.go) to keep the packed panels cache-resident.
-//   - Interleaved accumulators: like the AVX2 kernels, the k loop is
-//     unrolled ×2 with even k feeding Z0–Z7 and odd k feeding Z8–Z15,
-//     hiding the 4-cycle FMA latency; the sets are summed once after
-//     the loop. A kc tail of 1 runs the even set only.
+//     8×16 f32 — 16 accumulator registers out of 32 ZMM (the k loop
+//     is unrolled ×2 into two sets of 8, as the AVX2 kernel's is into
+//     two of 4), still leaving two B vectors, two broadcast temps and a
+//     C temp. The wider tile quadruples the flops per packed element
+//     streamed, which is where the ≥1.5× over AVX2 comes from. KC
+//     shrinks on the f32 tier (gemm_dims32.go) to keep the packed
+//     panels cache-resident.
 //   - Mask registers replace the stack-tile edge path: the kernel takes
-//     (mr, nr) and builds K1 = (1<<nr)-1 with KMOVW, so ragged C edges
-//     load (VMOVUPD.Z zero-masking) and store through the mask while
-//     the packed operands stay zero-padded to full width. rowRange
-//     therefore calls the AVX-512 kernel directly for edge tiles
-//     instead of merging an on-stack tile; rows are handled by simply
-//     stopping the store loop at mr.
+//     (mr, nr), loads and stores C through K1 = (1<<nr)-1 and stops the
+//     row walk at mr, while the packed operands stay zero-padded to
+//     full width. gemmRun.Range therefore calls it directly for edge
+//     tiles instead of merging an on-stack tile.
 //   - Probe: detectGemmAVX512 requires CPUID leaf 7 EBX avx512
 //     {f,dq,bw,vl} and XCR0 0xE6 (SSE+AVX+opmask+ZMM state saved by the
 //     OS) — the same belt-and-braces shape as the AVX2 probe.

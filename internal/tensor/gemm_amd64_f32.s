@@ -2,104 +2,15 @@
 
 #include "textflag.h"
 
-// func gemmKernelAsm(c *float32, ldc int, a, b *float32, kc int, add bool)
-//
-// 8-lane × 4-row float32 micro-kernel (gemmMR=4, gemmNR=8). The packed
-// A panel holds 4 row elements per k (16 B), the packed B panel 8
-// column elements per k (32 B = one full YMM). Four YMM accumulators
-// hold the 8-wide output rows; the k loop is unrolled by two with a
-// second accumulator set (Y8–Y11) so eight independent FMA chains cover
-// the FMA latency. Per k: one 8-lane B load, four broadcasts of A, four
-// FMAs — 8 lanes per AVX op.
-TEXT ·gemmKernelAsm(SB), NOSPLIT, $0-41
-	MOVQ c+0(FP), DI
-	MOVQ ldc+8(FP), R8
-	SHLQ $2, R8            // row stride in bytes
-	MOVQ a+16(FP), SI
-	MOVQ b+24(FP), BX
-	MOVQ kc+32(FP), CX
+// float32 instance of the packed GEMM micro-kernels: 8 lanes per YMM,
+// 16 per ZMM, so a 4×8 AVX2 tile and an 8×16 AVX-512 tile.
 
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y8, Y8, Y8
-	VXORPS Y9, Y9, Y9
-	VXORPS Y10, Y10, Y10
-	VXORPS Y11, Y11, Y11
+#define ESZ    4
+#define ESHIFT 2
+#define VMOVU  VMOVUPS
+#define VBCAST VBROADCASTSS
+#define VFMA   VFMADD231PS
+#define VADD   VADDPS
+#define VXOR   VXORPS
 
-	MOVQ CX, DX
-	SHRQ $1, DX
-	JZ   tail
-
-loop2:
-	VMOVUPS      (BX), Y4
-	VBROADCASTSS (SI), Y5
-	VFMADD231PS  Y4, Y5, Y0
-	VBROADCASTSS 4(SI), Y5
-	VFMADD231PS  Y4, Y5, Y1
-	VBROADCASTSS 8(SI), Y5
-	VFMADD231PS  Y4, Y5, Y2
-	VBROADCASTSS 12(SI), Y5
-	VFMADD231PS  Y4, Y5, Y3
-	VMOVUPS      32(BX), Y6
-	VBROADCASTSS 16(SI), Y7
-	VFMADD231PS  Y6, Y7, Y8
-	VBROADCASTSS 20(SI), Y7
-	VFMADD231PS  Y6, Y7, Y9
-	VBROADCASTSS 24(SI), Y7
-	VFMADD231PS  Y6, Y7, Y10
-	VBROADCASTSS 28(SI), Y7
-	VFMADD231PS  Y6, Y7, Y11
-	ADDQ $32, SI
-	ADDQ $64, BX
-	DECQ DX
-	JNZ  loop2
-
-tail:
-	TESTQ $1, CX
-	JZ    reduce
-	VMOVUPS      (BX), Y4
-	VBROADCASTSS (SI), Y5
-	VFMADD231PS  Y4, Y5, Y0
-	VBROADCASTSS 4(SI), Y5
-	VFMADD231PS  Y4, Y5, Y1
-	VBROADCASTSS 8(SI), Y5
-	VFMADD231PS  Y4, Y5, Y2
-	VBROADCASTSS 12(SI), Y5
-	VFMADD231PS  Y4, Y5, Y3
-
-reduce:
-	VADDPS Y8, Y0, Y0
-	VADDPS Y9, Y1, Y1
-	VADDPS Y10, Y2, Y2
-	VADDPS Y11, Y3, Y3
-
-	MOVBLZX add+40(FP), AX
-	TESTB   AL, AL
-	JZ      store
-
-	VADDPS  (DI), Y0, Y0
-	VMOVUPS Y0, (DI)
-	ADDQ    R8, DI
-	VADDPS  (DI), Y1, Y1
-	VMOVUPS Y1, (DI)
-	ADDQ    R8, DI
-	VADDPS  (DI), Y2, Y2
-	VMOVUPS Y2, (DI)
-	ADDQ    R8, DI
-	VADDPS  (DI), Y3, Y3
-	VMOVUPS Y3, (DI)
-	VZEROUPPER
-	RET
-
-store:
-	VMOVUPS Y0, (DI)
-	ADDQ    R8, DI
-	VMOVUPS Y1, (DI)
-	ADDQ    R8, DI
-	VMOVUPS Y2, (DI)
-	ADDQ    R8, DI
-	VMOVUPS Y3, (DI)
-	VZEROUPPER
-	RET
+#include "gemm_amd64.h"

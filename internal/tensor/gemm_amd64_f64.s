@@ -2,103 +2,15 @@
 
 #include "textflag.h"
 
-// func gemmKernelAsm(c *float64, ldc int, a, b *float64, kc int, add bool)
-//
-// 4×4 float64 micro-kernel. The packed A panel holds 4 row elements per
-// k (32 B), the packed B panel 4 column elements per k (32 B). Four YMM
-// accumulators hold the output rows; the k loop is unrolled by two with
-// a second accumulator set (Y8–Y11) so eight independent FMA chains
-// cover the FMA latency. Per k: one 4-lane B load, four broadcasts of
-// A, four FMAs.
-TEXT ·gemmKernelAsm(SB), NOSPLIT, $0-41
-	MOVQ c+0(FP), DI
-	MOVQ ldc+8(FP), R8
-	SHLQ $3, R8            // row stride in bytes
-	MOVQ a+16(FP), SI
-	MOVQ b+24(FP), BX
-	MOVQ kc+32(FP), CX
+// float64 instance of the packed GEMM micro-kernels: 4 lanes per YMM,
+// 8 per ZMM, so a 4×4 AVX2 tile and an 8×8 AVX-512 tile.
 
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y8, Y8, Y8
-	VXORPD Y9, Y9, Y9
-	VXORPD Y10, Y10, Y10
-	VXORPD Y11, Y11, Y11
+#define ESZ    8
+#define ESHIFT 3
+#define VMOVU  VMOVUPD
+#define VBCAST VBROADCASTSD
+#define VFMA   VFMADD231PD
+#define VADD   VADDPD
+#define VXOR   VXORPD
 
-	MOVQ CX, DX
-	SHRQ $1, DX
-	JZ   tail
-
-loop2:
-	VMOVUPD      (BX), Y4
-	VBROADCASTSD (SI), Y5
-	VFMADD231PD  Y4, Y5, Y0
-	VBROADCASTSD 8(SI), Y5
-	VFMADD231PD  Y4, Y5, Y1
-	VBROADCASTSD 16(SI), Y5
-	VFMADD231PD  Y4, Y5, Y2
-	VBROADCASTSD 24(SI), Y5
-	VFMADD231PD  Y4, Y5, Y3
-	VMOVUPD      32(BX), Y6
-	VBROADCASTSD 32(SI), Y7
-	VFMADD231PD  Y6, Y7, Y8
-	VBROADCASTSD 40(SI), Y7
-	VFMADD231PD  Y6, Y7, Y9
-	VBROADCASTSD 48(SI), Y7
-	VFMADD231PD  Y6, Y7, Y10
-	VBROADCASTSD 56(SI), Y7
-	VFMADD231PD  Y6, Y7, Y11
-	ADDQ $64, SI
-	ADDQ $64, BX
-	DECQ DX
-	JNZ  loop2
-
-tail:
-	TESTQ $1, CX
-	JZ    reduce
-	VMOVUPD      (BX), Y4
-	VBROADCASTSD (SI), Y5
-	VFMADD231PD  Y4, Y5, Y0
-	VBROADCASTSD 8(SI), Y5
-	VFMADD231PD  Y4, Y5, Y1
-	VBROADCASTSD 16(SI), Y5
-	VFMADD231PD  Y4, Y5, Y2
-	VBROADCASTSD 24(SI), Y5
-	VFMADD231PD  Y4, Y5, Y3
-
-reduce:
-	VADDPD Y8, Y0, Y0
-	VADDPD Y9, Y1, Y1
-	VADDPD Y10, Y2, Y2
-	VADDPD Y11, Y3, Y3
-
-	MOVBLZX add+40(FP), AX
-	TESTB   AL, AL
-	JZ      store
-
-	VADDPD  (DI), Y0, Y0
-	VMOVUPD Y0, (DI)
-	ADDQ    R8, DI
-	VADDPD  (DI), Y1, Y1
-	VMOVUPD Y1, (DI)
-	ADDQ    R8, DI
-	VADDPD  (DI), Y2, Y2
-	VMOVUPD Y2, (DI)
-	ADDQ    R8, DI
-	VADDPD  (DI), Y3, Y3
-	VMOVUPD Y3, (DI)
-	VZEROUPPER
-	RET
-
-store:
-	VMOVUPD Y0, (DI)
-	ADDQ    R8, DI
-	VMOVUPD Y1, (DI)
-	ADDQ    R8, DI
-	VMOVUPD Y2, (DI)
-	ADDQ    R8, DI
-	VMOVUPD Y3, (DI)
-	VZEROUPPER
-	RET
+#include "gemm_amd64.h"

@@ -11,23 +11,22 @@ import "os"
 // fault. Build with `-tags noasm` to compile the probes and the
 // assembly out entirely (gemm_noasm.go pins the generic tier).
 
-// gemmKernelAsm is the AVX2+FMA micro-kernel (gemm_amd64_f64.s /
-// gemm_amd64_f32.s, one per compiled dtype): it computes the full
-// base-tile gemmMR×gemmNR block from the packed panels at a and b and
-// stores it to (add=false) or accumulates it into (add=true) c with row
-// stride ldc. Only reachable on the tierAVX2 dispatch — the probe must
-// have passed.
+// gemmKernelAsm is the AVX2+FMA micro-kernel (gemm_amd64.h, instantiated
+// per dtype by gemm_amd64_f64.s / gemm_amd64_f32.s): it computes the
+// full base-tile gemmMR×gemmNR block from the packed panels at a and b
+// and stores it to (add=false) or accumulates it into (add=true) c with
+// row stride ldc. Only reachable on the tierAVX2 dispatch — the probe
+// must have passed.
 //
 //go:noescape
 func gemmKernelAsm(c *Elem, ldc int, a, b *Elem, kc int, add bool)
 
-// gemmKernelAsm512 is the AVX-512 micro-kernel
-// (gemm_amd64_f64_avx512.s / gemm_amd64_f32_avx512.s): it computes an
-// mr×nr tile (mr ≤ gemmMR512 rows, nr ≤ gemmNR512 columns) from packed
-// full-width panels, masking the C loads/stores to the first nr lanes
-// via a K register and stopping the row walk at mr — so ragged edge
-// tiles need no stack-tile merge. Only reachable on the tierAVX512
-// dispatch.
+// gemmKernelAsm512 is the AVX-512 micro-kernel (gemm_amd64.h, beside
+// gemmKernelAsm): it computes an mr×nr tile (mr ≤ gemmMR512 rows,
+// nr ≤ gemmNR512 columns) from packed full-width panels, masking the C
+// loads/stores to the first nr lanes via a K register and stopping the
+// row walk at mr — so ragged edge tiles need no stack-tile merge. Only
+// reachable on the tierAVX512 dispatch.
 //
 //go:noescape
 func gemmKernelAsm512(c *Elem, ldc int, a, b *Elem, kc int, add bool, mr, nr int)

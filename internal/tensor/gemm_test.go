@@ -173,6 +173,49 @@ func TestMatMulEntryPointsMatchReference(t *testing.T) {
 	})
 }
 
+// TestGemmStaysInBounds runs packed products whose C ends where a guard
+// page begins (guardedWindow), under every kernel tier, at a shape
+// ragged against every tile (75 rows: 3 past a multiple of 4 and of 8;
+// 85 columns: 1 past a multiple of 4, 5 past 8 and 16). Its last row
+// panel and last column panel are edge tiles, which the AVX-512 kernel
+// loads and stores through K1 in place and the other tiers merge from a
+// stack tile, so a C access past the last valid column of the last row
+// faults. It covers storing (MatMulInto) and accumulating into C through
+// both packers (MatMulAdd, MatMulT2Add).
+func TestGemmStaysInBounds(t *testing.T) {
+	const m, k, n = 75, 40, 85
+	rng := rand.New(rand.NewSource(41))
+	a, b, bt := randTensor(rng, m, k), randTensor(rng, k, n), randTensor(rng, n, k)
+	tol := Tol(1e-12, 2e-4) * float64(k)
+	kernelVariants(t, func(t *testing.T) {
+		if m*k*n < gemmMinWork || gemmSkinnyOK(m, gemmSkinnyMaxStrips) || gemmSkinnyOK(m, gemmSkinnyMaxPairs) {
+			t.Fatalf("%dx%dx%d does not reach the packed path on %s", m, k, n, GemmKernel())
+		}
+		for _, p := range []struct {
+			name    string
+			b       *Tensor
+			tB, add bool
+			run     func(out *Tensor)
+		}{
+			{"MatMulInto", b, false, false, func(out *Tensor) { MatMulInto(out, a, b) }},
+			{"MatMulAdd", b, false, true, func(out *Tensor) { MatMulAdd(out, a, b) }},
+			{"MatMulT2Add", bt, true, true, func(out *Tensor) { MatMulT2Add(out, a, bt) }},
+		} {
+			want := refMatMul(a, p.b, false, p.tB)
+			out := FromSlice(guardedWindow(t, m*n), m, n)
+			if p.add {
+				c := randTensor(rng, m, n)
+				copy(out.Data, c.Data)
+				want.AddInPlace(c)
+			}
+			p.run(out)
+			if !out.Equal(want, tol) {
+				t.Fatalf("%s mismatch", p.name)
+			}
+		}
+	})
+}
+
 // TestGemmGoKernelBitwiseMatchesLegacy pins the property the packed-Go
 // path is documented to have: for k ≤ gemmKC (one k block) the per-
 // element accumulation order is identical to the legacy column-tiled

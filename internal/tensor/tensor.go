@@ -46,10 +46,10 @@
 //	tier      f64 tile  f32 tile  selected when
 //	generic   4×4       4×8       always available (pure Go; the only
 //	                              tier under the `noasm` build tag)
-//	avx2      4×4       4×8       AVX2+FMA assembly (gemm_amd64_*.s)
+//	avx2      4×4       4×8       AVX2+FMA assembly (gemm_amd64.h)
 //	avx512    8×8       8×16      AVX-512 F/DQ/BW/VL assembly
-//	                              (gemm_amd64_*_avx512.s) with ZMM
-//	                              state OS-enabled
+//	                              (gemm_amd64.h) with ZMM state
+//	                              OS-enabled
 //
 // gemm.go's file comment specifies the packing layout, the micro-kernel
 // contract, the parallel split (panel-aligned, cooperatively packed

@@ -42,7 +42,12 @@
 #                               the GEMM packers' full-panel fast paths
 #                               (internal/tensor, against the panel
 #                               definition), whose tile width follows
-#                               the tier, and the skinny paths that
+#                               the tier, the packed kernels' ragged C
+#                               edge against a guard page (internal/
+#                               tensor: the avx512 kernel's K1-masked
+#                               loads and stores, the stack-tile merge
+#                               on the other tiers), and the skinny
+#                               paths that
 #                               only the avx512 tier takes
 #                               (internal/tensor: guard-page bounds,
 #                               the batch dimension across each
@@ -144,7 +149,8 @@ engine_gates() { # $1 = label, $2.. = go test args
         ./internal/core
     # The paths a non-default tier or fan-out reaches nowhere else: the
     # restricted backward passes, the one-pass discriminator step, the
-    # packers' tile-width fast paths, the skinny kernels (strips, column
+    # packers' tile-width fast paths, the packed kernels' ragged C edge
+    # at a guard page, the skinny kernels (strips, column
     # pairs and dW row blocks fan out at GOMAXPROCS=4; a forced tier
     # moves the cut-overs' other side) and the element-wise tier (the
     # avx512 tanh and Adam kernels, math.Tanh and the scalar Adam loop on
@@ -158,7 +164,7 @@ engine_gates() { # $1 = label, $2.. = go test args
     # transposes and guard pages, against the Go loops every other tier
     # runs).
     go test "$@" -count=1 \
-        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestDiscStepFusedMatchesTwoPass|TestDiscStepIgnoresStaleGrads|TestPackersMatchReference|TestSkinnyStaysInBounds|TestSkinnyMatchesReference|TestSkinnySteadyStateAllocs|TestGemmBitwiseAcrossGOMAXPROCS|TestTanhAccuracy|TestTanhProperties|TestTanhStaysInBounds|TestTanhAllocs|TestAdamKernelMatchesScalar|TestAdamStaysInBounds|TestGateMatchesLoop|TestStride2MatchesLoop|TestRectifierMatchesBranch|TestBatchOneStaysFiniteOnEveryArch|TestIm2colMatchesReference|TestCol2imMatchesReference|TestConvBitwiseAcrossGOMAXPROCS|TestSmallProductsMatchLoops|TestBiasKernelsMatchLoops|TestSmallProductsStayInBounds' \
+        -run 'TestFeedbackMatchesFullBackward|TestDiscStepMatchesFullBackward|TestDiscStepFusedMatchesTwoPass|TestDiscStepIgnoresStaleGrads|TestPackersMatchReference|TestGemmStaysInBounds|TestSkinnyStaysInBounds|TestSkinnyMatchesReference|TestSkinnySteadyStateAllocs|TestGemmBitwiseAcrossGOMAXPROCS|TestTanhAccuracy|TestTanhProperties|TestTanhStaysInBounds|TestTanhAllocs|TestAdamKernelMatchesScalar|TestAdamStaysInBounds|TestGateMatchesLoop|TestStride2MatchesLoop|TestRectifierMatchesBranch|TestBatchOneStaysFiniteOnEveryArch|TestIm2colMatchesReference|TestCol2imMatchesReference|TestConvBitwiseAcrossGOMAXPROCS|TestSmallProductsMatchLoops|TestBiasKernelsMatchLoops|TestSmallProductsStayInBounds' \
         ./internal/gan ./internal/nn ./internal/tensor
 }
 
