@@ -204,7 +204,7 @@ func BenchmarkMDGANIterationPipelined(b *testing.B) {
 	train := mdgan.SynthDigits(800, 1)
 	o := mdgan.Options{
 		Algorithm: mdgan.MDGAN, Workers: 8, Batch: 10, Iters: b.N, Seed: 2, K: 2,
-		Pipeline: true,
+		Engine: mdgan.Engine{Pipeline: true},
 	}
 	b.ResetTimer()
 	if _, err := mdgan.Run(train, mdgan.MLPArch(48), o, nil); err != nil {
@@ -230,9 +230,13 @@ func BenchmarkMDGANIterationK(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				train := mdgan.SynthDigits(1600, 1)
+				tree, err := mdgan.ParseTopology(topo, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
 				o := mdgan.Options{
 					Algorithm: mdgan.MDGAN, Workers: k, Batch: 10, Iters: b.N, Seed: 2,
-					Topology: topo,
+					Engine: mdgan.Engine{Topology: tree},
 				}
 				b.ResetTimer()
 				if _, err := mdgan.Run(train, mdgan.MLPArch(48), o, nil); err != nil {

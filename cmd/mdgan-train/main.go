@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"os"
@@ -25,62 +27,73 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mdgan-train: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		log.Fatal(err)
+	}
+}
 
+// run is main without the process: it parses args, trains, prints the
+// metric curve to stdout and the run's summaries to stderr, and returns
+// the first error. Flag-parse errors (and -h, as flag.ErrHelp) have
+// already been reported on stderr by the flag package.
+func run(args []string, stdout io.Writer) error {
 	// Flags bind straight into the Options value they configure; only
 	// what Options does not hold, or holds in another type, gets a
 	// variable of its own.
 	var o mdgan.Options
-	flag.StringVar((*string)(&o.Algorithm), "algo", "md-gan", "algorithm: standalone | fl-gan | md-gan")
-	flag.IntVar(&o.Workers, "workers", 10, "number of workers N")
-	flag.IntVar(&o.K, "k", 0, "MD-GAN batches per iteration (0 = ⌊ln N⌋)")
-	flag.IntVar(&o.SwapEvery, "swap", 1, "epochs between discriminator swaps (-1 disables)")
-	flag.BoolVar(&o.Async, "async", false, "MD-GAN asynchronous mode (§VII.1)")
-	flag.BoolVar(&o.Pipeline, "pipeline", false, "MD-GAN pipelined synchronous engine: overlap next-round generation with worker compute (one-iteration parameter staleness)")
-	flag.IntVar(&o.Batch, "batch", 10, "batch size b")
-	flag.IntVar(&o.Iters, "iters", 1000, "generator iterations I")
-	flag.IntVar(&o.DiscSteps, "L", 1, "discriminator steps per iteration")
-	flag.Float64Var(&o.LRG, "lrg", 1e-3, "generator Adam learning rate")
-	flag.Float64Var(&o.LRD, "lrd", 4e-3, "discriminator Adam learning rate")
-	flag.BoolVar(&o.PaperLoss, "paperloss", false, "use the paper's log(1−D) generator objective")
-	flag.Int64Var(&o.Seed, "seed", 1, "random seed")
-	flag.IntVar(&o.EvalEvery, "eval", 100, "metric cadence in iterations (0 disables)")
-	flag.BoolVar(&o.UseTCP, "tcp", false, "run workers over loopback TCP sockets")
-	flag.DurationVar(&o.RoundTimeout, "round-timeout", 0, "MD-GAN round deadline: suspect missing workers and apply the round with a quorum (0 waits forever)")
-	flag.IntVar(&o.Quorum, "quorum", 0, "minimum feedbacks to apply a round after the deadline (0 = 1)")
-	flag.IntVar(&o.SuspectAfter, "suspect-after", 0, "consecutive misses before a suspect is demoted (0 = default, <0 = never)")
-	flag.Float64Var(&o.NonIIDSkew, "skew", 0, "non-IID label skew in [0,1] (0 = i.i.d.)")
-	flag.StringVar(&o.Topology, "topology", "", "MD-GAN feedback aggregation overlay: flat (default) | tree:<depth> — tree reduces feedbacks through worker-side aggregators, bounding server ingress by its fan-in")
-	flag.IntVar(&o.Fanin, "fanin", 0, "tree topology per-node child bound (0 = auto ceil(N^(1/depth)))")
-	flag.StringVar(&o.SwapSchedule, "swap-schedule", "", "discriminator swap plan: ring (default) | shuffle | gossip[:pairs]")
-	flag.BoolVar(&o.Defense, "defense", false, "enable the server-side feedback-quality defense (down-weights, then demotes, free-riders)")
-	flag.IntVar(&o.JoinWarmup, "join-warmup", 0, "ramp a dynamic joiner's aggregation weight over its first N rounds (0 = full weight at once)")
+	fs := flag.NewFlagSet("mdgan-train", flag.ContinueOnError)
+	fs.StringVar((*string)(&o.Algorithm), "algo", "md-gan", "algorithm: standalone | fl-gan | md-gan")
+	fs.IntVar(&o.Workers, "workers", 10, "number of workers N")
+	fs.IntVar(&o.K, "k", 0, "MD-GAN batches per iteration (0 = ⌊ln N⌋)")
+	fs.IntVar(&o.SwapEvery, "swap", 1, "epochs between discriminator swaps (-1 disables)")
+	fs.BoolVar(&o.Async, "async", false, "MD-GAN asynchronous mode (§VII.1)")
+	fs.BoolVar(&o.Pipeline, "pipeline", false, "MD-GAN pipelined synchronous engine: overlap next-round generation with worker compute (one-iteration parameter staleness)")
+	fs.IntVar(&o.Batch, "batch", 10, "batch size b")
+	fs.IntVar(&o.Iters, "iters", 1000, "generator iterations I")
+	fs.IntVar(&o.DiscSteps, "L", 1, "discriminator steps per iteration")
+	fs.Float64Var(&o.LRG, "lrg", 1e-3, "generator Adam learning rate")
+	fs.Float64Var(&o.LRD, "lrd", 4e-3, "discriminator Adam learning rate")
+	fs.BoolVar(&o.PaperLoss, "paperloss", false, "use the paper's log(1−D) generator objective")
+	fs.Int64Var(&o.Seed, "seed", 1, "random seed")
+	fs.IntVar(&o.EvalEvery, "eval", 100, "metric cadence in iterations (0 disables)")
+	fs.BoolVar(&o.UseTCP, "tcp", false, "run workers over loopback TCP sockets")
+	fs.DurationVar(&o.RoundTimeout, "round-timeout", 0, "MD-GAN round deadline: suspect missing workers and apply the round with a quorum (0 waits forever)")
+	fs.IntVar(&o.Quorum, "quorum", 0, "minimum feedbacks to apply a round after the deadline (0 = 1)")
+	fs.IntVar(&o.SuspectAfter, "suspect-after", 0, "consecutive misses before a suspect is demoted (0 = default, <0 = never)")
+	fs.Float64Var(&o.NonIIDSkew, "skew", 0, "non-IID label skew in [0,1] (0 = i.i.d.)")
+	fs.BoolVar(&o.Defense, "defense", false, "enable the server-side feedback-quality defense (down-weights, then demotes, free-riders)")
+	fs.IntVar(&o.JoinWarmup, "join-warmup", 0, "ramp a dynamic joiner's aggregation weight over its first N rounds (0 = full weight at once)")
 	var (
-		ds         = flag.String("dataset", "digits", "dataset: digits | cifar | faces | ring")
-		samples    = flag.Int("samples", 4000, "training samples to generate")
-		swapNative = flag.Bool("swap-native", false, "ship discriminator swaps at the compiled element width instead of the default 4-byte FP32 wire frames")
-		chaos      = flag.Float64("chaos", 0, "fault-injection intensity p in [0,1): drop=p, delay=2p, duplicate=p, corrupt=p/2 on worker→server frames (implies -round-timeout 250ms unless set)")
-		chaosSeed  = flag.Int64("chaos-seed", 1, "seed for the chaos fault stream")
-		compress   = flag.String("compress", "none", "feedback compression: none | fp32 | topk")
-		samplesOut = flag.String("samples-out", "", "write a PNG grid of generated samples here")
-		ckptOut    = flag.String("ckpt-out", "", "write a generator checkpoint here")
-		freeRiders = flag.String("free-riders", "", "free-riding workers: N[:variant] (first N workers) or i=variant,... with variant random | replay | noise")
-		lifetimes  = flag.String("lifetimes", "", "temporary-discriminator windows: i=join:retire,... (join 0 = from start, retire 0 = never)")
+		ds         = fs.String("dataset", "digits", "dataset: digits | cifar | faces | ring")
+		samples    = fs.Int("samples", 4000, "training samples to generate")
+		swapNative = fs.Bool("swap-native", false, "ship discriminator swaps at the compiled element width instead of the default 4-byte FP32 wire frames")
+		chaos      = fs.Float64("chaos", 0, "fault-injection intensity p in [0,1): drop=p, delay=2p, duplicate=p, corrupt=p/2 on worker→server frames (implies -round-timeout 250ms unless set)")
+		chaosSeed  = fs.Int64("chaos-seed", 1, "seed for the chaos fault stream")
+		compress   = fs.String("compress", "none", "feedback compression: none | fp32 | topk")
+		samplesOut = fs.String("samples-out", "", "write a PNG grid of generated samples here")
+		ckptOut    = fs.String("ckpt-out", "", "write a generator checkpoint here")
+		freeRiders = fs.String("free-riders", "", "free-riding workers: N[:variant] (first N workers) or i=variant,... with variant random | replay | noise")
+		lifetimes  = fs.String("lifetimes", "", "temporary-discriminator windows: i=join:retire,... (join 0 = from start, retire 0 = never)")
+		topology   = fs.String("topology", "", "MD-GAN feedback aggregation overlay: flat (default) | tree:<depth> — tree reduces feedbacks through worker-side aggregators, bounding server ingress by its fan-in")
+		fanin      = fs.Int("fanin", 0, "tree topology per-node child bound (0 = auto ceil(N^(1/depth)))")
+		swapSched  = fs.String("swap-schedule", "", "discriminator swap plan: ring (default) | shuffle | gossip[:pairs]")
 	)
-	flag.Parse()
-
-	train, test, err := buildDataset(*ds, *samples, o.Seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	arch := mdgan.ArchFor(train)
-
-	var ev *mdgan.Evaluator
-	if o.EvalEvery > 0 && test != nil {
-		log.Printf("training metric classifier on %s ...", *ds)
-		scorer := mdgan.TrainScorer(test, o.Seed)
-		ev = mdgan.NewEvaluator(scorer, test, 500)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
+	var err error
+	if o.Topology, err = mdgan.ParseTopology(*topology, *fanin); err != nil {
+		return err
+	}
+	if *swapSched != "" { // unset keeps the Engine zero: the ring default
+		if o.SwapSched, err = mdgan.ParseSwapSchedule(*swapSched); err != nil {
+			return err
+		}
+	}
 	switch *compress {
 	case "none":
 		o.Compress = mdgan.CompressNone
@@ -89,17 +102,16 @@ func main() {
 	case "topk":
 		o.Compress = mdgan.CompressTopK
 	default:
-		log.Fatalf("unknown -compress %q", *compress)
+		return fmt.Errorf("unknown -compress %q", *compress)
 	}
-	o.SwapPrec = mdgan.SwapFP32
 	if *swapNative {
 		o.SwapPrec = mdgan.SwapNative
 	}
 	if o.Byzantine, err = mdgan.ParseFreeRiders(*freeRiders); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if o.Lifetimes, err = mdgan.ParseLifetimes(*lifetimes); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *chaos > 0 {
 		o.Chaos = &mdgan.ChaosConfig{
@@ -116,15 +128,27 @@ func main() {
 			o.RoundTimeout = 250 * time.Millisecond
 		}
 	}
+
+	train, test, err := buildDataset(*ds, *samples, o.Seed)
+	if err != nil {
+		return err
+	}
+	arch := mdgan.ArchFor(train)
+	var ev *mdgan.Evaluator
+	if o.EvalEvery > 0 && test != nil {
+		log.Printf("training metric classifier on %s ...", *ds)
+		scorer := mdgan.TrainScorer(test, o.Seed)
+		ev = mdgan.NewEvaluator(scorer, test, 500)
+	}
 	log.Printf("running %s on %s (%d samples, arch %s, N=%d, b=%d, I=%d)",
 		o.Algorithm, *ds, train.Len(), arch.Name, o.Workers, o.Batch, o.Iters)
 	res, err := mdgan.Run(train, arch, o, ev)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	if len(res.Curve.Iters) > 0 {
-		fmt.Print(mdgan.FormatCurvesCSV([]mdgan.Curve{res.Curve}))
+		fmt.Fprint(stdout, mdgan.FormatCurvesCSV([]mdgan.Curve{res.Curve}))
 	}
 	if res.Traffic.Total() > 0 {
 		fmt.Fprint(os.Stderr, mdgan.FormatTraffic(res.Traffic))
@@ -143,16 +167,17 @@ func main() {
 		rng := rand.New(rand.NewSource(o.Seed + 99))
 		gen, _ := res.G.Generate(64, rng, false)
 		if err := mdgan.SaveSampleGrid(*samplesOut, gen, 8); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("wrote sample grid to %s", *samplesOut)
 	}
 	if *ckptOut != "" {
 		if err := mdgan.SaveGenerator(res.G, *ckptOut); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("wrote generator checkpoint to %s", *ckptOut)
 	}
+	return nil
 }
 
 func buildDataset(name string, n int, seed int64) (train, test *mdgan.Dataset, err error) {

@@ -175,7 +175,7 @@ func RunFig4(ns []int, sc Scale) ([]Fig4Row, error) {
 				o := Options{
 					Algorithm: MDGAN, Workers: n, Batch: b,
 					Iters: sc.Iters, EvalEvery: sc.Iters, Seed: seed,
-					K: 1, Pipeline: sc.Pipeline,
+					K: 1, Engine: Engine{Pipeline: sc.Pipeline},
 				}
 				if !swap {
 					o.SwapEvery = -1
@@ -215,13 +215,13 @@ func RunFig5(panel Fig3Panel, sc Scale) ([]Curve, error) {
 		}
 		crashes[it] = append(crashes[it], i)
 	}
-	base := Options{Workers: n, Batch: 10, Iters: sc.Iters, EvalEvery: sc.EvalEvery, Seed: seed, K: kLog, Pipeline: sc.Pipeline}
+	base := Options{Workers: n, Batch: 10, Iters: sc.Iters, EvalEvery: sc.EvalEvery, Seed: seed, K: kLog}
 	runs := []struct {
 		name string
 		o    Options
 	}{
-		{"md-gan (crashes)", with(base, func(o *Options) { o.Algorithm = MDGAN; o.CrashAt = crashes })},
-		{"md-gan (no crash)", with(base, func(o *Options) { o.Algorithm = MDGAN })},
+		{"md-gan (crashes)", with(base, func(o *Options) { o.Algorithm = MDGAN; o.CrashAt = crashes; o.Pipeline = sc.Pipeline })},
+		{"md-gan (no crash)", with(base, func(o *Options) { o.Algorithm = MDGAN; o.Pipeline = sc.Pipeline })},
 		{"standalone b=10", with(base, func(o *Options) { o.Algorithm = Standalone; o.Batch = 10 })},
 		{"standalone b=50", with(base, func(o *Options) { o.Algorithm = Standalone; o.Batch = 50 })},
 	}
@@ -267,7 +267,7 @@ func RunFig6(sc Scale) ([]Curve, error) {
 		// encoded as a tiny positive value since 0 selects the default).
 		{"md-gan N=5", Options{Algorithm: MDGAN, Workers: 5, Batch: bSmall, Iters: sc.Iters,
 			EvalEvery: sc.EvalEvery, Seed: seed, LRG: 1e-3, LRD: 4e-3, Beta1: 1e-9, Beta2: 0.9, K: 1,
-			Pipeline: sc.Pipeline}},
+			Engine: Engine{Pipeline: sc.Pipeline}}},
 	}
 	curves := make([]Curve, 0, len(runs))
 	for _, r := range runs {

@@ -80,8 +80,10 @@ func TestRunWithByzantineAndMedian(t *testing.T) {
 	ds := mdgan.GaussianRing(400, 8, 2.0, 0.05, 3)
 	o := mdgan.Options{
 		Algorithm: mdgan.MDGAN, Workers: 5, Batch: 16, Iters: 15, Seed: 4, K: 1,
-		Byzantine: map[int]mdgan.ByzantineMode{1: mdgan.ByzantineScale},
-		Aggregate: mdgan.AggMedian,
+		Engine: mdgan.Engine{
+			Byzantine: map[int]mdgan.ByzantineMode{1: mdgan.ByzantineScale},
+			Aggregate: mdgan.AggMedian,
+		},
 	}
 	res, err := mdgan.Run(ds, mdgan.RingArch(), o, nil)
 	if err != nil {
@@ -136,7 +138,7 @@ func TestRunWithWorkerJoin(t *testing.T) {
 	spare := mdgan.GaussianRing(200, 8, 2.0, 0.05, 11)
 	o := mdgan.Options{
 		Algorithm: mdgan.MDGAN, Workers: 2, Batch: 16, Iters: 20, Seed: 12, K: 1,
-		JoinAt: map[int][]*mdgan.Dataset{10: {spare}},
+		Engine: mdgan.Engine{JoinAt: map[int][]*mdgan.Dataset{10: {spare}}},
 	}
 	res, err := mdgan.Run(ds, mdgan.RingArch(), o, nil)
 	if err != nil {

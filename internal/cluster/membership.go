@@ -339,9 +339,9 @@ func (m *Membership) Active() []string {
 	return out
 }
 
-// NumActive returns the number of dispatchable (live, non-suspect)
+// numActive returns the number of dispatchable (live, non-suspect)
 // workers.
-func (m *Membership) NumActive() int {
+func (m *Membership) numActive() int {
 	n := 0
 	for _, name := range m.order {
 		if m.live[name] && !m.suspect[name] {
@@ -394,7 +394,7 @@ func (m *Membership) StopAll(from, stopType string) {
 // The pipelined engine uses it to clamp k when generating a round ahead
 // of the membership decisions for that round.
 func (m *Membership) ActiveBound() int {
-	n := m.NumActive()
+	n := m.numActive()
 	if m.activePerRound > 0 && m.activePerRound < n {
 		return m.activePerRound
 	}

@@ -258,8 +258,8 @@ func TestSuspectLifecycle(t *testing.T) {
 	if got := m.Live(); !reflect.DeepEqual(got, names(3)) {
 		t.Fatalf("Live must retain the suspect: %v", got)
 	}
-	if m.NumActive() != 2 || m.NumSuspect() != 1 || m.NumLive() != 3 {
-		t.Fatalf("NumActive=%d NumSuspect=%d NumLive=%d", m.NumActive(), m.NumSuspect(), m.NumLive())
+	if m.numActive() != 2 || m.NumSuspect() != 1 || m.NumLive() != 3 {
+		t.Fatalf("numActive=%d NumSuspect=%d NumLive=%d", m.numActive(), m.NumSuspect(), m.NumLive())
 	}
 	if got := m.Suspects(); !reflect.DeepEqual(got, []string{"worker1"}) {
 		t.Fatalf("Suspects = %v", got)
@@ -269,7 +269,7 @@ func TestSuspectLifecycle(t *testing.T) {
 	if !m.Reinstate("worker1") {
 		t.Fatal("reinstating a live suspect must succeed")
 	}
-	if slices.Contains(m.Suspects(), "worker1") || m.NumActive() != 3 {
+	if slices.Contains(m.Suspects(), "worker1") || m.numActive() != 3 {
 		t.Fatal("reinstated worker must be active again")
 	}
 	if m.Reinstate("worker1") {

@@ -69,7 +69,11 @@ import (
 )
 
 // Config configures an MD-GAN run. It embeds the hyper-parameters
-// shared with the baselines (gan.TrainConfig).
+// shared with the baselines (gan.TrainConfig) and the knobs only MD-GAN
+// reads (Engine). The direct fields are the ones the baselines share
+// (CrashAt, ActivePerRound, Net) or nearly every caller sets (K,
+// SwapEvery), so they stay flat on this type and on the mdgan facade's
+// Options, which embeds the same Engine.
 type Config struct {
 	gan.TrainConfig
 	// K is the number of generated batches per global iteration
@@ -83,13 +87,27 @@ type Config struct {
 	// of workers to kill at the start of that iteration. Crashed
 	// workers' shards disappear with them (Fig. 5).
 	CrashAt map[int][]int
+	// ActivePerRound, when in (0, N), activates only a uniform random
+	// subset of workers each iteration (the §VII.4 adaptation of
+	// federated learning's client sampling: fewer active
+	// discriminators than workers, the whole dataset still covered
+	// over time). 0 activates everyone.
+	ActivePerRound int
+	// Net supplies the transport; nil selects an in-process ChannelNet.
+	Net simnet.Net
+	Engine
+}
+
+// Engine holds the settings only MD-GAN reads — the §IV-A dynamic
+// joins and the §VII extensions — declared once here and embedded both
+// by Config and by the mdgan facade's Options. The zero value is the
+// paper's strict synchronous Algorithm 1 on a flat star.
+type Engine struct {
 	// JoinAt schedules dynamic worker joins (§IV-A): iteration → data
 	// shards, one new worker per shard, each entering with a copy of a
 	// random live worker's discriminator. Synchronous mode only
 	// (strict or pipelined).
 	JoinAt map[int][]*dataset.Dataset
-	// Net supplies the transport; nil selects an in-process ChannelNet.
-	Net simnet.Net
 	// Async enables the asynchronous variant sketched in §VII.1: the
 	// server applies a generator update per arriving feedback instead
 	// of waiting for all workers.
@@ -119,12 +137,6 @@ type Config struct {
 	// no-op under -tags f32; SwapNative keeps swaps bit-exact at the
 	// compiled width.
 	SwapPrec SwapPrecision
-	// ActivePerRound, when in (0, N), activates only a uniform random
-	// subset of workers each iteration (the §VII.4 adaptation of
-	// federated learning's client sampling: fewer active
-	// discriminators than workers, the whole dataset still covered
-	// over time). 0 activates everyone.
-	ActivePerRound int
 	// Byzantine marks compromised workers (§VII.3): worker index →
 	// attack mode. Compromised workers corrupt their error feedback.
 	Byzantine map[int]ByzantineMode
@@ -262,47 +274,6 @@ func retireSchedule(lifetimes map[int]cluster.Lifetime) map[int][]string {
 	return out
 }
 
-// shardSizes lists the per-worker shard lengths.
-func shardSizes(shards []*dataset.Dataset) []int {
-	sizes := make([]int, len(shards))
-	for i, sh := range shards {
-		sizes[i] = sh.Len()
-	}
-	return sizes
-}
-
-// swapIntervalFor converts the paper's swap cadence of E local epochs
-// (Algorithm 1 line 11) into global iterations. Every worker passes its
-// m local samples once per m/b iterations, so E epochs = m·E/b
-// iterations, rounded to the nearest integer and floored at 1 (a swap
-// cannot fire more often than once per iteration). Shard sizes can
-// differ after splitting; the minimum is the paper's m, and because the
-// server computes this single cadence for the whole cluster, workers
-// with uneven shards can never drift onto different swap schedules.
-// swapE ≤ 0 disables swapping (callers map the SwapEvery=0 default to
-// E=1 before this).
-//
-// The rounding matters for small shards: the previous truncating
-// m·E/b systematically shortened the cadence — m=100, E=1, b=64 swapped
-// every iteration instead of every 2 (true cadence 1.56), and any
-// m·E < b collapsed to 1 outright.
-func swapIntervalFor(sizes []int, swapE, batch int) int {
-	if swapE <= 0 || len(sizes) == 0 {
-		return 0
-	}
-	m := sizes[0]
-	for _, s := range sizes[1:] {
-		if s < m {
-			m = s
-		}
-	}
-	interval := (m*swapE + batch/2) / batch
-	if interval < 1 {
-		interval = 1
-	}
-	return interval
-}
-
 const serverName = "server"
 
 // Train runs MD-GAN over the given shards (one per worker; len(shards)
@@ -388,8 +359,6 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 	g := couple.G
 	lc := couple.LossConfig
 
-	swapInterval := swapIntervalFor(shardSizes(shards), swapE, cfg.Batch)
-
 	// Spawn workers.
 	workers := make([]*worker, n)
 	for i := range workers {
@@ -408,7 +377,7 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 		net:          net,
 		rng:          rand.New(rand.NewSource(cfg.Seed + 31)),
 		k:            k,
-		swapInterval: swapInterval,
+		swapInterval: dataset.EpochIters(shards, swapE, cfg.Batch),
 		eval:         eval,
 		probes:       make(map[string]bool),
 		retireAt:     retireSchedule(cfg.Lifetimes),

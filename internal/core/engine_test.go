@@ -67,7 +67,7 @@ func serialReference(shards []*dataset.Dataset, arch gan.Arch, cfg Config) []flo
 	lc := couple.LossConfig
 	optG := opt.NewAdam(cfg.OptG)
 	rng := rand.New(rand.NewSource(cfg.Seed + 31))
-	swapInterval := swapIntervalFor(shardSizes(shards), swapE, cfg.Batch)
+	swapInterval := dataset.EpochIters(shards, swapE, cfg.Batch)
 
 	type refWorker struct {
 		d       *gan.Discriminator
@@ -614,8 +614,8 @@ func TestRoutePayloadMatchesEncodeBatches(t *testing.T) {
 		couple := gan.RingMLP().NewGAN(11, nn.GenLossNonSaturating, 0)
 		srv := &server{
 			cfg: &Config{
-				TrainConfig:  gan.TrainConfig{Batch: 4},
-				RoundTimeout: 30 * time.Millisecond, Topology: topo, SwapSched: RingSwap{},
+				TrainConfig: gan.TrainConfig{Batch: 4},
+				Engine:      Engine{RoundTimeout: 30 * time.Millisecond, Topology: topo, SwapSched: RingSwap{}},
 			},
 			g: couple.G, rng: rand.New(rand.NewSource(11)), k: 2, swapInterval: 1,
 		}

@@ -211,10 +211,10 @@ func TestJoinKeepsSuspectAggregate(t *testing.T) {
 	couple := gan.RingMLP().NewGAN(5, nn.GenLossNonSaturating, 0)
 	rng := rand.New(rand.NewSource(5))
 	srv := &server{
-		cfg: &Config{
+		cfg: &Config{Engine: Engine{
 			RoundTimeout: 50 * time.Millisecond,
 			JoinAt:       map[int][]*dataset.Dataset{3: {ringShards(1, 32, 5)[0]}},
-		},
+		}},
 		net: net, rng: rng,
 		probes: map[string]bool{suspect: true},
 		m:      cluster.New(net, rng, nil, 0),

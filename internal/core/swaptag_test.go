@@ -45,7 +45,7 @@ func TestCancelSwapCannotResolveEarlierRendezvous(t *testing.T) {
 	cfg := Config{TrainConfig: gan.TrainConfig{
 		Batch: 4, DiscSteps: 0, Seed: 41,
 		OptD: opt.AdamConfig{LR: 1e-3},
-	}, SwapPrec: SwapNative}
+	}, Engine: Engine{SwapPrec: SwapNative}}
 	w := newWorker(&cfg, net, couple.LossConfig, couple.D, 0, shard)
 	go w.run()
 

@@ -18,7 +18,7 @@ func triageWorker(t *testing.T, net simnet.Net, lazy bool) (w *worker, donor *ga
 	couple := gan.RingMLP().NewGAN(41, nn.GenLossNonSaturating, 0)
 	cfg := Config{TrainConfig: gan.TrainConfig{
 		Batch: 4, Seed: 41, OptD: opt.AdamConfig{LR: 1e-3},
-	}, SwapPrec: SwapNative, Async: lazy}
+	}, Engine: Engine{SwapPrec: SwapNative, Async: lazy}}
 	w = newWorker(&cfg, net, couple.LossConfig, couple.D, 0, ringShards(1, 32, 43)[0])
 	donor = couple.D.Clone()
 	for _, p := range w.d.Params() {

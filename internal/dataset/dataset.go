@@ -121,6 +121,28 @@ func Split(ds *Dataset, n int, seed int64) []*Dataset {
 	return out
 }
 
+// EpochIters converts a cadence of E local epochs into iterations of
+// batch b: every worker passes its m local samples once per m/b
+// iterations, so E epochs = m·E/b iterations, rounded to the nearest
+// integer and floored at 1. m is the smallest shard's size, so one
+// cluster-wide cadence serves uneven shards. MD-GAN's swap interval
+// (Algorithm 1 line 11) and FL-GAN's round length both use it; epochs
+// ≤ 0, or no shards, returns 0 (disabled).
+//
+// Truncating m·E/b instead shortens the cadence for small shards:
+// m = 100, E = 1, b = 64 would fire every iteration instead of every 2
+// (true cadence 1.56), and any m·E < b would collapse to 1 outright.
+func EpochIters(shards []*Dataset, epochs, b int) int {
+	if epochs <= 0 || len(shards) == 0 {
+		return 0
+	}
+	m := shards[0].Len()
+	for _, sh := range shards[1:] {
+		m = min(m, sh.Len())
+	}
+	return max((m*epochs+b/2)/b, 1)
+}
+
 // newImageTensor allocates an (n, c, h, w) tensor.
 func newImageTensor(n, c, h, w int) *tensor.Tensor { return tensor.New(n, c, h, w) }
 

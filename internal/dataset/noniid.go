@@ -79,8 +79,8 @@ func SplitNonIID(ds *Dataset, n int, skew float64, seed int64) []*Dataset {
 	return out
 }
 
-// LabelHistogram counts samples per class.
-func LabelHistogram(ds *Dataset) []int {
+// labelHistogram counts samples per class.
+func labelHistogram(ds *Dataset) []int {
 	h := make([]int, ds.Classes)
 	for _, l := range ds.Labels {
 		h[l]++
@@ -91,7 +91,7 @@ func LabelHistogram(ds *Dataset) []int {
 // LabelSkew quantifies how far a shard's class distribution is from the
 // parent's, as total-variation distance in [0, 1].
 func LabelSkew(shard, parent *Dataset) float64 {
-	hs, hp := LabelHistogram(shard), LabelHistogram(parent)
+	hs, hp := labelHistogram(shard), labelHistogram(parent)
 	tv := 0.0
 	for c := 0; c < parent.Classes; c++ {
 		ps := float64(hs[c]) / float64(shard.Len())

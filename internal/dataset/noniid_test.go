@@ -25,7 +25,7 @@ func TestSplitNonIIDFullSkewConcentratesLabels(t *testing.T) {
 	for i, sh := range shards {
 		// Each shard should see only a small subset of the 10 classes.
 		classes := 0
-		for _, c := range LabelHistogram(sh) {
+		for _, c := range labelHistogram(sh) {
 			if c > 0 {
 				classes++
 			}

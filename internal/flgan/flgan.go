@@ -103,7 +103,7 @@ func decodeCoupleInto(m *gan.GAN, p []byte) error {
 // Train runs FL-GAN over the shards. Iters counts LOCAL generator
 // iterations per worker (matching the x-axes of Fig. 3, where FL-GAN
 // scores are plotted against worker iterations); a synchronisation
-// round happens every E·m/b local iterations.
+// round happens every E·m/b local iterations (dataset.EpochIters).
 func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) (*Result, error) {
 	cfg.TrainConfig = cfg.TrainConfig.Defaults()
 	n := len(shards)
@@ -124,20 +124,9 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 	// (federated learning synchronises at the start of each round).
 	global := arch.NewGAN(cfg.Seed, cfg.GenLoss, 1)
 
-	m := shards[0].Len()
-	for _, sh := range shards {
-		if sh.Len() < m {
-			m = sh.Len()
-		}
-	}
-	roundIters := localEpochs * m / cfg.Batch
-	if roundIters < 1 {
-		roundIters = 1
-	}
-	rounds := cfg.Iters / roundIters
-	if rounds < 1 {
-		rounds = 1
-	}
+	// E local epochs in iterations, rounded as MD-GAN's swap cadence is.
+	roundIters := dataset.EpochIters(shards, localEpochs, cfg.Batch)
+	rounds := max(cfg.Iters/roundIters, 1)
 
 	// Workers.
 	type flWorker struct {

@@ -46,6 +46,21 @@ func TestTrainRunsAndRounds(t *testing.T) {
 	}
 }
 
+// A round is E·m/b local iterations rounded to the nearest integer, as
+// MD-GAN's swap cadence is: m = 100, b = 64 gives 2 iterations per round
+// (1.5625 rounded), not the truncated 1.
+func TestRoundLengthRounds(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Batch, cfg.Iters = 64, 6
+	res, err := Train(ringShards(2, 100, 1), gan.RingMLP(), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds != 3 || res.Iters != 6 {
+		t.Fatalf("rounds = %d, iters = %d; want 6/2 = 3 rounds of 2 iterations", res.Rounds, res.Iters)
+	}
+}
+
 // TestTrafficIsModelSized verifies the Table III structure: every round
 // moves exactly θ+w per worker in each direction, independent of batch
 // size — the defining property that separates FL-GAN from MD-GAN.

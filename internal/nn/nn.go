@@ -87,7 +87,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 
 	"mdgan/internal/tensor"
 )
@@ -378,15 +377,3 @@ func zeroGrads(ps []*Param) {
 // NumParams returns the total number of scalar parameters (the |w| and
 // |θ| quantities of the paper's complexity analysis).
 func (s *Sequential) NumParams() int { return NumParams(s.Params()) }
-
-// GradNorm returns the Euclidean norm of the concatenated parameter
-// gradients — handy for divergence diagnostics.
-func (s *Sequential) GradNorm() float64 {
-	sum := 0.0
-	for _, p := range s.Params() {
-		for _, v := range p.Grad.Data {
-			sum += float64(v) * float64(v)
-		}
-	}
-	return math.Sqrt(sum)
-}

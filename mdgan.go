@@ -21,7 +21,7 @@ package mdgan
 import (
 	"fmt"
 	"math/rand"
-	"time"
+	"reflect"
 
 	"mdgan/internal/cluster"
 	"mdgan/internal/core"
@@ -229,22 +229,28 @@ func HighQualityFraction(x *Tensor, modes int, radius, tol float64) float64 {
 	return metrics.HighQualityFraction(x, modes, radius, tol)
 }
 
+// Engine holds the settings only MD-GAN reads — the §IV-A dynamic
+// joins and the §VII extensions — each typed and documented once, on
+// core.Engine. The zero value is the paper's strict Algorithm 1.
+// ParseTopology and ParseSwapSchedule build its Topology and SwapSched
+// from CLI specs.
+type Engine = core.Engine
+
 // Options configures a training run. Zero values select the experiment
 // defaults noted per field. Two settings are fixed: the ACGAN auxiliary
 // classification loss has weight 1 on conditional architectures, and
 // FL-GAN trains E = 1 local epoch per round.
+//
+// The MD-GAN-only knobs live in the embedded Engine, the same struct the
+// core engine reads, so they are declared once; a non-zero Engine (or
+// Chaos) under Standalone or FLGAN is an error rather than ignored. K
+// and SwapEvery are MD-GAN's too but stay flat, beside the settings the
+// baselines share, because nearly every MD-GAN run sets them.
 type Options struct {
 	Algorithm Algorithm // default MDGAN
 	Workers   int       // N; default 10 (ignored by Standalone)
 	K         int       // MD-GAN batches/iteration; 0 → ⌊ln N⌋ (≥1)
 	SwapEvery int       // E epochs between swaps; 0 → 1; <0 disables
-	Async     bool      // MD-GAN asynchronous mode (§VII.1)
-	// Pipeline runs synchronous MD-GAN through the one-round-deep
-	// pipelined engine: the server generates and encodes round t+1's
-	// batches while workers compute round t, at the documented cost of
-	// one iteration of generator-parameter staleness. False (default)
-	// is the paper's strict Algorithm 1.
-	Pipeline bool
 
 	Batch     int     // b; default 10
 	Iters     int     // I (generator updates); default 100
@@ -265,83 +271,37 @@ type Options struct {
 	// UseTCP runs workers over real loopback sockets instead of
 	// in-process channels.
 	UseTCP bool
-
-	// Extensions (paper §VII).
-
-	// Compress selects the error-feedback wire encoding (MD-GAN only).
-	Compress Compression
-	// SwapPrec selects the discriminator-swap wire width (MD-GAN only;
-	// default SwapFP32 = 4-byte elements on the wire).
-	SwapPrec SwapPrecision
 	// ActivePerRound activates only a random subset of workers per
 	// iteration (MD-GAN) or per round (FL-GAN); 0 = all.
 	ActivePerRound int
-	// Byzantine marks compromised workers: index → attack mode, one of
-	// the Byzantine* feedback corruptions or the FreeRider*
-	// fabrications (ParseFreeRiders builds the latter from a CLI spec).
-	Byzantine map[int]ByzantineMode
-	// Aggregate selects the server's feedback-merge rule.
-	Aggregate Aggregation
 	// NonIIDSkew, when > 0, shards the dataset with label skew instead
 	// of i.i.d. (applies to MD-GAN and FL-GAN).
 	NonIIDSkew float64
-	// JoinAt schedules dynamic worker joins (paper §IV-A): iteration →
-	// fresh data shards, one new worker per shard, each entering with
-	// a copy of a live worker's discriminator. Synchronous MD-GAN only.
-	JoinAt map[int][]*Dataset
-
-	// Topology-aware aggregation (MD-GAN only).
-
-	// Topology selects the feedback-aggregation overlay: "" or "flat"
-	// is the paper's star (every worker reports straight to the
-	// server), "tree:<depth>" reduces feedbacks through a tree of
-	// worker-side aggregators so server ingress is bounded by its
-	// fan-in instead of the cluster size. Synchronous engines only.
-	Topology string
-	// Fanin overrides the tree's per-node child bound (≥ 2); 0 picks
-	// ceil(N^(1/depth)) automatically. A non-zero Fanin without a tree
-	// Topology is an error.
-	Fanin int
-	// SwapSchedule selects the discriminator-swap plan: "" or "ring"
-	// is the paper's cyclic permutation (Sattolo), "shuffle" a random
-	// pairwise exchange, "gossip[:pairs]" a sparse subset of pairs per
-	// swap. Non-ring schedules are synchronous-only.
-	SwapSchedule string
-
-	// Transient-fault tolerance (MD-GAN only).
-
-	// RoundTimeout, when > 0, bounds each round's wait for worker
-	// feedbacks: missing workers are suspected (skipped but retained,
-	// probed back in when they recover) and the round applies with the
-	// feedbacks in hand, subject to Quorum. 0 waits forever (the
-	// fail-stop-only behaviour).
-	RoundTimeout time.Duration
-	// Quorum is the minimum number of feedbacks needed to apply a
-	// round after the deadline expires (0 → 1).
-	Quorum int
-	// SuspectAfter demotes a suspect after this many consecutive
-	// misses (0 → the cluster default; < 0 → never demote).
-	SuspectAfter int
-	// Chaos, when non-nil, wraps the transport in a seeded
+	// Chaos, when non-nil, wraps MD-GAN's transport in a seeded
 	// fault-injecting ChaosNet (drops, delays, duplicates, payload
 	// corruption) — pair it with RoundTimeout to exercise the
 	// suspect/rejoin machinery deterministically.
 	Chaos *ChaosConfig
 
-	// Robustness (MD-GAN only).
+	Engine
+}
 
-	// Defense enables the server-side feedback-quality defense
-	// (cross-round suspicion scoring → down-weighting → demotion) at
-	// fixed thresholds. Synchronous flat-topology runs only.
-	Defense bool
-	// Lifetimes bounds workers' participation windows (temporary
-	// discriminators): index → {Join, Retire}. Joining workers must
-	// match their JoinAt schedule; retirement is graceful (the final
-	// feedback counts, no fault is recorded). Synchronous only.
-	Lifetimes map[int]Lifetime
-	// JoinWarmup ramps a dynamic joiner's aggregation weight over its
-	// first JoinWarmup rounds (0 = full weight immediately).
-	JoinWarmup int
+// ParseTopology resolves a feedback-aggregation overlay spec for
+// Engine.Topology: "" or "flat" is the paper's star (nil),
+// "tree:<depth>" reduces feedbacks through worker-side aggregators so
+// server ingress is bounded by its fan-in. fanin overrides the tree's
+// per-node child bound (≥ 2; 0 = ceil(N^(1/depth))); a non-zero fanin
+// without a tree is an error.
+func ParseTopology(spec string, fanin int) (*cluster.Tree, error) {
+	return cluster.ParseTopology(spec, fanin)
+}
+
+// ParseSwapSchedule resolves a discriminator-swap plan for
+// Engine.SwapSched: "" or "ring" is the paper's cyclic permutation,
+// "shuffle" a random pairwise exchange, "gossip[:pairs]" a sparse
+// subset of pairs per swap.
+func ParseSwapSchedule(spec string) (core.SwapSchedule, error) {
+	return core.ParseSwapSchedule(spec)
 }
 
 func (o Options) defaults() Options {
@@ -351,17 +311,8 @@ func (o Options) defaults() Options {
 	if o.Workers == 0 {
 		o.Workers = 10
 	}
-	if o.Batch == 0 {
-		o.Batch = 10
-	}
-	if o.Iters == 0 {
-		o.Iters = 100
-	}
-	if o.LRG == 0 {
-		o.LRG = 1e-3
-	}
 	if o.LRD == 0 {
-		o.LRD = 4e-3
+		o.LRD = 4e-3 // the core's Adam default is 1e-3
 	}
 	return o
 }
@@ -477,10 +428,14 @@ func Run(ds *Dataset, arch Arch, o Options, ev *Evaluator) (*RunResult, error) {
 		curve.FID = append(curve.FID, f)
 	}
 
+	if o.Algorithm != MDGAN && (o.Chaos != nil || !reflect.ValueOf(o.Engine).IsZero()) {
+		return nil, fmt.Errorf("mdgan: %s ignores Chaos and the Engine settings; they are MD-GAN only", o.Algorithm)
+	}
 	switch o.Algorithm {
 	case Standalone:
-		g := gan.TrainStandalone(ds, arch, o.trainConfig(), func(it int, m *GAN) { hook(it, m.G) })
-		return &RunResult{Curve: curve, G: g.G, Iters: o.Iters}, nil
+		tc := o.trainConfig()
+		g := gan.TrainStandalone(ds, arch, tc, func(it int, m *GAN) { hook(it, m.G) })
+		return &RunResult{Curve: curve, G: g.G, Iters: tc.Defaults().Iters}, nil
 
 	case FLGAN:
 		shards := o.shard(ds)
@@ -508,47 +463,13 @@ func Run(ds *Dataset, arch Arch, o Options, ev *Evaluator) (*RunResult, error) {
 	}
 }
 
-// mdganConfig maps the facade options onto the core configuration.
-func (o Options) mdganConfig() (core.Config, error) {
-	topo, err := cluster.ParseTopology(o.Topology, o.Fanin)
-	if err != nil {
-		return core.Config{}, err
-	}
-	sched, err := core.ParseSwapSchedule(o.SwapSchedule)
-	if err != nil {
-		return core.Config{}, err
-	}
-	return core.Config{
-		TrainConfig:    o.trainConfig(),
-		K:              o.K,
-		SwapEvery:      o.SwapEvery,
-		CrashAt:        o.CrashAt,
-		Async:          o.Async,
-		Pipeline:       o.Pipeline,
-		Compress:       o.Compress,
-		SwapPrec:       o.SwapPrec,
-		ActivePerRound: o.ActivePerRound,
-		Byzantine:      o.Byzantine,
-		Aggregate:      o.Aggregate,
-		JoinAt:         o.JoinAt,
-		RoundTimeout:   o.RoundTimeout,
-		Quorum:         o.Quorum,
-		SuspectAfter:   o.SuspectAfter,
-		Topology:       topo,
-		SwapSched:      sched,
-		Defense:        o.Defense,
-		Lifetimes:      o.Lifetimes,
-		JoinWarmup:     o.JoinWarmup,
-	}, nil
-}
-
 // runMDGAN wires the transport (loopback TCP and/or the chaos wrapper)
 // and runs the core engine, folding fault and chaos accounting into the
 // result.
 func runMDGAN(shards []*Dataset, arch Arch, o Options, curve *Curve, hook func(int, *Generator)) (*RunResult, error) {
-	cfg, err := o.mdganConfig()
-	if err != nil {
-		return nil, err
+	cfg := core.Config{
+		TrainConfig: o.trainConfig(), K: o.K, SwapEvery: o.SwapEvery,
+		CrashAt: o.CrashAt, ActivePerRound: o.ActivePerRound, Engine: o.Engine,
 	}
 	var base simnet.Net
 	if o.UseTCP {

@@ -60,6 +60,41 @@ func TestRunRejectsUnknownAlgorithm(t *testing.T) {
 	}
 }
 
+// The baselines read neither Chaos nor any Engine knob, so setting one
+// for them is an error, not a run that quietly ignores it.
+func TestBaselinesRejectMDGANSettings(t *testing.T) {
+	ds := mdgan.GaussianRing(100, 4, 1, 0.05, 1)
+	tree, err := mdgan.ParseTopology("tree:2", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []mdgan.Algorithm{mdgan.Standalone, mdgan.FLGAN} {
+		for name, o := range map[string]mdgan.Options{
+			"chaos":    {Chaos: &mdgan.ChaosConfig{Drop: 0.05}},
+			"defense":  {Engine: mdgan.Engine{Defense: true}},
+			"topology": {Engine: mdgan.Engine{Topology: tree}},
+		} {
+			o.Algorithm, o.Workers, o.Iters = algo, 2, 1
+			if _, err := mdgan.Run(ds, mdgan.RingArch(), o, nil); err == nil || !strings.Contains(err.Error(), "MD-GAN only") {
+				t.Errorf("%s with %s: err = %v, want a rejection", algo, name, err)
+			}
+		}
+	}
+}
+
+// Zero Options take the core's defaults (b = 10, I = 100): the facade
+// does not restate them.
+func TestStandaloneDefaults(t *testing.T) {
+	ds := mdgan.GaussianRing(100, 4, 1, 0.05, 1)
+	res, err := mdgan.Run(ds, mdgan.RingArch(), mdgan.Options{Algorithm: mdgan.Standalone}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iters != 100 {
+		t.Fatalf("Iters = %d, want the default 100", res.Iters)
+	}
+}
+
 func TestEvaluatorDeterministic(t *testing.T) {
 	test := mdgan.SynthDigits(300, 6)
 	scorer := mdgan.TrainScorer(test, 6)
@@ -173,9 +208,8 @@ func TestRunWithChaosAndDeadline(t *testing.T) {
 	ds := mdgan.GaussianRing(600, 8, 2.0, 0.05, 1)
 	res, err := mdgan.Run(ds, mdgan.RingArch(), mdgan.Options{
 		Algorithm: mdgan.MDGAN, Workers: 3, Batch: 16, Iters: 25, Seed: 2,
-		RoundTimeout: 250 * time.Millisecond,
-		SuspectAfter: 8,
-		Chaos:        &mdgan.ChaosConfig{Seed: 11, Drop: 0.02, Delay: 0.05, Duplicate: 0.02},
+		Engine: mdgan.Engine{RoundTimeout: 250 * time.Millisecond, SuspectAfter: 8},
+		Chaos:  &mdgan.ChaosConfig{Seed: 11, Drop: 0.02, Delay: 0.05, Duplicate: 0.02},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

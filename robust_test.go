@@ -67,10 +67,12 @@ func TestRobustnessOptionsWireThrough(t *testing.T) {
 	ds := mdgan.GaussianRing(600, 8, 2.0, 0.05, 3)
 	res, err := mdgan.Run(ds, mdgan.RingArch(), mdgan.Options{
 		Algorithm: mdgan.MDGAN, Workers: 4, Batch: 16, Iters: 12, Seed: 4,
-		Byzantine:  map[int]mdgan.ByzantineMode{1: mdgan.FreeRiderRandom},
-		Defense:    true,
-		Lifetimes:  map[int]mdgan.Lifetime{2: {Retire: 8}},
-		JoinWarmup: 3,
+		Engine: mdgan.Engine{
+			Byzantine:  map[int]mdgan.ByzantineMode{1: mdgan.FreeRiderRandom},
+			Defense:    true,
+			Lifetimes:  map[int]mdgan.Lifetime{2: {Retire: 8}},
+			JoinWarmup: 3,
+		},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

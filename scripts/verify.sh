@@ -357,6 +357,9 @@ if [ "$kernels" != asm ]; then
 fi
 
 echo "verify: OK"
-# The size-trajectory figure CHANGES.md entries quote (ROADMAP, standing
-# conventions) — kept as the last line so `| tail -1` reads it.
+# The size-trajectory figures CHANGES.md entries quote (ROADMAP, standing
+# conventions). Non-test Go is kept as the last line so `| tail -1`
+# reads it.
+echo "assembly lines (.s + .h): $(find . -name '*.s' -o -name '*.h' | xargs cat | wc -l)"
+echo "test Go lines: $(find . -name '*_test.go' | xargs cat | wc -l)"
 echo "non-test Go lines: $(find . -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"
