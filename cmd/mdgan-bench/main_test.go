@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"log"
+	"os"
 	"strings"
 	"testing"
 )
@@ -60,5 +64,38 @@ func TestRetiredFlagsAreRejected(t *testing.T) {
 		if out.Len() != 0 {
 			t.Errorf("run(%q) printed %q before rejecting the flag", args, out.String())
 		}
+	}
+}
+
+// TestUnknownFlagIsOneUsageError: an unknown flag is reported once — by
+// the flag package, with the usage — and exits 2, the flag package's
+// status for a usage error; main used to log the parse error a second
+// time and exit 1.
+func TestUnknownFlagIsOneUsageError(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = w // the flag package prints to os.Stderr
+	code := report(run([]string{"-nope"}, io.Discard))
+	os.Stderr = saved
+	w.Close()
+	printed, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := string(printed) + logged.String()
+	if n := strings.Count(got, "flag provided but not defined: -nope"); code != 2 || n != 1 {
+		t.Fatalf("-nope: exit %d, error printed %d times, want exit 2 and once:\n%s", code, n, got)
+	}
+	if !strings.Contains(got, "Usage of mdgan-bench:") {
+		t.Fatalf("-nope: no usage printed:\n%s", got)
+	}
+	if code := report(errors.New("boom")); code != 1 || !strings.Contains(logged.String(), "boom") {
+		t.Fatalf("a run error: exit %d, logged %q; want exit 1 and the error logged", code, logged.String())
 	}
 }

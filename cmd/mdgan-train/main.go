@@ -27,18 +27,34 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mdgan-train: ")
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return
-		}
-		log.Fatal(err)
+	os.Exit(report(run(os.Args[1:], os.Stdout)))
+}
+
+// usageError is a flag-parse error, which the flag package has already
+// printed with the usage.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+// report prints run's error unless the flag package already has, and
+// returns the exit status: 0 on success and for -h, 2 for a usage error
+// (as the flag package's ExitOnError does), 1 for any other error.
+func report(err error) int {
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, new(usageError)):
+		return 2
 	}
+	log.Print(err)
+	return 1
 }
 
 // run is main without the process: it parses args, trains, prints the
 // metric curve to stdout and the run's summaries to stderr, and returns
-// the first error. Flag-parse errors (and -h, as flag.ErrHelp) have
-// already been reported on stderr by the flag package.
+// the first error. Flag-parse errors (and -h, as flag.ErrHelp) come
+// back as a usageError: the flag package has already reported them on
+// stderr.
 func run(args []string, stdout io.Writer) error {
 	// Flags bind straight into the Options value they configure; only
 	// what Options does not hold, or holds in another type, gets a
@@ -82,7 +98,7 @@ func run(args []string, stdout io.Writer) error {
 		swapSched  = fs.String("swap-schedule", "", "discriminator swap plan: ring (default) | shuffle | gossip[:pairs]")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
 	}
 
 	var err error

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"log"
 	"os"
 	"strings"
 	"testing"
@@ -135,5 +136,26 @@ func TestRejectsIgnoredSettings(t *testing.T) {
 		if out.Len() != 0 {
 			t.Errorf("run(%q) printed %q before failing", tc.args, out.String())
 		}
+	}
+}
+
+// TestUnknownFlagIsOneUsageError: an unknown flag is reported once — by
+// the flag package, with the usage — and exits 2, the flag package's
+// status for a usage error; main used to log the parse error a second
+// time and exit 1.
+func TestUnknownFlagIsOneUsageError(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	code := -1
+	got := stderrOf(t, func() { code = report(run([]string{"-nope"}, io.Discard)) }) + logged.String()
+	if n := strings.Count(got, "flag provided but not defined: -nope"); code != 2 || n != 1 {
+		t.Fatalf("-nope: exit %d, error printed %d times, want exit 2 and once:\n%s", code, n, got)
+	}
+	if !strings.Contains(got, "Usage of mdgan-train:") {
+		t.Fatalf("-nope: no usage printed:\n%s", got)
+	}
+	if code := report(errors.New("boom")); code != 1 || !strings.Contains(logged.String(), "boom") {
+		t.Fatalf("a run error: exit %d, logged %q; want exit 1 and the error logged", code, logged.String())
 	}
 }

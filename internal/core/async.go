@@ -123,6 +123,7 @@ func (s *server) runAsync(iters int) (int, error) {
 			}
 			continue
 		}
+		recycleFeedbackFrame(msg.Payload)
 		// A suspect's feedback arriving is evidence of life.
 		s.noteAlive(msg.From)
 		delete(pending, msg.From)
@@ -133,6 +134,7 @@ func (s *server) runAsync(iters int) (int, error) {
 		// Apply Δw from this single feedback (stale-gradient update).
 		s.g.Forward(gb.z, gb.labs, true)
 		s.g.BackwardWrite(f)
+		tensor.Put(f)
 		s.optG.Step(s.g.Params())
 		updates++
 

@@ -28,10 +28,12 @@ import (
 //     selective update; large reduction for peaked gradients).
 //
 // The wire format prefixes one mode byte so the server can decode
-// whatever each worker sends. Every encoder builds its frame with a
-// single exact-size allocation (TopK adds one more for the selection
-// index); the per-element bytes.Buffer writes of the original
-// implementation are gone.
+// whatever each worker sends. A worker encodes its frame into a buffer
+// from feedbackFrames, or one exact-size allocation when the pool has
+// none (TopK adds one more for the selection index). The server decodes
+// into pooled tensor storage and hands each star frame it has decoded
+// back to feedbackFrames, so over an in-process transport a steady-state
+// round allocates no payload-sized feedback buffer.
 
 // Compression selects the feedback wire encoding.
 type Compression int
@@ -60,10 +62,35 @@ func (c Compression) String() string {
 // topKFraction is the fraction of entries CompressTopK keeps.
 const topKFraction = 0.1
 
-// encodeFeedbackCompressed frames F_n under the given mode with one
-// exact-size allocation.
+// feedbackFrames holds feedback frame buffers the server has decoded
+// and is done with. A channel, not a sync.Pool: a slice goes in and out
+// without boxing, and the hand-off orders the server's last read of a
+// buffer before the worker's first write to it.
+var feedbackFrames = make(chan []byte, 64)
+
+// recycleFeedbackFrame offers a decoded feedback frame back to the
+// encoders. The caller must hold the only reference to p.
+func recycleFeedbackFrame(p []byte) {
+	select {
+	case feedbackFrames <- p:
+	default:
+	}
+}
+
+// encodeFeedbackCompressed frames F_n under the given mode into a
+// recycled buffer when one is large enough, else into one exact-size
+// allocation.
 func encodeFeedbackCompressed(f *tensor.Tensor, mode Compression) []byte {
-	return appendFeedbackCompressed(make([]byte, 0, feedbackEncodedSize(f, mode)), f, mode)
+	size := int(feedbackEncodedSize(f, mode))
+	var buf []byte
+	select {
+	case buf = <-feedbackFrames:
+	default:
+	}
+	if cap(buf) < size {
+		buf = make([]byte, 0, size)
+	}
+	return appendFeedbackCompressed(buf[:0], f, mode)
 }
 
 // feedbackEncodedSize returns the exact encoded size of F_n under mode.
@@ -136,7 +163,8 @@ func shapeVol(shape []int) int {
 // that batch, so a frame of merely equal volume but different shape
 // would silently mis-align against the generator's samples. The volume
 // of want also bounds every decode-side allocation, so a corrupt or
-// hostile frame errors out before it can over-allocate.
+// hostile frame errors out before it can over-allocate. The result is
+// pooled storage (tensor.Get): a caller done with it may Put it.
 func decodeFeedbackAny(p []byte, want []int) (*tensor.Tensor, error) {
 	if len(p) == 0 {
 		return nil, fmt.Errorf("core: empty feedback")
@@ -145,12 +173,10 @@ func decodeFeedbackAny(p []byte, want []int) (*tensor.Tensor, error) {
 	r := bytes.NewReader(p[1:])
 	switch mode {
 	case CompressNone, CompressFP32:
-		f := new(tensor.Tensor)
-		if _, err := f.ReadFrom(r); err != nil {
+		f := tensor.Get(want...)
+		if _, err := f.ReadInPlace(r); err != nil {
+			tensor.Put(f)
 			return nil, fmt.Errorf("core: decode %s feedback: %w", mode, err)
-		}
-		if !slices.Equal(f.Shape(), want) {
-			return nil, fmt.Errorf("core: feedback shape %v, want %v", f.Shape(), want)
 		}
 		return f, nil
 	case CompressTopK:
@@ -161,18 +187,20 @@ func decodeFeedbackAny(p []byte, want []int) (*tensor.Tensor, error) {
 		if !slices.Equal(shape, want) {
 			return nil, fmt.Errorf("core: feedback shape %v, want %v", shape, want)
 		}
-		f := tensor.New(shape...)
 		n, err := readCount(r, "topk count", 8)
 		if err != nil {
 			return nil, err
 		}
+		f := tensor.GetZeroed(shape...)
 		var tmp [8]byte
 		for j := 0; j < n; j++ {
 			if _, err := io.ReadFull(r, tmp[:]); err != nil {
+				tensor.Put(f)
 				return nil, fmt.Errorf("core: decode topk entry: %w", err)
 			}
 			i := int(binary.LittleEndian.Uint32(tmp[:4]))
 			if i < 0 || i >= f.Size() {
+				tensor.Put(f)
 				return nil, fmt.Errorf("core: topk index %d out of range", i)
 			}
 			f.Data[i] = tensor.Elem(math.Float32frombits(binary.LittleEndian.Uint32(tmp[4:])))

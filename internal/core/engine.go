@@ -7,8 +7,9 @@ package core
 //	generate  — k latent draws, k generator forwards, one wire frame
 //	            per batch (tensor framing ++ labels, encoded once)
 //	route     — SWAP permutation + the §IV-B1 SPLIT assignment, then
-//	            the per-worker payloads (frame concatenation) fanned
-//	            out through internal/parallel
+//	            the per-worker messages (two batch frames by
+//	            reference plus a routing tail) fanned out through
+//	            internal/parallel
 //	dispatch  — simnet.BroadcastEach; an ErrNodeDown destination is
 //	            suspected (or, without a round deadline, demoted
 //	            fail-stop style) instead of aborting the run
@@ -40,16 +41,28 @@ package core
 //
 // Buffer ownership: a round's slices and maps belong to the engine and
 // are reset — not reallocated — when the round slot is reused. The
-// per-batch frames are copied into freshly-allocated per-worker message
-// payloads at route time, so no in-flight message ever aliases an
-// engine buffer (transports hold payloads until workers decode them,
-// possibly across a round boundary when a worker buffers batches while
-// awaiting a swap).
+// dispatched messages reference the round's batch frames, segment lists
+// and routing tails instead of copying them (simnet.Message's frame
+// contract), so those buffers are in flight until every recipient has
+// decoded its message — possibly across a round boundary, when a worker
+// stashes batches while it awaits a swap, or is late past the deadline.
+// A worker decodes its batches before it answers, so the rule reset
+// enforces is: a slot's buffers are reused only if its last round ended
+// with every dispatched worker in got; otherwise they are dropped and
+// the next round allocates fresh ones
+// (TestLateBatchesNeverSeeReusedFrames). A star feedback carries no
+// round tag, so an answer proves the decode only on a transport that
+// delivers each pair's messages once and in order — the frame contract
+// on simnet.Message, which is why ChaosNet copies every framed message.
+// The server's half of the feedback path is pooled too: a star feedback
+// frame returns to the frame pool workers encode from once decoded, and
+// its decoded tensor returns to the tensor pool after apply.
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"mdgan/internal/cluster"
@@ -114,10 +127,14 @@ type round struct {
 	shape []int // generated-batch shape (bounds feedback decodes)
 	msgs  []simnet.Message
 	// frames holds one wire frame per generated batch (tensor framing
-	// followed by the label framing). Each batch is encoded exactly
-	// once; per-worker payloads are concatenations of two frames, so
-	// the old per-worker re-encoding of the same tensors is gone.
+	// followed by the label framing), each encoded exactly once. A
+	// worker's message references two of them through its pair in segs
+	// and owns only its routing tail in tails. All three are reused
+	// round over round under the rule reset enforces (see the file
+	// comment).
 	frames [][]byte
+	segs   [][]byte
+	tails  [][]byte
 
 	// Collect-stage state. plan is this round's aggregation plan; nil is
 	// the star (every active worker feeds the server directly).
@@ -149,10 +166,15 @@ type round struct {
 }
 
 // reset prepares the round slot for iteration it, reusing backing
-// storage — slices are truncated and maps cleared in place (frames are
-// copied into payloads before dispatch, so their buffers never escape
-// the engine).
+// storage — slices are truncated and maps cleared in place. The buffers
+// the slot's last round dispatched by reference are kept only if every
+// worker they went to answered, and so decoded them; a worker failed or
+// given up on may still hold its message unread, so they are dropped
+// instead and generate and route allocate fresh ones.
 func (r *round) reset(it int) {
+	if len(r.got) < len(r.sent) {
+		r.frames, r.segs, r.tails = nil, nil, nil
+	}
 	r.it = it
 	r.k = 0
 	r.active = r.active[:0]
@@ -288,7 +310,8 @@ func (s *server) generate(r *round) {
 // iteration (a uniform random cyclic permutation over the active
 // workers realises the paper's random gossip SWAP deterministically),
 // the §IV-B1 SPLIT assignment X^(g) = X^(n mod k), X^(d) =
-// X^((n+1) mod k), and the per-worker payloads. Payload assembly is
+// X^((n+1) mod k), and the per-worker messages: the two batch frames by
+// reference, then the worker's own routing tail. Message assembly is
 // independent per worker (the batch frames are only read), so it fans
 // out on the scheduler.
 func (s *server) route(r *round) {
@@ -319,10 +342,12 @@ func (s *server) route(r *round) {
 	for i, name := range r.active {
 		r.gIdx[name] = i % r.k
 	}
-	if cap(r.msgs) < len(r.active) {
-		r.msgs = make([]simnet.Message, len(r.active))
+	n := len(r.active)
+	r.msgs = slices.Grow(r.msgs[:0], n)[:n]
+	r.segs = slices.Grow(r.segs[:0], 2*n)[:2*n]
+	for len(r.tails) < n {
+		r.tails = append(r.tails, nil)
 	}
-	r.msgs = r.msgs[:len(r.active)]
 	parallel.ForceFor(len(r.active), func(ws, we int) {
 		for i := ws; i < we; i++ {
 			name := r.active[i]
@@ -334,12 +359,12 @@ func (s *server) route(r *round) {
 			if r.plan != nil {
 				tail.Parent, tail.Children = r.plan.Parent[name], r.plan.Children[name]
 			}
-			payload := make([]byte, 0, len(r.frames[di])+len(r.frames[gi])+batchesTailSize(&tail))
-			payload = append(payload, r.frames[di]...) // X^(d) ++ L^(d)
-			payload = append(payload, r.frames[gi]...) // X^(g) ++ L^(g)
+			segs := r.segs[2*i : 2*i+2 : 2*i+2]
+			segs[0], segs[1] = r.frames[di], r.frames[gi] // X^(d) ++ L^(d), X^(g) ++ L^(g)
+			r.tails[i] = appendBatchesTail(r.tails[i][:0], &tail)
 			r.msgs[i] = simnet.Message{
 				From: serverName, To: name, Type: msgBatches,
-				Kind: simnet.CtoW, Payload: appendBatchesTail(payload, &tail),
+				Kind: simnet.CtoW, Frames: segs, Payload: r.tails[i],
 			}
 		}
 	})
@@ -532,8 +557,8 @@ func (s *server) collect(r *round) error {
 		var ents []aggEntry
 		if msg.Type == msgAgg {
 			ents, err = r.decodeAgg(msg.Payload, from)
-		} else {
-			ents, err = r.decodeFeedback(msg.Payload, from)
+		} else if ents, err = r.decodeFeedback(msg.Payload, from); err == nil {
+			recycleFeedbackFrame(msg.Payload)
 		}
 		if err != nil {
 			// Corrupt frame: strike the sender and continue the round.
@@ -561,7 +586,8 @@ func (s *server) collect(r *round) error {
 
 // decodeFeedback decodes from's bare feedback frame into the single
 // entry it stands for. The expected shape bounds the decode, so a
-// corrupt frame cannot over-allocate.
+// corrupt frame cannot over-allocate. The entry's tensor is pooled;
+// releaseFeedbacks returns it after apply.
 func (r *round) decodeFeedback(p []byte, from string) ([]aggEntry, error) {
 	f, err := decodeFeedbackAny(p, r.shape)
 	if err != nil {
@@ -605,6 +631,17 @@ func (r *round) decodeAgg(p []byte, from string) ([]aggEntry, error) {
 		err = fmt.Errorf("core: aggregate from %s lacks its own contribution", from)
 	}
 	return ents, err
+}
+
+// releaseFeedbacks returns the round's decoded contributions to the
+// tensor pool once apply has consumed them.
+func (r *round) releaseFeedbacks() {
+	for _, ents := range r.ents {
+		for i := range ents {
+			tensor.Put(ents[i].Sum)
+			ents[i].Sum = nil
+		}
+	}
 }
 
 // noteAlive records evidence of life from name: a suspect is reinstated
@@ -970,6 +1007,7 @@ func (s *server) run(iters int, pipeline bool) (int, error) {
 			return s.updates, err
 		}
 		s.apply(cur)
+		cur.releaseFeedbacks()
 		if ahead {
 			cur, nxt = nxt, cur
 		}

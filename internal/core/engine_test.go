@@ -604,11 +604,12 @@ func TestTrainErrorPathStopsWorkers(t *testing.T) {
 	inner.Close()
 }
 
-// TestRoutePayloadMatchesEncodeBatches: route concatenates pre-encoded
-// batch frames and appends the routing tail itself; the payload it
-// builds must decode to exactly the fields it chose and be byte-equal
-// to encodeBatches of those fields — one batches-frame layout, on the
-// star (empty parent, no children) and under a tree.
+// TestRoutePayloadMatchesEncodeBatches: route ships pre-encoded batch
+// frames by reference and builds the routing tail itself; the message
+// it builds must decode, segmented as sent and flattened as TCP
+// delivers it, to exactly the fields it chose and be byte-equal to
+// encodeBatches of those fields — one batches-frame layout, on the star
+// (empty parent, no children) and under a tree.
 func TestRoutePayloadMatchesEncodeBatches(t *testing.T) {
 	for _, topo := range []*cluster.Tree{nil, {Depth: 2}} {
 		couple := gan.RingMLP().NewGAN(11, nn.GenLossNonSaturating, 0)
@@ -630,9 +631,12 @@ func TestRoutePayloadMatchesEncodeBatches(t *testing.T) {
 		aggregators := 0
 		for i, msg := range r.msgs {
 			name := r.active[i]
-			var got batchesMsg
-			if err := decodeBatches(msg.Payload, &got); err != nil {
+			var got, flat batchesMsg
+			if err := decodeBatches(msg.Payload, &got, msg.Frames...); err != nil {
 				t.Fatalf("%s: %v", name, err)
+			}
+			if err := decodeBatches(msgBytes(msg), &flat); err != nil || !bytes.Equal(encodeBatches(flat), encodeBatches(got)) {
+				t.Fatalf("%s: flattened message decodes to %+v (%v), segmented to %+v", name, flat, err, got)
 			}
 			want := batchesMsg{
 				Xd: got.Xd, Ld: got.Ld, Xg: got.Xg, Lg: got.Lg,
@@ -651,7 +655,7 @@ func TestRoutePayloadMatchesEncodeBatches(t *testing.T) {
 				fmt.Sprint(got.Children) != fmt.Sprint(want.Children) || got.GIdx != want.GIdx || got.AggWait != want.AggWait {
 				t.Fatalf("%s: routed payload decodes to %+v, route chose %+v", name, got, want)
 			}
-			if !bytes.Equal(msg.Payload, encodeBatches(want)) {
+			if !bytes.Equal(msgBytes(msg), encodeBatches(want)) {
 				t.Fatalf("%s: routed payload differs from encodeBatches of the same fields", name)
 			}
 		}

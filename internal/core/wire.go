@@ -120,9 +120,9 @@ func batchesTailSize(m *batchesMsg) int {
 
 // appendBatchesTail appends everything of a batches frame that follows
 // the two batch frames — swap command, round tag, parent, children,
-// batch index, aggregation wait. The engine's route stage concatenates
-// pre-encoded batch frames and calls this directly; encodeBatches is the
-// same layout from tensors.
+// batch index, aggregation wait. The engine's route stage ships
+// pre-encoded batch frames by reference and builds only this tail;
+// encodeBatches is the same layout from tensors.
 func appendBatchesTail(buf []byte, m *batchesMsg) []byte {
 	buf = appendString(buf, m.SwapTo)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Round))
@@ -150,10 +150,27 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// decodeBatches parses p into m, reusing m's tensors and label slices
-// so a worker's steady-state receive loop does not allocate.
-func decodeBatches(p []byte, m *batchesMsg) error {
-	r := bytes.NewReader(p)
+// decodeBatches parses a batches message into m, reusing m's tensors
+// and label slices so a worker's steady-state receive loop does not
+// allocate. The message's bytes are frames ++ p: route ships the two
+// batch frames (X ++ L each) by reference ahead of the worker's own
+// tail, while the async engine, TCPNet's receiver and the fuzzers hand
+// over one flat p. The one decoder reads whatever segments there are in
+// order, stepping to the next only where a batch frame or the tail
+// begins; a field that straddles two segments is truncated.
+func decodeBatches(p []byte, m *batchesMsg, frames ...[]byte) error {
+	r := new(bytes.Reader)
+	seg := 0
+	next := func() {
+		for ; r.Len() == 0 && seg <= len(frames); seg++ {
+			if seg < len(frames) {
+				r.Reset(frames[seg])
+			} else {
+				r.Reset(p)
+			}
+		}
+	}
+	next()
 	if m.Xd == nil {
 		m.Xd = new(tensor.Tensor)
 	}
@@ -164,6 +181,7 @@ func decodeBatches(p []byte, m *batchesMsg) error {
 	if m.Ld, err = readLabels(r, m.Ld[:0]); err != nil {
 		return err
 	}
+	next()
 	if m.Xg == nil {
 		m.Xg = new(tensor.Tensor)
 	}
@@ -173,6 +191,7 @@ func decodeBatches(p []byte, m *batchesMsg) error {
 	if m.Lg, err = readLabels(r, m.Lg[:0]); err != nil {
 		return err
 	}
+	next()
 	if m.SwapTo, err = readString(r); err != nil {
 		return err
 	}

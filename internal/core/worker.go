@@ -244,7 +244,7 @@ func (w *worker) run() {
 // discriminator steps on (X^(r), X^(d)), the error feedback on X^(g),
 // and the swap when commanded. Returns false when the worker must stop.
 func (w *worker) handleBatches(msg simnet.Message) bool {
-	if err := decodeBatches(msg.Payload, &w.bm); err != nil {
+	if err := decodeBatches(msg.Payload, &w.bm, msg.Frames...); err != nil {
 		// A corrupt batches frame is a transient fault, not a reason to
 		// die: skip the round. The server's deadline will notice the
 		// missing feedback and suspect us; its probe finds us alive.

@@ -50,8 +50,8 @@ type ChaosConfig struct {
 	Seed int64
 	// Drop is the probability a message is silently lost.
 	Drop float64
-	// Corrupt is the probability a message's payload is delivered with
-	// flipped bytes (exercising the wire decoders' hardening in anger).
+	// Corrupt is the probability a message is delivered with flipped
+	// bytes (exercising the wire decoders' hardening in anger).
 	Corrupt float64
 	// CorruptKinds restricts corruption to the given link kinds; nil
 	// corrupts every kind.
@@ -170,7 +170,7 @@ func (c *ChaosNet) Close() error {
 // reports success (the loss is silent, as on a real network).
 func (c *ChaosNet) Send(msg Message) error {
 	c.mu.Lock()
-	protected := c.cfg.ProtectTypes[msg.Type]
+	protected, corrupted := c.cfg.ProtectTypes[msg.Type], false
 	if !protected {
 		if c.isolated[msg.From] != c.isolated[msg.To] {
 			c.stats.Partitioned++
@@ -184,8 +184,11 @@ func (c *ChaosNet) Send(msg Message) error {
 		}
 		if c.cfg.Corrupt > 0 &&
 			(c.cfg.CorruptKinds == nil || c.cfg.CorruptKinds[msg.Kind]) &&
-			c.rng.Float64() < c.cfg.Corrupt && len(msg.Payload) > 0 {
-			msg.Payload = c.corruptPayload(msg.Payload)
+			c.rng.Float64() < c.cfg.Corrupt && msg.Len() > 0 {
+			msg, corrupted = msg.private(), true
+			for i, n := 0, 1+c.rng.Intn(4); i < n; i++ {
+				msg.Payload[c.rng.Intn(len(msg.Payload))] ^= byte(1 + c.rng.Intn(255))
+			}
 			c.stats.Corrupted++
 		}
 	}
@@ -200,26 +203,35 @@ func (c *ChaosNet) Send(msg Message) error {
 	}
 	c.mu.Unlock()
 
+	// A message held past this call or delivered twice must not share
+	// its sender's buffers, and neither may any message with frames: a
+	// delay or a duplicate anywhere reorders or repeats the answers a
+	// sender reads as proof that its frames were decoded (the frame
+	// contract on Message). Each such delivery gets a private flattened
+	// copy.
+	if !corrupted && (delay > 0 || duplicate || len(msg.Frames) > 0) {
+		msg = msg.private()
+	}
 	if delay > 0 {
 		c.deliverLater(msg, delay, duplicate)
 		return nil
 	}
-	err := c.inner.Send(msg)
-	if duplicate && err == nil {
-		err = c.inner.Send(msg)
-	}
-	return err
+	return c.deliver(msg, duplicate)
 }
 
-// corruptPayload returns a copy of p with 1–4 random bytes flipped
-// (the original may be aliased by the caller's encode buffers).
-func (c *ChaosNet) corruptPayload(p []byte) []byte {
-	out := make([]byte, len(p))
-	copy(out, p)
-	for i, n := 0, 1+c.rng.Intn(4); i < n; i++ {
-		out[c.rng.Intn(len(out))] ^= byte(1 + c.rng.Intn(255))
+// deliver hands msg to the inner transport, and a second private copy
+// after it when duplicate is set. The copy is taken first: once msg is
+// delivered its receiver owns the payload and may recycle it.
+func (c *ChaosNet) deliver(msg Message, duplicate bool) error {
+	var dup Message
+	if duplicate {
+		dup = msg.private()
 	}
-	return out
+	err := c.inner.Send(msg)
+	if duplicate && err == nil {
+		err = c.inner.Send(dup)
+	}
+	return err
 }
 
 // deliverLater hands msg to the inner transport after the delay, or
@@ -234,9 +246,7 @@ func (c *ChaosNet) deliverLater(msg Message, delay time.Duration, duplicate bool
 		defer t.Stop()
 		select {
 		case <-t.C:
-			if err := c.inner.Send(msg); err == nil && duplicate {
-				_ = c.inner.Send(msg)
-			}
+			_ = c.deliver(msg, duplicate)
 		case <-c.closed:
 		}
 	}()

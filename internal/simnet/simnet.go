@@ -48,12 +48,48 @@ func (k Kind) String() string {
 	}
 }
 
-// Message is one unit of communication.
+// Message is one unit of communication. Its bytes are Frames[0] ++ … ++
+// Frames[n-1] ++ Payload: a sender that ships the same large frame to
+// many nodes passes it by reference in Frames instead of copying it into
+// every Payload.
+//
+// The frame contract: Frames are shared and read-only. Neither a
+// transport nor a receiver writes to them, and a receiver is done
+// reading them before it answers the message, so a sender may reuse a
+// frame once every receiver has answered. That reading of an answer
+// holds only where each pair's messages arrive once and in order, as on
+// ChannelNet; TCPNet copies the frames onto the socket before Send
+// returns. A transport that may hold, reorder or repeat deliveries
+// (ChaosNet) breaks it for every message, so it delivers each message
+// with frames as a private flattened copy. Payload is the message's
+// own: the receiver may keep it, and a receiver done with it may
+// recycle it.
 type Message struct {
 	From, To string
 	Type     string // application-level tag ("batches", "feedback", "swap", "params", ...)
 	Kind     Kind
+	Frames   [][]byte
 	Payload  []byte
+}
+
+// Len returns the message's size in bytes: its frames and its payload.
+func (m *Message) Len() int {
+	n := len(m.Payload)
+	for _, f := range m.Frames {
+		n += len(f)
+	}
+	return n
+}
+
+// private returns m with its frames and payload copied into one fresh
+// Payload.
+func (m Message) private() Message {
+	p := make([]byte, 0, m.Len())
+	for _, f := range m.Frames {
+		p = append(p, f...)
+	}
+	m.Payload, m.Frames = append(p, m.Payload...), nil
+	return m
 }
 
 // ErrNodeDown is returned when sending to a crashed or unknown node.
@@ -77,7 +113,10 @@ func (t Traffic) Total() int64 {
 }
 
 // Net is a message transport between named nodes with traffic
-// accounting and fail-stop crash injection.
+// accounting and fail-stop crash injection. A transport honours the
+// frame contract on Message and counts a message's Len — frames and
+// payload — so a message with frames and its flattened twin move the
+// counters alike.
 type Net interface {
 	// Register creates the node's inbox. Must be called before the
 	// node sends or receives.
@@ -139,11 +178,12 @@ func newAccounting() *accounting {
 	}
 }
 
-func (a *accounting) record(msg *Message) {
-	n := int64(len(msg.Payload))
+// record counts msg once (sign 1), or takes a count back (sign -1).
+func (a *accounting) record(msg *Message, sign int64) {
+	n := sign * int64(msg.Len())
 	a.mu.Lock()
 	a.bytes[msg.Kind] += n
-	a.msgs[msg.Kind]++
+	a.msgs[msg.Kind] += sign
 	a.ingress[msg.To] += n
 	a.egress[msg.From] += n
 	a.mu.Unlock()
@@ -237,17 +277,21 @@ func (n *ChannelNet) Send(msg Message) error {
 	}
 	n.mu.Unlock()
 	if ok {
+		// Counted before the receiver can see it, so a node that has
+		// received a message finds it in Snapshot; taken back if the
+		// inbox shuts first.
+		n.acct.record(&msg, 1)
 		select {
 		case in.ch <- msg:
 		case <-in.done:
 			ok = false
+			n.acct.record(&msg, -1)
 		}
 		in.senders.Done()
 	}
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNodeDown, msg.To)
 	}
-	n.acct.record(&msg)
 	return nil
 }
 

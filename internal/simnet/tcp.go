@@ -56,6 +56,8 @@ const (
 // senders keep one persistent connection per (from, to) pair. Traffic
 // accounting counts application payload bytes (identical to
 // ChannelNet), so the communication tables are transport-independent.
+// A message's frames go on the wire ahead of its payload, and the
+// receiver reads them back as one flat Payload.
 //
 // A frame is the envelope [u32 len ++ from, u32 len ++ to, u32 len ++
 // type, u8 kind, u32 payload length] followed by the payload, and a
@@ -226,32 +228,48 @@ func readFrame(r *bufio.Reader) (msg Message, ok bool) {
 }
 
 // writeMessage sends one frame under the connection lock. The first
-// write is the envelope plus up to tcpChunkSize bytes of payload, in a
-// buffer sized to exactly that; the rest of the payload is written
-// straight from the caller's buffer in tcpChunkSize pieces. Each write
-// is armed with a fresh deadline: a stalled peer (full receive window)
-// fails the write with a timeout instead of hanging the server's
+// write is the envelope plus up to tcpChunkSize bytes of the message, in
+// a buffer sized to exactly that; the rest is written straight from the
+// message's frames and payload, in order, in tcpChunkSize pieces. Each
+// write is armed with a fresh deadline: a stalled peer (full receive
+// window) fails the write with a timeout instead of hanging the server's
 // dispatch loop forever, and expiry falls through to the fresh-dial
 // retry path like any other write error.
 func (gc *tcpConn) writeMessage(msg *Message, timeout time.Duration) error {
-	head := min(len(msg.Payload), tcpChunkSize)
-	first := make([]byte, 0, 3*4+1+4+len(msg.From)+len(msg.To)+len(msg.Type)+head)
+	size := msg.Len()
+	first := make([]byte, 0, 3*4+1+4+len(msg.From)+len(msg.To)+len(msg.Type)+min(size, tcpChunkSize))
 	for _, s := range []string{msg.From, msg.To, msg.Type} {
 		first = binary.LittleEndian.AppendUint32(first, uint32(len(s)))
 		first = append(first, s...)
 	}
 	first = append(first, byte(msg.Kind))
-	first = binary.LittleEndian.AppendUint32(first, uint32(len(msg.Payload)))
-	first = append(first, msg.Payload[:head]...)
+	first = binary.LittleEndian.AppendUint32(first, uint32(size))
+	rest := append(msg.Frames[:len(msg.Frames):len(msg.Frames)], msg.Payload)
+	for len(first) < cap(first) {
+		n := min(len(rest[0]), cap(first)-len(first))
+		first = append(first, rest[0][:n]...)
+		if rest[0] = rest[0][n:]; len(rest[0]) == 0 {
+			rest = rest[1:]
+		}
+	}
 	gc.mu.Lock()
 	defer gc.mu.Unlock()
-	for b, rest := first, msg.Payload[head:]; len(b) > 0; {
+	write := func(b []byte) error {
 		_ = gc.conn.SetWriteDeadline(time.Now().Add(timeout))
-		if _, err := gc.conn.Write(b); err != nil {
-			return err
+		_, err := gc.conn.Write(b)
+		return err
+	}
+	if err := write(first); err != nil {
+		return err
+	}
+	for _, seg := range rest {
+		for len(seg) > 0 {
+			n := min(len(seg), tcpChunkSize)
+			if err := write(seg[:n]); err != nil {
+				return err
+			}
+			seg = seg[n:]
 		}
-		n := min(len(rest), tcpChunkSize)
-		b, rest = rest[:n], rest[n:]
 	}
 	return nil
 }
@@ -282,8 +300,8 @@ func (n *TCPNet) Send(msg Message) error {
 	if !ok || dead {
 		return fmt.Errorf("%w: %s", ErrNodeDown, msg.To)
 	}
-	if len(msg.Payload) > tcpMaxFrame {
-		return fmt.Errorf("simnet: payload %d exceeds frame bound %d", len(msg.Payload), tcpMaxFrame)
+	if msg.Len() > tcpMaxFrame {
+		return fmt.Errorf("simnet: payload %d exceeds frame bound %d", msg.Len(), tcpMaxFrame)
 	}
 	var lastErr error
 	for attempt := 0; attempt < tcpSendAttempts; attempt++ {
@@ -309,7 +327,7 @@ func (n *TCPNet) Send(msg Message) error {
 		}
 		err := gc.writeMessage(&msg, n.WriteTimeout)
 		if err == nil {
-			n.acct.record(&msg)
+			n.acct.record(&msg, 1)
 			return nil
 		}
 		lastErr = err

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"unsafe"
 )
 
 // Serialisation uses a small explicit binary framing (dtype byte, shape
@@ -22,11 +23,16 @@ import (
 // frames (this is what keeps pre-dtype checkpoints loadable).
 //
 // The hot wire paths (MD-GAN batches, feedbacks and swaps every
-// iteration) use AppendBinary into exact-size buffers and the in-place
-// decoders, so steady-state messaging neither grows bytes.Buffers nor
-// allocates intermediate payload scratch: a decode into a tensor that
-// already has the capacity allocates nothing, from a *bytes.Reader, a
-// bufio.Reader or any other reader (TestDecodeSteadyStateAllocs).
+// iteration) use AppendBinary into buffers their owners reuse and the
+// in-place decoders, so steady-state messaging neither grows
+// bytes.Buffers nor allocates intermediate payload scratch: a decode
+// into a tensor that already has the capacity allocates nothing, from a
+// *bytes.Reader, a bufio.Reader or any other reader
+// (TestDecodeSteadyStateAllocs). On a little-endian host a frame in the
+// compiled element width is the storage's own bytes, so encoding it is
+// one copy through a byte view of Data (TestOneCopyCodecMatchesLoop);
+// the other wire dtype and a big-endian host keep the per-element loop.
+// Decoding keeps the chunked loop (ROADMAP item 13 records why).
 //
 // The decoders' scratch — header bytes, dims, the decoded shape and the
 // payload chunk — is pooled (frameScratch), not on the stack: it is
@@ -41,6 +47,15 @@ const (
 	DTypeF64 byte = 0xF8
 	DTypeF32 byte = 0xF4
 )
+
+// littleEndian reports whether the host's byte order is the wire's, so
+// that a native-width payload is a byte view of Data.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// byteView returns data's storage as bytes, aliasing it.
+func byteView(data []Elem) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), len(data)*int(unsafe.Sizeof(Elem(0))))
+}
 
 // dtypeSize returns the payload bytes per element of a wire dtype.
 func dtypeSize(dt byte) int {
@@ -77,12 +92,14 @@ func (t *Tensor) AppendBinaryAs(dst []byte, dt byte) []byte {
 	for _, d := range t.shape {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(d))
 	}
-	switch dt {
-	case DTypeF64:
+	switch {
+	case dt == NativeDType && littleEndian:
+		dst = append(dst, byteView(t.Data)...)
+	case dt == DTypeF64:
 		for _, v := range t.Data {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(float64(v)))
 		}
-	case DTypeF32:
+	case dt == DTypeF32:
 		for _, v := range t.Data {
 			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v)))
 		}

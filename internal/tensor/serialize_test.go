@@ -3,7 +3,10 @@ package tensor
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -102,5 +105,76 @@ func BenchmarkDecode(b *testing.B) {
 				frame = src.AppendBinary(frame[:0])
 			}
 		})
+	}
+}
+
+// TestOneCopyCodecMatchesLoop: the one-copy encode of a native-width
+// frame is byte for byte the per-element loop it replaces, a frame in
+// the other wire dtype still converts through the loop, and every
+// decoder reads each back bit for bit. The values include NaNs with
+// payload bits, ±0, ±Inf and subnormals of both widths; the comparison
+// is on bit patterns, so a NaN that lost its payload would fail it.
+func TestOneCopyCodecMatchesLoop(t *testing.T) {
+	var vals []Elem
+	for _, b := range []uint64{
+		0x7FF0_0000_0000_0001, 0xFFF8_DEAD_BEEF_0001, 0x7FF8_0000_0000_0000,
+		0x8000_0000_0000_0000, 0, 0x7FF0_0000_0000_0000, 0xFFF0_0000_0000_0000,
+		1, 0x800F_FFFF_FFFF_FFFF, 0x3FF0_0000_0000_0001,
+	} {
+		vals = append(vals, Elem(math.Float64frombits(b)))
+	}
+	for _, b := range []uint32{0x7F80_0001, 0xFFC0_BEEF, 0x8000_0000, 1, 0x807F_FFFF, 0x7F7F_FFFF} {
+		vals = append(vals, Elem(math.Float32frombits(b)))
+	}
+	rng := rand.New(rand.NewSource(97))
+	for len(vals) < 3*1024+6 { // past one decode chunk, ragged
+		vals = append(vals, Elem(rng.NormFloat64()))
+	}
+	src := FromSlice(vals, 2, len(vals)/2)
+	for _, dt := range []byte{DTypeF64, DTypeF32} {
+		// The per-element reference: framing, then every element through
+		// math.Float{64,32}bits.
+		want := append([]byte{dt}, 2, 0, 0, 0)
+		want = binary.LittleEndian.AppendUint32(want, 2)
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(vals)/2))
+		wantData := make([]Elem, len(vals))
+		for i, v := range vals {
+			if dt == DTypeF64 {
+				want = binary.LittleEndian.AppendUint64(want, math.Float64bits(float64(v)))
+				wantData[i] = Elem(math.Float64frombits(binary.LittleEndian.Uint64(want[len(want)-8:])))
+			} else {
+				want = binary.LittleEndian.AppendUint32(want, math.Float32bits(float32(v)))
+				wantData[i] = Elem(math.Float32frombits(binary.LittleEndian.Uint32(want[len(want)-4:])))
+			}
+		}
+		if got := src.AppendBinaryAs([]byte{0xAA}, dt); !bytes.Equal(got[1:], want) || got[0] != 0xAA {
+			t.Fatalf("dtype %#x: encoding differs from the per-element loop", dt)
+		}
+		for _, c := range []struct {
+			name   string
+			decode func(dst *Tensor, r io.Reader) (int64, error)
+			stream bool
+		}{
+			{"ReadFrom/bytes.Reader", (*Tensor).ReadFrom, false},
+			{"ReadInPlace/bytes.Reader", (*Tensor).ReadInPlace, false},
+			{"ReadFrom/stream", (*Tensor).ReadFrom, true},
+			{"ReadInPlace/stream", (*Tensor).ReadInPlace, true},
+		} {
+			var r io.Reader = bytes.NewReader(want)
+			if c.stream {
+				r = struct{ io.Reader }{r} // hides *bytes.Reader: the loop path
+			}
+			dst := New(2, len(vals)/2)
+			n, err := c.decode(dst, r)
+			if err != nil || n != int64(len(want)) {
+				t.Fatalf("dtype %#x, %s: read %d of %d bytes: %v", dt, c.name, n, len(want), err)
+			}
+			if !bytes.Equal(byteView(dst.Data), byteView(wantData)) {
+				t.Fatalf("dtype %#x, %s: decoded bits differ from the per-element loop", dt, c.name)
+			}
+		}
+		if _, err := New(2, len(vals)/2).ReadInPlace(bytes.NewReader(want[:len(want)-1])); err == nil {
+			t.Fatalf("dtype %#x: truncated frame decoded", dt)
+		}
 	}
 }
