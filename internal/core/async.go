@@ -123,7 +123,7 @@ func (s *server) runAsync(iters int) (int, error) {
 			}
 			continue
 		}
-		recycleFeedbackFrame(msg.Payload)
+		s.pools.feedback.put(msg.Payload)
 		// A suspect's feedback arriving is evidence of life.
 		s.noteAlive(msg.From)
 		delete(pending, msg.From)

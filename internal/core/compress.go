@@ -29,11 +29,15 @@ import (
 //
 // The wire format prefixes one mode byte so the server can decode
 // whatever each worker sends. A worker encodes its frame into a buffer
-// from feedbackFrames, or one exact-size allocation when the pool has
-// none (TopK adds one more for the selection index). The server decodes
-// into pooled tensor storage and hands each star frame it has decoded
-// back to feedbackFrames, so over an in-process transport a steady-state
-// round allocates no payload-sized feedback buffer.
+// from the run's feedback pool (framePools), or one exact-size
+// allocation when the pool has none (TopK adds one more for the
+// selection index). The server decodes into pooled tensor storage and
+// puts each star frame it has decoded back into that pool, so over an
+// in-process transport a steady-state round allocates no payload-sized
+// feedback buffer. Swap frames are pooled the same way between two
+// workers: the sender draws from the run's swap pool, and the receiver,
+// the only goroutine that decodes the frame, puts it back right after
+// decoding its parameters (worker.triage).
 
 // Compression selects the feedback wire encoding.
 type Compression int
@@ -62,35 +66,10 @@ func (c Compression) String() string {
 // topKFraction is the fraction of entries CompressTopK keeps.
 const topKFraction = 0.1
 
-// feedbackFrames holds feedback frame buffers the server has decoded
-// and is done with. A channel, not a sync.Pool: a slice goes in and out
-// without boxing, and the hand-off orders the server's last read of a
-// buffer before the worker's first write to it.
-var feedbackFrames = make(chan []byte, 64)
-
-// recycleFeedbackFrame offers a decoded feedback frame back to the
-// encoders. The caller must hold the only reference to p.
-func recycleFeedbackFrame(p []byte) {
-	select {
-	case feedbackFrames <- p:
-	default:
-	}
-}
-
-// encodeFeedbackCompressed frames F_n under the given mode into a
-// recycled buffer when one is large enough, else into one exact-size
-// allocation.
-func encodeFeedbackCompressed(f *tensor.Tensor, mode Compression) []byte {
-	size := int(feedbackEncodedSize(f, mode))
-	var buf []byte
-	select {
-	case buf = <-feedbackFrames:
-	default:
-	}
-	if cap(buf) < size {
-		buf = make([]byte, 0, size)
-	}
-	return appendFeedbackCompressed(buf[:0], f, mode)
+// encodeFeedback frames F_n under the given mode into a buffer from
+// pool.
+func encodeFeedback(pool framePool, f *tensor.Tensor, mode Compression) []byte {
+	return appendFeedbackCompressed(pool.get(int(feedbackEncodedSize(f, mode))), f, mode)
 }
 
 // feedbackEncodedSize returns the exact encoded size of F_n under mode.

@@ -11,6 +11,12 @@ import (
 	"mdgan/internal/tensor"
 )
 
+// encodeFeedbackCompressed is the unpooled feedback encoder the codec
+// tests and fuzz targets call: one exact-size allocation per frame.
+func encodeFeedbackCompressed(f *tensor.Tensor, mode Compression) []byte {
+	return encodeFeedback(nil, f, mode)
+}
+
 // Regression (PR 3): decodeFeedbackAny used to bound only the decoded
 // VOLUME, so a reshaped feedback — same element count, different shape —
 // decoded successfully and silently mis-aligned against the generator

@@ -50,8 +50,10 @@
 // A fault-free run with RoundTimeout set traverses exactly the
 // pre-deadline code path (no suspicion, no probes, identical RNG
 // stream), so the strict engine's bitwise pin holds with the deadline
-// armed; runs that DO hit faults are repeatable only to the extent the
-// fault schedule is (simnet.ChaosNet is seeded for that purpose).
+// armed. A run that does hit faults is not repeatable: simnet.ChaosNet
+// seeds its stream of draws, but which message each draw lands on, and
+// which round deadlines expire, depend on scheduling (ROADMAP item
+// 6(b)).
 package core
 
 import (
@@ -359,14 +361,16 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 	g := couple.G
 	lc := couple.LossConfig
 
-	// Spawn workers.
+	// Spawn workers. The run's frame pools are shared by its server and
+	// workers, and by nothing else.
+	pools := framePools{feedback: newFramePool(2 * n), swap: newFramePool(2 * n)}
 	workers := make([]*worker, n)
 	for i := range workers {
 		name := workerName(i)
 		if err := net.Register(name); err != nil {
 			return nil, err
 		}
-		workers[i] = newWorker(&cfg, net, lc, couple.D, i, shards[i])
+		workers[i] = newWorker(&cfg, pools, net, lc, couple.D, i, shards[i])
 		go workers[i].run()
 	}
 
@@ -375,6 +379,7 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 		g:            g,
 		optG:         opt.NewAdam(cfg.OptG),
 		net:          net,
+		pools:        pools,
 		rng:          rand.New(rand.NewSource(cfg.Seed + 31)),
 		k:            k,
 		swapInterval: dataset.EpochIters(shards, swapE, cfg.Batch),
@@ -391,7 +396,7 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 		srv.m.Add(w.name)
 	}
 	nextIdx := n
-	srv.spawn = spawnJoiner(&cfg, net, lc, couple.D, &workers, &nextIdx)
+	srv.spawn = spawnJoiner(&cfg, pools, net, lc, couple.D, &workers, &nextIdx)
 
 	// Shutdown runs on EVERY exit path — the error returns used to
 	// leak the worker goroutines whenever cfg.Net was caller-supplied
@@ -458,7 +463,7 @@ func Train(shards []*dataset.Dataset, arch gan.Arch, cfg Config, eval EvalFunc) 
 // newWorker builds worker i over its shard. The discriminator starts as
 // a clone of the shared template (for joiners it is overwritten by the
 // donor's parameters before the first batch arrives).
-func newWorker(cfg *Config, net simnet.Net, lc gan.LossConfig, template *gan.Discriminator, i int, shard *dataset.Dataset) *worker {
+func newWorker(cfg *Config, pools framePools, net simnet.Net, lc gan.LossConfig, template *gan.Discriminator, i int, shard *dataset.Dataset) *worker {
 	return &worker{
 		name:      workerName(i),
 		d:         template.Clone(),
@@ -467,6 +472,7 @@ func newWorker(cfg *Config, net simnet.Net, lc gan.LossConfig, template *gan.Dis
 		sampler:   dataset.NewSampler(shard, cfg.Seed+7919*int64(i+1)),
 		net:       net,
 		cfg:       cfg,
+		pools:     pools,
 		byzantine: cfg.Byzantine[i],
 		rng:       rand.New(rand.NewSource(cfg.Seed + 15485863*int64(i+1))),
 		done:      make(chan struct{}),

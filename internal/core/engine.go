@@ -55,8 +55,11 @@ package core
 // delivers each pair's messages once and in order — the frame contract
 // on simnet.Message, which is why ChaosNet copies every framed message.
 // The server's half of the feedback path is pooled too: a star feedback
-// frame returns to the frame pool workers encode from once decoded, and
-// its decoded tensor returns to the tensor pool after apply.
+// frame returns to the run's feedback pool (framePools) that workers
+// encode from once decoded, and its decoded tensor returns to the
+// tensor pool after apply. A swap frame goes worker to worker: the
+// worker that decodes one returns it to the run's swap pool, right
+// after decoding (worker.triage).
 
 import (
 	"errors"
@@ -81,6 +84,7 @@ type server struct {
 	g            *gan.Generator
 	optG         *opt.Adam
 	net          simnet.Net
+	pools        framePools // the run's, shared with the workers
 	rng          *rand.Rand
 	k            int
 	m            *cluster.Membership
@@ -558,7 +562,7 @@ func (s *server) collect(r *round) error {
 		if msg.Type == msgAgg {
 			ents, err = r.decodeAgg(msg.Payload, from)
 		} else if ents, err = r.decodeFeedback(msg.Payload, from); err == nil {
-			recycleFeedbackFrame(msg.Payload)
+			s.pools.feedback.put(msg.Payload)
 		}
 		if err != nil {
 			// Corrupt frame: strike the sender and continue the round.

@@ -103,7 +103,7 @@ func (s *server) processJoins(it int, spawn func(shard *dataset.Dataset) (*worke
 
 // spawnJoiner builds the worker-spawning closure Train hands to the
 // server for dynamic joins.
-func spawnJoiner(cfg *Config, net simnet.Net, lc gan.LossConfig, template *gan.Discriminator,
+func spawnJoiner(cfg *Config, pools framePools, net simnet.Net, lc gan.LossConfig, template *gan.Discriminator,
 	workers *[]*worker, nextIdx *int) func(*dataset.Dataset) (*worker, error) {
 	return func(shard *dataset.Dataset) (*worker, error) {
 		i := *nextIdx
@@ -114,7 +114,7 @@ func spawnJoiner(cfg *Config, net simnet.Net, lc gan.LossConfig, template *gan.D
 		// The template discriminator is only the architecture; it is
 		// overwritten by the donor's parameters before the first batch
 		// arrives.
-		w := newWorker(cfg, net, lc, template, i, shard)
+		w := newWorker(cfg, pools, net, lc, template, i, shard)
 		*workers = append(*workers, w)
 		go w.run()
 		return w, nil

@@ -46,7 +46,7 @@ func TestCancelSwapCannotResolveEarlierRendezvous(t *testing.T) {
 		Batch: 4, DiscSteps: 0, Seed: 41,
 		OptD: opt.AdamConfig{LR: 1e-3},
 	}, Engine: Engine{SwapPrec: SwapNative}}
-	w := newWorker(&cfg, net, couple.LossConfig, couple.D, 0, shard)
+	w := newWorker(&cfg, framePools{}, net, couple.LossConfig, couple.D, 0, shard)
 	go w.run()
 
 	// The discriminator B must adopt: recognisably different parameters.
@@ -82,9 +82,9 @@ func TestCancelSwapCannotResolveEarlierRendezvous(t *testing.T) {
 	send(msgBatches, batches(1))
 	send(msgSwap, encodeSwapCancel(2))
 	send(msgBatches, batches(2))
-	send(msgSwap, encodeSwap(1, donor, SwapNative))
+	send(msgSwap, encodeSwap(nil, 1, donor, SwapNative))
 	send(msgBatches, batches(3))
-	send(msgSwap, encodeSwap(3, donor, SwapNative))
+	send(msgSwap, encodeSwap(nil, 3, donor, SwapNative))
 	send(msgBatches, batches(4))
 	send(msgSwap, encodeSwapCancel(4))
 	send(msgStop, nil)

@@ -19,7 +19,7 @@ func triageWorker(t *testing.T, net simnet.Net, lazy bool) (w *worker, donor *ga
 	cfg := Config{TrainConfig: gan.TrainConfig{
 		Batch: 4, Seed: 41, OptD: opt.AdamConfig{LR: 1e-3},
 	}, Engine: Engine{SwapPrec: SwapNative, Async: lazy}}
-	w = newWorker(&cfg, net, couple.LossConfig, couple.D, 0, ringShards(1, 32, 43)[0])
+	w = newWorker(&cfg, framePools{}, net, couple.LossConfig, couple.D, 0, ringShards(1, 32, 43)[0])
 	donor = couple.D.Clone()
 	for _, p := range w.d.Params() {
 		p.W.Zero()
@@ -38,7 +38,7 @@ func triageWorker(t *testing.T, net simnet.Net, lazy bool) (w *worker, donor *ga
 func TestWorkerTriage(t *testing.T) {
 	const last = 5
 	_, donor := triageWorker(t, nil, false)
-	swap := func(tag int) []byte { return encodeSwap(tag, donor, SwapNative) }
+	swap := func(tag int) []byte { return encodeSwap(nil, tag, donor, SwapNative) }
 	cancel := func(tag int) []byte { return encodeSwapCancel(tag) }
 	badSwap := func(tag int) []byte { return append(encodeSwapCancel(tag), 0xde, 0xad, 0xbe, 0xef, 0x01) }
 	agg := func(tag int) []byte {
@@ -138,9 +138,9 @@ func TestWorkerStashClearsVacatedSlot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	send(msgSwap, encodeSwap(2, donor, SwapNative)) // held: round 2 has not opened
-	send(msgSwap, encodeSwapCancel(3))              // held
-	send(msgSwap, encodeSwap(4, donor, SwapNative)) // held
+	send(msgSwap, encodeSwap(nil, 2, donor, SwapNative)) // held: round 2 has not opened
+	send(msgSwap, encodeSwapCancel(3))                   // held
+	send(msgSwap, encodeSwap(nil, 4, donor, SwapNative)) // held
 	send(msgPing, nil)
 	if msg, _ := w.recv(winMain, nil); msg.Type != msgPing {
 		t.Fatalf("main window delivered %q, want the ping behind the held swaps", msg.Type)

@@ -289,9 +289,9 @@ func (p SwapPrecision) wireDType() byte {
 // flight.
 
 // encodeSwap frames a discriminator's parameters for round's swap at
-// the given wire precision.
-func encodeSwap(round int, d *gan.Discriminator, p SwapPrecision) []byte {
-	buf := make([]byte, 0, swapPayloadSize(d, p))
+// the given wire precision, into a buffer from pool.
+func encodeSwap(pool framePool, round int, d *gan.Discriminator, p SwapPrecision) []byte {
+	buf := pool.get(int(swapPayloadSize(d, p)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(round))
 	return nn.AppendParams(buf, d.Params(), p.wireDType())
 }

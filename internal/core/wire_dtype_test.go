@@ -104,7 +104,7 @@ func TestParamCodecByteIdentity(t *testing.T) {
 			}
 		}
 		for _, p := range []SwapPrecision{SwapNative, SwapFP32} {
-			swap := encodeSwap(9, d, p)
+			swap := encodeSwap(nil, 9, d, p)
 			if int64(len(swap)) != swapPayloadSize(d, p) {
 				t.Fatalf("%s %v: swap is %d bytes, swapPayloadSize says %d", arch.name, p, len(swap), swapPayloadSize(d, p))
 			}
@@ -148,7 +148,7 @@ func TestSwapFP32DefaultPayload(t *testing.T) {
 			p.W.Data[i] = tensor.Elem(rng.NormFloat64())
 		}
 	}
-	payload := encodeSwap(7, d, SwapFP32)
+	payload := encodeSwap(nil, 7, d, SwapFP32)
 	if int64(len(payload)) != 4+nn.EncodedParamSize(d.Params(), tensor.DTypeF32) {
 		t.Fatalf("fp32 swap payload %d bytes, want round tag + %d", len(payload), nn.EncodedParamSize(d.Params(), tensor.DTypeF32))
 	}

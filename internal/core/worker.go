@@ -29,6 +29,10 @@ type worker struct {
 	// blocking for them, since a strict rendezvous could stall the
 	// per-feedback loop.
 	cfg *Config
+	// pools are the run's frame pools, shared with the server and every
+	// other worker: the worker encodes its feedback and swap frames into
+	// their buffers and puts back each swap frame it decodes.
+	pools framePools
 	// byzantine, when non-zero, corrupts the feedback before sending
 	// (§VII.3 adversary model). Free-rider modes skip local training
 	// and fabricate the feedback outright.
@@ -116,6 +120,13 @@ const (
 //     the sender's own iteration counter, so it adopts at once;
 //   - a frame too short for a tag is a lost swap, not a death sentence.
 //
+// A swap frame that carries parameters goes back to the run's swap pool
+// here, right after its parameters are decoded (adopted or rejected),
+// and by no one else: the sender let go of it at Send, a held frame
+// stays untouched in the stash until the verdict that decodes it, and a
+// cancellation, a lost swap or one whose receiver crashed is left to
+// the collector.
+//
 // Aggregation traffic (a child's msgAgg, the server's msgAggSkip) tagged
 // beyond lastRound overtook our own batches: hold it for that round's
 // collect window. Tagged lastRound inside the collect window it is
@@ -150,7 +161,10 @@ func (w *worker) triage(msg simnet.Message, win window) verdict {
 		}
 		if len(params) > 0 {
 			// All or nothing: corrupt parameters leave our own D intact.
+			// Either way the frame is read and this goroutine, its only
+			// reader, puts it back for the next sender.
 			_ = decodeDiscParamsInto(w.d, params)
+			w.pools.swap.put(msg.Payload)
 		}
 		return v
 	case msgAgg, msgAggSkip:
@@ -299,7 +313,7 @@ func (w *worker) handleBatches(msg simnet.Message) bool {
 	if bm.SwapTo != "" {
 		if err := w.net.Send(simnet.Message{
 			From: w.name, To: bm.SwapTo, Type: msgSwap,
-			Kind: simnet.WtoW, Payload: encodeSwap(bm.Round, w.d, w.cfg.SwapPrec),
+			Kind: simnet.WtoW, Payload: encodeSwap(w.pools.swap, bm.Round, w.d, w.cfg.SwapPrec),
 		}); err != nil {
 			// Receiver crashed mid-round: keep our discriminator.
 			_ = err
@@ -327,7 +341,7 @@ func (w *worker) handleBatches(msg simnet.Message) bool {
 		// Flat star (no plan): the bare feedback frame to the server.
 		if err := w.net.Send(simnet.Message{
 			From: w.name, To: serverName, Type: msgFeedback,
-			Kind: simnet.WtoC, Payload: encodeFeedbackCompressed(fn, w.cfg.Compress),
+			Kind: simnet.WtoC, Payload: encodeFeedback(w.pools.feedback, fn, w.cfg.Compress),
 		}); err != nil {
 			return false
 		}

@@ -15,11 +15,16 @@ import (
 // verify.sh's chaos gate all drive the trainers through it.
 //
 // Determinism: all fault decisions come from one seeded *rand.Rand
-// consumed under the net's lock, so a fixed seed and a fixed message
-// sequence yield the same faults. (Messages sent concurrently — e.g.
-// BroadcastEach fan-out — race for the stream, so runs are repeatable
-// rather than bitwise-pinned; the strict engine's bitwise tests run
-// without chaos.)
+// consumed under the net's lock, so the stream of draws is fixed by the
+// seed, but which message each draw lands on is not. Concurrent senders
+// (the server's fan-out, workers' swaps and feedbacks) reach the lock in
+// whatever order the scheduler runs them, and a delayed message lands
+// on whichever side of a round deadline the clock puts it. A chaotic
+// run is therefore not reproducible: `mdgan-train -dataset ring
+// -samples 400 -workers 4 -iters 40 -chaos 0.05` writes a different
+// checkpoint on each of five runs. The strict engine's bitwise tests
+// run without chaos; ROADMAP item 6(b) keys each decision by the
+// message instead of by its turn at the lock.
 //
 // Dropped and partitioned messages are lost SILENTLY: Send returns nil,
 // exactly like a real datagram loss or a peer behind a partition whose

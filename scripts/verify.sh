@@ -95,14 +95,21 @@
 #     ./internal/simnet         writers that share one (from, to) pair:
 #                               five schedules under the detector, not
 #                               one. No recorded catch.
-#   go test -race -count=5      the batch-frame ownership rule: one
-#     -run TestLateBatches…     worker's batches held past the round
-#     ./internal/core           deadline, in order by reference and
-#                               through ChaosNet's delay and duplicate,
+#   go test -race -count=5      the frame ownership rules. Batches:
+#     -run TestLateBatches…     one worker's batches held past the round
+#     |TestHeldSwaps…           deadline, in order by reference and
+#     ./internal/core           through ChaosNet's delay and duplicate,
 #                               while the engine reuses round slots
 #                               (TestLateBatchesNeverSeeReusedFrames):
 #                               five schedules of late decodes against
-#                               the next generate. No recorded catch.
+#                               the next generate. Swaps: one worker's
+#                               batches held back so that its peer's
+#                               swap overtakes them and waits in its
+#                               stash while the run's swap pool cycles
+#                               (TestHeldSwapsDecodeTheBytesTheyWereSent):
+#                               five schedules of held decodes against
+#                               the other workers' encodes. No recorded
+#                               catch.
 #   serve smoke                 process plumbing unit tests cannot
 #                               reach: flags (each removed one must be
 #                               a usage error, not ignored), signals,
@@ -199,7 +206,7 @@ run_suite() { # $1 = dtype name, $2 = go build tags ("" for none)
     go test -race ${tagargs[@]+"${tagargs[@]}"} ./...
     go test -race -count=5 ${tagargs[@]+"${tagargs[@]}"} ./internal/serve
     go test -race -count=5 ${tagargs[@]+"${tagargs[@]}"} ./internal/simnet
-    go test -race -count=5 ${tagargs[@]+"${tagargs[@]}"} -run 'TestLateBatchesNeverSeeReusedFrames' ./internal/core
+    go test -race -count=5 ${tagargs[@]+"${tagargs[@]}"} -run 'TestLateBatchesNeverSeeReusedFrames|TestHeldSwapsDecodeTheBytesTheyWereSent' ./internal/core
 
     # The engine gates under every kernel tier the host can force: the
     # strict-engine pin must hold for every micro-kernel the binary can
